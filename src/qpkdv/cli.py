@@ -521,11 +521,10 @@ def main(argv=None) -> int:
         config = ExperimentConfig.from_dict(raw)
         return run(config, args.subcommand, out=args.out,
                    workers=args.workers, seed=args.seed)
-    except (ConfigError, OSError, json.JSONDecodeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ERROR
-    except (sv.StructureError, sv.DivergenceError, nonlin.ParseError,
-            ValueError) as err:
+    # ValueError covers ConfigError, JSONDecodeError, ParseError and
+    # StructureError; the RuntimeErrors are numerical failures of a run
+    except (OSError, ValueError, sv.DivergenceError, km.ReductionError,
+            dyn.InstabilityError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
 

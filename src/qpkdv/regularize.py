@@ -29,7 +29,6 @@ from .spectral import (
     multiply,
     omega_dphi,
     omega_dphi_inv,
-    phi_average,
     pointwise,
     synthesize,
     x_average,

@@ -371,8 +371,9 @@ def _measure_point(args) -> dict:
     config = SolverConfig(trunc=trunc, a=a, **config_kw)
     try:
         report = nash_moser(spec, freq, config)
-    except (DivergenceError, km.StagnationError, km.ContractionError,
-            km.SmallnessError) as exc:
+    except (DivergenceError, km.ReductionError,
+            regularize.ZeroMeanViolation,
+            regularize.DegenerateCoefficientError) as exc:
         return {"lambda": lam, "accepted": False, "excluded": False,
                 "error": str(exc)}
     return {

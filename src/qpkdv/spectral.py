@@ -21,7 +21,6 @@ __all__ = [
     "Truncation",
     "FourierField",
     "Frequency",
-    "grid_transform",
     "sobolev_norm",
     "dx_pow",
     "omega_dphi",
@@ -34,7 +33,6 @@ __all__ = [
     "phi_average",
     "x_average",
     "embed_field",
-    "restrict_field",
     "field_at_phi",
     "random_real_field",
     "field_to_json",
@@ -290,17 +288,6 @@ def analyze(trunc: Truncation, samples: np.ndarray) -> FourierField:
     return FourierField(trunc, np.ascontiguousarray(c))
 
 
-def grid_transform(field_or_samples, direction: str, trunc: Truncation | None = None):
-    """Forward ('analyze', samples -> field) or inverse ('synthesize') transform."""
-    if direction == "synthesize":
-        return synthesize(field_or_samples)
-    if direction == "analyze":
-        if trunc is None:
-            raise ValueError("analyze direction needs the target truncation")
-        return analyze(trunc, field_or_samples)
-    raise ValueError(f"unknown direction {direction!r}")
-
-
 # ---------------------------------------------------------------------------
 # norms and spectral calculus
 
@@ -414,10 +401,17 @@ def _phi_hybrid(f: FourierField, gphi: tuple[int, ...]) -> np.ndarray:
 
 def _eval_x_displaced(hyb: np.ndarray, trunc: Truncation, xpts: np.ndarray) -> np.ndarray:
     """Evaluate sum_j hyb[..., j] e^{i j xpts[..., m]} at per-node abscissae."""
-    jj = trunc.mode_range(trunc.nu)
-    phase = np.exp(1j * xpts[..., None] * jj)
-    vals = np.einsum("...mj,...j->...m", phase, hyb)
-    return vals
+    n = trunc.n_x
+    # e^{ijx} for j = 1..n by repeated multiplication of one exp per node;
+    # the j < 0 columns are the conjugates
+    phase = np.empty(xpts.shape + (2 * n + 1,), dtype=complex)
+    phase[..., n] = 1.0
+    e1 = np.exp(1j * xpts)
+    phase[..., n + 1] = e1
+    for j in range(2, n + 1):
+        phase[..., n + j] = phase[..., n + j - 1] * e1
+    phase[..., :n] = np.conj(phase[..., :n:-1])
+    return (phase @ hyb[..., None])[..., 0]
 
 
 def _fine_shape(trunc: Truncation, factor: int = 2) -> tuple[int, ...]:
@@ -573,15 +567,6 @@ def embed_field(f: FourierField, big: Truncation) -> FourierField:
     )
     c[sl] = f.c
     return FourierField(big, c)
-
-
-def restrict_field(f: FourierField, small: Truncation) -> FourierField:
-    """Drop modes outside a smaller truncation (same nu)."""
-    sl = tuple(
-        slice(b - s, b + s + 1)
-        for b, s in zip(_centers(f.trunc), _centers(small))
-    )
-    return FourierField(small, np.ascontiguousarray(f.c[sl]))
 
 
 def field_at_phi(f: FourierField, phi: np.ndarray) -> np.ndarray:

@@ -182,3 +182,16 @@ def test_main_bad_config_exits_1(tmp_path, capsys):
     bad.write_text(json.dumps({"epsilon": 1e-3}))
     assert cli.main(["solve", "--config", str(bad)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_main_failed_reduction_exits_1(tmp_path, capsys):
+    # at epsilon = 0.4 the Neumann contraction of the reduction fails
+    path = write_config(
+        tmp_path,
+        nonlinearity={"text": "cos(phi_1)*sin(x) + cos(phi_1)*cos(x)*z3 + z0^2*z3",
+                      "declared_form": "raw_f"},
+        epsilon=0.4,
+        kam={"gamma": 0.01},
+    )
+    assert cli.main(["solve", "--config", str(path)]) == cli.EXIT_ERROR
+    assert "error:" in capsys.readouterr().err

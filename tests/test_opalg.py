@@ -144,6 +144,60 @@ def test_compose_matches_dense_product_on_interior():
     assert np.max(np.abs(prod[center, center] - MC[center, center])) < 1e-12
 
 
+def _compose_direct(A, B):
+    """Reference kernel: one einsum per nonzero block of A, with the same
+    clipping and dropped-mass bookkeeping as op.compose."""
+    trunc = A.trunc
+    nu, w = trunc.nu, 4 * trunc.n_phi + 1
+    out = np.zeros(op._block_shape(trunc), dtype=complex)
+    dropped = 0.0
+    for offA in np.ndindex(*(w,) * nu):
+        blkA = A.blocks[offA]
+        if not blkA.any():
+            continue
+        prod = np.einsum("ab,...bc->...ac", blkA, B.blocks)
+        kept = np.zeros(prod.shape[:nu], dtype=bool)
+        src, dst = [], []
+        for o in offA:
+            li = o - 2 * trunc.n_phi
+            lo, hi = max(0, -li), min(w, w - li)
+            src.append(slice(lo, hi))
+            dst.append(slice(lo + li, hi + li))
+        if all(s.start < s.stop for s in src):
+            out[tuple(dst)] += prod[tuple(src)]
+            kept[tuple(src)] = True
+        dropped += float(np.sum(np.abs(prod[~kept]) ** 2))
+    return out, np.sqrt(dropped)
+
+
+def _sparse_toeplitz(trunc, rng, band):
+    """Random operator with all-zero offsets, banded blocks and scattered
+    zero entries, so that its products have structural zeros."""
+    shape = op._block_shape(trunc)
+    blocks = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    blocks[rng.random(shape[: trunc.nu]) < 0.6] = 0.0
+    blocks[rng.random(shape) < 0.2] = 0.0
+    m = 2 * trunc.n_x + 1
+    off = np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
+    blocks[..., off > band] = 0.0
+    return op.ToplitzOperator(trunc, blocks)
+
+
+@pytest.mark.parametrize("trunc", [Truncation(1, 8, 8), Truncation(2, 4, 4)])
+def test_compose_matches_direct_kernel(trunc):
+    rng = np.random.default_rng(11)
+    A = _sparse_toeplitz(trunc, rng, band=2)
+    B = _sparse_toeplitz(trunc, rng, band=3)
+    C = op.compose(A, B)
+    ref, dropped = _compose_direct(A, B)
+    assert np.max(np.abs(C.blocks - ref)) <= 1e-13 * np.max(np.abs(ref))
+    zeros = ref == 0
+    assert zeros.any() and not zeros.all()
+    assert np.array_equal(C.blocks == 0, zeros)
+    assert dropped > 0
+    assert abs(C.dropped_mass - dropped) <= 1e-12 * dropped
+
+
 def test_linearity_of_apply():
     A = random_toeplitz(T, RNG)
     u = random_real_field(T, RNG)

@@ -229,3 +229,21 @@ def test_cantor_measure_validates_exponent():
     with pytest.raises(ValueError):
         sv.cantor_measure(FORCED, "raw_f", (1.0,), [1e-3], np.array([1.25]),
                           a=1.5)
+
+
+def test_cantor_measure_records_failed_point(monkeypatch):
+    real = sv.nash_moser
+
+    def flaky(spec, freq, config):
+        if freq.lam == 1.0:
+            raise reg.ZeroMeanViolation(3, 2.2e-9)
+        return real(spec, freq, config)
+
+    monkeypatch.setattr(sv, "nash_moser", flaky)
+    rep = sv.cantor_measure(FORCED, "raw_f", (1.0,), [1e-3],
+                            np.array([0.9, 1.0, 1.1]), a=0.5,
+                            trunc=Truncation(1, 4, 4))
+    bad = rep.records[1e-3][1]
+    assert not bad["accepted"] and not bad["excluded"]
+    assert "x-mean" in bad["error"]
+    assert len(rep.records[1e-3]) == 3

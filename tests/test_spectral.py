@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpkdv.spectral import (
+    _eval_x_displaced,
     FourierField,
     Frequency,
     Truncation,
@@ -195,6 +196,18 @@ def test_compose_space_fine_grid_oracle():
             vals += np.real(f.c[il, ij] * np.exp(1j * (l * phi + j * (x + bsamp))))
     oracle = analyze(tr, vals)
     assert np.max(np.abs(g.c - oracle.c)) < 1e-10
+
+
+@pytest.mark.parametrize("n_x", [8, 16])
+def test_eval_x_displaced_matches_direct_sum(n_x):
+    tr = Truncation(nu=1, n_phi=3, n_x=n_x)
+    rng = np.random.default_rng(n_x)
+    hyb = rng.standard_normal((10, 2 * n_x + 1)) + 1j * rng.standard_normal((10, 2 * n_x + 1))
+    xpts = 2 * np.pi * np.arange(40) / 40 + rng.uniform(-1.0, 1.0, (10, 40))
+    jj = tr.mode_range(tr.nu)
+    direct = np.sum(np.exp(1j * xpts[..., None] * jj) * hyb[:, None, :], axis=-1)
+    vals = _eval_x_displaced(hyb, tr, xpts)
+    assert np.max(np.abs(vals - direct)) <= 1e-13 * np.max(np.abs(direct))
 
 
 def test_compose_time_shifts_phi():
