@@ -247,8 +247,7 @@ def _tag(lam: float, eps: float) -> str:
 # -------------------------------------------------------------- subcommands
 
 
-def _run_solve(config: ExperimentConfig, out: Path, workers: int,
-               rng: np.random.Generator) -> int:
+def _run_solve(config: ExperimentConfig, out: Path) -> int:
     results, any_ok, any_excluded = [], False, False
     trace_rows = []
     for eps in config.epsilons:
@@ -282,8 +281,7 @@ def _run_solve(config: ExperimentConfig, out: Path, workers: int,
     return EXIT_EXCLUDED if (any_excluded and not any_ok) else EXIT_OK
 
 
-def _run_reduce(config: ExperimentConfig, out: Path, workers: int,
-                rng: np.random.Generator) -> int:
+def _run_reduce(config: ExperimentConfig, out: Path) -> int:
     eps = config.epsilons[0]
     lam = config.lambdas[0]
     freq = Frequency(config.omega_bar, lam)
@@ -323,8 +321,7 @@ def _run_reduce(config: ExperimentConfig, out: Path, workers: int,
     return EXIT_EXCLUDED if red.exclusion else EXIT_OK
 
 
-def _run_measure(config: ExperimentConfig, out: Path, workers: int,
-                 rng: np.random.Generator) -> int:
+def _run_measure(config: ExperimentConfig, out: Path, workers: int) -> int:
     cfg = config.solver_config()
     rep = sv.cantor_measure(
         config.nonlinearity_text,
@@ -359,8 +356,7 @@ def _run_measure(config: ExperimentConfig, out: Path, workers: int,
     return EXIT_OK
 
 
-def _run_stability(config: ExperimentConfig, out: Path, workers: int,
-                   rng: np.random.Generator) -> int:
+def _run_stability(config: ExperimentConfig, out: Path) -> int:
     eps = config.epsilons[0]
     lam = config.lambdas[0]
     freq = Frequency(config.omega_bar, lam)
@@ -466,9 +462,8 @@ def _verify_checks(config: ExperimentConfig, rng: np.random.Generator) -> list:
     return checks
 
 
-def _run_verify(config: ExperimentConfig, out: Path, workers: int,
-                rng: np.random.Generator) -> int:
-    checks = _verify_checks(config, rng)
+def _run_verify(config: ExperimentConfig, out: Path) -> int:
+    checks = _verify_checks(config, np.random.default_rng(config.seed))
     width = max(len(c["check"]) for c in checks)
     for c in checks:
         status = "pass" if c["passed"] else "FAIL"
@@ -496,8 +491,9 @@ def run(config: ExperimentConfig, subcommand: str, out: Path | None = None,
         config.seed = int(seed)
     out = Path(out) if out is not None else Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(config.seed)
-    return _SUBCOMMANDS[subcommand](config, out, workers, rng)
+    if subcommand == "measure":
+        return _run_measure(config, out, workers)
+    return _SUBCOMMANDS[subcommand](config, out)
 
 
 def main(argv=None) -> int:

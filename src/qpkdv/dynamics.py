@@ -7,12 +7,20 @@ diagonal flow v_j(t) = e^{-mu_j t} v_j(0) through the transformation chain
 frozen along the trajectory phi = omega t.  Agreement of the two, and the
 flatness of the transported norm t -> |v(t)|_{H^s_x}, are the verification
 artifacts.
+
+Along phi = omega t the frozen operator -(a3 d^3 + a2 d^2 + a1 d + a0) is
+sum_l e^{i omega.l t} N_l with fixed blocks N_l.  The integrator builds that
+block table once per call and evaluates the matrices of all RK4 stage times
+of a chunk of steps with one ``opalg.freeze`` product, so the step loop does
+only matrix-vector products.  The chain is frozen the same way, at all sample
+times of a report in one call.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -63,11 +71,13 @@ class PhaseState:
         return profile_norm(self.h, s)
 
 
-def profile_norm(h: np.ndarray, s: float) -> float:
-    """H^s_x norm of a centered coefficient vector: sqrt(sum <j>^{2s} |h_j|^2)."""
-    n = (len(h) - 1) // 2
+def profile_norm(h: np.ndarray, s: float):
+    """H^s_x norm sqrt(sum <j>^{2s} |h_j|^2) of a centered coefficient vector,
+    or of each row of a stack of them (a float, or an array of one per row)."""
+    n = (h.shape[-1] - 1) // 2
     w = np.maximum(1.0, np.abs(np.arange(-n, n + 1))).astype(float)
-    return float(np.sqrt(np.sum(w ** (2.0 * s) * np.abs(h) ** 2)))
+    norm = np.sqrt(np.sum(w ** (2.0 * s) * np.abs(h) ** 2, axis=-1))
+    return float(norm) if norm.ndim == 0 else norm
 
 
 def random_phase_state(n_x: int, rng: np.random.Generator, decay: float = 2.0,
@@ -90,46 +100,14 @@ def reduced_flow(eigs: opalg.DiagonalOperator, v0: PhaseState, t: float) -> Phas
 
 # ---------------------------------------------------------- direct scheme
 
-
-def _profile(f: FourierField, phi: np.ndarray) -> np.ndarray:
-    """x-coefficient vector of f(phi, .) for a fixed angle phi."""
-    c = f.c
-    for ax in range(f.trunc.nu):
-        phases = np.exp(1j * f.trunc.mode_range(ax) * phi[ax])
-        c = np.tensordot(phases, c, axes=(0, 0))
-    return c
+# RK4 steps per batch of frozen stage matrices (two per step, one product per
+# batch); at n_x = 8 longer batches gain no time and only add peak memory
+_CHUNK = 32
 
 
-def _scalar(f: FourierField, phi: np.ndarray) -> float:
-    """Value at (phi, .) of a field that is constant in x."""
-    prof = _profile(f, phi)
-    return float(prof[len(prof) // 2].real)
-
-
-def _conv_matrix(profile: np.ndarray) -> np.ndarray:
-    """Galerkin matrix of multiplication by the x-function with these
-    coefficients: M[j, k] = profile_{j-k} on the truncated range."""
-    n = (len(profile) - 1) // 2
-    j = np.arange(-n, n + 1)
-    off = j[:, None] - j[None, :]
-    m = np.zeros((len(j), len(j)), dtype=complex)
-    inside = np.abs(off) <= n
-    m[inside] = profile[off[inside] + n]
-    return m
-
-
-def _coefficient_matrix(coeffs, freq: Frequency, t: float, n_x: int) -> np.ndarray:
-    """-(a3 d_xxx + a2 d_xx + a1 d_x + a0) frozen at phi = omega t."""
-    a3, a2, a1, a0 = coeffs
-    phi = freq.omega * t
-    j = np.arange(-n_x, n_x + 1).astype(float)
-    out = np.zeros((2 * n_x + 1, 2 * n_x + 1), dtype=complex)
-    for a, k in ((a3, 3), (a2, 2), (a1, 1), (a0, 0)):
-        prof = _profile(a, phi)
-        if np.max(np.abs(prof)) == 0.0:
-            continue
-        out -= _conv_matrix(prof) * ((1j * j) ** k)[None, :]
-    return out
+def _scalar(f: FourierField, phi: np.ndarray):
+    """Value at (phi, .) of an x-constant field, at one angle or a batch of them."""
+    return opalg.freeze(f.c, phi)[..., f.trunc.n_x].real
 
 
 def integrate_linear(coeffs, freq: Frequency, h0: PhaseState, T: float, dt: float,
@@ -139,7 +117,9 @@ def integrate_linear(coeffs, freq: Frequency, h0: PhaseState, T: float, dt: floa
     The constant Airy part is removed exactly by the integrating factor
     e^{i j^3 t}; the O(epsilon) variable part is advanced by classical RK4 on
     the filtered variable, giving 4th-order accuracy without a stiff CFL
-    restriction.  Returns (times, states) with one row per step.
+    restriction.  Returns (times, states) with one row per step.  A state
+    whose H^1 norm exceeds runaway x (1 + |h0|_H1), or is not finite, raises
+    InstabilityError with the time of the first such step.
     """
     n_x = h0.n_x
     j = np.arange(-n_x, n_x + 1).astype(float)
@@ -151,33 +131,47 @@ def integrate_linear(coeffs, freq: Frequency, h0: PhaseState, T: float, dt: floa
         dt = T / steps
     floor = runaway * (1.0 + profile_norm(h0.h, 1.0))
 
+    # -(a3 d_xxx + a2 d_xx + a1 d_x + a0) at phi = omega t is sum_l e^{i omega.l t} N_l
+    # over |l_i| <= n_phi, the only offsets a multiplication operator has
+    n_phi = coeffs[0].trunc.n_phi
+    inner = (slice(n_phi, 3 * n_phi + 1),) * freq.nu
+    N = -sum(opalg.from_multiplication(a).blocks[inner] * ((1j * j) ** k)[None, :]
+             for a, k in zip(coeffs, (3, 2, 1, 0)))
+    omega = freq.omega
+
     def filtered(t):
-        # E(-t) N(t) E(t) with E(t) = diag e^{i j^3 t}
-        N = _coefficient_matrix(coeffs, freq, t, n_x)
-        ph = np.exp(airy * t)
-        return N * (ph[None, :] / ph[:, None])
+        # E(-t) N(t) E(t) with E(t) = diag e^{i j^3 t}, for a batch of times
+        ph = np.exp(airy * t[:, None])
+        frozen = opalg.freeze(N, np.multiply.outer(t, omega))
+        frozen *= ph[:, None, :] * np.conj(ph)[:, :, None]
+        return frozen
 
     times = np.empty(steps + 1)
     states = np.empty((steps + 1, 2 * n_x + 1), dtype=complex)
     times[0], states[0] = h0.t, h0.h
 
+    half, sixth = 0.5 * dt, dt / 6.0
     g = h0.h * np.exp(-airy * h0.t)
-    M_lo = filtered(h0.t)
-    for n in range(steps):
+    M_lo = filtered(np.array([h0.t]))[0]
+    for n0 in range(0, steps, _CHUNK):
+        n = np.arange(n0, min(n0 + _CHUNK, steps))
         t = h0.t + n * dt
-        M_mid = filtered(t + 0.5 * dt)
-        M_hi = filtered(t + dt)
-        k1 = M_lo @ g
-        k2 = M_mid @ (g + 0.5 * dt * k1)
-        k3 = M_mid @ (g + 0.5 * dt * k2)
-        k4 = M_hi @ (g + dt * k3)
-        g = g + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        M_lo = M_hi
+        stages = filtered(np.column_stack([t + half, t + dt]).ravel())
+        for i, (M_mid, M_hi) in enumerate(stages.reshape(len(n), 2, *M_lo.shape)):
+            k1 = M_lo @ g
+            k2 = M_mid @ (g + half * k1)
+            k3 = M_mid @ (g + half * k2)
+            k4 = M_hi @ (g + dt * k3)
+            g = g + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            M_lo = M_hi
+            states[n0 + 1 + i] = g
         times[n + 1] = t + dt
-        states[n + 1] = g * np.exp(airy * (t + dt))
-        if profile_norm(states[n + 1], 1.0) > floor:
+        states[n + 1] *= np.exp(airy * times[n + 1, None])
+        runaway_steps = np.flatnonzero(~(profile_norm(states[n + 1], 1.0) <= floor))
+        if runaway_steps.size:
             raise InstabilityError(
-                f"|h(t)|_H1 exceeded {runaway:.1e} x initial at t = {t + dt:.3f}"
+                f"|h(t)|_H1 exceeded {runaway:.1e} x initial at "
+                f"t = {times[n0 + 1 + runaway_steps[0]]:.3f}"
             )
     return times, states
 
@@ -185,9 +179,9 @@ def integrate_linear(coeffs, freq: Frequency, h0: PhaseState, T: float, dt: floa
 # ------------------------------------------------------ frozen chain pushes
 
 
-def psi_map(reg: regularize.RegularizationResult, t: float) -> float:
-    """Reparametrized time tau = psi(t) = t + alpha(omega t)."""
-    return t + _scalar(reg.chain["alpha"], reg.freq.omega * t)
+def psi_map(reg: regularize.RegularizationResult, t):
+    """Reparametrized time tau = psi(t) = t + alpha(omega t); t may be an array."""
+    return t + _scalar(reg.chain["alpha"], np.multiply.outer(t, reg.freq.omega))
 
 
 def psi_inverse(reg: regularize.RegularizationResult, tau: float,
@@ -203,26 +197,28 @@ def psi_inverse(reg: regularize.RegularizationResult, tau: float,
     raise RuntimeError(f"time-reparametrization inversion stalled at tau = {tau}")
 
 
-def _toplitz_at(op: opalg.ToplitzOperator, theta: np.ndarray) -> np.ndarray:
-    """Freeze a Toplitz operator at the angle theta: sum_l e^{i l.theta} block(l)."""
-    b = op.blocks
-    for ax in range(op.trunc.nu):
-        offs = np.arange(-2 * op.trunc.n_phi, 2 * op.trunc.n_phi + 1)
-        phases = np.exp(1j * offs * theta[ax])
-        b = np.tensordot(phases, b, axes=(0, 0))
-    return b
-
-
-def _warp_matrix(beta_prof: np.ndarray, n_x: int) -> np.ndarray:
-    """Matrix of z -> z(x + beta(x)) on centered coefficients (oversampled
-    collocation on the image grid followed by Fourier projection)."""
+@lru_cache(maxsize=8)
+def _warp_grid(n_x: int):
+    """Oversampled grid x_g, e^{i j x_g} on it, and the Fourier projection back
+    to |j| <= n_x; cached per n_x, hence read-only."""
     m = max(64, 4 * (2 * n_x + 1))
     xg = 2.0 * np.pi * np.arange(m) / m
     j = np.arange(-n_x, n_x + 1)
-    beta = (np.exp(1j * np.outer(xg, j)) @ beta_prof).real
-    sample = np.exp(1j * np.outer(xg + beta, j))  # (m, modes)
-    project = np.exp(-1j * np.outer(j, xg)) / m   # (modes, m)
-    return project @ sample
+    grid = (xg, np.exp(1j * np.outer(xg, j)), np.exp(-1j * np.outer(j, xg)) / m)
+    for a in grid:
+        a.setflags(write=False)
+    return grid
+
+
+def _warp_matrix(beta_prof: np.ndarray, n_x: int) -> np.ndarray:
+    """Matrices of z -> z(x + beta(x)) on centered coefficients, one per row
+    of beta_prof (oversampled collocation on the image grid followed by
+    Fourier projection)."""
+    xg, colloc, project = _warp_grid(n_x)
+    j = np.arange(-n_x, n_x + 1)
+    beta = (beta_prof @ colloc.T).real  # (k, m)
+    sample = np.multiply.outer(xg + beta, 1j * j)  # (k, m, modes)
+    return project @ np.exp(sample, out=sample)
 
 
 @dataclass
@@ -231,46 +227,48 @@ class FrozenChain:
 
     forward maps reduced coordinates v (at the reparametrized time psi(t)) to
     physical coordinates h(t); inverse undoes it.  Both are dense matrices on
-    the centered x-coefficient vector.
+    the centered x-coefficient vector.  ``at_time`` also takes a 1-D array
+    of times; forward, inverse and tau then carry one entry per time.
     """
 
     forward: np.ndarray
     inverse: np.ndarray
-    t: float
-    tau: float
+    t: float | np.ndarray
+    tau: float | np.ndarray
 
     @classmethod
     def at_time(cls, reg: regularize.RegularizationResult,
-                red: km.ReductionResult, t: float) -> "FrozenChain":
+                red: km.ReductionResult, t) -> "FrozenChain":
         freq, ch, n_x = reg.freq, reg.chain, reg.trunc.n_x
-        phi = freq.omega * t
-        tau = psi_map(reg, t)
-        theta = freq.omega * tau
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        phi = np.multiply.outer(ts, freq.omega)
+        tau = psi_map(reg, ts)
+        theta = np.multiply.outer(tau, freq.omega)
+        frz = opalg.freeze
 
-        fwd = [_toplitz_at(red.Phi_inf, theta), _toplitz_at(ch["S"], theta)]
-        inv = [_toplitz_at(red.Phi_inf_inv, theta), _toplitz_at(ch["S_inv"], theta)]
-        shift = np.exp(1j * np.arange(-n_x, n_x + 1) * _scalar(ch["p"], theta))
-        fwd.append(np.diag(shift))
-        inv.append(np.diag(np.conj(shift)))
-        if ch.get("v") is not None:
-            mv = _conv_matrix(_profile(ch["v"], theta))
-            fwd.append(mv)
-            inv.append(np.linalg.inv(mv))
-        warp = _warp_matrix(_profile(ch["beta"], phi), n_x)
-        warp_inv = _warp_matrix(_profile(ch["beta_tilde"], phi), n_x)
+        def mult(f, angles):
+            return frz(opalg.from_multiplication(f).blocks, angles)
+
+        # forward = warp . v . e^{i j p} . S . Phi_inf and inverse in reverse
+        shift = np.exp(1j * np.multiply.outer(_scalar(ch["p"], theta),
+                                              np.arange(-n_x, n_x + 1)))
+        forward = shift[:, :, None] * (frz(ch["S"].blocks, theta)
+                                       @ frz(red.Phi_inf.blocks, theta))
+        warp = _warp_matrix(frz(ch["beta"].c, phi), n_x)
+        inverse = _warp_matrix(frz(ch["beta_tilde"].c, phi), n_x)
         if reg.mode == "hamiltonian":
-            warp = _conv_matrix(_profile(ch["sigma"], phi)) @ warp
-            warp_inv = _conv_matrix(_profile(ch["sigma_tilde"], phi)) @ warp_inv
-        fwd.append(warp)
-        inv.append(warp_inv)
-
-        forward = fwd[0]
-        for m in fwd[1:]:
-            forward = m @ forward
-        inverse = inv[-1]
-        for m in inv[-2::-1]:
-            inverse = m @ inverse
-        return cls(forward=forward, inverse=inverse, t=t, tau=tau)
+            warp = mult(ch["sigma"], phi) @ warp
+            inverse = mult(ch["sigma_tilde"], phi) @ inverse
+        if ch.get("v") is not None:
+            mv = mult(ch["v"], theta)
+            forward = mv @ forward
+            inverse = np.linalg.inv(mv) @ inverse
+        forward = warp @ forward
+        inverse = frz(ch["S_inv"].blocks, theta) @ (np.conj(shift)[:, :, None] * inverse)
+        inverse = frz(red.Phi_inf_inv.blocks, theta) @ inverse
+        if np.ndim(t) == 0:
+            return cls(forward=forward[0], inverse=inverse[0], t=t, tau=float(tau[0]))
+        return cls(forward=forward, inverse=inverse, t=ts, tau=tau)
 
 
 # --------------------------------------------------------------- reporting
@@ -297,39 +295,28 @@ def stability_report(reg: regularize.RegularizationResult,
     times, states = integrate_linear(reg.coefficients, freq, h0, T, dt)
     stride = max(1, len(times) // max(1, n_samples - 1))
     picks = sorted(set(range(0, len(times), stride)) | {len(times) - 1})
-
-    chain0 = FrozenChain.at_time(reg, red, float(times[0]))
-    v0 = chain0.inverse @ h0.h
-    h0_s = profile_norm(h0.h, s)
-    v0_s = profile_norm(v0, s)
-
-    rows, ratio_max, drift, chain_norms = [], 0.0, 0.0, []
-    for k in picks:
-        t = float(times[k])
-        chain = FrozenChain.at_time(reg, red, t)
-        v = chain.inverse @ states[k]
-        pred = chain.forward @ (np.exp(-mu * (chain.tau - chain0.tau)) * v0)
-        disc = profile_norm(states[k] - pred, s) / max(profile_norm(h0.h, s + 1.0), 1e-300)
-        ratio = profile_norm(states[k], s) / max(h0_s, 1e-300)
-        ratio_max = max(ratio_max, ratio)
-        drift = max(drift, abs(profile_norm(v, s) - v0_s) / max(v0_s, 1e-300))
-        chain_norms.append(float(np.linalg.norm(chain.forward, 2)))
-        rows.append({
-            "t": t,
-            "h_H1": profile_norm(states[k], 1.0),
-            "h_Hs": profile_norm(states[k], s),
-            "v_Hs": profile_norm(v, s),
-            "discrepancy": disc,
-        })
+    times, hs = times[picks], states[picks]  # row 0 is h0
+    del states  # the full trajectory need not stay alive beside the chain batch
+    chains = FrozenChain.at_time(reg, red, times)
+    v0 = chains.inverse[0] @ h0.h
+    v = (chains.inverse @ hs[:, :, None])[:, :, 0]
+    flow = np.exp(-np.multiply.outer(chains.tau - chains.tau[0], mu)) * v0
+    pred = (chains.forward @ flow[:, :, None])[:, :, 0]
+    h0_s, v0_s = profile_norm(h0.h, s), profile_norm(v0, s)
+    h_s, v_s = profile_norm(hs, s), profile_norm(v, s)
+    disc = profile_norm(hs - pred, s) / max(profile_norm(h0.h, s + 1.0), 1e-300)
+    rows = [{"t": float(t), "h_H1": float(h1), "h_Hs": float(a), "v_Hs": float(b),
+             "discrepancy": float(d)}
+            for t, h1, a, b, d in zip(times, profile_norm(hs, 1.0), h_s, v_s, disc)]
 
     return {
         "T": T,
         "s": s,
         "dt": dt,
-        "ratio_max": ratio_max,
-        "v_drift": drift,
+        "ratio_max": float(np.max(h_s)) / max(h0_s, 1e-300),
+        "v_drift": float(np.max(np.abs(v_s - v0_s))) / max(v0_s, 1e-300),
         "endpoint_discrepancy": rows[-1]["discrepancy"],
-        "chain_norm_max": max(chain_norms),
+        "chain_norm_max": float(np.max(np.linalg.norm(chains.forward, 2, axis=(1, 2)))),
         "samples": rows,
     }
 

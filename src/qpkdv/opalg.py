@@ -6,8 +6,9 @@ A^{(l2,j2)}_{(l1,j1)} = A^{j2}_{j1}(l1 - l2).  They are stored as a table of
 spatial blocks indexed by the offset l on the doubled rectangle
 |l_i| <= 2 n_phi.  The module provides construction from multiplication and
 Fourier-multiplier operators, application to fields, composition, s-decay
-norms, time-offset smoothing, Neumann inversion, matrix exponentials, and
-dense materialization for oracle checks.
+norms, time-offset smoothing, Neumann inversion, matrix exponentials,
+evaluation of block tables at a batch of angles (``freeze``), and dense
+materialization for oracle checks.
 
 ``compose`` convolves the block tables over the offset l directly: for each
 nonzero block of the left factor, one broadcast matrix product against all
@@ -27,6 +28,7 @@ from .spectral import FourierField, Frequency, Truncation, sobolev_norm
 __all__ = [
     "ToplitzOperator",
     "DiagonalOperator",
+    "freeze",
     "identity",
     "from_multiplication",
     "from_multiplier",
@@ -116,6 +118,24 @@ class DiagonalOperator:
 
     def __add__(self, other: "DiagonalOperator") -> "DiagonalOperator":
         return DiagonalOperator(self.trunc, self.mu + other.mu)
+
+
+def freeze(table: np.ndarray, theta) -> np.ndarray:
+    """sum_l e^{i l.theta} table[l] at one angle theta (shape (nu,)) or a batch
+    (shape (k, nu)), as one (angles x offsets) @ (offsets x rest) product.
+
+    The leading nu axes of ``table`` are centered offsets, as in the block
+    table of a ToplitzOperator or the coefficient table of a FourierField."""
+    theta = np.asarray(theta, dtype=float)
+    nu = theta.shape[-1]
+    angles = theta.reshape(-1, nu)
+    phases = np.ones((len(angles), 1), dtype=complex)
+    for ax in range(nu):
+        half = table.shape[ax] // 2
+        e = np.exp(1j * np.outer(angles[:, ax], np.arange(-half, half + 1)))
+        phases = (phases[:, :, None] * e[:, None, :]).reshape(len(angles), -1)
+    out = phases @ table.reshape(phases.shape[1], -1)
+    return out.reshape(theta.shape[:-1] + table.shape[nu:])
 
 
 # ---------------------------------------------------------------------------

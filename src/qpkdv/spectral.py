@@ -571,12 +571,8 @@ def embed_field(f: FourierField, big: Truncation) -> FourierField:
 
 def field_at_phi(f: FourierField, phi: np.ndarray) -> np.ndarray:
     """Spatial coefficient vector h_j = sum_l u_{l,j} e^{i l.phi} at fixed phi."""
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    out = f.c
-    for ax in range(f.trunc.nu):
-        ph = np.exp(1j * f.trunc.mode_range(ax) * phi[ax])
-        out = np.tensordot(ph, out, axes=(0, 0))
-    return out
+    from .opalg import freeze  # opalg imports this module
+    return freeze(f.c, np.atleast_1d(phi))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from qpkdv import kamreduce as km
 from qpkdv import nonlin
 from qpkdv import regularize as reg
 from qpkdv import solver as sv
-from qpkdv.spectral import FourierField, Frequency, Truncation
+from qpkdv.spectral import FourierField, Frequency, Truncation, random_real_field
 
 T = Truncation(1, 8, 8)
 FREQ = Frequency.default(1, lam=1.25)
@@ -135,6 +135,126 @@ def test_integrate_detects_runaway():
         dyn.integrate_linear((z, z, z, a0), FREQ, h0, 20.0, 0.01)
 
 
+def test_integrate_nonfinite_raises():
+    trunc = Truncation(1, 2, 2)
+    z = zero_field(trunc)
+    a0 = FourierField.constant(trunc, float("nan"))
+    h0 = dyn.random_phase_state(trunc.n_x, np.random.default_rng(7))
+    with pytest.raises(dyn.InstabilityError, match="t = 0.010"):
+        dyn.integrate_linear((z, z, z, a0), FREQ, h0, 1.0, 0.01)
+
+
+# ------------------------------------------- per-step oracle of the integrator
+
+
+def _coefficient_matrix_stepwise(coeffs, freq, t, n_x):
+    """-(a3 d_xxx + a2 d_xx + a1 d_x + a0) frozen at phi = omega t, rebuilt
+    from the coefficient fields: x-profile at phi, then its convolution matrix."""
+    phi = freq.omega * t
+    j = np.arange(-n_x, n_x + 1)
+    off = j[:, None] - j[None, :]
+    inside = np.abs(off) <= n_x
+    out = np.zeros((2 * n_x + 1, 2 * n_x + 1), dtype=complex)
+    for a, k in zip(coeffs, (3, 2, 1, 0)):
+        prof = a.c
+        for ax in range(a.trunc.nu):
+            phases = np.exp(1j * a.trunc.mode_range(ax) * phi[ax])
+            prof = np.tensordot(phases, prof, axes=(0, 0))
+        conv = np.zeros_like(out)
+        conv[inside] = prof[off[inside] + n_x]
+        out -= conv * ((1j * j.astype(float)) ** k)[None, :]
+    return out
+
+
+def _integrate_stepwise(coeffs, freq, h0, T, dt, runaway=1e6):
+    """integrate_linear with the frozen matrix rebuilt at every RK4 stage time."""
+    n_x = h0.n_x
+    airy = 1j * np.arange(-n_x, n_x + 1).astype(float) ** 3
+    steps = int(round(T / dt))
+    if abs(steps * dt - T) > 1e-9 * max(1.0, abs(T)):
+        steps += 1
+        dt = T / steps
+    floor = runaway * (1.0 + dyn.profile_norm(h0.h, 1.0))
+
+    def filtered(t):
+        ph = np.exp(airy * t)
+        return (_coefficient_matrix_stepwise(coeffs, freq, t, n_x)
+                * (ph[None, :] / ph[:, None]))
+
+    times = np.empty(steps + 1)
+    states = np.empty((steps + 1, 2 * n_x + 1), dtype=complex)
+    times[0], states[0] = h0.t, h0.h
+    g = h0.h * np.exp(-airy * h0.t)
+    M_lo = filtered(h0.t)
+    for n in range(steps):
+        t = h0.t + n * dt
+        M_mid = filtered(t + 0.5 * dt)
+        M_hi = filtered(t + dt)
+        k1 = M_lo @ g
+        k2 = M_mid @ (g + 0.5 * dt * k1)
+        k3 = M_mid @ (g + 0.5 * dt * k2)
+        k4 = M_hi @ (g + dt * k3)
+        g = g + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        M_lo = M_hi
+        times[n + 1] = t + dt
+        states[n + 1] = g * np.exp(airy * (t + dt))
+        if dyn.profile_norm(states[n + 1], 1.0) > floor:
+            raise dyn.InstabilityError(
+                f"|h(t)|_H1 exceeded {runaway:.1e} x initial at t = {t + dt:.3f}"
+            )
+    return times, states
+
+
+def _random_problem(nu, n, seed):
+    trunc = Truncation(nu, n, n)
+    rng = np.random.default_rng(seed)
+    coeffs = tuple(random_real_field(trunc, rng, decay=3.0, scale=0.05)
+                   for _ in range(4))
+    return coeffs, dyn.random_phase_state(n, rng)
+
+
+@pytest.mark.parametrize("case", ["criterion9", "nu2", "ragged", "shifted"])
+def test_integrate_matches_stepwise_oracle(case):
+    freq = FREQ
+    if case == "criterion9":
+        rg, _ = pipeline(1e-3)
+        coeffs = rg.coefficients
+        h0 = dyn.random_phase_state(T.n_x, np.random.default_rng(9), decay=3.0)
+        span, dt = 20.0, 0.01
+    elif case == "nu2":
+        coeffs, h0 = _random_problem(2, 3, 11)
+        freq = Frequency.default(2, lam=0.8)
+        span, dt = 3.0, 0.01
+    elif case == "ragged":  # 334 steps: neither T/dt nor the step count is round
+        coeffs, h0 = _random_problem(1, 3, 12)
+        span, dt = 1.0, 0.003
+    else:
+        coeffs, h0 = _random_problem(1, 3, 13)
+        h0 = dyn.PhaseState(h0.h, 2.7)
+        span, dt = 3.0, 0.01
+    times, states = dyn.integrate_linear(coeffs, freq, h0, span, dt)
+    ref_times, ref_states = _integrate_stepwise(coeffs, freq, h0, span, dt)
+    assert np.array_equal(times, ref_times)
+    assert np.max(np.abs(states - ref_states)) <= 1e-13 * np.linalg.norm(h0.h)
+
+
+@pytest.mark.parametrize("growth", [2.0, 60.0])
+def test_runaway_time_matches_stepwise(growth):
+    # h' = growth h crosses the threshold at step 737 (growth 2) or 25 (growth 60):
+    # inside a later chunk or inside the first one, not at a chunk end
+    trunc = Truncation(1, 2, 2)
+    z = zero_field(trunc)
+    coeffs = (z, z, z, FourierField.constant(trunc, -growth))
+    h0 = dyn.random_phase_state(trunc.n_x, np.random.default_rng(7))
+    with pytest.raises(dyn.InstabilityError) as ref:
+        _integrate_stepwise(coeffs, FREQ, h0, 20.0, 0.01)
+    with pytest.raises(dyn.InstabilityError) as got:
+        dyn.integrate_linear(coeffs, FREQ, h0, 20.0, 0.01)
+    assert str(got.value) == str(ref.value)
+    crossing = round(float(str(ref.value).rsplit("t = ", 1)[1]) / 0.01)
+    assert crossing % dyn._CHUNK != 0
+
+
 # ------------------------------------------------------------- frozen chain
 
 
@@ -150,6 +270,12 @@ def test_frozen_chain_inverts():
     rg, red = pipeline(1e-3)
     chain = dyn.FrozenChain.at_time(rg, red, 2.4)
     assert np.max(np.abs(chain.inverse @ chain.forward - np.eye(2 * T.n_x + 1))) < 1e-8
+    batch = dyn.FrozenChain.at_time(rg, red, np.array([0.0, 2.4, 42.3]))
+    for k, t in enumerate(batch.t):
+        one = dyn.FrozenChain.at_time(rg, red, float(t))
+        assert batch.tau[k] == pytest.approx(one.tau, abs=1e-14)
+        assert np.max(np.abs(batch.forward[k] - one.forward)) < 1e-13
+        assert np.max(np.abs(batch.inverse[k] - one.inverse)) < 1e-13
 
 
 def test_stability_report_unperturbed_is_flat():
