@@ -19,7 +19,7 @@ import numpy as np
 
 from . import opalg
 from .opalg import DiagonalOperator, ToplitzOperator
-from .spectral import FourierField, Frequency, Truncation, sobolev_norm
+from .spectral import FourierField, Frequency, Truncation, index_weights, sobolev_norm
 
 __all__ = [
     "IterationSchedule",
@@ -115,18 +115,6 @@ def airy_diagonal(trunc: Truncation, m3: float, m1: float) -> DiagonalOperator:
     return DiagonalOperator(trunc, -1j * (m3 * j.astype(float) ** 3 - m1 * j))
 
 
-def _linf(trunc: Truncation, double: bool = True) -> np.ndarray:
-    """|l|_inf over the (doubled) offset rectangle, shape (4 n_phi + 1,)^nu."""
-    n = 2 * trunc.n_phi if double else trunc.n_phi
-    r = np.abs(np.arange(-n, n + 1))
-    out = np.zeros((2 * n + 1,) * trunc.nu)
-    for ax in range(trunc.nu):
-        shape = [1] * trunc.nu
-        shape[ax] = len(r)
-        out = np.maximum(out, r.reshape(shape))
-    return out
-
-
 def solve_homological(
     D: DiagonalOperator,
     R: ToplitzOperator,
@@ -146,7 +134,7 @@ def solve_homological(
     trunc = R.trunc
     mu = D.mu
     dots = freq.omega_dot_l(trunc, double=True)
-    linf = _linf(trunc)
+    linf = index_weights(trunc.nu, 2 * trunc.n_phi)
     lsz = np.maximum(1.0, linf)
     j = trunc.mode_range(trunc.nu).astype(float)
     jcube = np.abs(j[:, None] ** 3 - j[None, :] ** 3)

@@ -8,8 +8,10 @@ linearization coefficients, and probed for structural symmetries.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 import sympy as sp
@@ -221,7 +223,9 @@ class NonlinearitySpec:
         return sp.diff(self.f, _Z[k])
 
 
+@lru_cache(maxsize=256)
 def _lambdify(expr: sp.Expr):
+    """Grid evaluator of expr, shared by every spec with an equal expression."""
     args = [_X, *_PHI, *_Z]
     fn = sp.lambdify(args, expr, modules="numpy")
 
@@ -259,11 +263,15 @@ def builtin(name: str, epsilon: float = 1e-3) -> NonlinearitySpec:
 # --------------------------------------------------------------- evaluation
 
 
+@lru_cache(maxsize=16)
 def _grid_coords(trunc: Truncation):
-    """Angle meshes (phi_1..phi_nu, x) matching the synthesis grid."""
+    """Angle meshes (phi_1..phi_nu, x) matching the synthesis grid; cached per
+    truncation, hence read-only."""
     axes = [2.0 * np.pi * np.arange(m) / m for m in trunc.grid_shape]
     mesh = np.meshgrid(*axes, indexing="ij")
-    return mesh[: trunc.nu], mesh[-1]
+    for a in mesh:
+        a.setflags(write=False)
+    return tuple(mesh[: trunc.nu]), mesh[-1]
 
 
 def _jet_on_grid(u: FourierField):
@@ -318,7 +326,11 @@ class StructureFlags:
     reversible: bool
     total_derivative: bool
     hamiltonian: bool
-    diagnostic: dict = field(default_factory=dict)
+    diagnostic: Mapping = field(default_factory=dict)
+
+    def __post_init__(self):
+        # flags are cached and shared between callers, so nothing in them mutates
+        object.__setattr__(self, "diagnostic", MappingProxyType(dict(self.diagnostic)))
 
 
 def _is_zero(expr: sp.Expr, rng: np.random.Generator, tol: float = 1e-10) -> bool:
@@ -344,8 +356,15 @@ def _q_right_factor(f: sp.Expr) -> sp.Expr:
 
 
 def structure_flags(spec: NonlinearitySpec, seed: int = 0) -> StructureFlags:
+    """The paper's structural hypotheses on spec.f, probed at points drawn from
+    ``seed``.  They depend on neither epsilon nor lambda, so one result per
+    (f, declared form, seed) is computed and shared by every caller."""
+    return _structure_flags(spec.f, spec.declared_form, seed)
+
+
+@lru_cache(maxsize=64)
+def _structure_flags(f: sp.Expr, declared_form: str, seed: int) -> StructureFlags:
     rng = np.random.default_rng(seed)
-    f = spec.f
     diagnostic = {}
 
     cond_F = _is_zero(sp.diff(f, _Z[2]), rng)
@@ -375,11 +394,11 @@ def structure_flags(spec: NonlinearitySpec, seed: int = 0) -> StructureFlags:
             else:
                 diagnostic["cond_Q"] = "ratio d_{z2}f / D_x d_{z3}f is not a function of phi"
 
-    total_derivative = spec.declared_form in ("dx_of_g", "hamiltonian_F")
+    total_derivative = declared_form in ("dx_of_g", "hamiltonian_F")
     if not total_derivative:
-        total_derivative = _numeric_total_derivative(spec, rng)
+        total_derivative = _numeric_total_derivative(f)
 
-    hamiltonian = spec.declared_form == "hamiltonian_F"
+    hamiltonian = declared_form == "hamiltonian_F"
 
     return StructureFlags(
         cond_F=cond_F,
@@ -397,7 +416,7 @@ def _probe_ratio(lhs: sp.Expr, rhs: sp.Expr, rng: np.random.Generator,
     """alpha with lhs = alpha(phi) * rhs on probe points, or None."""
     flhs, frhs = _lambdify(lhs), _lambdify(rhs)
 
-    def ratio_at(phi):
+    def ratio_at(phi, rng):
         vals = []
         for _ in range(16):
             x = np.array(rng.uniform(0, 2 * np.pi))
@@ -414,23 +433,26 @@ def _probe_ratio(lhs: sp.Expr, rhs: sp.Expr, rng: np.random.Generator,
         return float(vals.mean())
 
     probes = [rng.uniform(0, 2 * np.pi, size=9) for _ in range(4)]
-    ratios = [ratio_at(p) for p in probes]
+    ratios = [ratio_at(p, rng) for p in probes]
     if any(r is None for r in ratios):
         return None
     if np.max(np.abs(np.diff(ratios))) < tol * max(1.0, np.max(np.abs(ratios))):
         return float(ratios[0])
 
-    # phi-dependent alpha: return a callable sampling the ratio
+    # phi-dependent alpha: a callable sampling the ratio at the same (x, z)
+    # points on every call, so its values do not depend on the call history
+    alpha_seed = int(rng.integers(2**63))
+
     def alpha_fn(phi):
-        return ratio_at(np.asarray(phi, dtype=float))
+        return ratio_at(np.asarray(phi, dtype=float), np.random.default_rng(alpha_seed))
 
     return alpha_fn
 
 
-def _numeric_total_derivative(spec: NonlinearitySpec, rng: np.random.Generator,
-                              tol: float = 1e-10) -> bool:
+def _numeric_total_derivative(f: sp.Expr, tol: float = 1e-10) -> bool:
     """Check that the x-average of f vanishes along random trigonometric u."""
     trunc = Truncation(nu=1, n_phi=2, n_x=4)
+    spec = NonlinearitySpec(f=f, declared_form="raw_f", epsilon=1.0)
     from .spectral import random_real_field, x_average
 
     for seed in range(3):

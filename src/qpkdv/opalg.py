@@ -11,10 +11,10 @@ evaluation of block tables at a batch of angles (``freeze``), and dense
 materialization for oracle checks.
 
 ``compose`` convolves the block tables over the offset l directly: for each
-nonzero block of the left factor, one broadcast matrix product against all
-blocks of the right factor, which BLAS runs as one GEMM per block pair.  No
-FFT is involved, so entries that are zero by structure stay exactly zero;
-the divisor screen of the reduction relies on that.
+nonzero block of the left factor, one broadcast matrix product against the
+nonzero blocks of the right factor, which BLAS runs as one GEMM per block
+pair.  No FFT is involved, so entries that are zero by structure stay
+exactly zero; the divisor screen of the reduction relies on that.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import FourierField, Frequency, Truncation, sobolev_norm
+from .spectral import FourierField, Frequency, Truncation, index_weights, sobolev_norm
 
 __all__ = [
     "ToplitzOperator",
@@ -243,17 +243,23 @@ def compose(A: ToplitzOperator, B: ToplitzOperator) -> ToplitzOperator:
     w = 4 * npk + 1
     out = np.zeros(_block_shape(trunc), dtype=complex)
     dropped = 0.0
+    # only the nonzero blocks of B are multiplied; the products of the others
+    # stay exact zeros in prod, so the clipping and dropped-mass sums below see
+    # the same table as a product with every block
     Bb = B.blocks
+    nzB = Bb.reshape(Bb.shape[:nu] + (-1,)).any(axis=-1)
+    Bnz = Bb[nzB]
+    prod = np.zeros(Bb.shape, dtype=np.result_type(A.blocks, Bb))
     for offA in _offsets(trunc):
         blkA = A.blocks[offA]
         if not blkA.any():
             continue
         la = tuple(o - 2 * npk for o in offA)
-        # one (m, m) GEMM per offset of B.  Up to m = 33 OpenBLAS runs these on
-        # the calling thread; a single wide GEMM over all offsets starts BLAS
-        # helper threads, which spin on the cores that the process pool of
-        # solver.cantor_measure already occupies.
-        prod = blkA @ Bb
+        # one (m, m) GEMM per nonzero offset of B.  Up to m = 33 OpenBLAS runs
+        # these on the calling thread; a single wide GEMM over all offsets
+        # starts BLAS helper threads, which spin on the cores that the process
+        # pool of solver.cantor_measure already occupies.
+        prod[nzB] = blkA @ Bnz
         # shift the whole table of products by la with clipping
         src, dst = [], []
         ok = True
@@ -309,34 +315,17 @@ def _offset_profile(A: ToplitzOperator) -> np.ndarray:
 def decay_norm(A: ToplitzOperator, s: float) -> float:
     """|A|_s^2 = sum_{l,d} <l,d>^{2s} sup_{j1-j2=d} |A^{j2}_{j1}(l)|^2."""
     trunc = A.trunc
-    prof = _offset_profile(A)
-    m = 2 * trunc.n_x + 1
-    w = np.ones(prof.shape)
-    for ax in range(trunc.nu):
-        r = np.abs(np.arange(-2 * trunc.n_phi, 2 * trunc.n_phi + 1))
-        shape = [1] * (trunc.nu + 1)
-        shape[ax] = len(r)
-        w = np.maximum(w, r.reshape(shape))
-    d = np.abs(np.arange(-(m - 1), m))
-    w = np.maximum(w, d.reshape((1,) * trunc.nu + (-1,)))
-    return float(np.sqrt(np.sum(w ** (2.0 * s) * prof**2)))
+    w = index_weights(trunc.nu, 2 * trunc.n_phi, 2 * trunc.n_x, 1.0)
+    return float(np.sqrt(np.sum(w ** (2.0 * s) * _offset_profile(A) ** 2)))
 
 
 def smooth(A: ToplitzOperator, N: int) -> ToplitzOperator:
     """Keep only the blocks with time offset |l|_inf <= N."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    trunc = A.trunc
     blocks = A.blocks.copy()
-    r = np.abs(np.arange(-2 * trunc.n_phi, 2 * trunc.n_phi + 1))
-    mask = np.zeros(blocks.shape[: trunc.nu], dtype=bool)
-    linf = np.zeros(blocks.shape[: trunc.nu])
-    for ax in range(trunc.nu):
-        shape = [1] * trunc.nu
-        shape[ax] = len(r)
-        linf = np.maximum(linf, r.reshape(shape))
-    blocks[linf > N] = 0.0
-    return ToplitzOperator(trunc, blocks, A.dropped_mass)
+    blocks[index_weights(A.trunc.nu, 2 * A.trunc.n_phi) > N] = 0.0
+    return ToplitzOperator(A.trunc, blocks, A.dropped_mass)
 
 
 def smooth_complement(A: ToplitzOperator, N: int) -> ToplitzOperator:

@@ -399,7 +399,7 @@ def run_regularization(a3, a2, a1, a0, freq: Frequency,
 
 def regularize_at(spec, freq: Frequency, u: FourierField) -> RegularizationResult:
     """Linearize the residual map at u and run the full chain."""
-    from .nonlin import linearized_coefficients, structure_flags
+    from .nonlin import linearized_coefficients
 
     a3, a2, a1, a0 = linearized_coefficients(spec, u)
     mode = "hamiltonian" if spec.declared_form == "hamiltonian_F" else "generic"

@@ -25,6 +25,7 @@ from .spectral import (
     FourierField,
     Frequency,
     Truncation,
+    index_weights,
     sobolev_norm,
     structure_check,
 )
@@ -114,14 +115,7 @@ def project_ball(u: FourierField, N: int) -> FourierField:
     """Keep the modes with <l, j> = max(1, |l|_inf, |j|) <= N."""
     trunc = u.trunc
     c = u.c.copy()
-    sz = np.zeros(trunc.shape)
-    for ax in range(trunc.nu):
-        r = np.abs(trunc.mode_range(ax))
-        shape = [1] * (trunc.nu + 1)
-        shape[ax] = len(r)
-        sz = np.maximum(sz, r.reshape(shape))
-    sz = np.maximum(sz, np.abs(trunc.mode_range(trunc.nu)))
-    c[sz > N] = 0.0
+    c[index_weights(trunc.nu, trunc.n_phi, trunc.n_x) > N] = 0.0
     return FourierField(trunc, c)
 
 
@@ -156,13 +150,7 @@ def diag_inverse(
     mu = eigs.mu
     delta = 1j * dots[..., None] + mu.reshape((1,) * trunc.nu + (-1,))
 
-    linf = np.zeros(trunc.shape[: trunc.nu])
-    for ax in range(trunc.nu):
-        r = np.abs(trunc.mode_range(ax))
-        shape = [1] * trunc.nu
-        shape[ax] = len(r)
-        linf = np.maximum(linf, r.reshape(shape))
-    lsz = np.maximum(1.0, linf)
+    lsz = index_weights(trunc.nu, trunc.n_phi, floor=1.0)
     j = trunc.mode_range(trunc.nu).astype(float)
     jsz = np.maximum(1.0, np.abs(j))
     bound = 2.0 * gamma * jsz.reshape((1,) * trunc.nu + (-1,)) ** 3 \

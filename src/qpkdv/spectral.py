@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,6 +23,7 @@ __all__ = [
     "FourierField",
     "Frequency",
     "sobolev_norm",
+    "index_weights",
     "dx_pow",
     "omega_dphi",
     "omega_dphi_inv",
@@ -255,20 +257,20 @@ class Frequency:
 # grid transforms
 
 
+@lru_cache(maxsize=32)
 def _embed_indices(trunc: Truncation, grid_shape: tuple[int, ...]):
-    """Index arrays placing centered modes into FFT layout per axis."""
-    idx = []
-    for ax, m in enumerate(grid_shape):
-        modes = trunc.mode_range(ax)
-        idx.append(modes % m)
-    return np.ix_(*idx)
+    """Index arrays placing centered modes into FFT layout per axis; cached
+    per truncation and grid shape, hence read-only."""
+    idx = np.ix_(*(trunc.mode_range(ax) % m for ax, m in enumerate(grid_shape)))
+    for a in idx:
+        a.setflags(write=False)
+    return idx
 
 
 def synthesize(f: FourierField, grid_shape: tuple[int, ...] | None = None) -> np.ndarray:
     """Evaluate the field on an equispaced grid (real samples)."""
-    gs = grid_shape or f.trunc.grid_shape
-    buf = np.zeros(gs, dtype=complex)
-    buf[_embed_indices(f.trunc, gs)] = f.c
+    buf = np.zeros(grid_shape or f.trunc.grid_shape, dtype=complex)
+    buf[_embed_indices(f.trunc, buf.shape)] = f.c
     samples = np.fft.ifftn(buf) * buf.size
     im = float(np.max(np.abs(samples.imag)))
     scale = max(1.0, float(np.max(np.abs(samples.real))))
@@ -292,14 +294,16 @@ def analyze(trunc: Truncation, samples: np.ndarray) -> FourierField:
 # norms and spectral calculus
 
 
-def _weights(trunc: Truncation) -> np.ndarray:
-    """<l, j> = max(1, |l|_inf, |j|) over the coefficient rectangle."""
-    w = np.ones(trunc.shape)
-    for ax in range(trunc.nu + 1):
-        modes = np.abs(trunc.mode_range(ax))
-        shape = [1] * (trunc.nu + 1)
-        shape[ax] = len(modes)
-        w = np.maximum(w, modes.reshape(shape))
+@lru_cache(maxsize=32)
+def index_weights(nu: int, n_l: int, n_j: int | None = None, floor: float = 0.0) -> np.ndarray:
+    """max(floor, |l|_inf, |j|) over |l_i| <= n_l, i = 1..nu, and, when n_j is
+    given, a trailing axis |j| <= n_j.  The one table of the <l, j> and |l|_inf
+    weights; cached per arguments, hence read-only."""
+    ranges = [n_l] * nu + ([] if n_j is None else [n_j])
+    w = np.full([2 * n + 1 for n in ranges], float(floor))
+    for g in np.ix_(*(np.abs(np.arange(-n, n + 1)) for n in ranges)):
+        w = np.maximum(w, g)
+    w.setflags(write=False)
     return w
 
 
@@ -307,7 +311,7 @@ def sobolev_norm(f: FourierField, s: float) -> float:
     """H^s norm: sqrt(sum <l,j>^{2s} |u_{l,j}|^2)."""
     if s < 0:
         raise ValueError("s must be >= 0")
-    w = _weights(f.trunc)
+    w = index_weights(f.trunc.nu, f.trunc.n_phi, f.trunc.n_x, 1.0)
     return float(np.sqrt(np.sum(w ** (2.0 * s) * np.abs(f.c) ** 2)))
 
 
@@ -591,7 +595,7 @@ def random_real_field(
 
     parity 'X' (even) or 'Y' (odd) projects onto the corresponding class.
     """
-    w = _weights(trunc)
+    w = index_weights(trunc.nu, trunc.n_phi, trunc.n_x, 1.0)
     amp = scale * w ** (-decay)
     c = amp * (rng.standard_normal(trunc.shape) + 1j * rng.standard_normal(trunc.shape))
     rev = c[tuple(slice(None, None, -1) for _ in c.shape)]

@@ -194,6 +194,10 @@ def test_flags_quasilinear_cubic():
 def test_flags_z2_breaks_F():
     flags = nonlin.structure_flags(nonlin.parse_nonlinearity("z2"))
     assert not flags.cond_F
+    # the flags are shared by every caller, so their diagnostic is read-only
+    assert "cond_Q" in flags.diagnostic
+    with pytest.raises(TypeError):
+        flags.diagnostic["cond_Q"] = "changed"
 
 
 def test_flags_hamiltonian_alpha_two():
@@ -212,6 +216,41 @@ def test_flags_fully_nonlinear():
 def test_flags_non_reversible():
     flags = nonlin.structure_flags(nonlin.parse_nonlinearity("z0^2"))
     assert not flags.reversible
+
+
+@pytest.mark.parametrize("name", sorted(nonlin.BUILTINS))
+def test_cached_flags_equal_uncached(name):
+    spec = nonlin.builtin(name)
+    uncached = nonlin._structure_flags.__wrapped__(spec.f, spec.declared_form, 0)
+    assert nonlin.structure_flags(spec) == uncached
+
+
+def test_specs_differing_in_epsilon_share_analysis():
+    text = "cos(phi_1) * sin(x) + z0^2 * z3"
+    a = nonlin.parse_nonlinearity(text, epsilon=1e-3)
+    b = nonlin.parse_nonlinearity(text, epsilon=1e-5)
+    assert nonlin.structure_flags(a) is nonlin.structure_flags(b)
+    assert a._callable is b._callable
+    assert all(fa is fb for fa, fb in zip(a._z_derivative_callables,
+                                          b._z_derivative_callables))
+    # the same f declared through its Hamiltonian density is analyzed apart
+    ham = nonlin.builtin("hamiltonian_cubic")
+    raw = nonlin.parse_nonlinearity("6 * z2^2 + 6 * z1 * z3")
+    assert raw.f == ham.f
+    assert nonlin.structure_flags(ham).hamiltonian
+    assert not nonlin.structure_flags(raw).hamiltonian
+    phis, xg = nonlin._grid_coords(T)
+    assert not xg.flags.writeable and not any(p.flags.writeable for p in phis)
+
+
+def test_phi_dependent_alpha_ignores_call_history():
+    # d_{z2} f = cos(phi_1) z1 = cos(phi_1) * D_x(d_{z3} f)
+    flags = nonlin.structure_flags(nonlin.parse_nonlinearity("z0 * z3 + cos(phi_1) * z1 * z2"))
+    assert flags.cond_Q and callable(flags.alpha)
+    first = flags.alpha([0.3])
+    assert abs(first - np.cos(0.3)) < 1e-12
+    flags.alpha([1.1])
+    assert flags.alpha([0.3]) == first
 
 
 def test_flags_total_derivative_detected_numerically():

@@ -183,19 +183,29 @@ def _sparse_toeplitz(trunc, rng, band):
     return op.ToplitzOperator(trunc, blocks)
 
 
+def _check_against_direct(A, B):
+    C = op.compose(A, B)
+    ref, dropped = _compose_direct(A, B)
+    assert np.max(np.abs(C.blocks - ref)) <= 1e-13 * np.max(np.abs(ref))
+    zeros = ref == 0
+    assert np.array_equal(C.blocks == 0, zeros)
+    assert abs(C.dropped_mass - dropped) <= 1e-12 * dropped
+    return zeros, dropped
+
+
 @pytest.mark.parametrize("trunc", [Truncation(1, 8, 8), Truncation(2, 4, 4)])
 def test_compose_matches_direct_kernel(trunc):
     rng = np.random.default_rng(11)
     A = _sparse_toeplitz(trunc, rng, band=2)
     B = _sparse_toeplitz(trunc, rng, band=3)
-    C = op.compose(A, B)
-    ref, dropped = _compose_direct(A, B)
-    assert np.max(np.abs(C.blocks - ref)) <= 1e-13 * np.max(np.abs(ref))
-    zeros = ref == 0
+    zeros, dropped = _check_against_direct(A, B)
     assert zeros.any() and not zeros.all()
-    assert np.array_equal(C.blocks == 0, zeros)
     assert dropped > 0
-    assert abs(C.dropped_mass - dropped) <= 1e-12 * dropped
+    # operands with only the center block nonzero, and with no nonzero block
+    M = op.from_multiplier(trunc, lambda j: 0.0 if j == 0 else 1.0 / (1.0 + j * j))
+    Z = op.ToplitzOperator(trunc, np.zeros(op._block_shape(trunc), dtype=complex))
+    for X, Y in [(A, M), (M, A), (M, M), (A, Z), (Z, A)]:
+        _check_against_direct(X, Y)
 
 
 def test_linearity_of_apply():

@@ -14,6 +14,7 @@ from qpkdv.spectral import (
     field_from_json,
     field_to_json,
     embed_field,
+    index_weights,
     invert_torus_diffeo,
     multiply,
     omega_dphi,
@@ -90,6 +91,20 @@ def test_norm_against_double_loop_oracle():
             w = max(1, abs(l), abs(j))
             total += w ** (2 * s) * abs(f.c[il, ij]) ** 2
     assert abs(sobolev_norm(f, s) - np.sqrt(total)) < 1e-13 * np.sqrt(total)
+
+
+@pytest.mark.parametrize("nu, n_l, n_j, floor", [(1, 3, 5, 1.0), (2, 2, None, 0.0),
+                                                 (2, 4, 1, 0.0)])
+def test_index_weights_match_loop(nu, n_l, n_j, floor):
+    w = index_weights(nu, n_l, n_j, floor)
+    ranges = [range(-n_l, n_l + 1)] * nu + ([] if n_j is None else [range(-n_j, n_j + 1)])
+    for idx in np.ndindex(*w.shape):
+        k = [r[i] for r, i in zip(ranges, idx)]
+        assert w[idx] == max(floor, *(abs(v) for v in k))
+    # cached and shared between callers, hence read-only
+    assert index_weights(nu, n_l, n_j, floor) is w
+    with pytest.raises(ValueError):
+        w[(0,) * w.ndim] = 7.0
 
 
 def test_norm_monotone_in_s():
