@@ -288,22 +288,14 @@ def _run_reduce(config: ExperimentConfig, out: Path) -> int:
     spec = config.spec(eps)
     u = FourierField.zeros(config.truncation)
     rg = regularize.regularize_at(spec, freq, u)
-    cfg = config.solver_config()
-    gamma, tau = cfg.resolved(config.nu, eps if eps > 0 else 1e-300)
-    schedule = km.IterationSchedule(
-        N0=cfg.N0, gamma=gamma, tau=tau, max_steps=cfg.kam_max_steps,
-        target_decay=cfg.kam_target,
-        mode="hamiltonian" if rg.mode == "hamiltonian" else "generic",
-        smallness_threshold=cfg.smallness_threshold,
-    )
     try:
-        red = km.reduce(rg, freq, schedule)
+        red = km.reduce(rg, freq, config.solver_config().schedule(spec.epsilon, rg.mode))
     except km.ReductionError as err:
         _write_json(out / "report.json", {
             "subcommand": "reduce", "lambda": lam, "epsilon": eps,
-            "excluded": True, "reason": str(err), "seed": config.seed,
+            "excluded": False, "error": str(err), "seed": config.seed,
         })
-        return EXIT_EXCLUDED
+        return EXIT_ERROR
     report = {
         "subcommand": "reduce",
         "lambda": lam,
@@ -371,13 +363,7 @@ def _run_stability(config: ExperimentConfig, out: Path) -> int:
         })
         return EXIT_EXCLUDED
     rg = regularize.regularize_at(spec, freq, solve.solution)
-    gamma, tau = cfg.resolved(config.nu, eps if eps > 0 else 1e-300)
-    red = km.reduce(rg, freq, km.IterationSchedule(
-        N0=cfg.N0, gamma=gamma, tau=tau, max_steps=cfg.kam_max_steps,
-        target_decay=cfg.kam_target,
-        mode="hamiltonian" if rg.mode == "hamiltonian" else "generic",
-        smallness_threshold=cfg.smallness_threshold,
-    ))
+    red = km.reduce(rg, freq, cfg.schedule(spec.epsilon, rg.mode))
     h0 = dyn.random_phase_state(
         config.truncation.n_x,
         np.random.default_rng(int(config.dynamics.get("seed", config.seed))),
@@ -434,10 +420,9 @@ def _verify_checks(config: ExperimentConfig, rng: np.random.Generator) -> list:
     add("regularization semi-conjugacy", regularize.conjugacy_residual(rg, probe), 1e-5)
     add("order-one remainder", float(np.max(np.abs(rg.chain["r1"].c))), 1e-10)
 
+    sched = sv.SolverConfig(trunc=trunc, gamma=0.01).schedule(spec.epsilon, rg.mode)
     try:
-        red = km.reduce(rg, freq, km.IterationSchedule(
-            gamma=0.01, smallness_threshold=1e6,
-            mode="hamiltonian" if rg.mode == "hamiltonian" else "generic"))
+        red = km.reduce(rg, freq, sched)
         add("reduction final remainder", red.trace[-1]["R_s0"], 1e-9)
         f = random_real_field(trunc, rng, decay=4.0, scale=1.0, parity="Y")
         structure = ("total_derivative"
@@ -446,7 +431,7 @@ def _verify_checks(config: ExperimentConfig, rng: np.random.Generator) -> list:
                      else "reversible")
         if structure == "total_derivative":
             f = f.shift_mean(-f.mean)
-        h = sv.right_inverse(rg, red, freq, f, 0.01, config.nu + 2.0, structure)
+        h = sv.right_inverse(rg, red, freq, f, sched.gamma, sched.tau, structure)
         add("right-inverse residual",
             sobolev_norm(rg.apply_L(h) - f, trunc.s0), 1e-6)
     except km.ReductionError as err:

@@ -4,9 +4,15 @@ Starting from the regularized operator omega.d_phi + m3 d_xxx + m1 d_x + R0,
 each step solves a homological equation for a transformation Phi = I + Psi
 (exp(Psi) in hamiltonian mode), absorbs the diagonal part of the remainder
 into the Floquet exponents mu_j, and leaves a quadratically smaller remainder.
-The module also provides the non-resonance masks used to accept or exclude
-values of the modulation parameter on a grid, and a per-step trace suitable
-for CSV export.
+
+`screen` is the one implementation of the paper's Melnikov divisor bounds,
+first order |i omega.l + mu_j| >= 2 gamma <j>^3 <l>^-tau and second order
+|i omega.l + mu_j - mu_k| >= gamma |j^3 - k^3| <l>^-tau.  It checks an explicit
+support: `solve_homological` passes the entries |l| <= N at which the
+remainder is nonzero, `solver.diag_inverse` every (l, j) != (0, 0), and
+`melnikov_mask` a whole l-rectangle per value of the modulation parameter.
+An exclusion is data: the failing step's violations stay in the returned
+state.  The module also writes a per-step trace suitable for CSV export.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ __all__ = [
     "SmallnessError",
     "airy_diagonal",
     "initial_state",
+    "screen",
     "solve_homological",
     "homological_residual",
     "kam_step",
@@ -88,7 +95,12 @@ class ReducibilityState:
     Phi_acc: ToplitzOperator
     Phi_acc_inv: ToplitzOperator
     schedule: IterationSchedule
-    mask: bool = True
+    # (l, j, k) divisor violations of a failed step; None while not excluded
+    exclusion: list | None = None
+
+    @property
+    def mask(self) -> bool:
+        return self.exclusion is None
 
 
 class HomologicalSolution(NamedTuple):
@@ -104,15 +116,46 @@ class ReductionResult:
     Phi_inf: ToplitzOperator
     Phi_inf_inv: ToplitzOperator
     trace: list
-    mask: bool
     state: ReducibilityState
-    exclusion: list | None = None
+
+    @property
+    def exclusion(self) -> list | None:
+        return self.state.exclusion
+
+    @property
+    def mask(self) -> bool:
+        return self.state.mask
 
 
 def airy_diagonal(trunc: Truncation, m3: float, m1: float) -> DiagonalOperator:
     """Unperturbed exponents mu_j = -i (m3 j^3 - m1 j)."""
     j = trunc.mode_range(trunc.nu)
     return DiagonalOperator(trunc, -1j * (m3 * j.astype(float) ** 3 - m1 * j))
+
+
+def screen(dots, lsz, mu, gamma: float, tau: float, order: str, where):
+    """The Melnikov divisor screen on an l-table; returns (violations, delta, bound).
+
+    dots holds omega.l and lsz the weights <l> = max(1, |l|_inf), both over the
+    same l-shape; mu holds the exponents mu_j, |j| <= n_x.  order "first":
+    delta(l, j) = i omega.l + mu_j against 2 gamma <j>^3 <l>^-tau; order
+    "second": delta(l, j, k) = i omega.l + mu_j - mu_k against
+    gamma |j^3 - k^3| <l>^-tau (zero, so never violated, at j = k).  The
+    boolean violations are where & (|delta| < bound); `where` (broadcastable to
+    delta) is the support to check, chosen by the caller.
+    """
+    n_x = (len(mu) - 1) // 2
+    j = np.arange(-n_x, n_x + 1, dtype=float)
+    decay = lsz ** (-tau)
+    if order == "first":
+        delta = 1j * dots[..., None] + mu
+        bound = 2.0 * gamma * np.maximum(1.0, np.abs(j)) ** 3 * decay[..., None]
+    elif order == "second":
+        delta = 1j * dots[..., None, None] + (mu[:, None] - mu[None, :])
+        bound = gamma * np.abs(j[:, None] ** 3 - j[None, :] ** 3) * decay[..., None, None]
+    else:
+        raise ValueError(f"unknown order {order!r}")
+    return where & (np.abs(delta) < bound), delta, bound
 
 
 def solve_homological(
@@ -125,8 +168,8 @@ def solve_homological(
 ) -> HomologicalSolution:
     """Closed-form solution Psi^k_j(l) = R^k_j(l) / (i omega.l + mu_j - mu_k).
 
-    Divisors with |l| <= N are screened first: off-diagonal pairs must pass
-    the second-order non-resonance bound gamma |j^3 - k^3| <l>^-tau, and the
+    Divisors with |l| <= N that divide a nonzero remainder entry are screened
+    first: off-diagonal pairs must pass the second-order `screen`, and the
     j = k entries inherit the Diophantine floor of the frequency witness.  On
     any violation no Psi is produced (ok = False) and the offending indices
     are reported; exclusion is data, not an error.
@@ -135,27 +178,19 @@ def solve_homological(
     mu = D.mu
     dots = freq.omega_dot_l(trunc, double=True)
     linf = index_weights(trunc.nu, 2 * trunc.n_phi)
-    lsz = np.maximum(1.0, linf)
-    j = trunc.mode_range(trunc.nu).astype(float)
-    jcube = np.abs(j[:, None] ** 3 - j[None, :] ** 3)
-    offdiag = j[:, None] != j[None, :]
-
-    delta = 1j * dots[(...,) + (None, None)] + (mu[:, None] - mu[None, :])
+    lsz = index_weights(trunc.nu, 2 * trunc.n_phi, floor=1.0)
+    within = (linf <= N)[(...,) + (None, None)]
     # only the divisors actually dividing a remainder entry are screened
-    needed = (linf <= N)[(...,) + (None, None)] & (R.blocks != 0)
-
-    # second-order Melnikov bound off the diagonal in j
-    bound = gamma * jcube * lsz[(...,) + (None, None)] ** (-tau)
-    bad_off = needed & offdiag & (np.abs(delta) < bound)
+    needed = within & (R.blocks != 0)
+    bad, delta, _ = screen(dots, lsz, mu, gamma, tau, "second", needed)
     # first-order floor on the j = k part (divisor is i omega.l there)
     floor = freq.gamma0 * lsz ** (-freq.tau0)
     diag_ok = (np.abs(dots) >= floor) | (linf == 0)
-    bad_diag = needed & ~offdiag & ~diag_ok[(...,) + (None, None)]
+    bad |= needed & np.eye(len(mu), dtype=bool) & ~diag_ok[(...,) + (None, None)]
 
     center = (2 * trunc.n_phi,) * trunc.nu
     diag_part = DiagonalOperator(trunc, np.diagonal(R.blocks[center]).copy())
 
-    bad = bad_off | bad_diag
     if bad.any():
         npk, nx = trunc.n_phi, trunc.n_x
         idx = np.argwhere(bad)[:10]
@@ -166,9 +201,7 @@ def solve_homological(
         ]
         return HomologicalSolution(None, diag_part, False, violations)
 
-    keep = np.broadcast_to(
-        (linf <= N)[(...,) + (None, None)], R.blocks.shape
-    ).copy()
+    keep = np.broadcast_to(within, R.blocks.shape).copy()
     keep[center + (np.arange(len(mu)), np.arange(len(mu)))] = False  # (j-k,l)=(0,0)
     keep &= delta != 0  # exact zeros only occur against vanishing R entries
     # with blocks indexed by offset l = (output - input), eq:homo reads
@@ -214,7 +247,7 @@ def kam_step(state: ReducibilityState, freq: Frequency) -> ReducibilityState:
     N = sched.cutoff(state.nu_step, trunc.n_phi)
     sol = solve_homological(state.D, state.R, freq, N, sched.gamma, sched.tau)
     if not sol.ok:
-        return replace(state, mask=False)
+        return replace(state, exclusion=sol.violations)
     Psi = sol.Psi
     psi_norm = opalg.decay_norm(Psi, trunc.s0)
     if psi_norm >= 0.5:
@@ -248,7 +281,6 @@ def kam_step(state: ReducibilityState, freq: Frequency) -> ReducibilityState:
         Phi_acc=opalg.compose(state.Phi_acc, Phi),
         Phi_acc_inv=opalg.compose(Phi_inv, state.Phi_acc_inv),
         schedule=sched,
-        mask=True,
     )
 
 
@@ -309,13 +341,7 @@ def reduce(reg, freq: Frequency, schedule: IterationSchedule) -> ReductionResult
                 Phi_inf=state.Phi_acc,
                 Phi_inf_inv=state.Phi_acc_inv,
                 trace=trace,
-                mask=False,
                 state=new_state,
-                exclusion=solve_homological(
-                    state.D, state.R, freq,
-                    schedule.cutoff(state.nu_step, trunc.n_phi),
-                    schedule.gamma, schedule.tau,
-                ).violations,
             )
         state = new_state
         new_norm = opalg.decay_norm(state.R, s0)
@@ -332,7 +358,6 @@ def reduce(reg, freq: Frequency, schedule: IterationSchedule) -> ReductionResult
         Phi_inf=state.Phi_acc,
         Phi_inf_inv=state.Phi_acc_inv,
         trace=trace,
-        mask=True,
         state=state,
     )
 
@@ -370,45 +395,32 @@ def melnikov_mask(
     order: str = "second",
     locality: float | None = LOCALITY_SAFETY,
 ) -> np.ndarray:
-    """Per-lambda acceptance under the first or second order divisor bounds.
+    """Per-lambda acceptance under the first or second order divisor `screen`.
 
-    Second order: |i lambda omega_bar.l + mu_j - mu_k| >= gamma |j^3 - k^3|
-    <l>^-tau for j != k, scanned only where |j^3 - k^3| <= 8 |omega_bar.l|
+    Second order: checked for j != k only where |j^3 - k^3| <= 8 |omega_bar.l|
     inflated by the safety factor `locality` (pass None for the full scan).
-    First order: |i lambda omega_bar.l + mu_j| >= 2 gamma <j>^3 <l>^-tau for
-    (l, j) != (0, 0).
+    First order: checked for (l, j) != (0, 0).  Both over |l|_inf <= N.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     ob = np.atleast_1d(np.asarray(omega_bar, dtype=float))
     nu = len(ob)
-    ls = _l_table(nu, N)
-    obl = ls @ ob
-    lsz = np.maximum(1.0, np.max(np.abs(ls), axis=1)).astype(float)
+    obl = _l_table(nu, N) @ ob
+    lsz = index_weights(nu, N, floor=1.0).ravel()
 
     out = np.zeros(len(lambdas), dtype=bool)
     for i, (lam, eigs) in enumerate(zip(lambdas, eigs_by_lambda)):
-        mu = eigs.mu
-        n_x = eigs.trunc.n_x
-        j = np.arange(-n_x, n_x + 1, dtype=float)
-        if order == "second":
-            diff = np.abs(j[:, None] ** 3 - j[None, :] ** 3)
-            pair = j[:, None] != j[None, :]
-            delta = np.abs(
-                1j * lam * obl[:, None, None] + (mu[:, None] - mu[None, :])
-            )
-            bound = gamma * diff[None, :, :] * lsz[:, None, None] ** (-tau)
-            check = pair[None, :, :].repeat(len(ls), axis=0)
-            if locality is not None:
-                check &= diff[None, :, :] <= 8.0 * locality * np.abs(obl)[:, None, None]
-            out[i] = bool(np.all(delta[check] >= bound[check]))
-        elif order == "first":
-            delta = np.abs(1j * lam * obl[:, None] + mu[None, :])
-            jsz = np.maximum(1.0, np.abs(j))
-            bound = 2.0 * gamma * jsz[None, :] ** 3 * lsz[:, None] ** (-tau)
-            check = ~((np.abs(ls).max(axis=1) == 0)[:, None] & (j == 0)[None, :])
-            out[i] = bool(np.all(delta[check] >= bound[check]))
+        m = len(eigs.mu)
+        if order == "first":
+            where = np.ones((len(obl), m), dtype=bool)
+            where[len(obl) // 2, m // 2] = False  # (l, j) = (0, 0)
+        elif locality is None:
+            where = True
         else:
-            raise ValueError(f"unknown order {order!r}")
+            j = np.arange(m, dtype=float) - m // 2
+            diff = np.abs(j[:, None] ** 3 - j[None, :] ** 3)
+            where = diff <= 8.0 * locality * np.abs(obl)[:, None, None]
+        bad, _, _ = screen(lam * obl, lsz, eigs.mu, gamma, tau, order, where)
+        out[i] = not bad.any()
     return out
 
 

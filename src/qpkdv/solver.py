@@ -88,6 +88,19 @@ class SolverConfig:
         tau = self.tau if self.tau is not None else nu + 2.0
         return gamma, tau
 
+    def schedule(self, epsilon: float, mode: str,
+                 n: int | None = None) -> km.IterationSchedule:
+        """The KAM schedule of this config: gamma, or gamma_n = gamma (1 + 2^-n)
+        at Newton iterate n."""
+        gamma, tau = self.resolved(self.trunc.nu, epsilon)
+        if n is not None:
+            gamma *= 1.0 + 0.5**n
+        return km.IterationSchedule(
+            N0=self.N0, chi=self.chi, gamma=gamma, tau=tau,
+            max_steps=self.kam_max_steps, target_decay=self.kam_target,
+            mode=mode, smallness_threshold=self.smallness_threshold,
+        )
+
 
 @dataclass
 class SolveReport:
@@ -135,8 +148,8 @@ def diag_inverse(
     """Solve (omega.d_phi + D_inf) w = g by exact mode division.
 
     The constant (l, j) = (0, 0) mode is excluded (it spans the kernel), so g
-    must carry no component there; every other divisor is screened against
-    the first-order bound 2 gamma <j>^3 <l>^-tau before dividing.
+    must carry no component there; every other divisor passes the first-order
+    `kamreduce.screen` before dividing.
     """
     trunc = g.trunc
     scale = 1.0 + sobolev_norm(g, trunc.s0)
@@ -146,19 +159,11 @@ def diag_inverse(
             f"constant-mode component {abs(g.c[center]):.3e} exceeds tolerance"
         )
 
-    dots = freq.omega_dot_l(trunc)
-    mu = eigs.mu
-    delta = 1j * dots[..., None] + mu.reshape((1,) * trunc.nu + (-1,))
-
-    lsz = index_weights(trunc.nu, trunc.n_phi, floor=1.0)
-    j = trunc.mode_range(trunc.nu).astype(float)
-    jsz = np.maximum(1.0, np.abs(j))
-    bound = 2.0 * gamma * jsz.reshape((1,) * trunc.nu + (-1,)) ** 3 \
-        * lsz[..., None] ** (-tau)
-
     check = np.ones(trunc.shape, dtype=bool)
     check[center] = False
-    bad = check & (np.abs(delta) < bound)
+    bad, delta, bound = km.screen(freq.omega_dot_l(trunc),
+                                  index_weights(trunc.nu, trunc.n_phi, floor=1.0),
+                                  eigs.mu, gamma, tau, "first", check)
     if bad.any():
         idx = tuple(int(i) for i in np.argwhere(bad)[0])
         l = tuple(int(trunc.mode_range(ax)[idx[ax]]) for ax in range(trunc.nu))
@@ -233,15 +238,15 @@ def nash_moser(
 
     Each step re-linearizes at the current iterate, reruns the full
     regularization and reduction, and screens the divisors with the shrinking
-    constants gamma_n = gamma (1 + 2^-n); a failed screen excludes this value
-    of lambda (clean report, not an error).  The residual must decrease:
-    two consecutive growths raise DivergenceError.
+    constants gamma_n = gamma (1 + 2^-n): the second order inside the
+    reduction, the first order in `diag_inverse`.  A failed screen excludes
+    this value of lambda (clean report, not an error).  The residual must
+    decrease: two consecutive growths raise DivergenceError.
     """
     trunc = config.trunc
     flags = nonlin.structure_flags(spec)
     structure = _structure_mode(flags)
     mode = "hamiltonian" if spec.declared_form == "hamiltonian_F" else "generic"
-    gamma, tau = config.resolved(trunc.nu, spec.epsilon)
 
     u = FourierField.zeros(trunc)
     Fu = nonlin.residual(spec, freq, u)
@@ -252,14 +257,14 @@ def nash_moser(
     eigs = None
     grow = 0
     for n in range(config.max_iters + 1):
-        gamma_n = gamma * (1.0 + 0.5**n)
+        sched = config.schedule(spec.epsilon, mode, n)
         N_next = int(round(config.N0 ** (config.chi ** (n + 1))))
         iterates.append({
             "n": n,
             "u_norm": sobolev_norm(u, trunc.s0),
             "res": res,
             "N": min(N_next, max(trunc.n_phi, trunc.n_x)),
-            "gamma": gamma_n,
+            "gamma": sched.gamma,
         })
         if res < tol:
             return SolveReport(iterates, u, eigs, True, False,
@@ -269,29 +274,16 @@ def nash_moser(
             break
 
         rg = regularize.regularize_at(spec, freq, u)
-        sched = km.IterationSchedule(
-            N0=config.N0, chi=config.chi, gamma=gamma_n, tau=tau,
-            max_steps=config.kam_max_steps, target_decay=config.kam_target,
-            mode=mode, smallness_threshold=config.smallness_threshold,
-        )
         red = km.reduce(rg, freq, sched)
         eigs = red.eigs
         if not red.mask:
             return SolveReport(iterates, u, eigs, False, True,
                                freq.lam, spec.epsilon,
                                exclusion_reason=f"second-order divisor at {red.exclusion}")
-        first = km.melnikov_mask(
-            np.array([freq.lam]), [red.eigs], freq.omega_bar,
-            gamma_n, tau, trunc.n_phi, order="first",
-        )
-        if not first[0]:
-            return SolveReport(iterates, u, eigs, False, True,
-                               freq.lam, spec.epsilon,
-                               exclusion_reason="first-order divisor bound")
 
         try:
             h = right_inverse(rg, red, freq, project_ball(Fu, N_next),
-                              gamma_n, tau, structure)
+                              sched.gamma, sched.tau, structure)
         except DivisorViolation as exc:
             return SolveReport(iterates, u, eigs, False, True,
                                freq.lam, spec.epsilon, exclusion_reason=str(exc))
@@ -384,10 +376,12 @@ def cantor_measure(
     workers: int = 1,
     config_kw: dict | None = None,
 ) -> MeasureReport:
-    """Accepted fraction of the lambda grid for each epsilon, gamma = epsilon^a.
+    """Accepted fraction of the lambda grid for each epsilon, gamma = epsilon^a
+    unless config_kw fixes gamma.
 
     Also reports the gamma-only baseline: the fraction passing the divisor
-    masks at the unperturbed exponents mu_j = -i j^3, with no solve.
+    masks at the unperturbed exponents mu_j = -i j^3, with no solve, screened
+    with the gamma and tau of the solves.
     """
     if not 0.0 < a < 1.0:
         raise ValueError("the exponent a must lie in (0, 1)")
@@ -395,12 +389,12 @@ def cantor_measure(
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     config_kw = dict(config_kw or {})
 
+    config = SolverConfig(trunc=trunc, a=a, **config_kw)
     fractions = {}
     baselines = {}
     records = {}
     for eps in epsilons:
-        gamma = float(eps) ** a
-        tau = config_kw.get("tau") or trunc.nu + 2.0
+        gamma, tau = config.resolved(trunc.nu, eps)
         args = [
             (text, declared_form, eps, float(lam), tuple(omega_bar),
              trunc.n_phi, trunc.n_x, trunc.nu, a, config_kw)
@@ -425,6 +419,7 @@ def cantor_measure(
         epsilons=list(epsilons),
         fractions=fractions,
         baseline_fractions=baselines,
-        gamma_rule={"rule": "gamma = epsilon^a", "a": a},
+        gamma_rule=({"rule": "gamma = epsilon^a", "a": a} if config.gamma is None
+                    else {"rule": "fixed gamma", "gamma": config.gamma}),
         records=records,
     )

@@ -1,9 +1,11 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from qpkdv import cli
+from qpkdv import kamreduce as km
 from qpkdv.spectral import field_from_json, sobolev_norm
 
 
@@ -195,3 +197,36 @@ def test_main_failed_reduction_exits_1(tmp_path, capsys):
     )
     assert cli.main(["solve", "--config", str(path)]) == cli.EXIT_ERROR
     assert "error:" in capsys.readouterr().err
+
+
+def test_reduce_numerical_failure_is_an_error_not_an_exclusion(tmp_path, monkeypatch):
+    def failing(rg, freq, schedule):
+        raise km.ContractionError("|Psi|_s0 = 0.700 >= 1/2 at step 1")
+
+    monkeypatch.setattr(cli.km, "reduce", failing)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "reduce_fail"
+    assert cli.main(["reduce", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_ERROR
+    report = json.loads((out / "report.json").read_text())
+    assert report["excluded"] is False
+    assert "|Psi|_s0" in report["error"]
+
+
+@pytest.mark.parametrize("subcommand", ["reduce", "stability"])
+def test_solver_config_chi_reaches_schedule(tmp_path, monkeypatch, subcommand):
+    real_config, real_reduce = cli.ExperimentConfig.solver_config, km.reduce
+    seen = []
+
+    def with_chi(self):
+        return replace(real_config(self), chi=1.3)
+
+    def recording(rg, freq, schedule):
+        seen.append(schedule)
+        return real_reduce(rg, freq, schedule)
+
+    monkeypatch.setattr(cli.ExperimentConfig, "solver_config", with_chi)
+    monkeypatch.setattr(km, "reduce", recording)
+    cfg = write_config(tmp_path)
+    out = tmp_path / subcommand
+    assert cli.main([subcommand, "--config", str(cfg), "--out", str(out)]) == 0
+    assert seen and all(s.chi == 1.3 for s in seen)

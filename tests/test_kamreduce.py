@@ -11,6 +11,7 @@ from qpkdv.spectral import (
     Frequency,
     Truncation,
     embed_field,
+    index_weights,
     random_real_field,
 )
 
@@ -101,6 +102,46 @@ def test_homological_divisor_violation_reports_indices():
     assert any(j != k for (_, j, k) in sol.violations)
 
 
+@pytest.mark.parametrize("order", ["first", "second"])
+def test_screen_matches_brute_force_loop(order):
+    # nu = 2, perturbed Airy exponents, a random support to check
+    T2 = Truncation(2, 3, 3)
+    freq = Frequency.default(2, lam=1.1)
+    rng = np.random.default_rng(4)
+    mu = airy_D(T2).mu + 0.3j * rng.standard_normal(7)
+    dots = freq.omega_dot_l(T2)
+    lsz = index_weights(2, 3, floor=1.0)
+    gamma, tau = (0.2, 2.5) if order == "first" else (0.5, 2.5)
+    shape = (7, 7, 7) if order == "first" else (7, 7, 7, 7)
+    where = rng.random(shape) < 0.8
+    bad, delta, bound = km.screen(dots, lsz, mu, gamma, tau, order, where)
+
+    expect = np.zeros(shape, dtype=bool)
+    for idx in np.ndindex(*shape):
+        l = (idx[0] - 3, idx[1] - 3)
+        w = max(1, abs(l[0]), abs(l[1])) ** (-tau)
+        j = idx[2] - 3
+        if order == "first":
+            d = 1j * (freq.omega[0] * l[0] + freq.omega[1] * l[1]) + mu[idx[2]]
+            b = 2.0 * gamma * max(1, abs(j)) ** 3 * w
+        else:
+            k = idx[3] - 3
+            d = (1j * (freq.omega[0] * l[0] + freq.omega[1] * l[1])
+                 + mu[idx[2]] - mu[idx[3]])
+            b = gamma * abs(j**3 - k**3) * w
+        assert abs(delta[idx] - d) < 1e-13 and abs(bound[idx] - b) < 1e-13 * (1 + b)
+        assert b == 0 or abs(abs(d) - b) > 1e-9  # no decision sits on round-off
+        expect[idx] = where[idx] and abs(d) < b
+    assert np.array_equal(bad, expect)
+    assert 0 < bad.sum() < where.sum()
+
+
+def test_screen_unknown_order():
+    with pytest.raises(ValueError, match="order"):
+        km.screen(np.zeros(3), np.ones(3), np.zeros(3, dtype=complex),
+                  0.1, 3.0, "third", True)
+
+
 # ---------------------------------------------------------------- kam steps
 
 
@@ -186,6 +227,37 @@ def test_reduce_pipeline_converges_monotonically():
     assert all(b < a for a, b in zip(norms, norms[1:]))
     assert norms[-1] < 1e-10
     assert [row["N"] for row in red.trace[:3]] == [4, 8, 16]
+
+
+def test_excluded_reduce_screens_each_step_once(monkeypatch):
+    # at lambda = 7/6 the divisor i omega.l + mu_j - mu_k nearly vanishes at
+    # (l, j, k) = (-6, -2, -1): the first step (N = 4) passes, the second
+    # (N = 8) is excluded
+    freq = Frequency.default(1, lam=7.0 / 6.0)
+    spec = nonlin.parse_nonlinearity("z0^2 * z3", "raw_f", epsilon=1e-3)
+    u = random_real_field(T, np.random.default_rng(0), decay=4.0, scale=5e-4,
+                          parity="X")
+    rg = reg.regularize_at(spec, freq, u)
+    calls, steps = [], []
+    real_solve, real_step = km.solve_homological, km.kam_step
+
+    def counted_solve(*args):
+        calls.append(real_solve(*args))
+        return calls[-1]
+
+    def counted_step(*args):
+        steps.append(1)
+        return real_step(*args)
+
+    monkeypatch.setattr(km, "solve_homological", counted_solve)
+    monkeypatch.setattr(km, "kam_step", counted_step)
+    red = km.reduce(rg, freq, km.IterationSchedule(gamma=0.01))
+    assert not red.mask and not red.state.mask
+    assert len(steps) == 2 and len(calls) == len(steps)
+    assert not calls[-1].ok
+    assert red.exclusion == calls[-1].violations
+    assert red.exclusion[0] == ((-6,), -2, -1)
+    assert red.trace[-1]["mask_fraction"] == 0.0
 
 
 def test_reduce_smallness_guard():

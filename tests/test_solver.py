@@ -200,6 +200,22 @@ def test_nash_moser_excluded_lambda_is_clean():
     rep = sv.nash_moser(spec, freq, sv.SolverConfig(trunc=T))
     assert rep.excluded_lambda and not rep.converged
     assert rep.exclusion_reason is not None
+    # the reduction passes and the first-order divisor i omega.l + mu_j at
+    # (l, j) = (-1, -1) fails; the reason names it
+    assert "l=(-1,), j=-1" in rep.exclusion_reason
+    gamma_n = rep.iterates[-1]["gamma"]
+    assert not km.melnikov_mask(np.array([0.9]), [rep.eigs], freq.omega_bar,
+                                gamma_n, 3.0, T.n_phi, order="first")[0]
+
+
+def test_solver_config_schedule():
+    config = sv.SolverConfig(trunc=T, gamma=0.1, chi=1.3, N0=3, kam_max_steps=7)
+    sched = config.schedule(1e-3, "hamiltonian")
+    assert (sched.gamma, sched.tau, sched.chi, sched.N0) == (0.1, 3.0, 1.3, 3)
+    assert (sched.max_steps, sched.target_decay, sched.mode) == (7, 1e-12, "hamiltonian")
+    assert sched.smallness_threshold == config.smallness_threshold
+    assert config.schedule(1e-3, "generic", n=2).gamma == 0.1 * 1.25
+    assert sv.SolverConfig(trunc=T).schedule(1e-4, "generic").gamma == 1e-4 ** 0.5
 
 
 def test_nash_moser_superlinear_order_estimate():
@@ -223,6 +239,19 @@ def test_cantor_measure_trend():
     assert rep.fractions[1e-5] >= rep.fractions[1e-3]
     assert rep.gamma_rule["a"] == 0.5
     assert len(rep.records[1e-3]) == len(grid)
+
+
+def test_cantor_measure_baseline_uses_fixed_gamma():
+    grid = np.linspace(0.5, 1.5, 11)
+    trunc = Truncation(1, 4, 4)
+    g = 0.2
+    rep = sv.cantor_measure(FORCED, "raw_f", (1.0,), [1e-3], grid, a=0.5,
+                            trunc=trunc, config_kw={"gamma": g})
+    airy = [km.airy_diagonal(trunc, 1.0, 0.0) for _ in grid]
+    base = km.melnikov_mask(grid, airy, (1.0,), g, 3.0, 2 * trunc.n_phi)
+    base &= km.melnikov_mask(grid, airy, (1.0,), g, 3.0, trunc.n_phi, order="first")
+    assert rep.baseline_fractions[1e-3] == float(base.mean())
+    assert rep.gamma_rule == {"rule": "fixed gamma", "gamma": g}
 
 
 def test_cantor_measure_validates_exponent():
