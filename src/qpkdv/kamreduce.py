@@ -8,11 +8,13 @@ into the Floquet exponents mu_j, and leaves a quadratically smaller remainder.
 `screen` is the one implementation of the paper's Melnikov divisor bounds,
 first order |i omega.l + mu_j| >= 2 gamma <j>^3 <l>^-tau and second order
 |i omega.l + mu_j - mu_k| >= gamma |j^3 - k^3| <l>^-tau.  It checks an explicit
-support: `solve_homological` passes the entries |l| <= N at which the
-remainder is nonzero, `solver.diag_inverse` every (l, j) != (0, 0), and
-`melnikov_mask` a whole l-rectangle per value of the modulation parameter.
-An exclusion is data: the failing step's violations stay in the returned
-state.  The module also writes a per-step trace suitable for CSV export.
+support: `solve_homological` passes the paper's index set, every |l| <= N and
+every (j, k), whatever the remainder holds, `solver.diag_inverse` every
+(l, j) != (0, 0), and `melnikov_mask` a whole l-rectangle per value of the
+modulation parameter.  An exclusion is data: the failing step's violations,
+and the one of smallest margin |delta| / bound with its divisor and bound,
+stay in the returned state.  The module also writes a per-step trace
+suitable for CSV export.
 """
 
 from __future__ import annotations
@@ -92,11 +94,14 @@ class ReducibilityState:
     nu_step: int
     D: DiagonalOperator
     R: ToplitzOperator
+    # product of the steps' transformations, the identity at nu_step = 0
     Phi_acc: ToplitzOperator
     Phi_acc_inv: ToplitzOperator
     schedule: IterationSchedule
     # (l, j, k) divisor violations of a failed step; None while not excluded
     exclusion: list | None = None
+    # (l, j, k, |delta|, bound) of the violation of smallest margin
+    worst_violation: tuple | None = None
 
     @property
     def mask(self) -> bool:
@@ -108,6 +113,7 @@ class HomologicalSolution(NamedTuple):
     diag_part: DiagonalOperator
     ok: bool
     violations: list
+    worst_violation: tuple | None = None
 
 
 @dataclass
@@ -168,47 +174,50 @@ def solve_homological(
 ) -> HomologicalSolution:
     """Closed-form solution Psi^k_j(l) = R^k_j(l) / (i omega.l + mu_j - mu_k).
 
-    Divisors with |l| <= N that divide a nonzero remainder entry are screened
-    first: off-diagonal pairs must pass the second-order `screen`, and the
-    j = k entries inherit the Diophantine floor of the frequency witness.  On
-    any violation no Psi is produced (ok = False) and the offending indices
-    are reported; exclusion is data, not an error.
+    Every divisor with |l| <= N is screened first, whatever R holds there:
+    off-diagonal pairs must pass the second-order `screen`, and the j = k
+    entries (l != 0) inherit the Diophantine floor of the frequency witness.
+    On any violation no Psi is produced (ok = False) and the offending indices
+    are reported, with |delta| and the bound of the one of smallest margin;
+    exclusion is data, not an error.
     """
     trunc = R.trunc
     mu = D.mu
     dots = freq.omega_dot_l(trunc, double=True)
     linf = index_weights(trunc.nu, 2 * trunc.n_phi)
     lsz = index_weights(trunc.nu, 2 * trunc.n_phi, floor=1.0)
-    within = (linf <= N)[(...,) + (None, None)]
-    # only the divisors actually dividing a remainder entry are screened
-    needed = within & (R.blocks != 0)
-    bad, delta, _ = screen(dots, lsz, mu, gamma, tau, "second", needed)
-    # first-order floor on the j = k part (divisor is i omega.l there)
-    floor = freq.gamma0 * lsz ** (-freq.tau0)
-    diag_ok = (np.abs(dots) >= floor) | (linf == 0)
-    bad |= needed & np.eye(len(mu), dtype=bool) & ~diag_ok[(...,) + (None, None)]
+    within = np.broadcast_to((linf <= N)[(...,) + (None, None)], R.blocks.shape)
+    _, delta, bound = screen(dots, lsz, mu, gamma, tau, "second", within)
+    # the j = k divisor is i omega.l; there the bound is the Diophantine
+    # floor of the frequency witness (none at l = 0, where [R] is absorbed)
+    diag = np.arange(len(mu))
+    floor = np.where(linf == 0, 0.0, freq.gamma0 * lsz ** (-freq.tau0))
+    bound[..., diag, diag] = floor[..., None]
+    bad = within & (np.abs(delta) < bound)
 
     center = (2 * trunc.n_phi,) * trunc.nu
     diag_part = DiagonalOperator(trunc, np.diagonal(R.blocks[center]).copy())
 
     if bad.any():
         npk, nx = trunc.n_phi, trunc.n_x
-        idx = np.argwhere(bad)[:10]
-        violations = [
-            (tuple(int(i) - 2 * npk for i in row[: trunc.nu]),
-             int(row[-2]) - nx, int(row[-1]) - nx)
-            for row in idx
-        ]
-        return HomologicalSolution(None, diag_part, False, violations)
 
-    keep = np.broadcast_to(within, R.blocks.shape).copy()
-    keep[center + (np.arange(len(mu)), np.arange(len(mu)))] = False  # (j-k,l)=(0,0)
-    keep &= delta != 0  # exact zeros only occur against vanishing R entries
+        def named(row):
+            return (tuple(int(i) - 2 * npk for i in row[: trunc.nu]),
+                    int(row[-2]) - nx, int(row[-1]) - nx)
+
+        violations = [named(row) for row in np.argwhere(bad)[:10]]
+        margin = np.where(bad, np.abs(delta), np.inf) / np.where(bad, bound, 1.0)
+        idx = np.unravel_index(np.argmin(margin), bad.shape)
+        worst = named(idx) + (float(np.abs(delta[idx])), float(bound[idx]))
+        return HomologicalSolution(None, diag_part, False, violations, worst)
+
+    # no violation, so every divisor on the kept set is nonzero
+    keep = within.copy()
+    keep[center + (diag, diag)] = False  # (j-k,l)=(0,0)
     # with blocks indexed by offset l = (output - input), eq:homo reads
     # (i omega.l + mu_j - mu_k) Psi^k_j(l) = -R^k_j(l) off the (0,0) entries
     blocks = np.zeros_like(R.blocks)
     np.divide(-R.blocks, delta, out=blocks, where=keep)
-    blocks[~keep] = 0.0
     return HomologicalSolution(ToplitzOperator(trunc, blocks), diag_part, True, [])
 
 
@@ -232,14 +241,6 @@ def homological_residual(
     return float(np.max(np.abs(t))) / scale
 
 
-def _row_scale(op: ToplitzOperator, mu: np.ndarray) -> ToplitzOperator:
-    return ToplitzOperator(op.trunc, mu[:, None] * op.blocks, op.dropped_mass)
-
-
-def _col_scale(op: ToplitzOperator, mu: np.ndarray) -> ToplitzOperator:
-    return ToplitzOperator(op.trunc, op.blocks * mu[None, :], op.dropped_mass)
-
-
 def kam_step(state: ReducibilityState, freq: Frequency) -> ReducibilityState:
     """One quadratic step: D -> D + [R], R -> Phi^{-1}(Pi_N^perp R + R Psi - Psi [R])."""
     sched = state.schedule
@@ -247,7 +248,7 @@ def kam_step(state: ReducibilityState, freq: Frequency) -> ReducibilityState:
     N = sched.cutoff(state.nu_step, trunc.n_phi)
     sol = solve_homological(state.D, state.R, freq, N, sched.gamma, sched.tau)
     if not sol.ok:
-        return replace(state, exclusion=sol.violations)
+        return replace(state, exclusion=sol.violations, worst_violation=sol.worst_violation)
     Psi = sol.Psi
     psi_norm = opalg.decay_norm(Psi, trunc.s0)
     if psi_norm >= 0.5:
@@ -262,24 +263,25 @@ def kam_step(state: ReducibilityState, freq: Frequency) -> ReducibilityState:
         # exp(Psi) satisfies the homological equation only to first order in
         # Psi, so conjugate exactly: R+ = Phi^{-1} L Phi - (omega.d_phi + D+)
         q = opalg.omega_commutator(Phi, freq)
-        q = opalg.add(q, _row_scale(Phi, state.D.mu))
+        q = opalg.add(q, opalg.scale_modes(Phi, rows=state.D.mu))
         q = opalg.add(q, opalg.compose(state.R, Phi))
-        q = opalg.add(q, _col_scale(Phi, D_new.mu).scale(-1.0))
+        q = opalg.add(q, opalg.scale_modes(Phi, cols=-D_new.mu))
         R_new = opalg.compose(Phi_inv, q)
     else:
         Phi = opalg.add(opalg.identity(trunc), Psi)
         Phi_inv = opalg.neumann_inverse(Psi)
         q = opalg.smooth_complement(state.R, N)
         q = opalg.add(q, opalg.compose(state.R, Psi))
-        q = opalg.add(q, _col_scale(Psi, sol.diag_part.mu).scale(-1.0))
+        q = opalg.add(q, opalg.scale_modes(Psi, cols=-sol.diag_part.mu))
         R_new = opalg.compose(Phi_inv, q)
 
+    first = state.nu_step == 0  # Phi_acc is still the identity
     return ReducibilityState(
         nu_step=state.nu_step + 1,
         D=D_new,
         R=R_new,
-        Phi_acc=opalg.compose(state.Phi_acc, Phi),
-        Phi_acc_inv=opalg.compose(Phi_inv, state.Phi_acc_inv),
+        Phi_acc=Phi if first else opalg.compose(state.Phi_acc, Phi),
+        Phi_acc_inv=Phi_inv if first else opalg.compose(Phi_inv, state.Phi_acc_inv),
         schedule=sched,
     )
 

@@ -10,16 +10,22 @@ norms, time-offset smoothing, Neumann inversion, matrix exponentials,
 evaluation of block tables at a batch of angles (``freeze``), and dense
 materialization for oracle checks.
 
-``compose`` convolves the block tables over the offset l directly: for each
-nonzero block of the left factor, one broadcast matrix product against the
-nonzero blocks of the right factor, which BLAS runs as one GEMM per block
-pair.  No FFT is involved, so entries that are zero by structure stay
-exactly zero; the divisor screen of the reduction relies on that.
+``compose`` is one zero-padded FFT convolution over the offset axes (each
+phi-axis padded to a 2-3-5-smooth length >= 8 n_phi + 1, so the full product
+is alias-free), one batched matrix product, and a clip to |l_i| <= 2 n_phi.
+Offsets outside the Minkowski sum of the operands' nonzero offsets are exact
+zeros, so block sparsity is exact and ``apply``/``operator_to_json`` skip
+empty offsets; entries inside a block carry rounding of order eps |A| |B|, so
+an entry that is zero by structure is not an exact zero.  ``dropped_mass`` is
+the l2 (Parseval) norm of the summed product outside the kept rectangle.
+Fourier multipliers, a single diagonal l = 0 block, are applied by
+``scale_modes`` as row/column scalings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,8 +39,10 @@ __all__ = [
     "from_multiplication",
     "from_multiplier",
     "from_diagonal",
+    "symbol",
     "apply",
     "compose",
+    "scale_modes",
     "add",
     "decay_norm",
     "smooth",
@@ -151,29 +159,25 @@ def identity(trunc: Truncation) -> ToplitzOperator:
 
 def from_multiplication(p: FourierField) -> ToplitzOperator:
     """Multiplication operator h -> p h as a block-Toeplitz table."""
-    trunc = p.trunc
-    m = 2 * trunc.n_x + 1
+    trunc, n_x = p.trunc, p.trunc.n_x
+    off = np.subtract.outer(np.arange(2 * n_x + 1), np.arange(2 * n_x + 1))  # j1 - j2
     blocks = np.zeros(_block_shape(trunc), dtype=complex)
-    j1 = np.arange(m)[:, None]
-    j2 = np.arange(m)[None, :]
-    off = j1 - j2  # spatial offset j1 - j2 in [-2 n_x, 2 n_x]
-    valid = np.abs(off - 0) <= trunc.n_x
-    for lidx in np.ndindex(*trunc.shape[: trunc.nu]):
-        row = p.c[lidx]
-        blk = np.zeros((m, m), dtype=complex)
-        blk[valid] = row[(off + trunc.n_x)[valid]]
-        bidx = tuple(i + trunc.n_phi for i in lidx)  # offset l equals the mode of p
-        blocks[bidx] = blk
+    # the block at offset l holds the modes p_{l, j1 - j2} of p
+    inner = (slice(trunc.n_phi, 3 * trunc.n_phi + 1),) * trunc.nu
+    blocks[inner] = np.where(np.abs(off) <= n_x, p.c[..., np.clip(off + n_x, 0, 2 * n_x)], 0.0)
     return ToplitzOperator(trunc, blocks)
+
+
+def symbol(trunc: Truncation, m_func) -> np.ndarray:
+    """The values m(j), |j| <= n_x, of the Fourier multiplier h_{l,j} -> m(j) h_{l,j}."""
+    return np.array([m_func(int(j)) for j in trunc.mode_range(trunc.nu)], dtype=complex)
 
 
 def from_multiplier(trunc: Truncation, m_func) -> ToplitzOperator:
     """Fourier multiplier h_{l,j} -> m(j) h_{l,j} (only the l = 0 block)."""
-    jj = np.arange(-trunc.n_x, trunc.n_x + 1)
-    vals = np.array([m_func(int(j)) for j in jj], dtype=complex)
     blocks = np.zeros(_block_shape(trunc), dtype=complex)
     center = (2 * trunc.n_phi,) * trunc.nu
-    blocks[center] = np.diag(vals)
+    blocks[center] = np.diag(symbol(trunc, m_func))
     return ToplitzOperator(trunc, blocks)
 
 
@@ -181,22 +185,29 @@ def from_diagonal(d: DiagonalOperator) -> ToplitzOperator:
     return from_multiplier(d.trunc, lambda j: d.mu[j + d.trunc.n_x])
 
 
+def dx_inv_symbol(j: int) -> complex:
+    """Symbol of the zero-average antiderivative d/dx^{-1}."""
+    return 0.0 if j == 0 else 1.0 / (1j * j)
+
+
+def pi0_symbol(j: int) -> float:
+    """Symbol of the projector removing the x-average (j = 0 modes)."""
+    return 0.0 if j == 0 else 1.0
+
+
 def dx_inv_multiplier(trunc: Truncation) -> ToplitzOperator:
     """The zero-average antiderivative d/dx^{-1} as a multiplier operator."""
-    return from_multiplier(trunc, lambda j: 0.0 if j == 0 else 1.0 / (1j * j))
-
-
-def pi0_multiplier(trunc: Truncation) -> ToplitzOperator:
-    """Projector removing the x-average (j = 0 modes)."""
-    return from_multiplier(trunc, lambda j: 0.0 if j == 0 else 1.0)
+    return from_multiplier(trunc, dx_inv_symbol)
 
 
 # ---------------------------------------------------------------------------
 # action and composition
 
 
-def _offsets(trunc: Truncation):
-    return np.ndindex(*(4 * trunc.n_phi + 1,) * trunc.nu)
+def _offset_support(A: ToplitzOperator) -> np.ndarray:
+    """Boolean table of the offsets l whose block is not identically zero."""
+    nu = A.trunc.nu
+    return A.blocks.reshape(A.blocks.shape[:nu] + (-1,)).any(axis=-1)
 
 
 def apply(A: ToplitzOperator, u: FourierField) -> FourierField:
@@ -204,83 +215,73 @@ def apply(A: ToplitzOperator, u: FourierField) -> FourierField:
     trunc = A.trunc
     if trunc != u.trunc:
         raise ValueError("truncation mismatch between operator and field")
-    nu, npk = trunc.nu, trunc.n_phi
+    W = 2 * trunc.n_phi + 1
     out = np.zeros(trunc.shape, dtype=complex)
-    uc = u.c
-    for off in _offsets(trunc):
-        l = tuple(o - 2 * npk for o in off)
-        blk = A.blocks[off]
-        if not blk.any():
-            continue
+    for off in np.argwhere(_offset_support(A)):
         # output index l1 = l2 + l must stay within |l1_i| <= n_phi
-        src = []
-        dst = []
-        ok = True
-        for li in l:
-            lo_src = max(0, -li)
-            hi_src = min(2 * npk + 1, 2 * npk + 1 - li)
-            if lo_src >= hi_src:
-                ok = False
-                break
-            src.append(slice(lo_src, hi_src))
-            dst.append(slice(lo_src + li, hi_src + li))
-        if not ok:
-            continue
-        contrib = uc[tuple(src)] @ blk.T
-        out[tuple(dst)] += contrib
+        l = off - 2 * trunc.n_phi
+        src = tuple(slice(max(0, -li), min(W, W - li)) for li in l)
+        dst = tuple(slice(sl.start + li, sl.stop + li) for sl, li in zip(src, l))
+        out[dst] += u.c[src] @ A.blocks[tuple(off)].T
     return FourierField(trunc, out)
+
+
+@lru_cache(maxsize=32)
+def _fft_length(n: int) -> int:
+    """Smallest 2-3-5-smooth integer >= n."""
+    return min(k for k in (2**a * 3**b * 5**c for a in range(20) for b in range(13)
+                           for c in range(9)) if k >= n)
 
 
 def compose(A: ToplitzOperator, B: ToplitzOperator) -> ToplitzOperator:
     """(AB)(l) = sum_{l'} A(l') B(l - l'), offsets clipped at |l| <= 2 n_phi.
 
-    Mass pushed beyond the doubled rectangle is accumulated in dropped_mass.
+    The l2 norm of the product beyond the doubled rectangle is added to the
+    operands' dropped_mass.
     """
     trunc = A.trunc
     if trunc != B.trunc:
         raise ValueError("truncation mismatch")
-    nu, npk = trunc.nu, trunc.n_phi
-    w = 4 * npk + 1
-    out = np.zeros(_block_shape(trunc), dtype=complex)
-    dropped = 0.0
-    # only the nonzero blocks of B are multiplied; the products of the others
-    # stay exact zeros in prod, so the clipping and dropped-mass sums below see
-    # the same table as a product with every block
-    Bb = B.blocks
-    nzB = Bb.reshape(Bb.shape[:nu] + (-1,)).any(axis=-1)
-    Bnz = Bb[nzB]
-    prod = np.zeros(Bb.shape, dtype=np.result_type(A.blocks, Bb))
-    for offA in _offsets(trunc):
-        blkA = A.blocks[offA]
-        if not blkA.any():
-            continue
-        la = tuple(o - 2 * npk for o in offA)
-        # one (m, m) GEMM per nonzero offset of B.  Up to m = 33 OpenBLAS runs
-        # these on the calling thread; a single wide GEMM over all offsets
-        # starts BLAS helper threads, which spin on the cores that the process
-        # pool of solver.cantor_measure already occupies.
-        prod[nzB] = blkA @ Bnz
-        # shift the whole table of products by la with clipping
-        src, dst = [], []
-        ok = True
-        for li in la:
-            lo = max(0, -li)
-            hi = min(w, w - li)
-            if lo >= hi:
-                ok = False
-                break
-            src.append(slice(lo, hi))
-            dst.append(slice(lo + li, hi + li))
-        if ok:
-            out[tuple(dst)] += prod[tuple(src)]
-            # anything outside the kept slices is dropped
-            kept = np.zeros(prod.shape[: nu], dtype=bool)
-            kept[tuple(src)] = True
-            if not kept.all():
-                dropped += float(np.sum(np.abs(prod[~kept]) ** 2))
-        else:
-            dropped += float(np.sum(np.abs(prod) ** 2))
-    return ToplitzOperator(trunc, out, dropped_mass=np.sqrt(dropped) + A.dropped_mass + B.dropped_mass)
+    nu, w = trunc.nu, 4 * trunc.n_phi + 1
+    axes = tuple(range(-nu, 0))
+    s = (_fft_length(2 * w - 1),) * nu
+    full_l = (slice(0, 2 * w - 1),) * nu
+
+    # the transforms run about twice as fast over contiguous trailing axes,
+    # so the offset axes are moved last for them and the (m, m) axes last for
+    # the batched product.  Up to m = 33 OpenBLAS runs each GEMM of the batch
+    # on the calling thread, so no helper threads compete with the process
+    # pool of solver.cantor_measure.
+    def moved(X, src, dst):
+        return np.ascontiguousarray(np.moveaxis(X, src, dst))
+
+    def spectrum(X):
+        return moved(np.fft.fftn(moved(X.blocks, (-2, -1), (0, 1)), s, axes), (0, 1), (-2, -1))
+
+    full = np.fft.ifftn(moved(spectrum(A) @ spectrum(B), (-2, -1), (0, 1)), axes=axes)
+    full = np.moveaxis(full[(...,) + full_l], (0, 1), (-2, -1))
+    # the indicator convolution counts the pairs (l', l - l') of nonzero
+    # blocks; a zero count marks an offset that is exactly zero
+    counts = np.fft.irfftn(np.fft.rfftn(_offset_support(A), s, axes)
+                           * np.fft.rfftn(_offset_support(B), s, axes), s, axes)
+    full[counts[full_l] < 0.5] = 0.0
+    window = (slice(w // 2, w // 2 + w),) * nu
+    out = full[window].copy()
+    full[window] = 0.0
+    # a sum, not np.linalg.norm: BLAS dot products start helper threads
+    dropped = float(np.sqrt(np.sum(np.abs(full) ** 2)))
+    return ToplitzOperator(trunc, out, dropped_mass=dropped + A.dropped_mass + B.dropped_mass)
+
+
+def scale_modes(A: ToplitzOperator, rows=None, cols=None) -> ToplitzOperator:
+    """diag(rows) A diag(cols) for multipliers given by their ``symbol``: the
+    composition with ``from_multiplier`` on either side, as a row/column scaling."""
+    blocks = A.blocks
+    if rows is not None:
+        blocks = np.asarray(rows)[:, None] * blocks
+    if cols is not None:
+        blocks = blocks * np.asarray(cols)[None, :]
+    return ToplitzOperator(A.trunc, blocks, A.dropped_mass)
 
 
 def add(A: ToplitzOperator, B: ToplitzOperator) -> ToplitzOperator:
@@ -346,11 +347,11 @@ def neumann_inverse(
     norm0 = decay_norm(Psi, s0)
     if norm0 >= 0.5:
         raise ValueError(f"Neumann contraction fails: |Psi|_s0 = {norm0:.3f} >= 1/2")
-    out = identity(Psi.trunc)
-    term = identity(Psi.trunc)
     negPsi = Psi.scale(-1.0)
-    for _ in range(max_terms):
-        term = compose(term, negPsi)
+    out = identity(Psi.trunc)
+    # the series starts at the first power, so nothing is composed with I
+    for k in range(max_terms):
+        term = negPsi if k == 0 else compose(term, negPsi)
         out = add(out, term)
         if decay_norm(term, s0) < tol:
             break
@@ -370,10 +371,9 @@ def matrix_exponential(Psi: ToplitzOperator, term_tol: float = 1e-15) -> Toplitz
         k += 1
     scaled = Psi.scale(0.5**k)
     out = identity(Psi.trunc)
-    term = identity(Psi.trunc)
     fact = 1.0
     for n in range(1, 30):
-        term = compose(term, scaled)
+        term = scaled if n == 1 else compose(term, scaled)
         fact /= n
         out = add(out, term.scale(fact))
         if decay_norm(term, s0) * fact < term_tol:
@@ -433,11 +433,11 @@ def materialize_linearized(
 ) -> np.ndarray:
     """Dense matrix of omega.d_phi + (1+a3) d_xxx + a2 d_xx + a1 d_x + a0."""
     trunc = a3.trunc
-    dd = lambda k: from_multiplier(trunc, lambda j: (1j * j) ** k)
+    dx = 1j * trunc.mode_range(trunc.nu)
     one = FourierField.constant(trunc, 1.0)
-    T = compose(from_multiplication(one + a3), dd(3))
-    T = add(T, compose(from_multiplication(a2), dd(2)))
-    T = add(T, compose(from_multiplication(a1), dd(1)))
+    T = scale_modes(from_multiplication(one + a3), cols=dx**3)
+    T = add(T, scale_modes(from_multiplication(a2), cols=dx**2))
+    T = add(T, scale_modes(from_multiplication(a1), cols=dx))
     T = add(T, from_multiplication(a0))
     return materialize_matrix(T, freq, include_omega_dphi=True)
 
@@ -446,12 +446,9 @@ def operator_to_json(A: ToplitzOperator) -> dict:
     """{trunc, blocks: [[l..., re-block, im-block]...]} for nonzero offsets."""
     trunc = A.trunc
     entries = []
-    for off in _offsets(trunc):
-        blk = A.blocks[off]
-        if not blk.any():
-            continue
-        l = [int(o - 2 * trunc.n_phi) for o in off]
-        entries.append([l, blk.real.tolist(), blk.imag.tolist()])
+    for off in np.argwhere(_offset_support(A)):
+        blk = A.blocks[tuple(off)]
+        entries.append([[int(o) - 2 * trunc.n_phi for o in off], blk.real.tolist(), blk.imag.tolist()])
     return {
         "nu": trunc.nu,
         "n_phi": trunc.n_phi,

@@ -250,11 +250,10 @@ def step5_pseudo_diff(e1, e0, m3: float, m1: float, freq: Frequency,
     w = dx_pow(e1.shift_mean(-m1) * (-1.0), -1) * (1.0 / (3.0 * m3))
     r1 = dx_pow(w, 1) * (3.0 * m3) + e1.shift_mean(-m1)
 
-    dxinv = opalg.dx_inv_multiplier(trunc)
-    pi0 = opalg.pi0_multiplier(trunc)
-    core = opalg.compose(opalg.from_multiplication(w), dxinv)
+    core = opalg.scale_modes(opalg.from_multiplication(w),
+                             cols=opalg.symbol(trunc, opalg.dx_inv_symbol))
     if mode == "hamiltonian":
-        psi = opalg.compose(pi0, core)
+        psi = opalg.scale_modes(core, rows=opalg.symbol(trunc, opalg.pi0_symbol))
         S = opalg.matrix_exponential(psi)
         S_inv = opalg.matrix_exponential(psi.scale(-1.0))
     else:
@@ -263,16 +262,16 @@ def step5_pseudo_diff(e1, e0, m3: float, m1: float, freq: Frequency,
 
     # R = S^{-1}(L4 S - S D) with D = omega.d_phi + m3 d_xxx + m1 d_x,
     # assembled exactly in the operator algebra; [omega.d_phi, S] scales each
-    # block of S by i omega.l, so every term below is Toplitz
-    dx1 = opalg.from_multiplier(trunc, lambda j: 1j * j)
-    dx3 = opalg.from_multiplier(trunc, lambda j: (1j * j) ** 3)
+    # block of S by i omega.l and the d_x powers scale its rows or columns,
+    # so every term below is Toplitz
+    dx = 1j * trunc.mode_range(trunc.nu)
     q = opalg.omega_commutator(S, freq)
-    q = opalg.add(q, opalg.compose(dx3, S).scale(m3))
-    q = opalg.add(q, opalg.compose(S, dx3).scale(-m3))
+    q = opalg.add(q, opalg.scale_modes(S, rows=m3 * dx**3))
+    q = opalg.add(q, opalg.scale_modes(S, cols=-m3 * dx**3))
     q = opalg.add(q, opalg.compose(opalg.from_multiplication(e1),
-                                   opalg.compose(dx1, S)))
+                                   opalg.scale_modes(S, rows=dx)))
     q = opalg.add(q, opalg.compose(opalg.from_multiplication(e0), S))
-    q = opalg.add(q, opalg.compose(S, dx1).scale(-m1))
+    q = opalg.add(q, opalg.scale_modes(S, cols=-m1 * dx))
     R = opalg.compose(S_inv, q)
     return {"w": w, "r1": r1, "S": S, "S_inv": S_inv, "R": R}
 

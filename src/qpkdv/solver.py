@@ -277,9 +277,11 @@ def nash_moser(
         red = km.reduce(rg, freq, sched)
         eigs = red.eigs
         if not red.mask:
+            l, j, k, value, bound = red.state.worst_violation
             return SolveReport(iterates, u, eigs, False, True,
                                freq.lam, spec.epsilon,
-                               exclusion_reason=f"second-order divisor at {red.exclusion}")
+                               exclusion_reason=f"divisor |i omega.l + mu_j - mu_k| = {value:.3e}"
+                                                f" < {bound:.3e} at l={l}, j={j}, k={k}")
 
         try:
             h = right_inverse(rg, red, freq, project_ball(Fu, N_next),

@@ -56,8 +56,9 @@ def test_homological_single_entry_scalar_divisor():
     blocks = np.zeros((4 * T.n_phi + 1, 17, 17), dtype=complex)
     blocks[2 * T.n_phi + 2, 5, 5] = 0.3  # offset l = 2, j = k
     R = op.ToplitzOperator(T, blocks)
-    D = op.DiagonalOperator(T, np.zeros(17, dtype=complex))
-    sol = km.solve_homological(D, R, FREQ, 4, 1e-8, 3.0)
+    # Airy exponents keep every divisor with |l| <= N away from zero; at
+    # j = k the mu_j cancel and the divisor is the scalar i omega.l
+    sol = km.solve_homological(airy_D(), R, FREQ, 4, 1e-8, 3.0)
     assert sol.ok
     expected = -0.3 / (1j * FREQ.omega[0] * 2)
     assert abs(sol.Psi.block((2,))[5, 5] - expected) < 1e-15
@@ -100,6 +101,25 @@ def test_homological_divisor_violation_reports_indices():
     assert not sol.ok
     assert sol.Psi is None
     assert any(j != k for (_, j, k) in sol.violations)
+
+
+def test_homological_screens_index_set_where_remainder_vanishes():
+    # mu_1 - mu_0 cancels i omega.l at l = 1 (and at l = -1 with j, k
+    # swapped), but R is zero at those offsets: the paper's index set
+    # |l| <= N is screened whatever R holds
+    mu = airy_D().mu.copy()
+    mu[T.n_x + 1] = mu[T.n_x] - 1j * FREQ.omega[0]
+    blocks = np.zeros(op._block_shape(T), dtype=complex)
+    blocks[2 * T.n_phi + 2, 5, 5] = 0.3
+    # gamma is large enough for further violations of nonzero margin; the
+    # reported one is an exact resonance
+    gamma = 0.5
+    sol = km.solve_homological(op.DiagonalOperator(T, mu), op.ToplitzOperator(T, blocks),
+                               FREQ, 4, gamma, 3.0)
+    assert not sol.ok and len(sol.violations) > 2
+    l, j, k, value, bound = sol.worst_violation
+    assert (l, j, k) in [((1,), 1, 0), ((-1,), 0, 1)]
+    assert value < 1e-12 and bound == pytest.approx(gamma)
 
 
 @pytest.mark.parametrize("order", ["first", "second"])

@@ -208,6 +208,24 @@ def test_nash_moser_excluded_lambda_is_clean():
                                 gamma_n, 3.0, T.n_phi, order="first")[0]
 
 
+def test_nash_moser_second_order_exclusion_names_divisor_and_bound():
+    spec = nonlin.parse_nonlinearity(FORCED, "raw_f", epsilon=1e-3)
+    freq = Frequency.default(1, lam=0.94)
+    rep = sv.nash_moser(spec, freq, sv.SolverConfig(trunc=T))
+    assert rep.excluded_lambda and not rep.converged
+    # the reduction fails at (l, j, k) = (-1, -1, 0); the reason carries the
+    # divisor, formed with the exponents of the failed step, and its bound
+    # gamma_n |j^3 - k^3| <l>^-tau
+    head, tail = rep.exclusion_reason.split(" at ")
+    assert head.startswith("divisor |i omega.l + mu_j - mu_k| = ")
+    assert tail == "l=(-1,), j=-1, k=0"
+    value, bound = (float(x) for x in head.split(" = ")[1].split(" < "))
+    assert value < bound
+    delta = -1j * freq.omega[0] + rep.eigs.mu_at(-1) - rep.eigs.mu_at(0)
+    assert value == pytest.approx(abs(delta), rel=1e-3)
+    assert bound == pytest.approx(rep.iterates[-1]["gamma"], rel=1e-3)
+
+
 def test_solver_config_schedule():
     config = sv.SolverConfig(trunc=T, gamma=0.1, chi=1.3, N0=3, kam_max_steps=7)
     sched = config.schedule(1e-3, "hamiltonian")
