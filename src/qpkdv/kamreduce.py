@@ -191,11 +191,11 @@ def solve_homological(
     # the j = k divisor is i omega.l; there the bound is the Diophantine
     # floor of the frequency witness (none at l = 0, where [R] is absorbed)
     diag = np.arange(len(mu))
-    floor = np.where(linf == 0, 0.0, freq.gamma0 * lsz ** (-freq.tau0))
-    bound[..., diag, diag] = floor[..., None]
+    center = (2 * trunc.n_phi,) * trunc.nu
+    bound[..., diag, diag] = (freq.gamma0 * lsz ** (-freq.tau0))[..., None]
+    bound[center + (diag, diag)] = 0.0
     bad = within & (np.abs(delta) < bound)
 
-    center = (2 * trunc.n_phi,) * trunc.nu
     diag_part = DiagonalOperator(trunc, np.diagonal(R.blocks[center]).copy())
 
     if bad.any():
