@@ -26,6 +26,7 @@ from . import opalg
 from . import regularize
 from . import solver as sv
 from .spectral import (
+    DiffeoConvergenceError,
     FourierField,
     Frequency,
     Truncation,
@@ -505,7 +506,7 @@ def main(argv=None) -> int:
     # ValueError covers ConfigError, JSONDecodeError, ParseError and
     # StructureError; the RuntimeErrors are numerical failures of a run
     except (OSError, ValueError, sv.DivergenceError, km.ReductionError,
-            dyn.InstabilityError) as err:
+            DiffeoConvergenceError, dyn.InstabilityError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
 

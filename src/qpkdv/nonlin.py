@@ -276,7 +276,7 @@ def _grid_coords(trunc: Truncation):
 
 def _jet_on_grid(u: FourierField):
     """Samples of (u, u_x, u_xx, u_xxx) on the standard grid."""
-    return [synthesize(dx_pow(u, k)) for k in range(4)]
+    return list(synthesize([dx_pow(u, k) for k in range(4)]))
 
 
 def evaluate_f(spec: NonlinearitySpec, u: FourierField) -> FourierField:
@@ -296,11 +296,8 @@ def linearized_coefficients(spec: NonlinearitySpec, u: FourierField):
     """Fields a_i = epsilon * (d f / d z_i) along u, for i = 3, 2, 1, 0."""
     phis, xg = _grid_coords(u.trunc)
     z = _jet_on_grid(u)
-    out = []
-    for k in (3, 2, 1, 0):
-        samples = spec._z_derivative_callables[k](xg, phis, z)
-        out.append(analyze(u.trunc, samples) * spec.epsilon)
-    return tuple(out)
+    samples = np.stack([spec._z_derivative_callables[k](xg, phis, z) for k in (3, 2, 1, 0)])
+    return tuple(a * spec.epsilon for a in analyze(u.trunc, samples))
 
 
 def apply_linearized(spec: NonlinearitySpec, freq: Frequency,

@@ -102,9 +102,6 @@ def step1_space_diffeo(a3, a2, a1, a0, freq: Frequency, mode: str = "generic"):
     opx = one + bx  # 1 + beta_x
     a3p = one + a3  # 1 + a3
 
-    def Ainv0(f):
-        return compose("space", f, beta_tilde)
-
     if mode == "hamiltonian":
         sigma = opx
         sx, sxx, sxxx = bxx, bxxx, dx_pow(beta, 4)
@@ -134,11 +131,10 @@ def step1_space_diffeo(a3, a2, a1, a0, freq: Frequency, mode: str = "generic"):
         + omega_dphi(sigma, freq)
     )
 
-    sigma_tilde = _reciprocal(Ainv0(sigma))
-    b3 = multiply(sigma_tilde, Ainv0(c3))
-    b2 = multiply(sigma_tilde, Ainv0(c2))
-    b1 = multiply(sigma_tilde, Ainv0(c1))
-    b0 = multiply(sigma_tilde, Ainv0(c0))
+    # A^{-1}_0: one batched composition with beta_tilde
+    sig, c3, c2, c1, c0 = compose("space", [sigma, c3, c2, c1, c0], beta_tilde)
+    sigma_tilde = _reciprocal(sig)
+    b3, b2, b1, b0 = (multiply(sigma_tilde, g) for g in (c3, c2, c1, c0))
 
     return {
         "b": b,
@@ -170,14 +166,11 @@ def step2_time_reparam(b3, b2, b1, b0, freq: Frequency):
         )
     alpha_tilde = invert_torus_diffeo("time", alpha, freq)
 
-    def Binv(f):
-        return compose("time", f, alpha_tilde, freq)
-
     one = FourierField.constant(trunc, 1.0)
-    rho = Binv(one + wda)
-    c2 = _divide(Binv(b2), rho)
-    c1 = _divide(Binv(b1), rho)
-    c0 = _divide(Binv(b0), rho)
+    # B^{-1}: one batched composition with alpha_tilde
+    rho, b2, b1, b0 = compose("time", [one + wda, b2, b1, b0], alpha_tilde, freq)
+    rho_inv = _reciprocal(rho)
+    c2, c1, c0 = (multiply(g, rho_inv) for g in (b2, b1, b0))
     return {
         "m3": m3,
         "alpha": alpha,
@@ -215,8 +208,8 @@ def step3_descent_zero(c2, c1, c0, m3: float, freq: Frequency,
         + multiply(c1, vy)
         + multiply(c0, v)
     )
-    d1 = _divide(t1, v)
-    d0 = _divide(t0, v)
+    v_inv = _reciprocal(v)
+    d1, d0 = multiply(t1, v_inv), multiply(t0, v_inv)
     return {"v": v, "d1": d1, "d0": d0}
 
 
@@ -231,11 +224,9 @@ def step4_translation(d1, d0, freq: Frequency):
     V = avg.shift_mean(-m1) * (-1.0)  # m1 - average
     p = omega_dphi_inv(V, freq)
 
-    def Tinv(f):
-        return compose("space", f, -p)
-
-    e1 = omega_dphi(p, freq) + Tinv(d1)
-    e0 = Tinv(d0)
+    # T^{-1}: one batched composition with -p
+    t1, e0 = compose("space", [d1, d0], -p)
+    e1 = omega_dphi(p, freq) + t1
     return {"m1": m1, "p": p, "e1": e1, "e0": e0}
 
 

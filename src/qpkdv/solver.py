@@ -22,6 +22,7 @@ from . import nonlin
 from . import opalg
 from . import regularize
 from .spectral import (
+    DiffeoConvergenceError,
     FourierField,
     Frequency,
     Truncation,
@@ -353,7 +354,7 @@ def _measure_point(args) -> dict:
     config = SolverConfig(trunc=trunc, a=a, **config_kw)
     try:
         report = nash_moser(spec, freq, config)
-    except (DivergenceError, km.ReductionError,
+    except (DivergenceError, km.ReductionError, DiffeoConvergenceError,
             regularize.ZeroMeanViolation,
             regularize.DegenerateCoefficientError) as exc:
         return {"lambda": lam, "accepted": False, "excluded": False,

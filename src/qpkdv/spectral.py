@@ -7,6 +7,9 @@ rest of the package is built on: transforms between coefficients and
 equispaced grids, Sobolev norms, powers of d/dx (including the zero-average
 antiderivative), inversion of omega . d/dphi, composition with torus
 diffeomorphisms, and parity/reality predicates.
+
+Grid transforms are real FFTs on the modes j >= 0, so fields must be real;
+the torus diffeomorphisms evaluate fields at displaced nodes by Horner's rule.
 """
 
 from __future__ import annotations
@@ -29,10 +32,10 @@ __all__ = [
     "omega_dphi_inv",
     "compose",
     "invert_torus_diffeo",
+    "DiffeoConvergenceError",
     "structure_check",
     "pointwise",
     "multiply",
-    "phi_average",
     "x_average",
     "embed_field",
     "field_at_phi",
@@ -40,10 +43,6 @@ __all__ = [
     "field_to_json",
     "field_from_json",
 ]
-
-#: tolerance used when asserting that synthesized samples are real
-_REALITY_TOL = 1e-10
-
 
 def _grid_len(n: int, oversample: int) -> int:
     """Even grid length >= oversample * (2n + 1)."""
@@ -257,37 +256,66 @@ class Frequency:
 # grid transforms
 
 
+def _stacked(f) -> tuple[Truncation, np.ndarray, bool]:
+    """(truncation, coefficient tables stacked on a leading axis, whether f is
+    a sequence) for a field or a sequence of real fields of one truncation."""
+    fields = [f] if isinstance(f, FourierField) else list(f)
+    for g in fields[1:]:
+        _check_same(fields[0].trunc, g.trunc)
+    c = np.stack([g.c for g in fields])
+    flat = c.reshape(len(c), -1)  # reversed, it reverses every axis: (l, j) -> (-l, -j)
+    defect = np.abs(flat - flat[:, ::-1].conj()).max(axis=1)
+    if np.any(defect > 1e-10 * np.maximum(1.0, np.abs(flat).max(axis=1))):  # as is_real
+        raise ValueError(f"field is not real (Hermitian defect {defect.max():.2e})")
+    return fields[0].trunc, c, not isinstance(f, FourierField)
+
+
 @lru_cache(maxsize=32)
-def _embed_indices(trunc: Truncation, grid_shape: tuple[int, ...]):
-    """Index arrays placing centered modes into FFT layout per axis; cached
-    per truncation and grid shape, hence read-only."""
-    idx = np.ix_(*(trunc.mode_range(ax) % m for ax, m in enumerate(grid_shape)))
+def _phi_indices(trunc: Truncation, gphi: tuple[int, ...]):
+    """Index arrays of the centered phi modes in FFT layout; cached, hence read-only."""
+    idx = np.ix_(*(trunc.mode_range(ax) % m for ax, m in enumerate(gphi)))
     for a in idx:
         a.setflags(write=False)
     return idx
 
 
-def synthesize(f: FourierField, grid_shape: tuple[int, ...] | None = None) -> np.ndarray:
-    """Evaluate the field on an equispaced grid (real samples)."""
-    buf = np.zeros(grid_shape or f.trunc.grid_shape, dtype=complex)
-    buf[_embed_indices(f.trunc, buf.shape)] = f.c
-    samples = np.fft.ifftn(buf) * buf.size
-    im = float(np.max(np.abs(samples.imag)))
-    scale = max(1.0, float(np.max(np.abs(samples.real))))
-    if im > _REALITY_TOL * scale:
-        raise ValueError(f"synthesized samples are not real (imag magnitude {im:.2e})")
-    return samples.real
+def _phi_synth(trunc: Truncation, c: np.ndarray, gphi: tuple[int, ...]) -> np.ndarray:
+    """Stacked tables synthesized along phi on the modes j >= 0: (field, phi grid..., n_x + 1)."""
+    half = np.zeros((len(c),) + gphi + (trunc.n_x + 1,), dtype=complex)
+    half[(slice(None),) + _phi_indices(trunc, gphi)] = c[..., trunc.n_x:]
+    for ax in range(1, trunc.nu + 1):
+        half = np.fft.ifft(half, axis=ax, norm="forward")
+    return half
 
 
-def analyze(trunc: Truncation, samples: np.ndarray) -> FourierField:
-    """Project real grid samples onto the truncated coefficient rectangle."""
-    if np.iscomplexobj(samples):
-        if np.max(np.abs(samples.imag)) > _REALITY_TOL * max(1.0, np.max(np.abs(samples.real))):
-            raise ValueError("input samples are not real beyond round-off")
-        samples = samples.real
-    spec = np.fft.fftn(samples) / samples.size
-    c = spec[_embed_indices(trunc, samples.shape)]
-    return FourierField(trunc, np.ascontiguousarray(c))
+def synthesize(f, grid_shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """Evaluate the field on an equispaced grid (real samples); a sequence of
+    fields gives their samples stacked on a leading axis, by one transform."""
+    trunc, c, batched = _stacked(f)
+    shape = tuple(grid_shape or trunc.grid_shape)
+    samples = np.fft.irfft(_phi_synth(trunc, c, shape[:-1]), n=shape[-1], axis=-1, norm="forward")
+    return samples if batched else samples[0]
+
+
+def analyze(trunc: Truncation, samples: np.ndarray):
+    """Project real grid samples onto the truncated coefficient rectangle;
+    samples with a leading batch axis give a list of fields."""
+    return _from_x_half(trunc, np.fft.rfft(samples, axis=-1, norm="forward")[..., : trunc.n_x + 1])
+
+
+def _from_x_half(trunc: Truncation, half: np.ndarray):
+    """Fields from their x coefficients j = 0..n_x on a phi grid, an array
+    (batch..., phi grid..., n_x + 1); one field, or a list with a batch axis."""
+    nu, n = trunc.nu, trunc.n_x
+    for ax in range(-nu - 1, -1):
+        half = np.fft.fft(half, axis=ax, norm="forward")
+    c = np.empty(half.shape[:-nu - 1] + trunc.shape, dtype=complex)
+    c[..., n:] = half[(...,) + _phi_indices(trunc, half.shape[-nu - 1:-1]) + (slice(None),)]
+    # u_{-l,-j} = conj(u_{l,j})
+    c[..., :n] = np.conj(c[(...,) + (slice(None, None, -1),) * (nu + 1)][..., :n])
+    if half.ndim == nu + 1:
+        return FourierField(trunc, c)
+    return [FourierField(trunc, ci) for ci in c]
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +366,8 @@ def omega_dphi_inv(f: FourierField, freq: Frequency, divisor_floor: float | None
     dots = freq.omega_dot_l(f.trunc)
     if divisor_floor is None:
         divisor_floor = 1e-10 * float(np.linalg.norm(freq.omega))
-    nz = np.abs(dots) > 0
-    # only the l = 0 row has dots == 0 (Diophantine witness excludes other zeros)
+    nz = np.ones(dots.shape, dtype=bool)
+    nz[(f.trunc.n_phi,) * f.trunc.nu] = False  # the l = 0 row, by position
     small = nz & (np.abs(dots) < divisor_floor)
     if np.any(small):
         where = np.argwhere(small)[0]
@@ -350,12 +378,6 @@ def omega_dphi_inv(f: FourierField, freq: Frequency, divisor_floor: float | None
     inv = np.zeros_like(dots, dtype=complex)
     inv[nz] = 1.0 / (1j * dots[nz])
     return FourierField(f.trunc, f.c * inv[..., None])
-
-
-def phi_average(f: FourierField) -> np.ndarray:
-    """x-coefficients of the phi-average (the l = 0 row)."""
-    cen = _centers(f.trunc)
-    return f.c[cen[: f.trunc.nu]]
 
 
 def x_average(f: FourierField) -> FourierField:
@@ -372,14 +394,11 @@ def x_average(f: FourierField) -> FourierField:
 def pointwise(func, *fields: FourierField) -> FourierField:
     """Apply func to grid samples of the fields and re-analyze.
 
-    All fields must share a truncation.  func receives one real array per
-    field and must return a real array of the same shape.
+    All fields must share a truncation and are synthesized by one transform.
+    func receives one real array per field and must return a real array of
+    the same shape.
     """
-    trunc = fields[0].trunc
-    for f in fields[1:]:
-        _check_same(trunc, f.trunc)
-    samples = [synthesize(f) for f in fields]
-    return analyze(trunc, func(*samples))
+    return analyze(fields[0].trunc, func(*synthesize(fields)))
 
 
 def multiply(f: FourierField, g: FourierField) -> FourierField:
@@ -391,91 +410,87 @@ def multiply(f: FourierField, g: FourierField) -> FourierField:
 # composition with torus diffeomorphisms
 
 
-def _phi_hybrid(f: FourierField, gphi: tuple[int, ...]) -> np.ndarray:
-    """Synthesize along the phi axes only: array (phi grid..., 2 n_x + 1)."""
-    nu = f.trunc.nu
-    buf = np.zeros(gphi + (f.trunc.shape[-1],), dtype=complex)
-    idx = []
-    for ax in range(nu):
-        idx.append(f.trunc.mode_range(ax) % gphi[ax])
-    idx.append(np.arange(f.trunc.shape[-1]))
-    buf[np.ix_(*idx)] = f.c
-    return np.fft.ifftn(buf, axes=tuple(range(nu))) * np.prod(gphi)
+class DiffeoConvergenceError(RuntimeError):
+    """An inverse torus diffeomorphism did not converge."""
 
 
-def _eval_x_displaced(hyb: np.ndarray, trunc: Truncation, xpts: np.ndarray) -> np.ndarray:
-    """Evaluate sum_j hyb[..., j] e^{i j xpts[..., m]} at per-node abscissae."""
-    n = trunc.n_x
-    # e^{ijx} for j = 1..n by repeated multiplication of one exp per node;
-    # the j < 0 columns are the conjugates
-    phase = np.empty(xpts.shape + (2 * n + 1,), dtype=complex)
-    phase[..., n] = 1.0
-    e1 = np.exp(1j * xpts)
-    phase[..., n + 1] = e1
-    for j in range(2, n + 1):
-        phase[..., n + j] = phase[..., n + j - 1] * e1
-    phase[..., :n] = np.conj(phase[..., :n:-1])
-    return (phase @ hyb[..., None])[..., 0]
+def _horner(c: np.ndarray, z: np.ndarray, real: bool = False) -> np.ndarray:
+    """sum_m c_m z^m at unit phases z = e^{ip}, by Horner's rule in place.  The
+    modes run along axis 0 of c, each c[k] broadcasting against z: -n..n, or
+    with ``real`` the modes 0..n of a Hermitian sequence, for which the real
+    sum c_0 + 2 Re sum_{m>=1} c_m z^m is returned."""
+
+    def tail(coef, w):  # sum_{m>=1} coef[m - 1] w^m
+        acc = coef[-1] * w
+        for ck in coef[-2::-1]:
+            acc += ck
+            acc *= w
+        return acc
+
+    if real:
+        return c[0].real + 2.0 * tail(c[1:], z).real
+    n = len(c) // 2  # the negative modes use conj(z) = 1/z
+    return c[n] + tail(c[n + 1:], z) + tail(c[n - 1::-1], z.conj())
 
 
-def _fine_shape(trunc: Truncation, factor: int = 2) -> tuple[int, ...]:
-    """Grid for compositions: the displaced field is not band-limited, so its
-    analysis uses an extra oversampling factor to push aliasing below 1e-10."""
-    gp = _grid_len(trunc.n_phi, factor * trunc.oversample)
-    gx = _grid_len(trunc.n_x, factor * trunc.oversample)
+def _nodes(m: int) -> np.ndarray:
+    return 2.0 * np.pi * np.arange(m) / m
+
+
+def _at_time_nodes(c: np.ndarray, gphi: tuple, freq: Frequency, alpha, real=False) -> np.ndarray:
+    """sum_l c_l e^{i l.theta} at the nodes theta = phi + omega alpha(phi) of the
+    phi grid, one phi axis at a time, for c of layout (l_1..l_nu, rest...): array
+    (phi grid..., rest...).  With ``real``, c is Hermitian in l; l_1 >= 0 suffice."""
+    mesh = np.meshgrid(*[_nodes(m) for m in gphi], indexing="ij")
+    a = c[None, len(c) // 2:] if real else c[None]  # the nodes lead, passengers follow
+    for ax in range(len(gphi) - 1, -1, -1):
+        z = np.exp(1j * (mesh[ax] + freq.omega[ax] * alpha)).reshape((-1,) + (1,) * (a.ndim - 2))
+        a = _horner(np.moveaxis(a, ax + 1, 0), z, real and ax == 0)
+    return a.reshape(gphi + a.shape[1:])
+
+
+def _fine_shape(trunc: Truncation, kind: str) -> tuple[int, ...]:
+    """Grid for compositions: oversampled a further 2x, to push aliasing below
+    1e-10, along phi and, for the space kind, x (time only samples alpha on x)."""
+    gp = _grid_len(trunc.n_phi, 2 * trunc.oversample)
+    gx = _grid_len(trunc.n_x, (2 if kind == "space" else 1) * trunc.oversample)
     return (gp,) * trunc.nu + (gx,)
 
 
-def compose(kind: str, f: FourierField, displacement: FourierField, freq: Frequency | None = None) -> FourierField:
+def _check_slope(samples: np.ndarray, what: str) -> None:
+    if np.max(np.abs(samples)) > 0.5 + 1e-12:
+        raise ValueError(f"{what} = {np.max(np.abs(samples)):.3f} > 1/2")
+
+
+def compose(kind: str, f, displacement: FourierField, freq: Frequency | None = None):
     """Compose a field with a torus diffeomorphism.
 
     kind = 'space': returns h(phi, x + beta(phi, x)) for displacement beta.
     kind = 'time':  returns h(phi + omega*alpha(phi), x) for a displacement
-    alpha depending on phi only (freq required).
+    alpha depending on phi only (freq required).  A sequence of fields, which
+    share the displaced nodes and the degeneracy check, gives a list.
     """
-    trunc = f.trunc
+    trunc, c, batched = _stacked(f)
     _check_same(trunc, displacement.trunc)
-    gs = _fine_shape(trunc)
-    gphi, gx = gs[: trunc.nu], gs[-1]
+    gs = _fine_shape(trunc, kind)
     if kind == "space":
-        beta = synthesize(displacement, gs)
-        bx = synthesize(dx_pow(displacement, 1), gs)
-        if np.max(np.abs(bx)) > 0.5 + 1e-12:
-            raise ValueError(f"space diffeomorphism degenerate: |beta_x|_inf = {np.max(np.abs(bx)):.3f} > 1/2")
-        hyb = _phi_hybrid(f, gphi)
-        xg = 2.0 * np.pi * np.arange(gx) / gx
-        vals = _eval_x_displaced(hyb, trunc, xg + beta)
-        return analyze(trunc, vals)
-    if kind == "time":
+        beta, bx = synthesize([displacement, dx_pow(displacement, 1)], gs)
+        _check_slope(bx, "space diffeomorphism degenerate: |beta_x|_inf")
+        hyb = np.moveaxis(_phi_synth(trunc, c, gs[:-1]), -1, 0)[..., None]
+        out = analyze(trunc, _horner(hyb, np.exp(1j * (_nodes(gs[-1]) + beta)), real=True))
+    elif kind == "time":
         if freq is None:
             raise ValueError("time composition needs a Frequency")
-        if np.max(np.abs(displacement.c[..., np.arange(2 * trunc.n_x + 1) != trunc.n_x])) > 1e-12:
+        if np.max(np.abs(np.delete(displacement.c, trunc.n_x, axis=-1))) > 1e-12 * np.max(np.abs(displacement.c)):
             raise ValueError("time displacement must depend on phi only")
-        alpha_g = synthesize(displacement, gs)[..., 0]
-        da = omega_dphi(displacement, freq)
-        if np.max(np.abs(synthesize(da, gs))) > 0.5 + 1e-12:
-            raise ValueError("time diffeomorphism degenerate: |omega.d_phi alpha|_inf > 1/2")
-        # displaced phi nodes: phi_k + omega * alpha(phi_k)
-        mesh = np.meshgrid(*[2.0 * np.pi * np.arange(m) / m for m in gphi], indexing="ij")
-        om = freq.omega
-        disp = [mesh[ax] + om[ax] * alpha_g for ax in range(trunc.nu)]
-        # direct summation over l of c[l, j] e^{i l . disp}
-        phase = np.zeros(gphi + trunc.shape[: trunc.nu], dtype=complex)
-        expo = np.zeros(gphi + trunc.shape[: trunc.nu])
-        for ax in range(trunc.nu):
-            lr = trunc.mode_range(ax).reshape((1,) * trunc.nu + (1,) * ax + (-1,) + (1,) * (trunc.nu - 1 - ax))
-            expo = expo + disp[ax][(...,) + (None,) * trunc.nu] * lr
-        phase = np.exp(1j * expo)
-        nu = trunc.nu
-        letters = "abcdefgh"[:nu]
-        caps = "ijklmnop"[:nu]
-        hyb = np.einsum(f"{letters}{caps},{caps}z->{letters}z", phase, f.c.reshape(trunc.shape[:nu] + (-1,)))
-        # synthesize the x axis on the grid and re-analyze everything
-        bufx = np.zeros(gphi + (gx,), dtype=complex)
-        bufx[..., trunc.mode_range(nu) % gx] = hyb
-        vals = np.fft.ifft(bufx, axis=-1) * gx
-        return analyze(trunc, vals)
-    raise ValueError(f"unknown composition kind {kind!r}")
+        alpha, da = synthesize([displacement, omega_dphi(displacement, freq)], gs)
+        _check_slope(da, "time diffeomorphism degenerate: |omega.d_phi alpha|_inf")
+        # x is not displaced: the sums over l are the x coefficients j >= 0
+        hyb = _at_time_nodes(np.moveaxis(c[..., trunc.n_x:], 0, trunc.nu), gs[:-1], freq, alpha[..., 0])
+        out = _from_x_half(trunc, np.moveaxis(hyb, trunc.nu, 0))
+    else:
+        raise ValueError(f"unknown composition kind {kind!r}")
+    return out if batched else out[0]
 
 
 def invert_torus_diffeo(
@@ -489,53 +504,37 @@ def invert_torus_diffeo(
 
     space: solves beta~(y) = -beta(y + beta~(y));
     time:  solves alpha~(theta) = -alpha(theta + omega*alpha~(theta)).
+    Raises DiffeoConvergenceError if max_iter iterations do not reach tol.
     """
     trunc = displacement.trunc
-    gs = _fine_shape(trunc)
-    gphi, gx = gs[: trunc.nu], gs[-1]
+    gs = _fine_shape(trunc, kind)
     if kind == "space":
-        bx = synthesize(dx_pow(displacement, 1), gs)
-        if np.max(np.abs(bx)) > 0.5 + 1e-12:
-            raise ValueError("space diffeomorphism not invertible: |beta_x|_inf > 1/2")
-        hyb = _phi_hybrid(displacement, gphi)
-        yg = 2.0 * np.pi * np.arange(gx) / gx
-        bt = np.zeros(gs)
-        for _ in range(max_iter):
-            new = -np.real(_eval_x_displaced(hyb, trunc, yg + bt))
-            delta = np.max(np.abs(new - bt))
-            bt = new
-            if delta < tol:
-                break
-        else:
-            raise RuntimeError(f"inverse diffeomorphism did not converge (last delta {delta:.2e})")
-        return analyze(trunc, bt)
-    if kind == "time":
+        _check_slope(synthesize(dx_pow(displacement, 1), gs), "space diffeomorphism not invertible: |beta_x|_inf")
+        hyb = np.moveaxis(_phi_synth(trunc, displacement.c[None], gs[:-1]), -1, 0)[..., None]
+        y, cur = _nodes(gs[-1]), np.zeros(gs)
+
+        def step(bt):
+            return -_horner(hyb, np.exp(1j * (y + bt)), real=True)[0]
+    elif kind == "time":
         if freq is None:
             raise ValueError("time inversion needs a Frequency")
-        om = freq.omega
-        mesh = np.meshgrid(*[2.0 * np.pi * np.arange(m) / m for m in gphi], indexing="ij")
-        cphi = displacement.c[..., trunc.n_x]  # alpha depends on phi only
-        lgrids = np.meshgrid(*[trunc.mode_range(ax) for ax in range(trunc.nu)], indexing="ij")
+        a, cur = displacement.c[..., trunc.n_x], np.zeros(gs[:-1])  # alpha(phi)
 
-        def eval_alpha(points):  # points: list of nu arrays on the phi grid
-            expo = np.zeros(gphi + cphi.shape)
-            for ax in range(trunc.nu):
-                expo = expo + points[ax][(...,) + (None,) * trunc.nu] * lgrids[ax]
-            ph = np.exp(1j * expo)
-            return np.real(np.tensordot(ph, cphi, axes=(tuple(range(-trunc.nu, 0)), tuple(range(trunc.nu)))))
-
-        at = np.zeros(gphi)
-        for _ in range(max_iter):
-            pts = [mesh[ax] + om[ax] * at for ax in range(trunc.nu)]
-            new = -eval_alpha(pts)
-            delta = np.max(np.abs(new - at))
-            at = new
-            if delta < tol:
-                break
-        else:
-            raise RuntimeError(f"inverse time diffeomorphism did not converge (last delta {delta:.2e})")
-        return analyze(trunc, np.broadcast_to(at[..., None], gs).copy())
-    raise ValueError(f"unknown diffeomorphism kind {kind!r}")
+        def step(at):
+            return -_at_time_nodes(a, gs[:-1], freq, at, real=True)
+    else:
+        raise ValueError(f"unknown diffeomorphism kind {kind!r}")
+    delta = np.inf
+    for _ in range(max_iter):
+        new = step(cur)
+        delta, cur = np.max(np.abs(new - cur)), new
+        if delta < tol:
+            break
+    else:
+        raise DiffeoConvergenceError(
+            f"inverse {kind} diffeomorphism did not converge in {max_iter} "
+            f"iterations (last delta {delta:.2e})")
+    return analyze(trunc, cur if kind == "space" else np.broadcast_to(cur[..., None], gs))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from qpkdv import cli
 from qpkdv import kamreduce as km
+from qpkdv import regularize as reg
 from qpkdv.spectral import field_from_json, sobolev_norm
 
 
@@ -197,6 +198,17 @@ def test_main_failed_reduction_exits_1(tmp_path, capsys):
     )
     assert cli.main(["solve", "--config", str(path)]) == cli.EXIT_ERROR
     assert "error:" in capsys.readouterr().err
+
+
+def test_main_diffeo_non_convergence_exits_1(tmp_path, monkeypatch, capsys):
+    real = reg.invert_torus_diffeo
+    monkeypatch.setattr(reg, "invert_torus_diffeo",
+                        lambda *a, **kw: real(*a, **{**kw, "max_iter": 1, "tol": 0.0}))
+    cfg = write_config(tmp_path)
+    out = tmp_path / "diffeo_fail"
+    assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "did not converge" in err
 
 
 def test_reduce_numerical_failure_is_an_error_not_an_exclusion(tmp_path, monkeypatch):

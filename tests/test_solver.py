@@ -294,3 +294,15 @@ def test_cantor_measure_records_failed_point(monkeypatch):
     assert not bad["accepted"] and not bad["excluded"]
     assert "x-mean" in bad["error"]
     assert len(rep.records[1e-3]) == 3
+
+
+def test_cantor_measure_records_diffeo_non_convergence(monkeypatch):
+    # with tol = 0 no inversion converges within its one iteration
+    real = reg.invert_torus_diffeo
+    monkeypatch.setattr(reg, "invert_torus_diffeo",
+                        lambda *a, **kw: real(*a, **{**kw, "max_iter": 1, "tol": 0.0}))
+    rep = sv.cantor_measure(FORCED, "raw_f", (1.0,), [1e-3], np.array([1.1]),
+                            a=0.5, trunc=Truncation(1, 4, 4))
+    rec = rep.records[1e-3][0]
+    assert not rec["accepted"] and not rec["excluded"]
+    assert "did not converge" in rec["error"]

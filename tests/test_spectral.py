@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpkdv.spectral import (
-    _eval_x_displaced,
+    _horner,
+    DiffeoConvergenceError,
     FourierField,
     Frequency,
     Truncation,
@@ -24,6 +25,7 @@ from qpkdv.spectral import (
     sobolev_norm,
     structure_check,
     synthesize,
+    x_average,
 )
 
 T = Truncation(nu=1, n_phi=6, n_x=6)
@@ -34,6 +36,28 @@ def grids(trunc):
     return np.meshgrid(
         *[2 * np.pi * np.arange(m) / m for m in trunc.grid_shape], indexing="ij"
     )
+
+
+def direct_sum(f, pts):
+    """sum_{l,j} u_{l,j} e^{i(l.phi + j x)} at points pts = [phi_1..phi_nu, x],
+    term by term."""
+    tr = f.trunc
+    phases = [np.exp(1j * np.multiply.outer(tr.mode_range(ax), p)) for ax, p in enumerate(pts)]
+    out = np.zeros(pts[0].shape, dtype=complex)
+    for idx in np.ndindex(*tr.shape):
+        term = f.c[idx]
+        for ax, k in enumerate(idx):
+            term = term * phases[ax][k]
+        out += term
+    return out.real
+
+
+# oracle truncations: nu = 1 and nu = 2, with the oracle grid 8x oversampled
+ORACLE_CASES = [Truncation(1, 4, 4), Truncation(2, 2, 2)]
+
+
+def oracle_grid(tr, oversample=8):
+    return list(grids(Truncation(tr.nu, tr.n_phi, tr.n_x, oversample=oversample)))
 
 
 # ---------------------------------------------------------------- transforms
@@ -175,6 +199,16 @@ def test_diophantine_witness_rejects_resonant():
         Frequency((1.0, 0.5), gamma0=0.05, check_range=8)
 
 
+def test_omega_dphi_inv_guards_every_l_but_zero():
+    # omega = (1, 1) is resonant at l = (1, -1); built past the witness check
+    freq = object.__new__(Frequency)
+    object.__setattr__(freq, "omega_bar", (1.0, 1.0))
+    object.__setattr__(freq, "lam", 1.0)
+    f = FourierField.from_modes(Truncation(2, 2, 2), {(1, -1, 1): 0.5})
+    with pytest.raises(ZeroDivisionError, match="underflow"):
+        omega_dphi_inv(f, freq)
+
+
 # ---------------------------------------------------------------- compose
 
 
@@ -195,33 +229,105 @@ def test_compose_constant_shift_is_phase():
 
 
 def test_compose_space_fine_grid_oracle():
-    tr = Truncation(nu=1, n_phi=4, n_x=4)
-    rng = np.random.default_rng(5)
+    for tr in ORACLE_CASES:
+        rng = np.random.default_rng(5)
+        f = random_real_field(tr, rng, decay=3.0)
+        beta = random_real_field(tr, rng, decay=3.0, scale=0.05 / tr.nu)  # |beta_x| < 1/2
+        g = compose("space", f, beta)
+        # oracle: term-by-term evaluation on a 4x finer grid
+        pts = oracle_grid(tr)
+        moved = pts[:-1] + [pts[-1] + direct_sum(beta, pts)]
+        oracle = analyze(tr, direct_sum(f, moved))
+        assert np.max(np.abs(g.c - oracle.c)) < 1e-10
+
+
+@pytest.mark.parametrize("tr", ORACLE_CASES, ids=["nu1", "nu2"])
+def test_compose_time_fine_grid_oracle(tr):
+    rng = np.random.default_rng(6)
+    freq = Frequency.default(tr.nu, lam=1.1)
     f = random_real_field(tr, rng, decay=3.0)
-    beta = random_real_field(tr, rng, decay=3.0, scale=0.05)
-    g = compose("space", f, beta)
-    # oracle: pointwise evaluation on a 4x finer grid
-    fine = Truncation(nu=1, n_phi=4, n_x=4, oversample=8)
-    phi, x = grids(fine)
-    bsamp = synthesize(FourierField(fine, beta.c), fine.grid_shape)
-    vals = np.zeros_like(phi)
-    for il in range(2 * tr.n_phi + 1):
-        for ij in range(2 * tr.n_x + 1):
-            l, j = il - tr.n_phi, ij - tr.n_x
-            vals += np.real(f.c[il, ij] * np.exp(1j * (l * phi + j * (x + bsamp))))
-    oracle = analyze(tr, vals)
+    alpha = x_average(random_real_field(tr, rng, decay=3.0, scale=0.05))
+    g = compose("time", f, alpha, freq)
+    pts = oracle_grid(tr)
+    a = direct_sum(alpha, pts)
+    moved = [pts[ax] + freq.omega[ax] * a for ax in range(tr.nu)] + [pts[-1]]
+    oracle = analyze(tr, direct_sum(f, moved))
     assert np.max(np.abs(g.c - oracle.c)) < 1e-10
+
+
+@pytest.mark.parametrize("kind", ["space", "time"])
+@pytest.mark.parametrize("tr", ORACLE_CASES, ids=["nu1", "nu2"])
+def test_inverse_diffeo_fixed_point_oracle(tr, kind):
+    rng = np.random.default_rng(8)
+    freq = Frequency.default(tr.nu, lam=0.9)
+    disp = random_real_field(tr, rng, decay=3.0, scale=0.02)
+    if kind == "time":
+        disp = x_average(disp)
+    inv = invert_torus_diffeo(kind, disp, freq)
+    # oracle: the same fixed point node by node, with the displacement summed
+    # term by term, on the composition grid (oversample 4): the inverse
+    # displacement is not band-limited, and at nu = 2, n = 2 a finer grid
+    # shows aliasing of 9e-9 in both the direct sums and the library
+    pts = oracle_grid(tr, oversample=4)
+    cur = np.zeros(pts[0].shape)
+    for _ in range(100):
+        if kind == "space":
+            moved = pts[:-1] + [pts[-1] + cur]
+        else:
+            moved = [pts[ax] + freq.omega[ax] * cur for ax in range(tr.nu)] + [pts[-1]]
+        new = -direct_sum(disp, moved)
+        delta, cur = np.max(np.abs(new - cur)), new
+        if delta < 1e-14:
+            break
+    assert np.max(np.abs(inv.c - analyze(tr, cur).c)) < 1e-13
+
+
+@pytest.mark.parametrize("kind", ["space", "time"])
+def test_compose_batch_matches_single_calls_and_reruns(kind):
+    tr = Truncation(2, 3, 3)
+    rng = np.random.default_rng(9)
+    freq = Frequency.default(2, lam=0.9)
+    fields = [random_real_field(tr, rng) for _ in range(3)]
+    disp = random_real_field(tr, rng, decay=3.0, scale=0.02)
+    if kind == "time":
+        disp = x_average(disp)
+    batch = compose(kind, fields, disp, freq)
+    assert len(batch) == len(fields)
+    for f, g in zip(fields, batch):
+        assert np.array_equal(g.c, compose(kind, f, disp, freq).c)
+    # two identical calls give bit-identical results
+    again = compose(kind, fields, disp, freq)
+    assert all(np.array_equal(g.c, h.c) for g, h in zip(batch, again))
+
+
+def test_non_hermitian_field_is_rejected():
+    c = np.zeros(T.shape, dtype=complex)
+    c[T.n_phi, T.n_x + 1] = 1.0  # e^{ix} without its conjugate partner
+    f = FourierField(T, c)
+    freq = Frequency.default(1, lam=1.0)
+    with pytest.raises(ValueError, match="not real"):
+        synthesize(f)
+    for kind in ("space", "time"):
+        with pytest.raises(ValueError, match="not real"):
+            compose(kind, f, FourierField.zeros(T), freq)
+        with pytest.raises(ValueError, match="not real"):
+            compose(kind, [FourierField.zeros(T), f], FourierField.zeros(T), freq)
 
 
 @pytest.mark.parametrize("n_x", [8, 16])
 def test_eval_x_displaced_matches_direct_sum(n_x):
+    # the Horner primitive, complex (all modes) and real (half spectrum)
     tr = Truncation(nu=1, n_phi=3, n_x=n_x)
     rng = np.random.default_rng(n_x)
     hyb = rng.standard_normal((10, 2 * n_x + 1)) + 1j * rng.standard_normal((10, 2 * n_x + 1))
     xpts = 2 * np.pi * np.arange(40) / 40 + rng.uniform(-1.0, 1.0, (10, 40))
     jj = tr.mode_range(tr.nu)
     direct = np.sum(np.exp(1j * xpts[..., None] * jj) * hyb[:, None, :], axis=-1)
-    vals = _eval_x_displaced(hyb, tr, xpts)
+    vals = _horner(np.ascontiguousarray(hyb.T)[..., None], np.exp(1j * xpts))
+    assert np.max(np.abs(vals - direct)) <= 1e-13 * np.max(np.abs(direct))
+    herm = 0.5 * (hyb + np.conj(hyb[:, ::-1]))
+    direct = np.sum(np.exp(1j * xpts[..., None] * jj) * herm[:, None, :], axis=-1)
+    vals = _horner(np.ascontiguousarray(herm[:, n_x:].T)[..., None], np.exp(1j * xpts), real=True)
     assert np.max(np.abs(vals - direct)) <= 1e-13 * np.max(np.abs(direct))
 
 
@@ -238,6 +344,20 @@ def test_compose_rejects_steep_displacement():
     f = random_real_field(T, RNG)
     with pytest.raises(ValueError):
         compose("space", f, beta)
+
+
+def test_compose_time_phi_only_tolerance_is_relative():
+    freq = Frequency.default(1, lam=1.0)
+    f = random_real_field(T, RNG)
+    # amplitude 1e3 with an x-mode 1e-14 of it: accepted, a pure phase shift
+    big = FourierField.from_modes(T, {(0, 0): 1e3, (0, 1): 1e-11})
+    g = compose("time", f, big, freq)
+    shift = np.exp(1j * 1e3 * T.mode_range(0))[:, None]
+    assert np.max(np.abs(g.c - f.c * shift)) < 1e-9
+    # amplitude 1e-6 with an x-mode 1e-7 of it: rejected
+    small = FourierField.from_modes(T, {(1, 0): 0.5e-6, (0, 1): 1e-13})
+    with pytest.raises(ValueError, match="phi only"):
+        compose("time", f, small, freq)
 
 
 # ------------------------------------------------------------ inverse diffeo
@@ -286,6 +406,14 @@ def test_inverse_time_diffeo():
     f = embed_field(random_real_field(T, RNG, decay=3.0), big)
     g = compose("time", compose("time", f, alpha, freq), at, freq)
     assert np.max(np.abs(g.c - f.c)) < 1e-9
+
+
+@pytest.mark.parametrize("kind", ["space", "time"])
+def test_inverse_diffeo_non_convergence_is_typed(kind):
+    freq = Frequency.default(1, lam=1.2)
+    disp = FourierField.from_modes(T, {(1, 0): 0.02})
+    with pytest.raises(DiffeoConvergenceError, match="did not converge"):
+        invert_torus_diffeo(kind, disp, freq, max_iter=1)
 
 
 # ---------------------------------------------------------------- structure
