@@ -257,15 +257,14 @@ class Frequency:
 
 
 def _stacked(f) -> tuple[Truncation, np.ndarray, bool]:
-    """(truncation, coefficient tables stacked on a leading axis, whether f is
-    a sequence) for a field or a sequence of real fields of one truncation."""
+    """(truncation, stacked coefficient tables, whether f is a sequence) for real field(s) of one truncation."""
     fields = [f] if isinstance(f, FourierField) else list(f)
     for g in fields[1:]:
         _check_same(fields[0].trunc, g.trunc)
     c = np.stack([g.c for g in fields])
     flat = c.reshape(len(c), -1)  # reversed, it reverses every axis: (l, j) -> (-l, -j)
     defect = np.abs(flat - flat[:, ::-1].conj()).max(axis=1)
-    if np.any(defect > 1e-10 * np.maximum(1.0, np.abs(flat).max(axis=1))):  # as is_real
+    if defect.max() > 1e-10 and np.any(defect > 1e-10 * np.maximum(1.0, np.abs(flat).max(axis=1))):
         raise ValueError(f"field is not real (Hermitian defect {defect.max():.2e})")
     return fields[0].trunc, c, not isinstance(f, FourierField)
 
@@ -279,13 +278,15 @@ def _phi_indices(trunc: Truncation, gphi: tuple[int, ...]):
     return idx
 
 
-def _phi_synth(trunc: Truncation, c: np.ndarray, gphi: tuple[int, ...]) -> np.ndarray:
-    """Stacked tables synthesized along phi on the modes j >= 0: (field, phi grid..., n_x + 1)."""
-    half = np.zeros((len(c),) + gphi + (trunc.n_x + 1,), dtype=complex)
+def _phi_synth(trunc: Truncation, c: np.ndarray, gphi: tuple[int, ...], width: int = 0) -> np.ndarray:
+    """Stacked tables synthesized along phi on the modes j >= 0, zero past j = n_x:
+    (field, phi grid..., max(width, n_x + 1)); irfft pads a short input slower."""
+    buf = np.zeros((len(c),) + gphi + (max(width, trunc.n_x + 1),), dtype=complex)
+    half = buf[..., : trunc.n_x + 1]
     half[(slice(None),) + _phi_indices(trunc, gphi)] = c[..., trunc.n_x:]
     for ax in range(1, trunc.nu + 1):
-        half = np.fft.ifft(half, axis=ax, norm="forward")
-    return half
+        np.fft.ifft(half, axis=ax, norm="forward", out=half)
+    return buf
 
 
 def synthesize(f, grid_shape: tuple[int, ...] | None = None) -> np.ndarray:
@@ -293,7 +294,8 @@ def synthesize(f, grid_shape: tuple[int, ...] | None = None) -> np.ndarray:
     fields gives their samples stacked on a leading axis, by one transform."""
     trunc, c, batched = _stacked(f)
     shape = tuple(grid_shape or trunc.grid_shape)
-    samples = np.fft.irfft(_phi_synth(trunc, c, shape[:-1]), n=shape[-1], axis=-1, norm="forward")
+    half = _phi_synth(trunc, c, shape[:-1], shape[-1] // 2 + 1)  # irfft's full input length
+    samples = np.fft.irfft(half, n=shape[-1], axis=-1, norm="forward")
     return samples if batched else samples[0]
 
 
@@ -415,10 +417,9 @@ class DiffeoConvergenceError(RuntimeError):
 
 
 def _horner(c: np.ndarray, z: np.ndarray, real: bool = False) -> np.ndarray:
-    """sum_m c_m z^m at unit phases z = e^{ip}, by Horner's rule in place.  The
-    modes run along axis 0 of c, each c[k] broadcasting against z: -n..n, or
-    with ``real`` the modes 0..n of a Hermitian sequence, for which the real
-    sum c_0 + 2 Re sum_{m>=1} c_m z^m is returned."""
+    """sum_m c_m z^m at unit phases z = e^{ip} by Horner's rule in place; the modes run
+    along axis 0 of c, each c[k] broadcasting against z: -n..n, or with ``real`` the modes
+    0..n of a Hermitian sequence, for which c_0 + 2 Re sum_{m>=1} c_m z^m is returned."""
 
     def tail(coef, w):  # sum_{m>=1} coef[m - 1] w^m
         acc = coef[-1] * w
@@ -438,9 +439,8 @@ def _nodes(m: int) -> np.ndarray:
 
 
 def _at_time_nodes(c: np.ndarray, gphi: tuple, freq: Frequency, alpha, real=False) -> np.ndarray:
-    """sum_l c_l e^{i l.theta} at the nodes theta = phi + omega alpha(phi) of the
-    phi grid, one phi axis at a time, for c of layout (l_1..l_nu, rest...): array
-    (phi grid..., rest...).  With ``real``, c is Hermitian in l; l_1 >= 0 suffice."""
+    """sum_l c_l e^{i l.theta}, c of layout (l_1..l_nu, rest...), one phi axis at a time at the
+    nodes theta = phi + omega alpha(phi): (phi grid..., rest...); ``real``: c Hermitian in l."""
     mesh = np.meshgrid(*[_nodes(m) for m in gphi], indexing="ij")
     a = c[None, len(c) // 2:] if real else c[None]  # the nodes lead, passengers follow
     for ax in range(len(gphi) - 1, -1, -1):
