@@ -439,8 +439,8 @@ def _nodes(m: int) -> np.ndarray:
 
 
 def _at_time_nodes(c: np.ndarray, gphi: tuple, freq: Frequency, alpha, real=False) -> np.ndarray:
-    """sum_l c_l e^{i l.theta}, c of layout (l_1..l_nu, rest...), one phi axis at a time at the
-    nodes theta = phi + omega alpha(phi): (phi grid..., rest...); ``real``: c Hermitian in l."""
+    """sum_l c_l e^{i l.theta}, c of layout (l_1..l_nu, rest...), one phi axis at a time at the nodes
+    theta = phi + omega alpha(phi): (phi grid..., rest...); ``real``: c Hermitian in l, l_1 >= 0 read."""
     mesh = np.meshgrid(*[_nodes(m) for m in gphi], indexing="ij")
     a = c[None, len(c) // 2:] if real else c[None]  # the nodes lead, passengers follow
     for ax in range(len(gphi) - 1, -1, -1):
