@@ -14,7 +14,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from pathlib import Path
 
 import numpy as np
@@ -297,6 +297,9 @@ def _run_reduce(config: ExperimentConfig, out: Path) -> int:
             "excluded": False, "error": str(err), "seed": config.seed,
         })
         return EXIT_ERROR
+    mode = rg.mode
+    if mode == "generic" and nonlin.structure_flags(spec).reversible:
+        mode = "reversible"
     report = {
         "subcommand": "reduce",
         "lambda": lam,
@@ -304,7 +307,7 @@ def _run_reduce(config: ExperimentConfig, out: Path) -> int:
         "m3": rg.m3,
         "m1": rg.m1,
         "excluded": bool(red.exclusion),
-        "eigenvalues": km.eigenvalue_report(red.eigs, rg.m3, rg.m1, eps, rg.mode),
+        "eigenvalues": km.eigenvalue_report(red.eigs, rg.m3, rg.m1, eps, mode),
         "steps": len(red.trace),
         "seed": config.seed,
     }
@@ -325,8 +328,8 @@ def _run_measure(config: ExperimentConfig, out: Path, workers: int) -> int:
         a=cfg.a,
         trunc=config.truncation,
         workers=workers,
-        config_kw={"gamma": cfg.gamma, "tau": cfg.tau, "N0": cfg.N0,
-                   "max_iters": cfg.max_iters},
+        config_kw={f.name: getattr(cfg, f.name) for f in fields(cfg)
+                   if f.name not in ("trunc", "a")},
     )
     _write_json(out / "report.json", {
         "subcommand": "measure",
@@ -344,9 +347,10 @@ def _run_measure(config: ExperimentConfig, out: Path, workers: int) -> int:
                          "excluded": int(rec["excluded"])})
     _write_trace(out / "trace.csv",
                  ["epsilon", "lambda", "accepted", "excluded"], rows)
-    if all(f == 0.0 for f in rep.fractions.values()):
-        return EXIT_EXCLUDED
-    return EXIT_OK
+    if any(f > 0.0 for f in rep.fractions.values()):
+        return EXIT_OK
+    # no lambda accepted: excluded if any was excluded, else every point failed
+    return EXIT_EXCLUDED if any(r["excluded"] for r in rows) else EXIT_ERROR
 
 
 def _run_stability(config: ExperimentConfig, out: Path) -> int:
@@ -426,10 +430,7 @@ def _verify_checks(config: ExperimentConfig, rng: np.random.Generator) -> list:
         red = km.reduce(rg, freq, sched)
         add("reduction final remainder", red.trace[-1]["R_s0"], 1e-9)
         f = random_real_field(trunc, rng, decay=4.0, scale=1.0, parity="Y")
-        structure = ("total_derivative"
-                     if rg.mode == "hamiltonian"
-                     or nonlin.structure_flags(spec).total_derivative
-                     else "reversible")
+        structure = sv.structure_mode(nonlin.structure_flags(spec))
         if structure == "total_derivative":
             f = f.shift_mean(-f.mean)
         h = sv.right_inverse(rg, red, freq, f, sched.gamma, sched.tau, structure)
@@ -437,6 +438,9 @@ def _verify_checks(config: ExperimentConfig, rng: np.random.Generator) -> list:
             sobolev_norm(rg.apply_L(h) - f, trunc.s0), 1e-6)
     except km.ReductionError as err:
         checks.append({"check": "reduction final remainder", "value": None,
+                       "tol": None, "passed": False, "reason": str(err)})
+    except sv.StructureError as err:
+        checks.append({"check": "right-inverse residual", "value": None,
                        "tol": None, "passed": False, "reason": str(err)})
 
     h0 = dyn.random_phase_state(trunc.n_x, rng, decay=3.0)
@@ -454,7 +458,8 @@ def _run_verify(config: ExperimentConfig, out: Path) -> int:
     for c in checks:
         status = "pass" if c["passed"] else "FAIL"
         value = "n/a" if c["value"] is None else f"{c['value']:.3e}"
-        print(f"{c['check']:<{width}}  {value:>10}  {status}")
+        reason = f"  ({c['reason']})" if "reason" in c else ""
+        print(f"{c['check']:<{width}}  {value:>10}  {status}{reason}")
     _write_json(out / "report.json", {"subcommand": "verify", "checks": checks,
                                       "seed": config.seed})
     return EXIT_OK if all(c["passed"] for c in checks) else EXIT_ERROR

@@ -3,15 +3,17 @@
 An expression over {phi_1..phi_9, x, z0, z1, z2, z3} is parsed into a sympy
 tree, optionally synthesized from a potential (total x-derivative of g, or a
 Hamiltonian density F), and then evaluated on grids, differentiated for
-linearization coefficients, and probed for structural symmetries.
+linearization coefficients, and probed for the structure that selects the
+solver's projection (reversible, total derivative, Hamiltonian).  The paper's
+hypotheses (F) and (Q) are not probed: step 3 of the regularization needs only
+their consequence, a d_xx coefficient of zero x-mean, and checks it on the
+actual coefficient (`regularize.ZeroMeanViolation`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from types import MappingProxyType
 
 import numpy as np
 import sympy as sp
@@ -317,17 +319,9 @@ def apply_linearized(spec: NonlinearitySpec, freq: Frequency,
 
 @dataclass(frozen=True)
 class StructureFlags:
-    cond_F: bool
-    cond_Q: bool
-    alpha: object  # float for constant alpha, callable phi -> value otherwise
     reversible: bool
     total_derivative: bool
     hamiltonian: bool
-    diagnostic: Mapping = field(default_factory=dict)
-
-    def __post_init__(self):
-        # flags are cached and shared between callers, so nothing in them mutates
-        object.__setattr__(self, "diagnostic", MappingProxyType(dict(self.diagnostic)))
 
 
 def _is_zero(expr: sp.Expr, rng: np.random.Generator, tol: float = 1e-10) -> bool:
@@ -344,106 +338,29 @@ def _is_zero(expr: sp.Expr, rng: np.random.Generator, tol: float = 1e-10) -> boo
     return True
 
 
-def _q_right_factor(f: sp.Expr) -> sp.Expr:
-    dz3 = sp.diff(f, _Z[3])
-    out = sp.diff(dz3, _X)
-    for k in range(3):
-        out += _Z[k + 1] * sp.diff(dz3, _Z[k])
-    return sp.expand(out)
-
-
 def structure_flags(spec: NonlinearitySpec, seed: int = 0) -> StructureFlags:
-    """The paper's structural hypotheses on spec.f, probed at points drawn from
-    ``seed``.  They depend on neither epsilon nor lambda, so one result per
-    (f, declared form, seed) is computed and shared by every caller."""
+    """The structure of spec.f that selects the solver's projection, probed at
+    points drawn from ``seed``.  It depends on neither epsilon nor lambda, so
+    one result per (f, declared form, seed) is computed and shared by every
+    caller."""
     return _structure_flags(spec.f, spec.declared_form, seed)
 
 
 @lru_cache(maxsize=64)
 def _structure_flags(f: sp.Expr, declared_form: str, seed: int) -> StructureFlags:
-    rng = np.random.default_rng(seed)
-    diagnostic = {}
-
-    cond_F = _is_zero(sp.diff(f, _Z[2]), rng)
-
     # reversibility: f(-phi, -x, z0, -z1, z2, -z3) = -f(phi, x, z0, z1, z2, z3)
     flipped = f.subs(
         {**{p: -p for p in _PHI}, _X: -_X, _Z[1]: -_Z[1], _Z[3]: -_Z[3]},
         simultaneous=True,
     )
-    reversible = _is_zero(sp.expand(flipped + f), rng)
-
-    # (Q): d_{z2} f = alpha(phi) * (total x-derivative of d_{z3} f),
-    # requiring d^2_{z3 z3} f = 0
-    cond_Q = False
-    alpha = 0.0
-    if _is_zero(sp.diff(f, _Z[3], 2), rng):
-        lhs = sp.diff(f, _Z[2])
-        rhs = _q_right_factor(f)
-        if _is_zero(lhs, rng):
-            cond_Q = True
-            alpha = 0.0
-        else:
-            ratio = _probe_ratio(lhs, rhs, rng)
-            if ratio is not None:
-                cond_Q = True
-                alpha = ratio
-            else:
-                diagnostic["cond_Q"] = "ratio d_{z2}f / D_x d_{z3}f is not a function of phi"
-
-    total_derivative = declared_form in ("dx_of_g", "hamiltonian_F")
-    if not total_derivative:
-        total_derivative = _numeric_total_derivative(f)
-
-    hamiltonian = declared_form == "hamiltonian_F"
-
+    reversible = _is_zero(sp.expand(flipped + f), np.random.default_rng(seed))
+    total_derivative = (declared_form in ("dx_of_g", "hamiltonian_F")
+                        or _numeric_total_derivative(f))
     return StructureFlags(
-        cond_F=cond_F,
-        cond_Q=cond_Q,
-        alpha=alpha,
         reversible=reversible,
         total_derivative=total_derivative,
-        hamiltonian=hamiltonian,
-        diagnostic=diagnostic,
+        hamiltonian=declared_form == "hamiltonian_F",
     )
-
-
-def _probe_ratio(lhs: sp.Expr, rhs: sp.Expr, rng: np.random.Generator,
-                 tol: float = 1e-10):
-    """alpha with lhs = alpha(phi) * rhs on probe points, or None."""
-    flhs, frhs = _lambdify(lhs), _lambdify(rhs)
-
-    def ratio_at(phi, rng):
-        vals = []
-        for _ in range(16):
-            x = np.array(rng.uniform(0, 2 * np.pi))
-            z = rng.uniform(-1, 1, size=4)
-            den = frhs(x, phi, z)
-            if abs(den) < 1e-8:
-                continue
-            vals.append(flhs(x, phi, z) / den)
-        if len(vals) < 4:
-            return None
-        vals = np.array(vals, dtype=float)
-        if np.max(np.abs(vals - vals.mean())) > tol * max(1.0, np.abs(vals).max()):
-            return None
-        return float(vals.mean())
-
-    probes = [rng.uniform(0, 2 * np.pi, size=9) for _ in range(4)]
-    ratios = [ratio_at(p, rng) for p in probes]
-    if any(r is None for r in ratios):
-        return None
-    if np.max(np.abs(np.diff(ratios))) < tol * max(1.0, np.max(np.abs(ratios))):
-        return float(ratios[0])
-
-    # phi-dependent alpha: a callable sampling the ratio at the same (x, z)
-    # points on every call, so its values do not depend on the call history
-    alpha_seed = int(rng.integers(2**63))
-
-    def alpha_fn(phi):
-        return ratio_at(np.asarray(phi, dtype=float), np.random.default_rng(alpha_seed))
-
-    return alpha_fn
 
 
 def _numeric_total_derivative(f: sp.Expr, tol: float = 1e-10) -> bool:

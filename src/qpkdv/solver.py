@@ -42,6 +42,7 @@ __all__ = [
     "project_ball",
     "diag_inverse",
     "right_inverse",
+    "structure_mode",
     "nash_moser",
     "galerkin_newton",
     "cantor_measure",
@@ -218,7 +219,8 @@ def right_inverse(
     return h
 
 
-def _structure_mode(flags: nonlin.StructureFlags) -> str:
+def structure_mode(flags: nonlin.StructureFlags) -> str:
+    """The projection `right_inverse` works in for f with these flags."""
     if flags.hamiltonian or flags.total_derivative:
         return "total_derivative"
     if flags.reversible:
@@ -245,8 +247,7 @@ def nash_moser(
     decrease: two consecutive growths raise DivergenceError.
     """
     trunc = config.trunc
-    flags = nonlin.structure_flags(spec)
-    structure = _structure_mode(flags)
+    structure = structure_mode(nonlin.structure_flags(spec))
     mode = "hamiltonian" if spec.declared_form == "hamiltonian_F" else "generic"
 
     u = FourierField.zeros(trunc)
@@ -354,8 +355,8 @@ def _measure_point(args) -> dict:
     config = SolverConfig(trunc=trunc, a=a, **config_kw)
     try:
         report = nash_moser(spec, freq, config)
-    except (DivergenceError, km.ReductionError, DiffeoConvergenceError,
-            regularize.ZeroMeanViolation,
+    except (DivergenceError, StructureError, km.ReductionError,
+            DiffeoConvergenceError, regularize.ZeroMeanViolation,
             regularize.DegenerateCoefficientError) as exc:
         return {"lambda": lam, "accepted": False, "excluded": False,
                 "error": str(exc)}

@@ -7,6 +7,7 @@ import pytest
 from qpkdv import cli
 from qpkdv import kamreduce as km
 from qpkdv import regularize as reg
+from qpkdv import solver as sv
 from qpkdv.spectral import field_from_json, sobolev_norm
 
 
@@ -24,6 +25,10 @@ def base_config(out_dir, **overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+# neither reversible nor a total x-derivative: no projection applies
+NO_STRUCTURE = {"text": "cos(phi_1) * sin(x) + z0^2", "declared_form": "raw_f"}
 
 
 def write_config(tmp_path, **overrides):
@@ -129,6 +134,15 @@ def test_reduce_writes_eigenvalues(tmp_path):
     assert len(eig["mu"]["re"]) == 13
 
 
+def test_reduce_reports_antisymmetry_of_reversible_f(tmp_path):
+    cfg = write_config(tmp_path, nonlinearity={"builtin": "quasilinear_cubic"})
+    out = tmp_path / "reduce"
+    assert cli.main(["reduce", "--config", str(cfg), "--out", str(out)]) == 0
+    eig = json.loads((out / "report.json").read_text())["eigenvalues"]
+    assert eig["mode"] == "reversible"
+    assert eig["antisym_defect"] < 1e-10
+
+
 def test_measure_reports_fractions(tmp_path):
     cfg = write_config(tmp_path)
     raw = json.loads(cfg.read_text())
@@ -144,6 +158,33 @@ def test_measure_reports_fractions(tmp_path):
     lines = (out / "trace.csv").read_text().strip().splitlines()
     assert lines[0] == "epsilon,lambda,accepted,excluded"
     assert len(lines) == 11
+
+
+def test_measure_uses_the_solver_config_of_solve(tmp_path, monkeypatch):
+    real, seen = sv.nash_moser, []
+
+    def recording(spec, freq, config):
+        seen.append(config)
+        return real(spec, freq, config)
+
+    monkeypatch.setattr(sv, "nash_moser", recording)
+    cfg = write_config(tmp_path, kam={"gamma": 0.02, "target_decay": 1e-11,
+                                      "max_steps": 9},
+                       nash_moser={"tol_res": 1e-9, "max_iters": 8})
+    out = tmp_path / "measure"
+    assert cli.main(["measure", "--config", str(cfg), "--out", str(out)]) in (0, 2)
+    solve_config = cli.ExperimentConfig.from_dict(
+        json.loads(cfg.read_text())).solver_config()
+    assert seen and all(c == solve_config for c in seen)
+
+
+def test_measure_with_every_point_failed_exits_1(tmp_path):
+    cfg = write_config(tmp_path, nonlinearity=NO_STRUCTURE,
+                       truncation={"n_phi": 4, "n_x": 4})
+    out = tmp_path / "measure"
+    assert cli.main(["measure", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_ERROR
+    lines = (out / "trace.csv").read_text().strip().splitlines()
+    assert lines[1:] == ["0.001,1.25,0,0"]
 
 
 def test_stability_writes_trajectory(tmp_path):
@@ -165,6 +206,18 @@ def test_verify_prints_table(tmp_path, capsys):
     assert "pass" in shown and "FAIL" not in shown
     report = json.loads((out / "report.json").read_text())
     assert all(c["passed"] for c in report["checks"])
+
+
+def test_verify_names_why_the_right_inverse_failed(tmp_path, capsys):
+    cfg = write_config(tmp_path, nonlinearity=NO_STRUCTURE)
+    out = tmp_path / "verify"
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_ERROR
+    checks = json.loads((out / "report.json").read_text())["checks"]
+    failed = [c for c in checks if not c["passed"]]
+    assert [c["check"] for c in failed] == ["right-inverse residual"]
+    assert failed[0]["value"] is None
+    assert "neither a total x-derivative nor reversible" in failed[0]["reason"]
+    assert "neither a total x-derivative nor reversible" in capsys.readouterr().out
 
 
 def test_rerun_is_byte_identical(tmp_path):

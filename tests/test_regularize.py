@@ -58,7 +58,7 @@ def test_step1_quadrature_oracle():
     z = FourierField.zeros(T)
     out = reg.step1_space_diffeo(a3, z, z, z, FREQ)
     val, _ = quad(lambda x: (1 + 0.05 * np.cos(x)) ** (-1.0 / 3.0), 0, 2 * np.pi,
-                  epsabs=1e-14, epsrel=1e-14)
+                  epsabs=1e-13, epsrel=1e-13)
     expected = (val / (2 * np.pi)) ** (-3.0)
     assert abs(out["b"].mean - expected) < 1e-11
 

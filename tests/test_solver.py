@@ -306,3 +306,25 @@ def test_cantor_measure_records_diffeo_non_convergence(monkeypatch):
     rec = rep.records[1e-3][0]
     assert not rec["accepted"] and not rec["excluded"]
     assert "did not converge" in rec["error"]
+
+
+def test_cantor_measure_records_structure_error():
+    # at epsilon = 0.2 the right-hand side at lambda = 0.55 loses its
+    # (phi, x)-parity beyond the right inverse's tolerance: the point fails
+    # with that cause instead of aborting the scan
+    rep = sv.cantor_measure(
+        "cos(phi_1) * sin(x) + cos(phi_1) * cos(x) * z3 + z0^2 * z3", "raw_f",
+        (1.0,), [0.2], np.array([0.55]), trunc=Truncation(1, 6, 6),
+        config_kw={"gamma": 0.01})
+    rec = rep.records[0.2][0]
+    assert not rec["accepted"] and not rec["excluded"]
+    assert "must be odd" in rec["error"]
+
+
+def test_structure_mode_decides_projection():
+    flags = nonlin.StructureFlags
+    assert sv.structure_mode(flags(True, False, False)) == "reversible"
+    assert sv.structure_mode(flags(False, True, False)) == "total_derivative"
+    assert sv.structure_mode(flags(True, True, True)) == "total_derivative"
+    with pytest.raises(sv.StructureError, match="neither"):
+        sv.structure_mode(flags(False, False, False))
