@@ -10,6 +10,7 @@ config and seed.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -26,16 +27,15 @@ from . import opalg
 from . import regularize
 from . import solver as sv
 from .spectral import (
-    DiffeoConvergenceError,
     FourierField,
     Frequency,
+    NumericalFailure,
     Truncation,
     dx_pow,
     field_to_json,
     multiply,
     random_real_field,
     sobolev_norm,
-    structure_check,
     synthesize,
     analyze,
 )
@@ -228,34 +228,30 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_field(out: Path, name: str, f: FourierField) -> None:
-    _write_json(out / "fields" / f"{name}.json", field_to_json(f))
-
-
 def _write_trace(path: Path, header: list, rows: list) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(row[k]) if isinstance(row[k], float)
-                              else str(row[k]) for k in header) + "\n")
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, header, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
 
 
-def _tag(lam: float, eps: float) -> str:
-    return f"lam{lam:g}_eps{eps:g}"
+def _write_failure(out: Path, subcommand: str, seed: int, error: str) -> int:
+    _write_json(out / "report.json", {"subcommand": subcommand, "excluded": False,
+                                      "error": error, "seed": seed})
+    print(f"error: {error}", file=sys.stderr)
+    return EXIT_ERROR
 
 
 # -------------------------------------------------------------- subcommands
 
 
 def _run_solve(config: ExperimentConfig, out: Path) -> int:
-    results, any_ok, any_excluded = [], False, False
-    trace_rows = []
+    results, trace_rows = [], []
     for eps in config.epsilons:
         for lam in config.lambdas:
             freq = Frequency(config.omega_bar, lam)
             rep = sv.nash_moser(config.spec(eps), freq, config.solver_config())
-            tag = _tag(lam, eps)
+            tag = f"lam{lam:g}_eps{eps:g}"
             results.append({
                 "tag": tag,
                 "lambda": lam,
@@ -263,23 +259,26 @@ def _run_solve(config: ExperimentConfig, out: Path) -> int:
                 "converged": rep.converged,
                 "excluded_lambda": rep.excluded_lambda,
                 "exclusion_reason": rep.exclusion_reason,
+                "failure": rep.failure,
                 "iterates": rep.iterates,
                 "solution_norm_s0": sobolev_norm(rep.solution, config.truncation.s0),
                 "structure": rep.diagnostics.get("structure"),
             })
-            _write_field(out, f"solution_{tag}", rep.solution)
+            if rep.failure:
+                print(f"error: {tag}: {rep.failure}", file=sys.stderr)
+            _write_json(out / "fields" / f"solution_{tag}.json", field_to_json(rep.solution))
             if rep.eigs is not None:
                 _write_json(out / "fields" / f"eigenvalues_{tag}.json",
                             {"mu": rep.eigs.mu})
             for it in rep.iterates:
                 trace_rows.append({"tag": tag, **it})
-            any_ok = any_ok or rep.converged
-            any_excluded = any_excluded or rep.excluded_lambda
     _write_json(out / "report.json", {"subcommand": "solve", "runs": results,
                                       "seed": config.seed})
     _write_trace(out / "trace.csv", ["tag", "n", "u_norm", "res", "N", "gamma"],
                  trace_rows)
-    return EXIT_EXCLUDED if (any_excluded and not any_ok) else EXIT_OK
+    if any(r["failure"] for r in results):
+        return EXIT_ERROR
+    return EXIT_EXCLUDED if all(r["excluded_lambda"] for r in results) else EXIT_OK
 
 
 def _run_reduce(config: ExperimentConfig, out: Path) -> int:
@@ -289,14 +288,7 @@ def _run_reduce(config: ExperimentConfig, out: Path) -> int:
     spec = config.spec(eps)
     u = FourierField.zeros(config.truncation)
     rg = regularize.regularize_at(spec, freq, u)
-    try:
-        red = km.reduce(rg, freq, config.solver_config().schedule(spec.epsilon, rg.mode))
-    except km.ReductionError as err:
-        _write_json(out / "report.json", {
-            "subcommand": "reduce", "lambda": lam, "epsilon": eps,
-            "excluded": False, "error": str(err), "seed": config.seed,
-        })
-        return EXIT_ERROR
+    red = km.reduce(rg, freq, config.solver_config().schedule(spec.epsilon, rg.mode))
     mode = rg.mode
     if mode == "generic" and nonlin.structure_flags(spec).reversible:
         mode = "reversible"
@@ -306,15 +298,17 @@ def _run_reduce(config: ExperimentConfig, out: Path) -> int:
         "epsilon": eps,
         "m3": rg.m3,
         "m1": rg.m1,
-        "excluded": bool(red.exclusion),
+        "excluded": not red.mask,
+        "reason": None if red.mask else str(red.exclusion),
         "eigenvalues": km.eigenvalue_report(red.eigs, rg.m3, rg.m1, eps, mode),
         "steps": len(red.trace),
         "seed": config.seed,
     }
     _write_json(out / "report.json", report)
-    km.write_trace_csv(red.trace, out / "trace.csv")
+    _write_trace(out / "trace.csv",
+                 ["step", "N", "R_s0", "R_s0p2", "sup_r", "mask_fraction"], red.trace)
     _write_json(out / "fields" / "eigenvalues.json", {"mu": red.eigs.mu})
-    return EXIT_EXCLUDED if red.exclusion else EXIT_OK
+    return EXIT_OK if red.mask else EXIT_EXCLUDED
 
 
 def _run_measure(config: ExperimentConfig, out: Path, workers: int) -> int:
@@ -344,9 +338,10 @@ def _run_measure(config: ExperimentConfig, out: Path, workers: int) -> int:
         for rec in rep.records[eps]:
             rows.append({"epsilon": eps, "lambda": rec["lambda"],
                          "accepted": int(rec["accepted"]),
-                         "excluded": int(rec["excluded"])})
+                         "excluded": int(rec["excluded"]),
+                         "reason": rec["reason"] or rec["error"]})
     _write_trace(out / "trace.csv",
-                 ["epsilon", "lambda", "accepted", "excluded"], rows)
+                 ["epsilon", "lambda", "accepted", "excluded", "reason"], rows)
     if any(f > 0.0 for f in rep.fractions.values()):
         return EXIT_OK
     # no lambda accepted: excluded if any was excluded, else every point failed
@@ -360,6 +355,8 @@ def _run_stability(config: ExperimentConfig, out: Path) -> int:
     spec = config.spec(eps)
     cfg = config.solver_config()
     solve = sv.nash_moser(spec, freq, cfg)
+    if solve.failure:
+        return _write_failure(out, "stability", config.seed, solve.failure)
     if solve.excluded_lambda:
         _write_json(out / "report.json", {
             "subcommand": "stability", "lambda": lam, "epsilon": eps,
@@ -385,7 +382,7 @@ def _run_stability(config: ExperimentConfig, out: Path) -> int:
         "subcommand": "stability", "lambda": lam, "epsilon": eps,
         "excluded": False, "seed": config.seed, **report,
     })
-    dyn.write_trajectory_csv(samples, out / "trace.csv")
+    _write_trace(out / "trace.csv", ["t", "h_H1", "h_Hs", "v_Hs", "discrepancy"], samples)
     _write_json(out / "fields" / "h0.json", {"h": h0.h})
     return EXIT_OK
 
@@ -426,22 +423,21 @@ def _verify_checks(config: ExperimentConfig, rng: np.random.Generator) -> list:
     add("order-one remainder", float(np.max(np.abs(rg.chain["r1"].c))), 1e-10)
 
     sched = sv.SolverConfig(trunc=trunc, gamma=0.01).schedule(spec.epsilon, rg.mode)
+    check = "reduction final remainder"
     try:
         red = km.reduce(rg, freq, sched)
-        add("reduction final remainder", red.trace[-1]["R_s0"], 1e-9)
+        add(check, red.trace[-1]["R_s0"], 1e-9)
+        check = "right-inverse residual"
         f = random_real_field(trunc, rng, decay=4.0, scale=1.0, parity="Y")
         structure = sv.structure_mode(nonlin.structure_flags(spec))
         if structure == "total_derivative":
             f = f.shift_mean(-f.mean)
         h = sv.right_inverse(rg, red, freq, f, sched.gamma, sched.tau, structure)
-        add("right-inverse residual",
-            sobolev_norm(rg.apply_L(h) - f, trunc.s0), 1e-6)
-    except km.ReductionError as err:
-        checks.append({"check": "reduction final remainder", "value": None,
-                       "tol": None, "passed": False, "reason": str(err)})
-    except sv.StructureError as err:
-        checks.append({"check": "right-inverse residual", "value": None,
-                       "tol": None, "passed": False, "reason": str(err)})
+        add(check, sobolev_norm(rg.apply_L(h) - f, trunc.s0), 1e-6)
+    # a stage that failed, or a lambda a divisor excludes: the check cannot run
+    except (NumericalFailure, sv.DivisorViolation) as err:
+        checks.append({"check": check, "value": None, "tol": None, "passed": False,
+                       "reason": str(err)})
 
     h0 = dyn.random_phase_state(trunc.n_x, rng, decay=3.0)
     zero = FourierField.zeros(trunc)
@@ -482,9 +478,12 @@ def run(config: ExperimentConfig, subcommand: str, out: Path | None = None,
         config.seed = int(seed)
     out = Path(out) if out is not None else Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if subcommand == "measure":
-        return _run_measure(config, out, workers)
-    return _SUBCOMMANDS[subcommand](config, out)
+    try:
+        if subcommand == "measure":
+            return _run_measure(config, out, workers)
+        return _SUBCOMMANDS[subcommand](config, out)
+    except NumericalFailure as err:
+        return _write_failure(out, subcommand, config.seed, err.describe())
 
 
 def main(argv=None) -> int:
@@ -508,10 +507,9 @@ def main(argv=None) -> int:
         config = ExperimentConfig.from_dict(raw)
         return run(config, args.subcommand, out=args.out,
                    workers=args.workers, seed=args.seed)
-    # ValueError covers ConfigError, JSONDecodeError, ParseError and
-    # StructureError; the RuntimeErrors are numerical failures of a run
-    except (OSError, ValueError, sv.DivergenceError, km.ReductionError,
-            DiffeoConvergenceError, dyn.InstabilityError) as err:
+    # numerical failures end in run, with their report; what is left here is
+    # a config that cannot be read (ConfigError, JSONDecodeError, ParseError)
+    except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -18,7 +18,6 @@ times of a report in one call.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -27,7 +26,7 @@ import numpy as np
 from . import opalg
 from . import kamreduce as km
 from . import regularize
-from .spectral import FourierField, Frequency, omega_dphi
+from .spectral import FourierField, Frequency, NumericalFailure, omega_dphi
 
 __all__ = [
     "PhaseState",
@@ -40,11 +39,10 @@ __all__ = [
     "psi_map",
     "psi_inverse",
     "stability_report",
-    "write_trajectory_csv",
 ]
 
 
-class InstabilityError(RuntimeError):
+class InstabilityError(NumericalFailure, RuntimeError):
     """The integrated trajectory grew beyond the runaway threshold."""
 
 
@@ -320,11 +318,3 @@ def stability_report(reg: regularize.RegularizationResult,
         "samples": rows,
     }
 
-
-def write_trajectory_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "h_H1", "h_Hs", "v_Hs", "discrepancy"])
-        for r in rows:
-            writer.writerow([r["t"], r["h_H1"], r["h_Hs"], r["v_Hs"],
-                             r["discrepancy"]])

@@ -11,15 +11,13 @@ first order |i omega.l + mu_j| >= 2 gamma <j>^3 <l>^-tau and second order
 support: `solve_homological` passes the paper's index set, every |l| <= N and
 every (j, k), whatever the remainder holds, `solver.diag_inverse` every
 (l, j) != (0, 0), and `melnikov_mask` a whole l-rectangle per value of the
-modulation parameter.  An exclusion is data: the failing step's violations,
-and the one of smallest margin |delta| / bound with its divisor and bound,
-stay in the returned state.  The module also writes a per-step trace
-suitable for CSV export.
+modulation parameter.  `smallest_margin` turns a failed screen into the one
+`Exclusion` record, the violation of smallest margin |delta| / bound with its
+divisor and bound, which both the reduction and `solver.diag_inverse` report.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -27,10 +25,19 @@ import numpy as np
 
 from . import opalg
 from .opalg import DiagonalOperator, ToplitzOperator
-from .spectral import FourierField, Frequency, Truncation, index_weights, sobolev_norm
+from .spectral import (
+    FourierField,
+    Frequency,
+    NumericalFailure,
+    Truncation,
+    dot_l,
+    index_weights,
+    sobolev_norm,
+)
 
 __all__ = [
     "IterationSchedule",
+    "Exclusion",
     "ReducibilityState",
     "ReductionResult",
     "ReductionError",
@@ -40,13 +47,13 @@ __all__ = [
     "airy_diagonal",
     "initial_state",
     "screen",
+    "smallest_margin",
     "solve_homological",
     "homological_residual",
     "kam_step",
     "reduce",
     "melnikov_mask",
     "eigenvalue_report",
-    "write_trace_csv",
 ]
 
 #: safety factor applied on top of the resonance locality bound
@@ -54,7 +61,7 @@ __all__ = [
 LOCALITY_SAFETY = 2.0
 
 
-class ReductionError(RuntimeError):
+class ReductionError(NumericalFailure, RuntimeError):
     """Base class for failures of the iterative diagonalization."""
 
 
@@ -81,12 +88,30 @@ class IterationSchedule:
     max_steps: int = 12
     target_decay: float = 1e-10
     mode: str = "generic"
-    smallness_threshold: float = 0.1
+    smallness_threshold: float = 1e6  # loose: each step's |Psi|_s0 < 1/2 guard binds
 
     def cutoff(self, nu_step: int, n_phi: int) -> int:
         """Time-truncation N_nu, capped where the complement projector dies."""
         n = round(float(self.N0) ** (self.chi**nu_step))
         return int(min(n, 2 * n_phi))
+
+
+@dataclass(frozen=True)
+class Exclusion:
+    """The divisor that excludes lambda: order "first" (k is None) or "second"."""
+
+    order: str
+    l: tuple
+    j: int
+    k: int | None
+    value: float  # |delta|
+    bound: float
+
+    def __str__(self) -> str:
+        second = self.k is not None
+        return (f"divisor |i omega.l + mu_j{' - mu_k' if second else ''}| = "
+                f"{self.value:.3e} < {self.bound:.3e} at l={self.l}, j={self.j}"
+                + (f", k={self.k}" if second else ""))
 
 
 @dataclass(frozen=True)
@@ -98,10 +123,8 @@ class ReducibilityState:
     Phi_acc: ToplitzOperator
     Phi_acc_inv: ToplitzOperator
     schedule: IterationSchedule
-    # (l, j, k) divisor violations of a failed step; None while not excluded
-    exclusion: list | None = None
-    # (l, j, k, |delta|, bound) of the violation of smallest margin
-    worst_violation: tuple | None = None
+    # the divisor of a failed step; None while not excluded
+    exclusion: Exclusion | None = None
 
     @property
     def mask(self) -> bool:
@@ -111,9 +134,11 @@ class ReducibilityState:
 class HomologicalSolution(NamedTuple):
     Psi: ToplitzOperator | None
     diag_part: DiagonalOperator
-    ok: bool
-    violations: list
-    worst_violation: tuple | None = None
+    exclusion: Exclusion | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.exclusion is None
 
 
 @dataclass
@@ -125,7 +150,7 @@ class ReductionResult:
     state: ReducibilityState
 
     @property
-    def exclusion(self) -> list | None:
+    def exclusion(self) -> Exclusion | None:
         return self.state.exclusion
 
     @property
@@ -164,6 +189,21 @@ def screen(dots, lsz, mu, gamma: float, tau: float, order: str, where):
     return where & (np.abs(delta) < bound), delta, bound
 
 
+def smallest_margin(order: str, bad, delta, bound) -> Exclusion | None:
+    """The violation of smallest margin |delta| / bound among `screen`'s, or
+    None if there is none; bad, delta and bound share one centered layout,
+    the l axes first, then j (and k at second order)."""
+    if not bad.any():
+        return None
+    margin = np.where(bad, np.abs(delta), np.inf) / np.where(bad, bound, 1.0)
+    idx = np.unravel_index(np.argmin(margin), bad.shape)
+    named = [int(i) - (n - 1) // 2 for i, n in zip(idx, bad.shape)]
+    nu = bad.ndim - (1 if order == "first" else 2)
+    return Exclusion(order, tuple(named[:nu]), named[nu],
+                     named[nu + 1] if order == "second" else None,
+                     float(np.abs(delta[idx])), float(bound[idx]))
+
+
 def solve_homological(
     D: DiagonalOperator,
     R: ToplitzOperator,
@@ -177,9 +217,9 @@ def solve_homological(
     Every divisor with |l| <= N is screened first, whatever R holds there:
     off-diagonal pairs must pass the second-order `screen`, and the j = k
     entries (l != 0) inherit the Diophantine floor of the frequency witness.
-    On any violation no Psi is produced (ok = False) and the offending indices
-    are reported, with |delta| and the bound of the one of smallest margin;
-    exclusion is data, not an error.
+    On any violation no Psi is produced (ok = False) and the violation of
+    smallest margin is reported as the exclusion; exclusion is data, not an
+    error.
     """
     trunc = R.trunc
     mu = D.mu
@@ -194,22 +234,11 @@ def solve_homological(
     center = (2 * trunc.n_phi,) * trunc.nu
     bound[..., diag, diag] = (freq.gamma0 * lsz ** (-freq.tau0))[..., None]
     bound[center + (diag, diag)] = 0.0
-    bad = within & (np.abs(delta) < bound)
+    exclusion = smallest_margin("second", within & (np.abs(delta) < bound), delta, bound)
 
     diag_part = DiagonalOperator(trunc, np.diagonal(R.blocks[center]).copy())
-
-    if bad.any():
-        npk, nx = trunc.n_phi, trunc.n_x
-
-        def named(row):
-            return (tuple(int(i) - 2 * npk for i in row[: trunc.nu]),
-                    int(row[-2]) - nx, int(row[-1]) - nx)
-
-        violations = [named(row) for row in np.argwhere(bad)[:10]]
-        margin = np.where(bad, np.abs(delta), np.inf) / np.where(bad, bound, 1.0)
-        idx = np.unravel_index(np.argmin(margin), bad.shape)
-        worst = named(idx) + (float(np.abs(delta[idx])), float(bound[idx]))
-        return HomologicalSolution(None, diag_part, False, violations, worst)
+    if exclusion is not None:
+        return HomologicalSolution(None, diag_part, exclusion)
 
     # no violation, so every divisor on the kept set is nonzero
     keep = within.copy()
@@ -218,7 +247,7 @@ def solve_homological(
     # (i omega.l + mu_j - mu_k) Psi^k_j(l) = -R^k_j(l) off the (0,0) entries
     blocks = np.zeros_like(R.blocks)
     np.divide(-R.blocks, delta, out=blocks, where=keep)
-    return HomologicalSolution(ToplitzOperator(trunc, blocks), diag_part, True, [])
+    return HomologicalSolution(ToplitzOperator(trunc, blocks), diag_part)
 
 
 def homological_residual(
@@ -248,7 +277,7 @@ def kam_step(state: ReducibilityState, freq: Frequency) -> ReducibilityState:
     N = sched.cutoff(state.nu_step, trunc.n_phi)
     sol = solve_homological(state.D, state.R, freq, N, sched.gamma, sched.tau)
     if not sol.ok:
-        return replace(state, exclusion=sol.violations, worst_violation=sol.worst_violation)
+        return replace(state, exclusion=sol.exclusion)
     Psi = sol.Psi
     psi_norm = opalg.decay_norm(Psi, trunc.s0)
     if psi_norm >= 0.5:
@@ -334,18 +363,13 @@ def reduce(reg, freq: Frequency, schedule: IterationSchedule) -> ReductionResult
     trace = [_trace_row(state, D0, schedule.cutoff(0, trunc.n_phi))]
     flat = 0
     norm = r0
+    final = state  # the excluded step's state, if one is
     while norm > schedule.target_decay and state.nu_step < schedule.max_steps:
-        new_state = kam_step(state, freq)
-        if not new_state.mask:
-            trace.append(_trace_row(new_state, D0, 0))
-            return ReductionResult(
-                eigs=state.D,
-                Phi_inf=state.Phi_acc,
-                Phi_inf_inv=state.Phi_acc_inv,
-                trace=trace,
-                state=new_state,
-            )
-        state = new_state
+        final = kam_step(state, freq)
+        if not final.mask:
+            trace.append(_trace_row(final, D0, 0))
+            break
+        state = final
         new_norm = opalg.decay_norm(state.R, s0)
         flat = flat + 1 if new_norm >= norm else 0
         if flat >= 3:
@@ -360,7 +384,7 @@ def reduce(reg, freq: Frequency, schedule: IterationSchedule) -> ReductionResult
         Phi_inf=state.Phi_acc,
         Phi_inf_inv=state.Phi_acc_inv,
         trace=trace,
-        state=state,
+        state=final,
     )
 
 
@@ -381,12 +405,6 @@ def conjugation_residual(reg, red: ReductionResult, z: FourierField) -> float:
 # non-resonance masks over a lambda grid
 
 
-def _l_table(nu: int, N: int) -> np.ndarray:
-    rng = np.arange(-N, N + 1)
-    grids = np.meshgrid(*([rng] * nu), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
-
-
 def melnikov_mask(
     lambdas: np.ndarray,
     eigs_by_lambda: list,
@@ -405,9 +423,8 @@ def melnikov_mask(
     """
     lambdas = np.asarray(lambdas, dtype=float)
     ob = np.atleast_1d(np.asarray(omega_bar, dtype=float))
-    nu = len(ob)
-    obl = _l_table(nu, N) @ ob
-    lsz = index_weights(nu, N, floor=1.0).ravel()
+    obl = dot_l(ob, N).ravel()
+    lsz = index_weights(len(ob), N, floor=1.0).ravel()
 
     out = np.zeros(len(lambdas), dtype=bool)
     for i, (lam, eigs) in enumerate(zip(lambdas, eigs_by_lambda)):
@@ -449,11 +466,3 @@ def eigenvalue_report(
         report["antisym_defect"] = float(np.max(np.abs(mu + mu[::-1])))
     return report
 
-
-def write_trace_csv(trace: list, path) -> None:
-    fields = ["step", "N", "R_s0", "R_s0p2", "sup_r", "mask_fraction"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for row in trace:
-            writer.writerow({k: row[k] for k in fields})

@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import FourierField, Frequency, Truncation, index_weights, sobolev_norm
+from .spectral import FourierField, Frequency, NumericalFailure, Truncation, index_weights
 
 __all__ = [
     "ToplitzOperator",
@@ -49,6 +49,8 @@ __all__ = [
     "smooth_complement",
     "neumann_inverse",
     "matrix_exponential",
+    "SeriesRefused",
+    "SeriesCapError",
     "materialize_matrix",
     "materialize_linearized",
     "flatten_field",
@@ -57,6 +59,14 @@ __all__ = [
 ]
 
 MATERIALIZE_CAP = 20000
+
+
+class SeriesRefused(NumericalFailure, ValueError):
+    """|Psi|_s0 is too large for the Neumann or exponential series."""
+
+
+class SeriesCapError(NumericalFailure, RuntimeError):
+    """The Neumann series did not converge within its term cap."""
 
 
 def _block_shape(trunc: Truncation) -> tuple[int, ...]:
@@ -346,7 +356,7 @@ def neumann_inverse(
     s0 = Psi.trunc.s0
     norm0 = decay_norm(Psi, s0)
     if norm0 >= 0.5:
-        raise ValueError(f"Neumann contraction fails: |Psi|_s0 = {norm0:.3f} >= 1/2")
+        raise SeriesRefused(f"Neumann contraction fails: |Psi|_s0 = {norm0:.3f} >= 1/2")
     negPsi = Psi.scale(-1.0)
     out = identity(Psi.trunc)
     # the series starts at the first power, so nothing is composed with I
@@ -356,7 +366,7 @@ def neumann_inverse(
         if decay_norm(term, s0) < tol:
             break
     else:
-        raise RuntimeError("Neumann series did not converge within the term cap")
+        raise SeriesCapError("Neumann series did not converge within the term cap")
     return out
 
 
@@ -365,7 +375,7 @@ def matrix_exponential(Psi: ToplitzOperator, term_tol: float = 1e-15) -> Toplitz
     s0 = Psi.trunc.s0
     norm0 = decay_norm(Psi, s0)
     if norm0 > 1.0:
-        raise ValueError(f"|Psi|_s0 = {norm0:.3f} > 1; refuse to exponentiate")
+        raise SeriesRefused(f"|Psi|_s0 = {norm0:.3f} > 1; refuse to exponentiate")
     k = 0
     while norm0 / (2**k) > 0.25:
         k += 1

@@ -19,8 +19,10 @@ import numpy as np
 
 from . import opalg
 from .spectral import (
+    DegenerateCoefficientError,
     FourierField,
     Frequency,
+    NumericalFailure,
     Truncation,
     analyze,
     compose,
@@ -35,21 +37,9 @@ from .spectral import (
 )
 
 
-class DegenerateCoefficientError(ValueError):
-    pass
-
-
-class ZeroMeanViolation(ValueError):
+class ZeroMeanViolation(NumericalFailure, ValueError):
     """The d_xx coefficient has nonzero x-mean somewhere: the structural
     hypotheses on f do not hold at this input."""
-
-    def __init__(self, theta_index, mean_value):
-        super().__init__(
-            f"x-mean of the d_xx coefficient is {mean_value:.3e} at phi node "
-            f"{theta_index}; expected 0"
-        )
-        self.theta_index = theta_index
-        self.mean_value = mean_value
 
 
 def _phi_only(trunc: Truncation, phi_samples: np.ndarray) -> FourierField:
@@ -159,11 +149,6 @@ def step2_time_reparam(b3, b2, b1, b0, freq: Frequency):
     m3 = b3.mean
     alpha = omega_dphi_inv(b3.shift_mean(-m3), freq) * (1.0 / m3)
     wda = omega_dphi(alpha, freq)
-    sup = np.max(np.abs(synthesize(wda)))
-    if sup > 0.5:
-        raise DegenerateCoefficientError(
-            f"|omega.d_phi alpha|_inf = {sup:.3f} > 1/2: reparametrization degenerates"
-        )
     alpha_tilde = invert_torus_diffeo("time", alpha, freq)
 
     one = FourierField.constant(trunc, 1.0)
@@ -194,7 +179,9 @@ def step3_descent_zero(c2, c1, c0, m3: float, freq: Frequency,
     samples = synthesize(avg)[..., 0]
     worst = np.unravel_index(np.argmax(np.abs(samples)), samples.shape)
     if np.abs(samples[worst]) > zero_mean_tol:
-        raise ZeroMeanViolation(worst, samples[worst])
+        raise ZeroMeanViolation(
+            f"x-mean of the d_xx coefficient is {samples[worst]:.3e} at phi node "
+            f"{tuple(int(i) for i in worst)}; expected 0")
 
     v = pointwise(np.exp, dx_pow(c2, -1) * (-1.0 / (3.0 * m3)))
     vy = dx_pow(v, 1)
@@ -320,23 +307,18 @@ class RegularizationResult:
 
     # ---- composites
 
-    def phi2(self, z, inverse: bool = False):
-        if inverse:
-            for step in (self.A, self.B, self.M, self.T, self.S):
-                z = step(z, inverse=True)
-            return z
-        for step in (self.S, self.T, self.M, self.B, self.A):
-            z = step(z)
+    @staticmethod
+    def _through(steps, z, inverse: bool):
+        """The product of steps (outermost first) applied to z, or its inverse."""
+        for step in (steps if inverse else steps[::-1]):
+            z = step(z, inverse=inverse)
         return z
 
+    def phi2(self, z, inverse: bool = False):
+        return self._through((self.A, self.B, self.M, self.T, self.S), z, inverse)
+
     def phi1(self, z, inverse: bool = False):
-        if inverse:
-            for step in (self.A, self.B, self.rho_mult, self.M, self.T, self.S):
-                z = step(z, inverse=True)
-            return z
-        for step in (self.S, self.T, self.M, self.rho_mult, self.B, self.A):
-            z = step(z)
-        return z
+        return self._through((self.A, self.B, self.rho_mult, self.M, self.T, self.S), z, inverse)
 
     # ---- operators
 

@@ -22,9 +22,9 @@ from . import nonlin
 from . import opalg
 from . import regularize
 from .spectral import (
-    DiffeoConvergenceError,
     FourierField,
     Frequency,
+    NumericalFailure,
     Truncation,
     index_weights,
     sobolev_norm,
@@ -54,19 +54,19 @@ class NonzeroAverageError(ValueError):
 
 
 class DivisorViolation(ValueError):
-    def __init__(self, l, j, value, bound):
-        self.l, self.j, self.value, self.bound = l, j, value, bound
-        super().__init__(
-            f"divisor |i omega.l + mu_j| = {value:.3e} < {bound:.3e} at l={l}, j={j}"
-        )
+    """A first-order divisor fails its bound; `exclusion` names it."""
+
+    def __init__(self, exclusion: km.Exclusion):
+        self.exclusion = exclusion
+        super().__init__(str(exclusion))
 
 
-class StructureError(ValueError):
+class StructureError(NumericalFailure, ValueError):
     """The nonlinearity admits no solution of the projected equation."""
 
 
-class DivergenceError(RuntimeError):
-    """The outer residual grew for two consecutive steps."""
+class DivergenceError(NumericalFailure, RuntimeError):
+    """The outer residual grew for two consecutive steps, or max_iters ran out."""
 
 
 @dataclass(frozen=True)
@@ -81,9 +81,6 @@ class SolverConfig:
     max_iters: int = 12
     kam_target: float = 1e-12
     kam_max_steps: int = 12
-    # the outer iteration relies on the |Psi| < 1/2 contraction guard instead
-    # of the conservative N0^(2 tau + 1) smallness test
-    smallness_threshold: float = 1e6
 
     def resolved(self, nu: int, epsilon: float) -> tuple[float, float]:
         gamma = self.gamma if self.gamma is not None else float(epsilon) ** self.a
@@ -99,21 +96,21 @@ class SolverConfig:
             gamma *= 1.0 + 0.5**n
         return km.IterationSchedule(
             N0=self.N0, chi=self.chi, gamma=gamma, tau=tau,
-            max_steps=self.kam_max_steps, target_decay=self.kam_target,
-            mode=mode, smallness_threshold=self.smallness_threshold,
+            max_steps=self.kam_max_steps, target_decay=self.kam_target, mode=mode,
         )
 
 
 @dataclass
 class SolveReport:
+    """One solve's ending: converged, excluded with its reason, or failed."""
+
     iterates: list
-    solution: FourierField
-    eigs: opalg.DiagonalOperator | None
-    converged: bool
-    excluded_lambda: bool
-    lam: float
-    epsilon: float
+    solution: FourierField  # the last iterate
+    eigs: opalg.DiagonalOperator | None = None
+    converged: bool = False
+    excluded_lambda: bool = False
     exclusion_reason: str | None = None
+    failure: str | None = None  # "<NumericalFailure class>: <message>"
     diagnostics: dict = dc_field(default_factory=dict)
 
 
@@ -166,11 +163,9 @@ def diag_inverse(
     bad, delta, bound = km.screen(freq.omega_dot_l(trunc),
                                   index_weights(trunc.nu, trunc.n_phi, floor=1.0),
                                   eigs.mu, gamma, tau, "first", check)
-    if bad.any():
-        idx = tuple(int(i) for i in np.argwhere(bad)[0])
-        l = tuple(int(trunc.mode_range(ax)[idx[ax]]) for ax in range(trunc.nu))
-        jj = int(trunc.mode_range(trunc.nu)[idx[-1]])
-        raise DivisorViolation(l, jj, float(np.abs(delta[idx])), float(bound[idx]))
+    exclusion = km.smallest_margin("first", bad, delta, bound)
+    if exclusion is not None:
+        raise DivisorViolation(exclusion)
 
     c = np.zeros(trunc.shape, dtype=complex)
     np.divide(g.c, delta, out=c, where=check)
@@ -242,26 +237,38 @@ def nash_moser(
     Each step re-linearizes at the current iterate, reruns the full
     regularization and reduction, and screens the divisors with the shrinking
     constants gamma_n = gamma (1 + 2^-n): the second order inside the
-    reduction, the first order in `diag_inverse`.  A failed screen excludes
-    this value of lambda (clean report, not an error).  The residual must
-    decrease: two consecutive growths raise DivergenceError.
+    reduction, the first order in `diag_inverse`.  Every call ends in one
+    report: converged; excluded, with the divisor of smallest margin as the
+    reason; or failed, with the `NumericalFailure` that stopped it.  The
+    residual must decrease: two consecutive growths, like running out of
+    max_iters, are a DivergenceError.
     """
+    report = SolveReport([], FourierField.zeros(config.trunc))
+    try:
+        _iterate(spec, freq, config, report)
+    except NumericalFailure as exc:
+        report.failure = exc.describe()
+    return report
+
+
+def _iterate(spec: nonlin.NonlinearitySpec, freq: Frequency, config: SolverConfig,
+             report: SolveReport) -> None:
+    """The iteration of `nash_moser`, recorded in its report as it goes."""
     trunc = config.trunc
     structure = structure_mode(nonlin.structure_flags(spec))
     mode = "hamiltonian" if spec.declared_form == "hamiltonian_F" else "generic"
 
-    u = FourierField.zeros(trunc)
+    u = report.solution
     Fu = nonlin.residual(spec, freq, u)
     res = sobolev_norm(Fu, trunc.s0)
     tol = config.tol_res if config.tol_res is not None else 1e-10 * (1.0 + res)
+    report.diagnostics = {"structure": structure, "tol": tol}
 
-    iterates = []
-    eigs = None
     grow = 0
     for n in range(config.max_iters + 1):
         sched = config.schedule(spec.epsilon, mode, n)
         N_next = int(round(config.N0 ** (config.chi ** (n + 1))))
-        iterates.append({
+        report.iterates.append({
             "n": n,
             "u_norm": sobolev_norm(u, trunc.s0),
             "res": res,
@@ -269,31 +276,31 @@ def nash_moser(
             "gamma": sched.gamma,
         })
         if res < tol:
-            return SolveReport(iterates, u, eigs, True, False,
-                               freq.lam, spec.epsilon,
-                               diagnostics={"structure": structure, "tol": tol})
+            report.converged = True
+            return
         if n == config.max_iters:
-            break
+            raise DivergenceError(
+                f"residual {res:.3e} above tol {tol:.3e} after {n} iterations")
 
         rg = regularize.regularize_at(spec, freq, u)
         red = km.reduce(rg, freq, sched)
-        eigs = red.eigs
-        if not red.mask:
-            l, j, k, value, bound = red.state.worst_violation
-            return SolveReport(iterates, u, eigs, False, True,
-                               freq.lam, spec.epsilon,
-                               exclusion_reason=f"divisor |i omega.l + mu_j - mu_k| = {value:.3e}"
-                                                f" < {bound:.3e} at l={l}, j={j}, k={k}")
+        report.eigs = red.eigs
+        exclusion = red.exclusion
+        if exclusion is None:
+            try:
+                h = right_inverse(rg, red, freq, project_ball(Fu, N_next),
+                                  sched.gamma, sched.tau, structure)
+            except DivisorViolation as exc:
+                exclusion = exc.exclusion
+        if exclusion is not None:
+            report.excluded_lambda = True
+            report.exclusion_reason = str(exclusion)
+            return
 
-        try:
-            h = right_inverse(rg, red, freq, project_ball(Fu, N_next),
-                              sched.gamma, sched.tau, structure)
-        except DivisorViolation as exc:
-            return SolveReport(iterates, u, eigs, False, True,
-                               freq.lam, spec.epsilon, exclusion_reason=str(exc))
         u = u - project_ball(h, N_next)
         if structure == "reversible" or mode == "hamiltonian":
             u = _parity_project(u)
+        report.solution = u
         Fu = nonlin.residual(spec, freq, u)
         new_res = sobolev_norm(Fu, trunc.s0)
         grow = grow + 1 if new_res >= res else 0
@@ -302,9 +309,6 @@ def nash_moser(
                 f"residual grew twice in a row (now {new_res:.3e})"
             )
         res = new_res
-
-    return SolveReport(iterates, u, eigs, False, False, freq.lam, spec.epsilon,
-                       diagnostics={"structure": structure, "tol": tol})
 
 
 def galerkin_newton(
@@ -347,25 +351,16 @@ def galerkin_newton(
 
 
 def _measure_point(args) -> dict:
-    (text, declared_form, epsilon, lam, omega_bar, n_phi, n_x, nu,
-     a, config_kw) = args
+    text, declared_form, epsilon, lam, omega_bar, config = args
     spec = nonlin.parse_nonlinearity(text, declared_form, epsilon=epsilon)
-    freq = Frequency(omega_bar, lam=lam)
-    trunc = Truncation(nu, n_phi, n_x)
-    config = SolverConfig(trunc=trunc, a=a, **config_kw)
-    try:
-        report = nash_moser(spec, freq, config)
-    except (DivergenceError, StructureError, km.ReductionError,
-            DiffeoConvergenceError, regularize.ZeroMeanViolation,
-            regularize.DegenerateCoefficientError) as exc:
-        return {"lambda": lam, "accepted": False, "excluded": False,
-                "error": str(exc)}
+    report = nash_moser(spec, Frequency(omega_bar, lam=lam), config)
     return {
         "lambda": lam,
-        "accepted": bool(report.converged),
-        "excluded": bool(report.excluded_lambda),
-        "residual": report.iterates[-1]["res"],
+        "accepted": report.converged,
+        "excluded": report.excluded_lambda,
+        "residual": report.iterates[-1]["res"] if report.iterates else None,
         "reason": report.exclusion_reason,
+        "error": report.failure,
     }
 
 
@@ -391,19 +386,14 @@ def cantor_measure(
         raise ValueError("the exponent a must lie in (0, 1)")
     trunc = trunc or Truncation(len(tuple(np.atleast_1d(omega_bar))), 8, 8)
     lambda_grid = np.asarray(lambda_grid, dtype=float)
-    config_kw = dict(config_kw or {})
-
-    config = SolverConfig(trunc=trunc, a=a, **config_kw)
+    config = SolverConfig(trunc=trunc, a=a, **(config_kw or {}))
     fractions = {}
     baselines = {}
     records = {}
     for eps in epsilons:
         gamma, tau = config.resolved(trunc.nu, eps)
-        args = [
-            (text, declared_form, eps, float(lam), tuple(omega_bar),
-             trunc.n_phi, trunc.n_x, trunc.nu, a, config_kw)
-            for lam in lambda_grid
-        ]
+        args = [(text, declared_form, eps, float(lam), tuple(omega_bar), config)
+                for lam in lambda_grid]
         if workers > 1:
             with concurrent.futures.ProcessPoolExecutor(workers) as pool:
                 rows = list(pool.map(_measure_point, args))

@@ -27,11 +27,14 @@ __all__ = [
     "Frequency",
     "sobolev_norm",
     "index_weights",
+    "dot_l",
     "dx_pow",
     "omega_dphi",
     "omega_dphi_inv",
     "compose",
     "invert_torus_diffeo",
+    "NumericalFailure",
+    "DegenerateCoefficientError",
     "DiffeoConvergenceError",
     "structure_check",
     "pointwise",
@@ -43,6 +46,15 @@ __all__ = [
     "field_to_json",
     "field_from_json",
 ]
+
+
+class NumericalFailure(Exception):
+    """A numerical stage could not finish on this input: the one base of every
+    failure a solve records, and a subcommand reports, instead of raising."""
+
+    def describe(self) -> str:
+        return f"{type(self).__name__}: {self}"
+
 
 def _grid_len(n: int, oversample: int) -> int:
     """Even grid length >= oversample * (2n + 1)."""
@@ -224,32 +236,29 @@ class Frequency:
         return self.lam * np.asarray(self.omega_bar)
 
     def _check_witness(self) -> None:
-        ob = np.asarray(self.omega_bar)
-        rng = np.arange(-self.check_range, self.check_range + 1)
-        grids = np.meshgrid(*([rng] * self.nu), indexing="ij")
-        ls = np.stack([g.ravel() for g in grids], axis=-1)
-        norms = np.max(np.abs(ls), axis=1)
-        mask = norms > 0
-        dots = np.abs(ls[mask] @ ob)
-        bound = 3.0 * self.gamma0 / norms[mask] ** self.tau0
-        if np.any(dots < bound):
-            bad = ls[mask][np.argmin(dots - bound)]
+        n = self.check_range
+        dots = np.abs(dot_l(self.omega_bar, n))
+        bound = 3.0 * self.gamma0 / index_weights(self.nu, n, floor=1.0) ** self.tau0
+        bound[(n,) * self.nu] = 0.0  # l = 0
+        gap = dots - bound
+        if np.any(gap < 0):
+            worst = np.unravel_index(np.argmin(gap), gap.shape)
             raise ValueError(
-                f"frequency fails the Diophantine witness at l={tuple(bad)}: "
-                f"|omega_bar.l|={np.abs(bad @ ob):.3e}"
+                f"frequency fails the Diophantine witness at "
+                f"l={tuple(int(i) - n for i in worst)}: |omega_bar.l|={dots[worst]:.3e}"
             )
 
     def omega_dot_l(self, trunc: Truncation, double: bool = False) -> np.ndarray:
         """Array of omega . l over the (possibly doubled) l-rectangle."""
-        n = 2 * trunc.n_phi if double else trunc.n_phi
-        rng = np.arange(-n, n + 1)
-        out = np.zeros((len(rng),) * self.nu)
-        om = self.omega
-        for ax in range(self.nu):
-            shape = [1] * self.nu
-            shape[ax] = len(rng)
-            out = out + om[ax] * rng.reshape(shape)
-        return out
+        return dot_l(self.omega, 2 * trunc.n_phi if double else trunc.n_phi)
+
+
+def dot_l(w, n: int) -> np.ndarray:
+    """w . l over the rectangle |l_i| <= n, one axis per component of w."""
+    out = np.zeros((2 * n + 1,) * len(w))
+    for wk, g in zip(w, np.ix_(*[np.arange(-n, n + 1)] * len(w))):
+        out = out + wk * g
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +421,12 @@ def multiply(f: FourierField, g: FourierField) -> FourierField:
 # composition with torus diffeomorphisms
 
 
-class DiffeoConvergenceError(RuntimeError):
+class DegenerateCoefficientError(NumericalFailure, ValueError):
+    """A coefficient the chain divides by degenerates, or a torus
+    diffeomorphism's slope exceeds 1/2, so that it cannot be inverted."""
+
+
+class DiffeoConvergenceError(NumericalFailure, RuntimeError):
     """An inverse torus diffeomorphism did not converge."""
 
 
@@ -449,9 +463,14 @@ def _at_time_nodes(c: np.ndarray, gphi: tuple, freq: Frequency, alpha, real=Fals
     return a.reshape(gphi + a.shape[1:])
 
 
-def _fine_shape(trunc: Truncation, kind: str) -> tuple[int, ...]:
+def _fine_shape(trunc: Truncation, kind: str, freq: Frequency | None) -> tuple[int, ...]:
     """Grid for compositions: oversampled a further 2x, to push aliasing below
-    1e-10, along phi and, for the space kind, x (time only samples alpha on x)."""
+    1e-10, along phi and, for the space kind, x (time only samples alpha on x).
+    Checks the kind, and that the time kind comes with a Frequency."""
+    if kind not in ("space", "time"):
+        raise ValueError(f"unknown diffeomorphism kind {kind!r}")
+    if kind == "time" and freq is None:
+        raise ValueError("the time kind needs a Frequency")
     gp = _grid_len(trunc.n_phi, 2 * trunc.oversample)
     gx = _grid_len(trunc.n_x, (2 if kind == "space" else 1) * trunc.oversample)
     return (gp,) * trunc.nu + (gx,)
@@ -459,7 +478,7 @@ def _fine_shape(trunc: Truncation, kind: str) -> tuple[int, ...]:
 
 def _check_slope(samples: np.ndarray, what: str) -> None:
     if np.max(np.abs(samples)) > 0.5 + 1e-12:
-        raise ValueError(f"{what} = {np.max(np.abs(samples)):.3f} > 1/2")
+        raise DegenerateCoefficientError(f"{what} = {np.max(np.abs(samples)):.3f} > 1/2")
 
 
 def compose(kind: str, f, displacement: FourierField, freq: Frequency | None = None):
@@ -472,15 +491,13 @@ def compose(kind: str, f, displacement: FourierField, freq: Frequency | None = N
     """
     trunc, c, batched = _stacked(f)
     _check_same(trunc, displacement.trunc)
-    gs = _fine_shape(trunc, kind)
+    gs = _fine_shape(trunc, kind, freq)
     if kind == "space":
         beta, bx = synthesize([displacement, dx_pow(displacement, 1)], gs)
         _check_slope(bx, "space diffeomorphism degenerate: |beta_x|_inf")
         hyb = np.moveaxis(_phi_synth(trunc, c, gs[:-1]), -1, 0)[..., None]
         out = analyze(trunc, _horner(hyb, np.exp(1j * (_nodes(gs[-1]) + beta)), real=True))
-    elif kind == "time":
-        if freq is None:
-            raise ValueError("time composition needs a Frequency")
+    else:
         if np.max(np.abs(np.delete(displacement.c, trunc.n_x, axis=-1))) > 1e-12 * np.max(np.abs(displacement.c)):
             raise ValueError("time displacement must depend on phi only")
         alpha, da = synthesize([displacement, omega_dphi(displacement, freq)], gs)
@@ -488,8 +505,6 @@ def compose(kind: str, f, displacement: FourierField, freq: Frequency | None = N
         # x is not displaced: the sums over l are the x coefficients j >= 0
         hyb = _at_time_nodes(np.moveaxis(c[..., trunc.n_x:], 0, trunc.nu), gs[:-1], freq, alpha[..., 0])
         out = _from_x_half(trunc, np.moveaxis(hyb, trunc.nu, 0))
-    else:
-        raise ValueError(f"unknown composition kind {kind!r}")
     return out if batched else out[0]
 
 
@@ -504,10 +519,11 @@ def invert_torus_diffeo(
 
     space: solves beta~(y) = -beta(y + beta~(y));
     time:  solves alpha~(theta) = -alpha(theta + omega*alpha~(theta)).
-    Raises DiffeoConvergenceError if max_iter iterations do not reach tol.
+    Raises DegenerateCoefficientError if the slope of the displacement exceeds 1/2,
+    and DiffeoConvergenceError if max_iter iterations do not reach tol.
     """
     trunc = displacement.trunc
-    gs = _fine_shape(trunc, kind)
+    gs = _fine_shape(trunc, kind, freq)
     if kind == "space":
         _check_slope(synthesize(dx_pow(displacement, 1), gs), "space diffeomorphism not invertible: |beta_x|_inf")
         hyb = np.moveaxis(_phi_synth(trunc, displacement.c[None], gs[:-1]), -1, 0)[..., None]
@@ -515,15 +531,13 @@ def invert_torus_diffeo(
 
         def step(bt):
             return -_horner(hyb, np.exp(1j * (y + bt)), real=True)[0]
-    elif kind == "time":
-        if freq is None:
-            raise ValueError("time inversion needs a Frequency")
+    else:
+        _check_slope(synthesize(omega_dphi(displacement, freq), gs),
+                     "time diffeomorphism not invertible: |omega.d_phi alpha|_inf")
         a, cur = displacement.c[..., trunc.n_x], np.zeros(gs[:-1])  # alpha(phi)
 
         def step(at):
             return -_at_time_nodes(a, gs[:-1], freq, at, real=True)
-    else:
-        raise ValueError(f"unknown diffeomorphism kind {kind!r}")
     delta = np.inf
     for _ in range(max_iter):
         new = step(cur)

@@ -1,10 +1,15 @@
+import csv
 import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qpkdv import cli
+from qpkdv import dynamics as dyn
 from qpkdv import kamreduce as km
 from qpkdv import regularize as reg
 from qpkdv import solver as sv
@@ -29,6 +34,8 @@ def base_config(out_dir, **overrides):
 
 # neither reversible nor a total x-derivative: no projection applies
 NO_STRUCTURE = {"text": "cos(phi_1) * sin(x) + z0^2", "declared_form": "raw_f"}
+# at epsilon = 1 step 1 meets a space diffeomorphism with |beta_x|_inf > 1/2
+STEEP = {"text": "cos(phi_1)*sin(x) + z3*exp(3*cos(x))", "declared_form": "raw_f"}
 
 
 def write_config(tmp_path, **overrides):
@@ -98,6 +105,7 @@ def test_solve_writes_artifacts(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["subcommand"] == "solve"
     assert report["runs"][0]["converged"] is True
+    assert report["runs"][0]["failure"] is None
     assert (out / "trace.csv").read_text().startswith("tag,n,u_norm,res,N,gamma")
     sol = field_from_json((out / "fields" / "solution_lam1.25_eps0.001.json").read_text())
     assert sobolev_norm(sol, 2.0) > 0.0
@@ -123,13 +131,41 @@ def test_solve_excluded_lambda_exits_2(tmp_path):
     assert report["runs"][0]["exclusion_reason"]
 
 
+def test_solve_writes_every_run_when_one_fails(tmp_path, capsys):
+    cfg = write_config(tmp_path, nonlinearity=STEEP, epsilon=[1e-3, 1.0],
+                       kam={"gamma": 0.01})
+    out = tmp_path / "solve"
+    assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_ERROR
+    runs = json.loads((out / "report.json").read_text())["runs"]
+    assert [(r["epsilon"], r["converged"]) for r in runs] == [(1e-3, True), (1.0, False)]
+    assert runs[0]["failure"] is None
+    assert runs[1]["failure"].startswith("DegenerateCoefficientError: space diffeomorphism")
+    assert not runs[1]["excluded_lambda"]
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: lam1.25_eps1: {runs[1]['failure']}"]
+
+
+def test_solve_out_of_iterations_exits_1(tmp_path, capsys):
+    cfg = write_config(tmp_path, nash_moser={"max_iters": 0})
+    out = tmp_path / "solve"
+    assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_ERROR
+    run = json.loads((out / "report.json").read_text())["runs"][0]
+    assert not run["converged"] and not run["excluded_lambda"]
+    assert run["failure"].startswith("DivergenceError: ")
+    assert "after 0 iterations" in capsys.readouterr().err
+
+
 def test_reduce_writes_eigenvalues(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "reduce"
     assert cli.main(["reduce", "--config", str(cfg), "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert abs(report["m3"] - 1.0) < 0.1
-    assert (out / "trace.csv").read_text().startswith("step,N,R_s0")
+    assert report["excluded"] is False and report["reason"] is None
+    lines = (out / "trace.csv").read_text().splitlines()
+    assert lines[0] == "step,N,R_s0,R_s0p2,sup_r,mask_fraction"
+    assert len(lines) == report["steps"] + 1
+    assert b"\r" not in (out / "trace.csv").read_bytes()
     eig = json.loads((out / "fields" / "eigenvalues.json").read_text())
     assert len(eig["mu"]["re"]) == 13
 
@@ -156,8 +192,13 @@ def test_measure_reports_fractions(tmp_path):
     assert set(report["fractions"]) == {"0.001", "1e-05"}
     assert all(0.0 <= f <= 1.0 for f in report["fractions"].values())
     lines = (out / "trace.csv").read_text().strip().splitlines()
-    assert lines[0] == "epsilon,lambda,accepted,excluded"
+    assert lines[0] == "epsilon,lambda,accepted,excluded,reason"
     assert len(lines) == 11
+    for row in csv.DictReader(lines):
+        if row["accepted"] == "1":
+            assert row["reason"] == ""
+        else:
+            assert row["reason"].startswith("divisor |i omega.l + mu_j")
 
 
 def test_measure_uses_the_solver_config_of_solve(tmp_path, monkeypatch):
@@ -183,8 +224,23 @@ def test_measure_with_every_point_failed_exits_1(tmp_path):
                        truncation={"n_phi": 4, "n_x": 4})
     out = tmp_path / "measure"
     assert cli.main(["measure", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_ERROR
-    lines = (out / "trace.csv").read_text().strip().splitlines()
-    assert lines[1:] == ["0.001,1.25,0,0"]
+    with open(out / "trace.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert [r[:4] for r in rows[1:]] == [["0.001", "1.25", "0", "0"]]
+    assert rows[1][4].startswith("StructureError: f is neither a total x-derivative nor reversible")
+
+
+def test_measure_completes_past_a_failed_step(tmp_path):
+    cfg = write_config(tmp_path, nonlinearity=STEEP, epsilon=1.0, kam={"gamma": 0.01},
+                       **{"lambda": [0.8, 1.25]})
+    out = tmp_path / "measure"
+    assert cli.main(["measure", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_ERROR
+    assert json.loads((out / "report.json").read_text())["fractions"] == {"1.0": 0.0}
+    with open(out / "trace.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["lambda"] for r in rows] == ["0.8", "1.25"]
+    assert all(r["reason"].startswith("DegenerateCoefficientError: space diffeomorphism")
+               for r in rows)
 
 
 def test_stability_writes_trajectory(tmp_path):
@@ -196,6 +252,24 @@ def test_stability_writes_trajectory(tmp_path):
     assert 0.9 <= report["ratio_max"] <= 1.1
     lines = (out / "trace.csv").read_text().splitlines()
     assert lines[0] == "t,h_H1,h_Hs,v_Hs,discrepancy"
+    assert len(lines) == 101 + 1  # T / dt = 100 steps
+    assert b"\r" not in (out / "trace.csv").read_bytes()
+    h0 = json.loads((out / "fields" / "h0.json").read_text())["h"]
+    h0 = np.array(h0["re"]) + 1j * np.array(h0["im"])
+    first = [float(x) for x in lines[1].split(",")]
+    assert first[0] == 0.0 and first[1] == pytest.approx(dyn.profile_norm(h0, 1.0))
+
+
+def test_stability_stops_on_a_failed_solve(tmp_path, capsys):
+    cfg = write_config(tmp_path, nonlinearity=STEEP, epsilon=1.0, kam={"gamma": 0.01})
+    out = tmp_path / "stab"
+    assert cli.main(["stability", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_ERROR
+    report = json.loads((out / "report.json").read_text())
+    assert set(report) == {"subcommand", "excluded", "error", "seed"}
+    assert report["subcommand"] == "stability" and report["excluded"] is False
+    assert report["error"].startswith("DegenerateCoefficientError: space diffeomorphism")
+    assert capsys.readouterr().err == f"error: {report['error']}\n"
+    assert not (out / "trace.csv").exists()
 
 
 def test_verify_prints_table(tmp_path, capsys):
@@ -295,3 +369,32 @@ def test_solver_config_chi_reaches_schedule(tmp_path, monkeypatch, subcommand):
     out = tmp_path / subcommand
     assert cli.main([subcommand, "--config", str(cfg), "--out", str(out)]) == 0
     assert seen and all(s.chi == 1.3 for s in seen)
+
+
+# ------------------------------------------------------------------- fuzz
+
+# each term is odd under (phi, x) -> (-phi, -x) when u is even, so every f
+# drawn below is reversible
+REVERSIBLE_TERMS = ("z0^2*z3", "z0*z1", "z1*z2", "z1^3", "z3*cos(x)", "z1*cos(x)",
+                    "z2*sin(x)", "cos(phi_1)*cos(x)*z3", "z3*exp(3*cos(x))")
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(forcing=st.floats(0.1, 3.0),
+       terms=st.lists(st.tuples(st.sampled_from(REVERSIBLE_TERMS), st.floats(-3.0, 3.0)),
+                      min_size=1, max_size=3),
+       log_eps=st.floats(-6.0, 0.0),
+       n=st.integers(4, 8),
+       lambdas=st.lists(st.floats(0.5, 1.5), min_size=2, max_size=2),
+       subcommand=st.sampled_from(sorted(cli._SUBCOMMANDS)))
+def test_every_subcommand_ends_in_a_report(forcing, terms, log_eps, n, lambdas, subcommand):
+    text = f"{forcing:.3g}*cos(phi_1)*sin(x)" + "".join(
+        f" {'-' if c < 0 else '+'} {abs(c):.3g}*({t})" for t, c in terms)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "config.json"
+        cfg.write_text(json.dumps(base_config(
+            Path(tmp) / "out", nonlinearity={"text": text, "declared_form": "raw_f"},
+            epsilon=10.0 ** log_eps, truncation={"n_phi": n, "n_x": n},
+            dynamics={"T": 1.0}, **{"lambda": lambdas})))
+        assert cli.main([subcommand, "--config", str(cfg)]) in (0, 1, 2)
+        assert (Path(tmp) / "out" / "report.json").exists()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qpkdv import cli
 from qpkdv import dynamics as dyn
 from qpkdv import kamreduce as km
 from qpkdv import nonlin
@@ -303,8 +304,10 @@ def test_trajectory_csv_roundtrip(tmp_path):
     h0 = dyn.random_phase_state(T.n_x, np.random.default_rng(10), decay=3.0)
     rep = dyn.stability_report(rg, red, FREQ, h0, T=1.0, s=2.0, dt=0.05,
                                n_samples=5)
+    header = ["t", "h_H1", "h_Hs", "v_Hs", "discrepancy"]
+    assert all(list(row) == header for row in rep["samples"])
     path = tmp_path / "trace.csv"
-    dyn.write_trajectory_csv(rep["samples"], path)
+    cli._write_trace(path, header, rep["samples"])
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "t,h_H1,h_Hs,v_Hs,discrepancy"
     assert len(lines) == len(rep["samples"]) + 1

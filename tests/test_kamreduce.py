@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from qpkdv import cli
 from qpkdv import kamreduce as km
 from qpkdv import nonlin
 from qpkdv import opalg as op
@@ -100,7 +101,8 @@ def test_homological_divisor_violation_reports_indices():
     sol = km.solve_homological(D, R, FREQ, 4, 0.05, 3.0)
     assert not sol.ok
     assert sol.Psi is None
-    assert any(j != k for (_, j, k) in sol.violations)
+    ex = sol.exclusion
+    assert ex.order == "second" and ex.j != ex.k and ex.value < ex.bound
 
 
 def test_homological_screens_index_set_where_remainder_vanishes():
@@ -116,10 +118,14 @@ def test_homological_screens_index_set_where_remainder_vanishes():
     gamma = 0.5
     sol = km.solve_homological(op.DiagonalOperator(T, mu), op.ToplitzOperator(T, blocks),
                                FREQ, 4, gamma, 3.0)
-    assert not sol.ok and len(sol.violations) > 2
-    l, j, k, value, bound = sol.worst_violation
-    assert (l, j, k) in [((1,), 1, 0), ((-1,), 0, 1)]
-    assert value < 1e-12 and bound == pytest.approx(gamma)
+    within = (index_weights(1, 2 * T.n_phi) <= 4)[:, None, None]
+    bad, _, _ = km.screen(FREQ.omega_dot_l(T, double=True),
+                          index_weights(1, 2 * T.n_phi, floor=1.0), mu, gamma, 3.0,
+                          "second", within)
+    assert not sol.ok and np.count_nonzero(bad) > 2
+    ex = sol.exclusion
+    assert (ex.l, ex.j, ex.k) in [((1,), 1, 0), ((-1,), 0, 1)]
+    assert ex.value < 1e-12 and ex.bound == pytest.approx(gamma)
 
 
 @pytest.mark.parametrize("order", ["first", "second"])
@@ -275,15 +281,15 @@ def test_excluded_reduce_screens_each_step_once(monkeypatch):
     assert not red.mask and not red.state.mask
     assert len(steps) == 2 and len(calls) == len(steps)
     assert not calls[-1].ok
-    assert red.exclusion == calls[-1].violations
-    assert red.exclusion[0] == ((-6,), -2, -1)
+    assert red.exclusion == calls[-1].exclusion
+    assert (red.exclusion.l, red.exclusion.j, red.exclusion.k) == ((-6,), -2, -1)
     assert red.trace[-1]["mask_fraction"] == 0.0
 
 
 def test_reduce_smallness_guard():
     rg = pipeline(scale=0.05)
     with pytest.raises(km.SmallnessError):
-        km.reduce(rg, FREQ, km.IterationSchedule(gamma=0.01))
+        km.reduce(rg, FREQ, km.IterationSchedule(gamma=0.01, smallness_threshold=0.1))
 
 
 def test_reduce_conjugation_probe():
@@ -398,8 +404,10 @@ def test_melnikov_mask_first_order():
 def test_trace_csv_roundtrip(tmp_path):
     rg = pipeline()
     red = km.reduce(rg, FREQ, km.IterationSchedule(gamma=0.01))
+    header = ["step", "N", "R_s0", "R_s0p2", "sup_r", "mask_fraction"]
+    assert all(list(row) == header for row in red.trace)
     path = tmp_path / "trace.csv"
-    km.write_trace_csv(red.trace, path)
+    cli._write_trace(path, header, red.trace)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "step,N,R_s0,R_s0p2,sup_r,mask_fraction"
     assert len(lines) == len(red.trace) + 1

@@ -12,6 +12,7 @@ from qpkdv.spectral import (
     FourierField,
     Frequency,
     Truncation,
+    index_weights,
     omega_dphi,
     random_real_field,
     sobolev_norm,
@@ -86,7 +87,26 @@ def test_diag_inverse_divisor_violation_names_indices():
                           zero_total_average=True)
     with pytest.raises(sv.DivisorViolation) as err:
         sv.diag_inverse(eigs, FREQ, g, 1e-3, 3.0)
-    assert err.value.j == 1 and err.value.l == (3,)
+    assert err.value.exclusion.j == 1 and err.value.exclusion.l == (3,)
+
+
+def test_diag_inverse_names_smallest_margin_not_first_violation():
+    # (l, j) = (-2, 2) fails with margin 1/2 and comes first in C order;
+    # (l, j) = (3, 1) is an exact resonance, the smaller margin
+    mu = airy().mu.copy()
+    mu[T.n_x + 2] = 2j * FREQ.omega[0] + 1e-3j
+    mu[T.n_x + 1] = -3j * FREQ.omega[0]
+    bad, _, _ = km.screen(FREQ.omega_dot_l(T), index_weights(1, T.n_phi, floor=1.0),
+                          mu, 1e-3, 3.0, "first", True)
+    first = np.argwhere(bad)[0]
+    assert (first[0] - T.n_phi, first[1] - T.n_x) == (-2, 2)
+    g = random_real_field(T, np.random.default_rng(0), decay=3.0,
+                          zero_total_average=True)
+    with pytest.raises(sv.DivisorViolation) as err:
+        sv.diag_inverse(op.DiagonalOperator(T, mu), FREQ, g, 1e-3, 3.0)
+    ex = err.value.exclusion
+    assert (ex.order, ex.l, ex.j, ex.k) == ("first", (3,), 1, None)
+    assert ex.value < 1e-12 and str(err.value) == str(ex)
 
 
 # ------------------------------------------------------------- right inverse
@@ -151,8 +171,18 @@ def test_nash_moser_zero_epsilon_trivial():
 
 def test_nash_moser_rejects_constant_forcing():
     spec = nonlin.parse_nonlinearity("1 + z0 * 0", "raw_f", epsilon=1e-3)
-    with pytest.raises(sv.StructureError, match="mean"):
-        sv.nash_moser(spec, FREQ, sv.SolverConfig(trunc=T))
+    rep = sv.nash_moser(spec, FREQ, sv.SolverConfig(trunc=T))
+    assert not rep.converged and not rep.excluded_lambda
+    assert rep.failure.startswith("StructureError: ") and "mean" in rep.failure
+
+
+def test_nash_moser_out_of_iterations_is_a_failure():
+    spec = nonlin.parse_nonlinearity(FORCED, "raw_f", epsilon=1e-3)
+    rep = sv.nash_moser(spec, FREQ, sv.SolverConfig(trunc=T, max_iters=0))
+    assert not rep.converged and not rep.excluded_lambda
+    assert rep.failure.startswith("DivergenceError: ")
+    assert "after 0 iterations" in rep.failure
+    assert len(rep.iterates) == 1
 
 
 def test_nash_moser_converges_with_decreasing_residuals():
@@ -231,7 +261,6 @@ def test_solver_config_schedule():
     sched = config.schedule(1e-3, "hamiltonian")
     assert (sched.gamma, sched.tau, sched.chi, sched.N0) == (0.1, 3.0, 1.3, 3)
     assert (sched.max_steps, sched.target_decay, sched.mode) == (7, 1e-12, "hamiltonian")
-    assert sched.smallness_threshold == config.smallness_threshold
     assert config.schedule(1e-3, "generic", n=2).gamma == 0.1 * 1.25
     assert sv.SolverConfig(trunc=T).schedule(1e-4, "generic").gamma == 1e-4 ** 0.5
 
@@ -279,21 +308,38 @@ def test_cantor_measure_validates_exponent():
 
 
 def test_cantor_measure_records_failed_point(monkeypatch):
-    real = sv.nash_moser
+    real = reg.regularize_at
 
-    def flaky(spec, freq, config):
+    def flaky(spec, freq, u):
         if freq.lam == 1.0:
-            raise reg.ZeroMeanViolation(3, 2.2e-9)
-        return real(spec, freq, config)
+            raise reg.ZeroMeanViolation("x-mean of the d_xx coefficient is 2.2e-09")
+        return real(spec, freq, u)
 
-    monkeypatch.setattr(sv, "nash_moser", flaky)
+    monkeypatch.setattr(reg, "regularize_at", flaky)
     rep = sv.cantor_measure(FORCED, "raw_f", (1.0,), [1e-3],
                             np.array([0.9, 1.0, 1.1]), a=0.5,
                             trunc=Truncation(1, 4, 4))
     bad = rep.records[1e-3][1]
     assert not bad["accepted"] and not bad["excluded"]
-    assert "x-mean" in bad["error"]
+    assert bad["error"].startswith("ZeroMeanViolation: x-mean")
     assert len(rep.records[1e-3]) == 3
+
+
+@pytest.mark.parametrize("text, cause", [
+    ("cos(phi_1)*sin(x) + z3*exp(3*cos(x))",
+     "DegenerateCoefficientError: space diffeomorphism not invertible"),
+    ("cos(phi_1)*sin(x) + 3*z1*cos(x)",
+     "SeriesRefused: Neumann contraction fails"),
+], ids=["step1", "step5"])
+def test_cantor_measure_completes_past_step_failures(text, cause):
+    # at epsilon = 1 step 1 (a non-invertible space diffeomorphism) or step 5
+    # (a Neumann series refused) fails at every lambda; the scan completes
+    rep = sv.cantor_measure(text, "raw_f", (1.0,), [1.0], np.array([0.8, 1.25]),
+                            trunc=Truncation(1, 6, 6), config_kw={"gamma": 0.01})
+    assert len(rep.records[1.0]) == 2
+    for rec in rep.records[1.0]:
+        assert not rec["accepted"] and not rec["excluded"]
+        assert rec["error"].startswith(cause)
 
 
 def test_cantor_measure_records_diffeo_non_convergence(monkeypatch):
