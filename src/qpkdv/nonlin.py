@@ -83,8 +83,9 @@ def _tokenize(text: str):
 
 class _Parser:
     """Recursive descent over: expr = term (('+'|'-') term)*,
-    term = factor (('*'|'/') factor)*, factor = base ('^' integer)?,
-    base = number | ident | '(' expr ')' | func '(' expr ')'."""
+    term = unary (('*'|'/') unary)*, unary = ('+'|'-') unary | factor,
+    factor = base ('^' integer)?, base = number | ident | '(' expr ')' |
+    func '(' expr ')'.  A sign binds looser than '^': -z0^2 is -(z0^2)."""
 
     def __init__(self, text: str):
         self.text = text
@@ -113,10 +114,7 @@ class _Parser:
         return e
 
     def expr(self) -> sp.Expr:
-        sign = 1
-        if self.peek()[0] in "+-":
-            sign = -1 if self.advance()[0] == "-" else 1
-        e = sign * self.term()
+        e = self.term()
         while self.peek()[0] in "+-":
             op = self.advance()[0]
             t = self.term()
@@ -124,12 +122,17 @@ class _Parser:
         return e
 
     def term(self) -> sp.Expr:
-        e = self.factor()
+        e = self.unary()
         while self.peek()[0] in "*/":
             op = self.advance()[0]
-            f = self.factor()
+            f = self.unary()
             e = e * f if op == "*" else e / f
         return e
+
+    def unary(self) -> sp.Expr:
+        if self.peek()[0] in "+-":
+            return (-1 if self.advance()[0] == "-" else 1) * self.unary()
+        return self.factor()
 
     def factor(self) -> sp.Expr:
         e = self.base()

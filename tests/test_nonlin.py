@@ -52,6 +52,31 @@ def test_parse_precedence_and_unary_minus():
     assert sp.simplify(spec.f - (-z0 + 2 * z1**2)) == 0
 
 
+Z0, Z1, Z3, X, PHI1 = sp.symbols("z0 z1 z3 x phi_1", real=True)
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("cos(phi_1)*sin(x) + -2*z3", sp.cos(PHI1) * sp.sin(X) - 2 * Z3),
+    ("z0^2*z3 - -z3", Z0**2 * Z3 + Z3),
+    ("cos(phi_1)*sin(x) * -z3", -sp.cos(PHI1) * sp.sin(X) * Z3),
+    # a sign binds looser than '^' and tighter than '*' and '+'
+    ("-z0^2", -(Z0**2)),
+    ("-z0^2*z3", -(Z0**2) * Z3),
+    ("z0^-2", Z0**-2),
+    ("-2^2", sp.Integer(-4)),
+    ("+-z0", -Z0),
+    ("z0^2*(-z3)", -(Z0**2) * Z3),
+])
+def test_parse_sign_after_an_operator(text, expected):
+    assert sp.simplify(nonlin.parse_nonlinearity(text).f - expected) == 0
+
+
+def test_parse_rejects_an_operator_without_operand():
+    with pytest.raises(nonlin.ParseError, match="expected a value") as e:
+        nonlin.parse_nonlinearity("z0*/z1")
+    assert e.value.position == 3
+
+
 def test_dx_of_g_chain_rule():
     spec = nonlin.parse_nonlinearity("z0^3", declared_form="dx_of_g")
     z0, z1 = sp.Symbol("z0", real=True), sp.Symbol("z1", real=True)

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -248,6 +251,95 @@ def test_compose_is_bit_identical_across_calls():
     C1, C2 = op.compose(A, B), op.compose(A, B)
     assert np.array_equal(C1.blocks, C2.blocks)
     assert C1.dropped_mass == C2.dropped_mass
+
+
+# ------------------------------------------------------- compose workspace
+
+WORKSPACE_TRUNCS = [Truncation(1, 16, 16), Truncation(2, 4, 4)]
+
+
+def _workspace_of(trunc):
+    """The buffers the last compose at ``trunc`` used (a cache hit, not new ones)."""
+    w = 4 * trunc.n_phi + 1
+    shape = (op._fft_length(2 * w - 1),) * trunc.nu + (2 * trunc.n_x + 1,) * 2
+    misses = op._workspace.cache_info().misses
+    bufs = op._workspace(shape, threading.get_ident())
+    assert op._workspace.cache_info().misses == misses
+    return bufs
+
+
+def _workspace_operands(trunc, seed):
+    rng = np.random.default_rng(seed)
+    return random_toeplitz(trunc, rng), _sparse_toeplitz(trunc, rng, band=2)
+
+
+@pytest.mark.parametrize("trunc", WORKSPACE_TRUNCS)
+def test_compose_result_does_not_share_the_workspace(trunc):
+    A, B = _workspace_operands(trunc, 3)
+    C = op.compose(A, B)
+    assert not any(np.shares_memory(C.blocks, buf) for buf in _workspace_of(trunc))
+
+
+def test_compose_result_survives_later_calls():
+    A, B = _workspace_operands(WORKSPACE_TRUNCS[0], 4)
+    C = op.compose(A, B)
+    kept, dropped = C.blocks.copy(), C.dropped_mass
+    op.compose(B, A)
+    op.compose(A, A)
+    op.compose(*_workspace_operands(WORKSPACE_TRUNCS[1], 4))
+    assert np.array_equal(C.blocks, kept)
+    assert C.dropped_mass == dropped
+
+
+def test_compose_is_bit_identical_across_interleaved_truncations():
+    pairs = {}
+    for trunc in WORKSPACE_TRUNCS:
+        D, S = _workspace_operands(trunc, 5)
+        pairs[trunc] = [(D, S), (S, D), (S, S), (D, D)]
+    ref = {}
+    for trunc, ops in pairs.items():
+        for k, (A, B) in enumerate(ops):
+            op._workspace.cache_clear()
+            ref[trunc, k] = op.compose(A, B)
+    # each truncation replaces the other's workspace, and within one
+    # truncation dense and sparse operands reuse the same buffers
+    for trunc in WORKSPACE_TRUNCS + WORKSPACE_TRUNCS[:1]:
+        for k, (A, B) in enumerate(pairs[trunc]):
+            C = op.compose(A, B)
+            assert np.array_equal(C.blocks, ref[trunc, k].blocks)
+            assert C.dropped_mass == ref[trunc, k].dropped_mass
+
+
+def test_compose_is_bit_identical_across_threads():
+    pairs = [_workspace_operands(trunc, 7) for trunc in WORKSPACE_TRUNCS]
+    ref = [op.compose(A, B) for A, B in pairs]
+    bad = []
+
+    def run(k):
+        for _ in range(5):
+            C = op.compose(*pairs[k % 2])
+            if not np.array_equal(C.blocks, ref[k % 2].blocks):
+                bad.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not bad
+
+
+def test_compose_of_an_operator_with_itself():
+    A, _ = _workspace_operands(Truncation(2, 3, 3), 6)
+    C, D = op.compose(A, A), op.compose(A, A.scale(1.0))
+    assert np.array_equal(C.blocks, D.blocks)
+    assert C.dropped_mass == D.dropped_mass
 
 
 @pytest.mark.parametrize("m_func", [
