@@ -305,16 +305,20 @@ def linearized_coefficients(spec: NonlinearitySpec, u: FourierField):
     return tuple(a * spec.epsilon for a in analyze(u.trunc, samples))
 
 
+def apply_L(coefficients, freq: Frequency, h: FourierField) -> FourierField:
+    """L h = omega.d_phi h + (1 + a3) h_xxx + a2 h_xx + a1 h_x + a0 h for the
+    fields (a3, a2, a1, a0): the four products summed on the grid, where two
+    factors do not alias, by one synthesis and one analysis."""
+    jet = [dx_pow(h, k) for k in (3, 2, 1, 0)]
+    g = synthesize([*coefficients, *jet])
+    products = analyze(h.trunc, np.sum(g[:4] * g[4:], axis=0))
+    return omega_dphi(h, freq) + jet[0] + products
+
+
 def apply_linearized(spec: NonlinearitySpec, freq: Frequency,
                      u: FourierField, h: FourierField) -> FourierField:
     """Directional derivative of the residual: L(u) h."""
-    a3, a2, a1, a0 = linearized_coefficients(spec, u)
-    from .spectral import multiply
-
-    out = omega_dphi(h, freq) + dx_pow(h, 3)
-    out = out + multiply(a3, dx_pow(h, 3)) + multiply(a2, dx_pow(h, 2))
-    out = out + multiply(a1, dx_pow(h, 1)) + multiply(a0, h)
-    return out
+    return apply_L(linearized_coefficients(spec, u), freq, h)
 
 
 # ---------------------------------------------------------- structure flags

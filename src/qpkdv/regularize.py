@@ -31,7 +31,6 @@ from .spectral import (
     multiply,
     omega_dphi,
     omega_dphi_inv,
-    pointwise,
     synthesize,
     x_average,
 )
@@ -42,24 +41,16 @@ class ZeroMeanViolation(NumericalFailure, ValueError):
     hypotheses on f do not hold at this input."""
 
 
-def _phi_only(trunc: Truncation, phi_samples: np.ndarray) -> FourierField:
-    """Field from samples over the phi grid, constant in x."""
-    full = np.broadcast_to(phi_samples[..., None], trunc.grid_shape)
-    return analyze(trunc, np.ascontiguousarray(full))
+def _inverse(samples: np.ndarray, what: str, floor: float = 1e-14) -> np.ndarray:
+    """1/g on grid samples of g, refused where g comes within floor of zero."""
+    if np.min(np.abs(samples)) < floor:
+        raise DegenerateCoefficientError(f"division by a vanishing {what}")
+    return 1.0 / samples
 
 
-def _reciprocal(f: FourierField, floor: float = 1e-14) -> FourierField:
-    def inv(v):
-        if np.min(np.abs(v)) < floor:
-            raise DegenerateCoefficientError("division by a vanishing field")
-        return 1.0 / v
-
-    return pointwise(inv, f)
-
-
-def _divide(f: FourierField, g: FourierField) -> FourierField:
-    return multiply(f, _reciprocal(g))
-
+# Steps 1-3 evaluate their formulas on the grid: each step synthesizes its
+# inputs in one batched call and analyzes its outputs in one, while d_x, omega.d_phi
+# and the diffeomorphisms act on coefficients between them.
 
 # ----------------------------------------------------------------- step 1
 
@@ -70,62 +61,54 @@ def step1_space_diffeo(a3, a2, a1, a0, freq: Frequency, mode: str = "generic"):
     Returns a dict with b (the flattened d_yyy coefficient, a function of phi
     alone), the displacement beta, its inverse displacement, and the four
     transformed coefficients.  In hamiltonian mode the transformation carries
-    the weight 1 + beta_x and the d_yy coefficient vanishes identically.
+    the weight sigma = 1 + beta_x and the d_yy coefficient vanishes identically;
+    in generic mode sigma = 1 and the chain holds None for it.
     """
     trunc = a3.trunc
-    g3 = synthesize(a3)
+    g3, g2, g1, g0 = synthesize([a3, a2, a1, a0])
     if np.min(1.0 + g3) <= 0.5:
         raise DegenerateCoefficientError(
             f"1 + a3 reaches {np.min(1.0 + g3):.3f} <= 1/2"
         )
     q = (1.0 + g3) ** (-1.0 / 3.0)
-    b_phi = np.mean(q, axis=-1) ** (-3.0)  # per phi node
-    rho0 = analyze(trunc, b_phi[..., None] ** (1.0 / 3.0) * q - 1.0)
+    b_phi = np.mean(q, axis=-1, keepdims=True) ** (-3.0)  # per phi node
+    rho0, b = analyze(trunc, np.stack([b_phi ** (1.0 / 3.0) * q - 1.0,
+                                       np.broadcast_to(b_phi, q.shape)]))
     beta = dx_pow(rho0, -1)
     beta_tilde = invert_torus_diffeo("space", beta)
-    b = _phi_only(trunc, b_phi)
 
-    one = FourierField.constant(trunc, 1.0)
-    bx = dx_pow(beta, 1)
-    bxx = dx_pow(beta, 2)
-    bxxx = dx_pow(beta, 3)
-    opx = one + bx  # 1 + beta_x
-    a3p = one + a3  # 1 + a3
-
-    if mode == "hamiltonian":
-        sigma = opx
-        sx, sxx, sxxx = bxx, bxxx, dx_pow(beta, 4)
+    hamiltonian = mode == "hamiltonian"
+    fields = [dx_pow(beta, k) for k in range(1, 5)] + [omega_dphi(beta, freq)]
+    if hamiltonian:
+        fields.append(dx_pow(fields[-1], 1))  # omega.d_phi sigma
+    bx, bxx, bxxx, bxxxx, wdb, *wds = synthesize(fields)
+    opx, a3p = 1.0 + bx, 1.0 + g3
+    # sigma and its x-derivatives; sigma = 1 is a scalar in generic mode
+    if hamiltonian:
+        sigma, sx, sxx, sxxx, wds = opx, bxx, bxxx, bxxxx, wds[0]
     else:
-        sigma = one
-        sx = sxx = sxxx = FourierField.zeros(trunc)
+        sigma, sx, sxx, sxxx, wds = 1.0, 0.0, 0.0, 0.0, 0.0
 
-    # weighted conjugation: collect the coefficients of d_x^k in L(sigma h(x+beta))
-    opx2 = multiply(opx, opx)
-    opx3 = multiply(opx2, opx)
-    c3 = multiply(a3p, multiply(sigma, opx3))
-    c2 = (
-        multiply(a3p, multiply(sx, opx2) * 3.0 + multiply(sigma, multiply(opx, bxx)) * 3.0)
-        + multiply(a2, multiply(sigma, opx2))
-    )
-    c1 = (
-        multiply(a3p, multiply(sxx, opx) * 3.0 + multiply(sx, bxx) * 3.0 + multiply(sigma, bxxx))
-        + multiply(a2, multiply(sx, opx) * 2.0 + multiply(sigma, bxx))
-        + multiply(a1, multiply(sigma, opx))
-        + multiply(sigma, omega_dphi(beta, freq))
-    )
-    c0 = (
-        multiply(a3p, sxxx)
-        + multiply(a2, sxx)
-        + multiply(a1, sx)
-        + multiply(a0, sigma)
-        + omega_dphi(sigma, freq)
-    )
+    # weighted conjugation: the coefficients of d_x^k in L(sigma h(x+beta))
+    c = analyze(trunc, np.stack([
+        a3p * sigma * opx**3,
+        a3p * (3.0 * sx * opx**2 + 3.0 * sigma * opx * bxx) + g2 * sigma * opx**2,
+        (a3p * (3.0 * sxx * opx + 3.0 * sx * bxx + sigma * bxxx)
+         + g2 * (2.0 * sx * opx + sigma * bxx) + g1 * sigma * opx + sigma * wdb),
+        a3p * sxxx + g2 * sxx + g1 * sx + g0 * sigma + wds,
+    ]))
 
-    # A^{-1}_0: one batched composition with beta_tilde
-    sig, c3, c2, c1, c0 = compose("space", [sigma, c3, c2, c1, c0], beta_tilde)
-    sigma_tilde = _reciprocal(sig)
-    b3, b2, b1, b0 = (multiply(sigma_tilde, g) for g in (c3, c2, c1, c0))
+    # A^{-1}_0: one batched composition with beta_tilde, then the weight's reciprocal
+    if hamiltonian:
+        sigma = dx_pow(beta, 1).shift_mean(1.0)
+        s, *g = synthesize(compose("space", [sigma] + c, beta_tilde))
+        s_inv = _inverse(s, "space weight")
+        sigma_tilde, *b_k = analyze(trunc, np.stack([s_inv] + [x * s_inv for x in g]))
+    else:
+        sigma = sigma_tilde = None
+        b_k = compose("space", c, beta_tilde)
 
+    b3, b2, b1, b0 = b_k
     return {
         "b": b,
         "beta": beta,
@@ -148,19 +131,20 @@ def step2_time_reparam(b3, b2, b1, b0, freq: Frequency):
     b3 = x_average(b3)  # drop the O(truncation) x-variance left by step 1
     m3 = b3.mean
     alpha = omega_dphi_inv(b3.shift_mean(-m3), freq) * (1.0 / m3)
-    wda = omega_dphi(alpha, freq)
     alpha_tilde = invert_torus_diffeo("time", alpha, freq)
 
-    one = FourierField.constant(trunc, 1.0)
-    # B^{-1}: one batched composition with alpha_tilde
-    rho, b2, b1, b0 = compose("time", [one + wda, b2, b1, b0], alpha_tilde, freq)
-    rho_inv = _reciprocal(rho)
-    c2, c1, c0 = (multiply(g, rho_inv) for g in (b2, b1, b0))
+    # B^{-1}: one batched composition with alpha_tilde, then rho's reciprocal
+    rho, *b = compose("time", [omega_dphi(alpha, freq).shift_mean(1.0), b2, b1, b0],
+                      alpha_tilde, freq)
+    r, *g = synthesize([rho] + b)
+    r_inv = _inverse(r, "time reparametrization factor")
+    rho_inv, c2, c1, c0 = analyze(trunc, np.stack([r_inv] + [x * r_inv for x in g]))
     return {
         "m3": m3,
         "alpha": alpha,
         "alpha_tilde": alpha_tilde,
         "rho": rho,
+        "rho_inv": rho_inv,
         "c2": c2,
         "c1": c1,
         "c0": c0,
@@ -175,29 +159,24 @@ def step3_descent_zero(c2, c1, c0, m3: float, freq: Frequency,
     """Remove the d_yy coefficient by conjugation with the multiplication
     operator v = exp(-(1/3m3) d_y^{-1} c2); requires c2 to have zero x-mean."""
     trunc = c2.trunc
-    avg = x_average(c2)  # constant in x; inspect its phi samples
-    samples = synthesize(avg)[..., 0]
-    worst = np.unravel_index(np.argmax(np.abs(samples)), samples.shape)
-    if np.abs(samples[worst]) > zero_mean_tol:
+    g2, g1, g0, e = synthesize([c2, c1, c0, dx_pow(c2, -1) * (-1.0 / (3.0 * m3))])
+    avg = np.mean(g2, axis=-1)  # the x-mean at each phi node
+    worst = np.unravel_index(np.argmax(np.abs(avg)), avg.shape)
+    if np.abs(avg[worst]) > zero_mean_tol:
         raise ZeroMeanViolation(
-            f"x-mean of the d_xx coefficient is {samples[worst]:.3e} at phi node "
+            f"x-mean of the d_xx coefficient is {avg[worst]:.3e} at phi node "
             f"{tuple(int(i) for i in worst)}; expected 0")
 
-    v = pointwise(np.exp, dx_pow(c2, -1) * (-1.0 / (3.0 * m3)))
-    vy = dx_pow(v, 1)
-    vyy = dx_pow(v, 2)
-    vyyy = dx_pow(v, 3)
-    t1 = vyy * (3.0 * m3) + multiply(c2, vy) * 2.0 + multiply(c1, v)
-    t0 = (
-        omega_dphi(v, freq)
-        + vyyy * m3
-        + multiply(c2, vyy)
-        + multiply(c1, vy)
-        + multiply(c0, v)
-    )
-    v_inv = _reciprocal(v)
-    d1, d0 = multiply(t1, v_inv), multiply(t0, v_inv)
-    return {"v": v, "d1": d1, "d0": d0}
+    v = analyze(trunc, np.exp(e))
+    g, vy, vyy, vyyy, wdv = synthesize([dx_pow(v, k) for k in range(4)] + [omega_dphi(v, freq)])
+    g_inv = _inverse(g, "descent multiplier")
+    # d_k: the coefficients of v^{-1} L2 v for L2 = ... + m3 d_yyy + c2 d_yy + c1 d_y + c0
+    v_inv, d1, d0 = analyze(trunc, np.stack([
+        g_inv,
+        (3.0 * m3 * vyy + 2.0 * g2 * vy + g1 * g) * g_inv,
+        (wdv + m3 * vyyy + g2 * vyy + g1 * vy + g0 * g) * g_inv,
+    ]))
+    return {"v": v, "v_inv": v_inv, "d1": d1, "d0": d0}
 
 
 # ----------------------------------------------------------------- step 4
@@ -288,14 +267,11 @@ class RegularizationResult:
         return compose("time", z, disp, self.freq)
 
     def rho_mult(self, z, inverse: bool = False):
-        rho = self.chain["rho"]
-        return _divide(z, rho) if inverse else multiply(rho, z)
+        return multiply(self.chain["rho_inv" if inverse else "rho"], z)
 
     def M(self, z, inverse: bool = False):
-        v = self.chain.get("v")
-        if v is None:
-            return z
-        return _divide(z, v) if inverse else multiply(v, z)
+        v = self.chain["v_inv" if inverse else "v"]
+        return z if v is None else multiply(v, z)
 
     def T(self, z, inverse: bool = False):
         p = self.chain["p"]
@@ -323,10 +299,9 @@ class RegularizationResult:
     # ---- operators
 
     def apply_L(self, z):
-        a3, a2, a1, a0 = self.coefficients
-        out = omega_dphi(z, self.freq) + dx_pow(z, 3)
-        out = out + multiply(a3, dx_pow(z, 3)) + multiply(a2, dx_pow(z, 2))
-        return out + multiply(a1, dx_pow(z, 1)) + multiply(a0, z)
+        from .nonlin import apply_L
+
+        return apply_L(self.coefficients, self.freq, z)
 
     def apply_L5(self, z):
         out = omega_dphi(z, self.freq) + dx_pow(z, 3) * self.m3
@@ -341,7 +316,7 @@ def run_regularization(a3, a2, a1, a0, freq: Frequency,
     m3 = s2["m3"]
     if mode == "hamiltonian":
         # the d_yy coefficient already vanishes: no descent step needed
-        s3 = {"v": None, "d1": s2["c1"], "d0": s2["c0"]}
+        s3 = {"v": None, "v_inv": None, "d1": s2["c1"], "d0": s2["c0"]}
     else:
         s3 = step3_descent_zero(s2["c2"], s2["c1"], s2["c0"], m3, freq)
     s4 = step4_translation(s3["d1"], s3["d0"], freq)

@@ -217,14 +217,21 @@ class Frequency:
 
     @staticmethod
     def default(nu: int, lam: float = 1.0, **kw) -> "Frequency":
+        """A basis of a real number field of degree nu, which is Diophantine
+        with tau = nu - 1 (|q.omega_bar| >= c/|q|^(nu-1) by the norm argument):
+        1, the golden mean for Q(sqrt 5), and (1, 2^(1/3) - 1, 4^(1/3) - 1)
+        for Q(2^(1/3)).  All three pass the default witness."""
         if nu == 1:
             ob = (1.0,)
         elif nu == 2:
             ob = (1.0, (math.sqrt(5.0) - 1.0) / 2.0)
+        elif nu == 3:
+            ob = (1.0, 2.0 ** (1.0 / 3.0) - 1.0, 4.0 ** (1.0 / 3.0) - 1.0)
         else:
-            # quadratic irrationals sqrt(p) for the first primes
-            primes = [2, 3, 5, 7, 11, 13, 17, 19]
-            ob = (1.0,) + tuple(math.sqrt(p) - int(math.sqrt(p)) for p in primes[: nu - 1])
+            raise ValueError(
+                f"no default frequency for nu = {nu}: the defaults are bases of real "
+                "number fields of degree nu <= 3; pass omega_bar, e.g. such a basis "
+                "of degree nu, and it is checked by the Diophantine witness")
         return Frequency(ob, lam=lam, **kw)
 
     @property
@@ -464,8 +471,12 @@ def _at_time_nodes(c: np.ndarray, gphi: tuple, freq: Frequency, alpha, real=Fals
 
 
 def _fine_shape(trunc: Truncation, kind: str, freq: Frequency | None) -> tuple[int, ...]:
-    """Grid for compositions: oversampled a further 2x, to push aliasing below
-    1e-10, along phi and, for the space kind, x (time only samples alpha on x).
+    """Grid for compositions: oversampled a further 2x along phi and, for the
+    space kind, x (time only samples alpha on x).  This does not bound the
+    aliasing of a composition: at nu = 2, n = 2 the inverse space displacement
+    of a random beta (decay 3, scale 0.02) was measured 9.0e-9 away from the
+    same fixed point solved by direct sums on 40- and 60-point grids (1.5e-16
+    at nu = 1, n = 4; 4e-14 for the time kind).
     Checks the kind, and that the time kind comes with a Frequency."""
     if kind not in ("space", "time"):
         raise ValueError(f"unknown diffeomorphism kind {kind!r}")

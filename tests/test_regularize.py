@@ -7,8 +7,12 @@ from qpkdv.spectral import (
     Frequency,
     Truncation,
     analyze,
+    compose,
     dx_pow,
     embed_field,
+    multiply,
+    omega_dphi,
+    pointwise,
     random_real_field,
     sobolev_norm,
     structure_check,
@@ -308,3 +312,121 @@ def test_chain_hamiltonian_mode():
     z = embed_field(random_real_field(sub, np.random.default_rng(1), decay=3.0,
                                       scale=1.0), T)
     assert reg.conjugacy_residual(result, z) < 1e-6
+
+
+# ----------------------------------------- steps 1-3 against the product form
+
+
+def _product_step1(a3, a2, a1, a0, freq, mode):
+    """Step 1 evaluated product by product: every product truncated."""
+    trunc = a3.trunc
+    beta = reg.step1_space_diffeo(a3, a2, a1, a0, freq, mode)["beta"]
+    one = FourierField.constant(trunc, 1.0)
+    bx, bxx, bxxx = (dx_pow(beta, k) for k in (1, 2, 3))
+    opx, a3p = one + bx, one + a3
+    if mode == "hamiltonian":
+        sigma, sx, sxx, sxxx = opx, bxx, bxxx, dx_pow(beta, 4)
+    else:
+        sigma, sx, sxx, sxxx = one, *[FourierField.zeros(trunc)] * 3
+    opx2 = multiply(opx, opx)
+    c3 = multiply(a3p, multiply(sigma, multiply(opx2, opx)))
+    c2 = (multiply(a3p, multiply(sx, opx2) * 3.0 + multiply(sigma, multiply(opx, bxx)) * 3.0)
+          + multiply(a2, multiply(sigma, opx2)))
+    c1 = (multiply(a3p, multiply(sxx, opx) * 3.0 + multiply(sx, bxx) * 3.0 + multiply(sigma, bxxx))
+          + multiply(a2, multiply(sx, opx) * 2.0 + multiply(sigma, bxx))
+          + multiply(a1, multiply(sigma, opx)) + multiply(sigma, omega_dphi(beta, freq)))
+    c0 = (multiply(a3p, sxxx) + multiply(a2, sxx) + multiply(a1, sx) + multiply(a0, sigma)
+          + omega_dphi(sigma, freq))
+    sig, *c = compose("space", [sigma, c3, c2, c1, c0], reg.invert_torus_diffeo("space", beta))
+    sigma_tilde = pointwise(lambda g: 1.0 / g, sig)
+    return [multiply(sigma_tilde, g) for g in c]
+
+
+def _product_step2(b3, b2, b1, b0, freq):
+    out = reg.step2_time_reparam(b3, b2, b1, b0, freq)
+    rho_inv = pointwise(lambda g: 1.0 / g, out["rho"])
+    b = compose("time", [b2, b1, b0], out["alpha_tilde"], freq)
+    return [rho_inv] + [multiply(g, rho_inv) for g in b]
+
+
+def _product_step3(c2, c1, c0, m3, freq):
+    """Step 3 evaluated product by product."""
+    v = pointwise(np.exp, dx_pow(c2, -1) * (-1.0 / (3.0 * m3)))
+    vy, vyy, vyyy = (dx_pow(v, k) for k in (1, 2, 3))
+    t1 = vyy * (3.0 * m3) + multiply(c2, vy) * 2.0 + multiply(c1, v)
+    t0 = (omega_dphi(v, freq) + vyyy * m3 + multiply(c2, vyy) + multiply(c1, vy)
+          + multiply(c0, v))
+    v_inv = pointwise(lambda g: 1.0 / g, v)
+    return v, v_inv, multiply(t1, v_inv), multiply(t0, v_inv)
+
+
+def _restrict(f, trunc):
+    """The modes of f inside the smaller truncation."""
+    big = f.trunc
+    cut = tuple(slice(b - m, b + m + 1) for b, m in
+                zip((big.n_phi,) * big.nu + (big.n_x,), (trunc.n_phi,) * trunc.nu + (trunc.n_x,)))
+    return FourierField(trunc, f.c[cut].copy())
+
+
+@pytest.mark.parametrize("nu,n", [(1, 8), (2, 4)])
+@pytest.mark.parametrize("mode", ["generic", "hamiltonian"])
+def test_steps_1_to_3_match_product_form(nu, n, mode):
+    # each step on the grid against the same step product by product: the two
+    # differ by less than the truncation level, the mass that the same step on
+    # the doubled truncation puts outside the rectangle
+    trunc, big = Truncation(nu, n, n), Truncation(nu, 2 * n, 2 * n)
+    freq = Frequency.default(nu, lam=1.1)
+    if mode == "hamiltonian":
+        spec = nonlin.builtin("hamiltonian_cubic", epsilon=1e-3)
+        u = small_u(trunc, seed=4, scale=0.02, decay=5.0)
+    else:
+        spec = nonlin.builtin("quasilinear_cubic", epsilon=1e-2)
+        u = small_u(trunc, seed=4)
+    coeffs = nonlin.linearized_coefficients(spec, u)
+
+    def check(step, product_form, inputs, keys):
+        new = step(*inputs)
+        ref = step(*(embed_field(f, big) if isinstance(f, FourierField) else f for f in inputs))
+        for key, old in zip(keys, product_form(*inputs)):
+            if key is None:
+                continue
+            tail = ref[key] - embed_field(_restrict(ref[key], trunc), big)
+            assert sobolev_norm(new[key] - old, trunc.s0) < sobolev_norm(tail, big.s0), key
+        return new
+
+    b_keys = ("b3", "b2", "b1", "b0")
+    # in hamiltonian mode b2 vanishes up to rounding in both forms; it is
+    # checked to vanish, not against the (vanishing) truncation level
+    s1 = check(lambda *a: reg.step1_space_diffeo(*a, freq, mode),
+               lambda *a: _product_step1(*a, freq, mode), coeffs,
+               ("b3", None, "b1", "b0") if mode == "hamiltonian" else b_keys)
+    if mode == "hamiltonian":
+        assert sobolev_norm(s1["b2"], trunc.s0) < 1e-10
+    s2 = check(lambda *a: reg.step2_time_reparam(*a, freq),
+               lambda *a: _product_step2(*a, freq), [s1[k] for k in b_keys],
+               ("rho_inv", "c2", "c1", "c0"))
+    if mode == "generic":
+        check(lambda *a: reg.step3_descent_zero(*a, freq),
+              lambda *a: _product_step3(*a, freq),
+              [s2["c2"], s2["c1"], s2["c0"], s2["m3"]], ("v", "v_inv", "d1", "d0"))
+
+
+@pytest.mark.parametrize("mode,count", [("generic", (10, 9)), ("hamiltonian", (9, 8))])
+def test_chain_transform_count(monkeypatch, mode, count):
+    # steps 1-3 transform once per step, not once per product: the whole chain
+    # makes about ten syntheses and as many analyses (the product form made
+    # 39 to 49 of each)
+    from qpkdv import spectral
+
+    calls = {"synthesize": 0, "analyze": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(spectral, name), _name=name, **kw):
+            calls[_name] += 1
+            return _f(*args, **kw)
+        for module in (spectral, reg):
+            monkeypatch.setattr(module, name, counted)
+    spec = nonlin.builtin("hamiltonian_cubic" if mode == "hamiltonian" else "quasilinear_cubic",
+                          epsilon=1e-3)
+    coeffs = nonlin.linearized_coefficients(spec, small_u(seed=6, scale=0.02, decay=5.0))
+    reg.run_regularization(*coeffs, FREQ, mode)
+    assert 0 < calls["synthesize"] <= count[0] and 0 < calls["analyze"] <= count[1]

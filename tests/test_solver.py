@@ -214,6 +214,20 @@ def test_nash_moser_matches_dense_newton():
     assert sobolev_norm(rep.solution - oracle, T.s0) < 1e-8
 
 
+def test_nu3_solve_matches_dense_newton():
+    # nu = 3 on the default frequency; at epsilon = 1e-3 (gamma = 0.03) the
+    # first-order divisor |i omega.l + mu_j| at |l|_inf = 1, j = -1 excludes
+    # both lambda = 0.8 and 1.25 at iterate 0
+    trunc = Truncation(3, 2, 2)
+    freq = Frequency.default(3, lam=1.25)
+    text = " + ".join(f"10 * cos(phi_{i}) * sin(x)" for i in (1, 2, 3)) + " + z0^2 * z3"
+    spec = nonlin.parse_nonlinearity(text, "raw_f", epsilon=1e-6)
+    rep = sv.nash_moser(spec, freq, sv.SolverConfig(trunc=trunc))
+    assert rep.converged
+    oracle = sv.galerkin_newton(spec, freq, trunc)
+    assert sobolev_norm(rep.solution - oracle, trunc.s0) < 1e-8
+
+
 def test_nash_moser_solution_shrinks_with_epsilon():
     norms = {}
     for eps in (1e-3, 1e-4):

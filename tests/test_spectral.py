@@ -194,6 +194,14 @@ def test_omega_dphi_inv_two_frequencies():
     assert np.max(np.abs(g.c - expected)) < 1e-12
 
 
+def test_default_frequency_up_to_three_angles():
+    # the cubic-field basis passes the default witness; nu > 3 has no default
+    assert Frequency.default(3).omega_bar == pytest.approx(
+        (1.0, 2.0 ** (1.0 / 3.0) - 1.0, 4.0 ** (1.0 / 3.0) - 1.0), abs=1e-15)
+    with pytest.raises(ValueError, match="pass omega_bar"):
+        Frequency.default(4)
+
+
 def test_diophantine_witness_rejects_resonant():
     with pytest.raises(ValueError):
         Frequency((1.0, 0.5), gamma0=0.05, check_range=8)
