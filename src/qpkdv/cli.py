@@ -67,6 +67,33 @@ def _take(d, key, path, default=_MISSING):
     return default
 
 
+def _check_keys(d: dict, allowed, prefix: str = "") -> None:
+    """Refuse a key that no field reads, naming its path."""
+    for key in d:
+        if key not in allowed:
+            raise ConfigError(f"{prefix}{key}: unknown field")
+
+
+def _section(raw: dict, key: str, allowed, default=_MISSING) -> dict:
+    """The object raw[key], whose keys must all be in allowed."""
+    section = _take(raw, key, key, default)
+    if not isinstance(section, dict):
+        raise ConfigError(f"{key}: expected an object")
+    _check_keys(section, allowed, key + ".")
+    return dict(section)
+
+
+# the kam and nash_moser keys: the SolverConfig field each sets, and its type
+SOLVER_FIELDS = {
+    "kam": {"gamma": ("gamma", float), "a": ("a", float), "tau": ("tau", float),
+            "N0": ("N0", int), "target_decay": ("kam_target", float),
+            "max_steps": ("kam_max_steps", int)},
+    "nash_moser": {"tol_res": ("tol_res", float), "max_iters": ("max_iters", int)},
+}
+TOP_LEVEL_KEYS = ("schema_version", "nonlinearity", "epsilon", "frequency", "lambda",
+                  "truncation", "kam", "nash_moser", "dynamics", "output_dir", "seed")
+
+
 @dataclass
 class ExperimentConfig:
     nonlinearity_text: str
@@ -91,10 +118,9 @@ class ExperimentConfig:
         version = raw.get("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
             raise ConfigError(f"schema_version: expected {SCHEMA_VERSION}, got {version}")
+        _check_keys(raw, TOP_LEVEL_KEYS)
 
-        nl = take(raw, "nonlinearity", "nonlinearity")
-        if not isinstance(nl, dict):
-            raise ConfigError("nonlinearity: expected an object")
+        nl = _section(raw, "nonlinearity", ("builtin", "text", "declared_form"))
         if "builtin" in nl:
             name = nl["builtin"]
             if name not in nonlin.BUILTINS:
@@ -112,7 +138,7 @@ class ExperimentConfig:
         if any(e < 0 for e in epsilons):
             raise ConfigError("epsilon: values must be >= 0")
 
-        fr = take(raw, "frequency", "frequency", {"preset": "unit"})
+        fr = _section(raw, "frequency", ("preset", "omega_bar"), {"preset": "unit"})
         if "preset" in fr:
             preset = fr["preset"]
             if preset not in FREQUENCY_PRESETS:
@@ -128,6 +154,7 @@ class ExperimentConfig:
 
         lam = take(raw, "lambda", "lambda", 1.25)
         if isinstance(lam, dict):
+            _check_keys(lam, ("min", "max", "count"), "lambda.")
             lo = float(take(lam, "min", "lambda.min"))
             hi = float(take(lam, "max", "lambda.max"))
             count = int(take(lam, "count", "lambda.count"))
@@ -139,7 +166,7 @@ class ExperimentConfig:
         if any(not (0.5 <= v <= 1.5) for v in lambdas):
             raise ConfigError("lambda: values must lie in [1/2, 3/2]")
 
-        tr = take(raw, "truncation", "truncation", {})
+        tr = _section(raw, "truncation", ("n_phi", "n_x", "oversample"), {})
         trunc = Truncation(
             len(omega_bar),
             int(take(tr, "n_phi", "truncation.n_phi", 8)),
@@ -147,7 +174,7 @@ class ExperimentConfig:
             int(take(tr, "oversample", "truncation.oversample", 2)),
         )
 
-        kam = dict(take(raw, "kam", "kam", {}))
+        kam = _section(raw, "kam", SOLVER_FIELDS["kam"], {})
         nu = len(omega_bar)
         tau = kam.get("tau")
         if tau is not None and tau <= nu + 1:
@@ -165,30 +192,19 @@ class ExperimentConfig:
             lambdas=lambdas,
             truncation=trunc,
             kam=kam,
-            nash_moser=dict(take(raw, "nash_moser", "nash_moser", {})),
-            dynamics=dict(take(raw, "dynamics", "dynamics", {})),
+            nash_moser=_section(raw, "nash_moser", SOLVER_FIELDS["nash_moser"], {}),
+            dynamics=_section(raw, "dynamics", ("T", "s", "dt", "seed"), {}),
             output_dir=str(take(raw, "output_dir", "output_dir", "out")),
             seed=int(take(raw, "seed", "seed", 0)),
         )
 
     def solver_config(self) -> sv.SolverConfig:
         kw = {}
-        if self.kam.get("gamma") is not None:
-            kw["gamma"] = float(self.kam["gamma"])
-        if self.kam.get("a") is not None:
-            kw["a"] = float(self.kam["a"])
-        if self.kam.get("tau") is not None:
-            kw["tau"] = float(self.kam["tau"])
-        if self.kam.get("N0") is not None:
-            kw["N0"] = int(self.kam["N0"])
-        if self.kam.get("target_decay") is not None:
-            kw["kam_target"] = float(self.kam["target_decay"])
-        if self.kam.get("max_steps") is not None:
-            kw["kam_max_steps"] = int(self.kam["max_steps"])
-        if self.nash_moser.get("tol_res") is not None:
-            kw["tol_res"] = float(self.nash_moser["tol_res"])
-        if self.nash_moser.get("max_iters") is not None:
-            kw["max_iters"] = int(self.nash_moser["max_iters"])
+        for name, table in SOLVER_FIELDS.items():
+            section = getattr(self, name)
+            for key, (target, cast) in table.items():
+                if section.get(key) is not None:
+                    kw[target] = cast(section[key])
         return sv.SolverConfig(trunc=self.truncation, **kw)
 
     def spec(self, epsilon: float) -> nonlin.NonlinearitySpec:

@@ -1,9 +1,11 @@
 """Quadratic reduction of L = omega.d_phi + D + R to constant diagonal form.
 
 Starting from the regularized operator omega.d_phi + m3 d_xxx + m1 d_x + R0,
-each step solves a homological equation for a transformation Phi = I + Psi
-(exp(Psi) in hamiltonian mode), absorbs the diagonal part of the remainder
-into the Floquet exponents mu_j, and leaves a quadratically smaller remainder.
+each step solves a homological equation for Psi, absorbs the diagonal part
+[R] of the remainder into the Floquet exponents mu_j, and conjugates by
+Phi = I + Psi (exp(Psi) in hamiltonian mode) through `opalg.near_identity`
+and `opalg.conjugate`, as regularization step 5 does.  The new remainder is
+quadratically smaller.
 
 `screen` is the one implementation of the paper's Melnikov divisor bounds,
 first order |i omega.l + mu_j| >= 2 gamma <j>^3 <l>^-tau and second order
@@ -259,10 +261,7 @@ def homological_residual(
 ) -> float:
     """sup-entry residual of omega.d_phi Psi + [D, Psi] + Pi_N R - [R]."""
     trunc = Psi.trunc
-    mu = D.mu
-    t = opalg.omega_commutator(Psi, freq).blocks.copy()
-    t += mu[:, None] * Psi.blocks - Psi.blocks * mu[None, :]
-    t += opalg.smooth(R, N).blocks
+    t = opalg.commutator(Psi, freq, D.mu).blocks + opalg.smooth(R, N).blocks
     center = (2 * trunc.n_phi,) * trunc.nu
     diag = np.arange(2 * trunc.n_x + 1)
     t[center + (diag, diag)] -= np.diagonal(R.blocks[center])
@@ -271,7 +270,9 @@ def homological_residual(
 
 
 def kam_step(state: ReducibilityState, freq: Frequency) -> ReducibilityState:
-    """One quadratic step: D -> D + [R], R -> Phi^{-1}(Pi_N^perp R + R Psi - Psi [R])."""
+    """One quadratic step: D -> D + [R] and
+    R -> Phi^{-1}([omega.d_phi + D, Phi] + R Phi - Phi [R]), with
+    Phi = I + Psi (exp(Psi) in hamiltonian mode) for the homological Psi."""
     sched = state.schedule
     trunc = state.R.trunc
     N = sched.cutoff(state.nu_step, trunc.n_phi)
@@ -285,29 +286,13 @@ def kam_step(state: ReducibilityState, freq: Frequency) -> ReducibilityState:
             f"|Psi|_s0 = {psi_norm:.3f} >= 1/2 at step {state.nu_step}"
         )
 
-    D_new = state.D + sol.diag_part
-    if sched.mode == "hamiltonian":
-        Phi = opalg.matrix_exponential(Psi)
-        Phi_inv = opalg.matrix_exponential(Psi.scale(-1.0))
-        # exp(Psi) satisfies the homological equation only to first order in
-        # Psi, so conjugate exactly: R+ = Phi^{-1} L Phi - (omega.d_phi + D+)
-        q = opalg.omega_commutator(Phi, freq)
-        q = opalg.add(q, opalg.scale_modes(Phi, rows=state.D.mu))
-        q = opalg.add(q, opalg.compose(state.R, Phi))
-        q = opalg.add(q, opalg.scale_modes(Phi, cols=-D_new.mu))
-        R_new = opalg.compose(Phi_inv, q)
-    else:
-        Phi = opalg.add(opalg.identity(trunc), Psi)
-        Phi_inv = opalg.neumann_inverse(Psi)
-        q = opalg.smooth_complement(state.R, N)
-        q = opalg.add(q, opalg.compose(state.R, Psi))
-        q = opalg.add(q, opalg.scale_modes(Psi, cols=-sol.diag_part.mu))
-        R_new = opalg.compose(Phi_inv, q)
+    Phi, Phi_inv = opalg.near_identity(Psi, sched.mode)
+    R_new = opalg.conjugate(Phi, Phi_inv, freq, state.D.mu, state.R, sol.diag_part.mu)
 
     first = state.nu_step == 0  # Phi_acc is still the identity
     return ReducibilityState(
         nu_step=state.nu_step + 1,
-        D=D_new,
+        D=state.D + sol.diag_part,
         R=R_new,
         Phi_acc=Phi if first else opalg.compose(state.Phi_acc, Phi),
         Phi_acc_inv=Phi_inv if first else opalg.compose(Phi_inv, state.Phi_acc_inv),

@@ -8,7 +8,8 @@ spatial blocks indexed by the offset l on the doubled rectangle
 Fourier-multiplier operators, application to fields, composition, s-decay
 norms, time-offset smoothing, Neumann inversion, matrix exponentials,
 evaluation of block tables at a batch of angles (``freeze``), and dense
-materialization for oracle checks.
+materialization for oracle checks.  Regularization step 5 and every KAM step
+are one conjugation, by the Phi of ``near_identity``, through ``conjugate``.
 
 ``compose`` is one zero-padded FFT convolution over the offset axes (each
 phi-axis padded to a 2-3-5-smooth length >= 8 n_phi + 1, so the full product
@@ -50,9 +51,11 @@ __all__ = [
     "add",
     "decay_norm",
     "smooth",
-    "smooth_complement",
+    "commutator",
     "neumann_inverse",
     "matrix_exponential",
+    "near_identity",
+    "conjugate",
     "SeriesRefused",
     "SeriesCapError",
     "materialize_matrix",
@@ -111,13 +114,11 @@ class ToplitzOperator:
 
     def reality_defect(self) -> float:
         """sup |conj(A^j_k(l)) - A^{-j}_{-k}(-l)| (zero for real operators)."""
-        rev = self.blocks[tuple(slice(None, None, -1) for _ in self.blocks.shape)]
-        return float(np.max(np.abs(np.conj(self.blocks) - rev)))
+        return float(np.max(np.abs(np.conj(self.blocks) - np.flip(self.blocks))))
 
     def reversibility_defect(self) -> float:
         """sup |A^{-j}_{-k}(-l) - A^j_k(l)|; zero for operators preserving parity classes."""
-        rev = self.blocks[tuple(slice(None, None, -1) for _ in self.blocks.shape)]
-        return float(np.max(np.abs(rev - self.blocks)))
+        return float(np.max(np.abs(np.flip(self.blocks) - self.blocks)))
 
 
 @dataclass(frozen=True)
@@ -311,10 +312,10 @@ def add(A: ToplitzOperator, B: ToplitzOperator) -> ToplitzOperator:
     return ToplitzOperator(A.trunc, A.blocks + B.blocks, A.dropped_mass + B.dropped_mass)
 
 
-def omega_commutator(A: ToplitzOperator, freq) -> ToplitzOperator:
-    """[omega.d_phi, A]: each block A(l) picks up the factor i omega.l."""
+def commutator(A: ToplitzOperator, freq, d) -> ToplitzOperator:
+    """[omega.d_phi + diag d, A]: each entry A^k_j(l) picks up i omega.l + d_j - d_k."""
     dots = freq.omega_dot_l(A.trunc, double=True)
-    factor = (1j * dots)[(...,) + (None, None)]
+    factor = 1j * dots[..., None, None] + (d[:, None] - d[None, :])
     return ToplitzOperator(A.trunc, factor * A.blocks, A.dropped_mass)
 
 
@@ -348,10 +349,6 @@ def smooth(A: ToplitzOperator, N: int) -> ToplitzOperator:
     blocks = A.blocks.copy()
     blocks[index_weights(A.trunc.nu, 2 * A.trunc.n_phi) > N] = 0.0
     return ToplitzOperator(A.trunc, blocks, A.dropped_mass)
-
-
-def smooth_complement(A: ToplitzOperator, N: int) -> ToplitzOperator:
-    return add(A, smooth(A, N).scale(-1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +399,22 @@ def matrix_exponential(Psi: ToplitzOperator, term_tol: float = 1e-15) -> Toplitz
     for _ in range(k):
         out = compose(out, out)
     return out
+
+
+def near_identity(Psi: ToplitzOperator, mode: str) -> tuple[ToplitzOperator, ToplitzOperator]:
+    """(Phi, Phi^{-1}): exp(+-Psi) in hamiltonian mode, else I + Psi and its Neumann inverse."""
+    if mode == "hamiltonian":
+        return matrix_exponential(Psi), matrix_exponential(Psi.scale(-1.0))
+    return add(identity(Psi.trunc), Psi), neumann_inverse(Psi)
+
+
+def conjugate(Phi: ToplitzOperator, Phi_inv: ToplitzOperator, freq, d, V: ToplitzOperator,
+              r) -> ToplitzOperator:
+    """Phi^{-1}(omega.d_phi + diag d + V)Phi - (omega.d_phi + diag(d + r)) for
+    symbols d, r, as Phi^{-1}([omega.d_phi + diag d, Phi] + V Phi - Phi diag r):
+    apart from r, d gives exact zeros on the identity part of Phi."""
+    q = add(add(commutator(Phi, freq, d), compose(V, Phi)), scale_modes(Phi, cols=-r))
+    return compose(Phi_inv, q)
 
 
 # ---------------------------------------------------------------------------

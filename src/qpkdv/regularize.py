@@ -202,34 +202,22 @@ def step4_translation(d1, d0, freq: Frequency):
 def step5_pseudo_diff(e1, e0, m3: float, m1: float, freq: Frequency,
                       mode: str = "generic"):
     """Trade the remaining variable d_x coefficient for an order-zero remainder
-    via S = I + w d_x^{-1} (or its exponential form in hamiltonian mode)."""
+    via S = I + w d_x^{-1} (exp(Pi_0 w d_x^{-1}) in hamiltonian mode)."""
     trunc = e1.trunc
     w = dx_pow(e1.shift_mean(-m1) * (-1.0), -1) * (1.0 / (3.0 * m3))
     r1 = dx_pow(w, 1) * (3.0 * m3) + e1.shift_mean(-m1)
 
-    core = opalg.scale_modes(opalg.from_multiplication(w),
-                             cols=opalg.symbol(trunc, opalg.dx_inv_symbol))
-    if mode == "hamiltonian":
-        psi = opalg.scale_modes(core, rows=opalg.symbol(trunc, opalg.pi0_symbol))
-        S = opalg.matrix_exponential(psi)
-        S_inv = opalg.matrix_exponential(psi.scale(-1.0))
-    else:
-        S = opalg.add(opalg.identity(trunc), core)
-        S_inv = opalg.neumann_inverse(core)
+    rows = opalg.symbol(trunc, opalg.pi0_symbol) if mode == "hamiltonian" else None
+    psi = opalg.scale_modes(opalg.from_multiplication(w), rows=rows,
+                            cols=opalg.symbol(trunc, opalg.dx_inv_symbol))
+    S, S_inv = opalg.near_identity(psi, mode)
 
-    # R = S^{-1}(L4 S - S D) with D = omega.d_phi + m3 d_xxx + m1 d_x,
-    # assembled exactly in the operator algebra; [omega.d_phi, S] scales each
-    # block of S by i omega.l and the d_x powers scale its rows or columns,
-    # so every term below is Toplitz
+    # R = S^{-1}(L4 S - S D) for L4 = omega.d_phi + m3 d_xxx + V with
+    # V = e1 d_x + e0, and D = omega.d_phi + m3 d_xxx + m1 d_x
     dx = 1j * trunc.mode_range(trunc.nu)
-    q = opalg.omega_commutator(S, freq)
-    q = opalg.add(q, opalg.scale_modes(S, rows=m3 * dx**3))
-    q = opalg.add(q, opalg.scale_modes(S, cols=-m3 * dx**3))
-    q = opalg.add(q, opalg.compose(opalg.from_multiplication(e1),
-                                   opalg.scale_modes(S, rows=dx)))
-    q = opalg.add(q, opalg.compose(opalg.from_multiplication(e0), S))
-    q = opalg.add(q, opalg.scale_modes(S, cols=-m1 * dx))
-    R = opalg.compose(S_inv, q)
+    V = opalg.add(opalg.scale_modes(opalg.from_multiplication(e1), cols=dx),
+                  opalg.from_multiplication(e0))
+    R = opalg.conjugate(S, S_inv, freq, m3 * dx**3, V, m1 * dx)
     return {"w": w, "r1": r1, "S": S, "S_inv": S_inv, "R": R}
 
 

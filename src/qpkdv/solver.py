@@ -133,8 +133,7 @@ def project_ball(u: FourierField, N: int) -> FourierField:
 
 def _parity_project(u: FourierField) -> FourierField:
     """Orthogonal projection onto X (coefficients even under (l, j) -> (-l, -j))."""
-    rev = u.c[tuple(slice(None, None, -1) for _ in u.c.shape)]
-    return FourierField(u.trunc, 0.5 * (u.c + rev))
+    return FourierField(u.trunc, 0.5 * (u.c + np.flip(u.c)))
 
 
 def diag_inverse(
@@ -326,7 +325,6 @@ def galerkin_newton(
     the constant-mode kernel).  Used as an oracle against the spectral path.
     """
     u = FourierField.zeros(trunc)
-    reality_flip = tuple(slice(None, None, -1) for _ in trunc.shape)
     res_prev = np.inf
     step = damping
     for _ in range(max_iters):
@@ -341,7 +339,7 @@ def galerkin_newton(
         J = opalg.materialize_linearized(a3, a2, a1, a0, freq)
         du, *_ = np.linalg.lstsq(J, -opalg.flatten_field(Fu), rcond=None)
         c = u.c + step * du.reshape(trunc.shape)
-        c = 0.5 * (c + np.conj(c[reality_flip]))  # keep the iterate real
+        c = 0.5 * (c + np.conj(np.flip(c)))  # keep the iterate real
         u = FourierField(trunc, c)
     raise RuntimeError(f"dense Newton stalled at residual {res:.3e}")
 

@@ -175,8 +175,7 @@ class FourierField:
 
     def reality_defect(self) -> float:
         """sup |conj(u_{l,j}) - u_{-l,-j}| over stored indices."""
-        rev = self.c[tuple(slice(None, None, -1) for _ in self.c.shape)]
-        return float(np.max(np.abs(np.conj(self.c) - rev)))
+        return float(np.max(np.abs(np.conj(self.c) - np.flip(self.c))))
 
     def is_real(self, tol: float = 1e-10) -> bool:
         scale = max(1.0, float(np.max(np.abs(self.c))))
@@ -330,7 +329,7 @@ def _from_x_half(trunc: Truncation, half: np.ndarray):
     c = np.empty(half.shape[:-nu - 1] + trunc.shape, dtype=complex)
     c[..., n:] = half[(...,) + _phi_indices(trunc, half.shape[-nu - 1:-1]) + (slice(None),)]
     # u_{-l,-j} = conj(u_{l,j})
-    c[..., :n] = np.conj(c[(...,) + (slice(None, None, -1),) * (nu + 1)][..., :n])
+    c[..., :n] = np.conj(np.flip(c, axis=tuple(range(-nu - 1, 0)))[..., :n])
     if half.ndim == nu + 1:
         return FourierField(trunc, c)
     return [FourierField(trunc, ci) for ci in c]
@@ -573,7 +572,7 @@ def structure_check(f: FourierField, tol: float = 1e-12) -> dict:
     Tolerances are relative to the s0-norm of the field.
     """
     scale = max(sobolev_norm(f, f.trunc.s0), 1e-300)
-    rev = f.c[tuple(slice(None, None, -1) for _ in f.c.shape)]
+    rev = np.flip(f.c)
     cen = _centers(f.trunc)
     return {
         "is_real": f.reality_defect() <= tol * max(scale, 1.0),
@@ -622,14 +621,11 @@ def random_real_field(
     w = index_weights(trunc.nu, trunc.n_phi, trunc.n_x, 1.0)
     amp = scale * w ** (-decay)
     c = amp * (rng.standard_normal(trunc.shape) + 1j * rng.standard_normal(trunc.shape))
-    rev = c[tuple(slice(None, None, -1) for _ in c.shape)]
-    c = 0.5 * (c + np.conj(rev))  # enforce reality
+    c = 0.5 * (c + np.conj(np.flip(c)))  # enforce reality
     if parity == "X":
-        rev = c[tuple(slice(None, None, -1) for _ in c.shape)]
-        c = 0.5 * (c + rev)
+        c = 0.5 * (c + np.flip(c))
     elif parity == "Y":
-        rev = c[tuple(slice(None, None, -1) for _ in c.shape)]
-        c = 0.5 * (c - rev)
+        c = 0.5 * (c - np.flip(c))
     elif parity is not None:
         raise ValueError("parity must be 'X', 'Y' or None")
     if zero_total_average:

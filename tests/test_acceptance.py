@@ -2,10 +2,17 @@
 
 Each test prints a single pass/fail line with the measured figure of merit so
 a full run reads as a checklist.
+
+Criterion 8 also compares its 402 scan records with the pinned ones in
+tests/data/criterion_08_records.json.  A change that moves a record on
+purpose rewrites that file with ``PYTHONPATH=src python tests/test_acceptance.py``
+and says why.
 """
 
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -197,19 +204,39 @@ def test_criterion_07_nash_moser():
             f"in {elapsed:.1f}s")
 
 
-def test_criterion_08_measure_trend():
-    t0 = time.time()
-    rep = sv.cantor_measure(
+CRITERION_08_RECORDS = Path(__file__).parent / "data" / "criterion_08_records.json"
+
+
+def _criterion_08_scan():
+    return sv.cantor_measure(
         "cos(phi_1) * sin(x) + z0^2 * z3", "raw_f", (1.0,),
         [1e-3, 1e-5], np.linspace(0.5, 1.5, 201), a=0.5,
         trunc=Truncation(1, 8, 8), workers=8,
     )
+
+
+def _criterion_08_rows(rep) -> list:
+    """One record per (epsilon, lambda): its ending, with the reason text."""
+    return [{"lambda": r["lambda"], "epsilon": eps, "accepted": bool(r["accepted"]),
+             "excluded": bool(r["excluded"]), "reason": r["reason"], "error": r["error"]}
+            for eps in rep.epsilons for r in rep.records[eps]]
+
+
+def test_criterion_08_measure_trend():
+    t0 = time.time()
+    rep = _criterion_08_scan()
     elapsed = time.time() - t0
     f3, f5 = rep.fractions[1e-3], rep.fractions[1e-5]
-    ok = f5 >= f3 and f3 >= 0.5 and f5 >= 0.5 and elapsed < 1800.0
+    rows = _criterion_08_rows(rep)
+    pinned = json.loads(CRITERION_08_RECORDS.read_text())
+    changed = [(old, new) for old, new in zip(pinned, rows) if old != new]
+    ok = (f5 >= f3 and f3 >= 0.5 and f5 >= 0.5 and elapsed < 1800.0
+          and len(rows) == len(pinned) and not changed)
     _report("measure trend", ok,
             f"accepted fraction {f3:.3f} (eps 1e-3) <= {f5:.3f} (eps 1e-5), "
-            f"201-point grid in {elapsed:.1f}s")
+            f"201-point grid in {elapsed:.1f}s; {len(rows)} records, "
+            f"{len(changed)} differ from the {len(pinned)} pinned"
+            + (f", first {changed[0][0]} -> {changed[0][1]}" if changed else ""))
 
 
 def test_criterion_09_linear_stability():
@@ -250,3 +277,9 @@ def test_criterion_10_right_inverse_oracle():
     gap = sobolev_norm(h - op.unflatten_field(trunc, dense), trunc.s0)
     _report("right-inverse oracle", gap < 1e-6,
             f"dense restricted-solve gap {gap:.1e}")
+
+
+if __name__ == "__main__":
+    CRITERION_08_RECORDS.parent.mkdir(exist_ok=True)
+    rows = _criterion_08_rows(_criterion_08_scan())
+    CRITERION_08_RECORDS.write_text("[\n" + ",\n".join(map(json.dumps, rows)) + "\n]\n")

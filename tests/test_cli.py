@@ -95,6 +95,35 @@ def test_config_frequency_preset():
         cli.ExperimentConfig.from_dict(raw)
 
 
+@pytest.mark.parametrize("overrides,path", [
+    ({"kam": {"gama": 0.01, "max_steps": 1}}, "kam.gama"),
+    ({"nash_moser": {"tol": 1e-3}}, "nash_moser.tol"),
+    ({"dynamics": {"TT": 5}}, "dynamics.TT"),
+    ({"truncation": {"n_phi": 6, "nx": 6}}, "truncation.nx"),
+    ({"frequency": {"omega_bar": [1.0], "lam": 1.0}}, "frequency.lam"),
+    ({"lambda": {"min": 0.5, "max": 1.5, "n": 5}}, "lambda.n"),
+    ({"nonlinearity": {"text": "z0^2 * z3", "form": "raw_f"}}, "nonlinearity.form"),
+    ({"epsilons": [1e-3]}, "epsilons"),
+])
+def test_config_unknown_field_names_path(tmp_path, overrides, path):
+    raw = base_config(tmp_path / "out", **overrides)
+    with pytest.raises(cli.ConfigError, match=rf"^{path}: unknown field$"):
+        cli.ExperimentConfig.from_dict(raw)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(raw))
+    assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "solve")]) == 1
+    assert not (tmp_path / "solve").exists()
+
+
+def test_solver_config_reads_every_kam_and_nash_moser_key():
+    kam = {"gamma": 0.02, "a": 0.4, "tau": 3.5, "N0": 3, "target_decay": 1e-11, "max_steps": 5}
+    nm = {"tol_res": 1e-9, "max_iters": 7}
+    config = cli.ExperimentConfig.from_dict(base_config("out", kam=kam, nash_moser=nm))
+    assert config.solver_config() == sv.SolverConfig(
+        trunc=config.truncation, gamma=0.02, a=0.4, tau=3.5, N0=3, kam_target=1e-11,
+        kam_max_steps=5, tol_res=1e-9, max_iters=7)
+
+
 # -------------------------------------------------------------- subcommands
 
 

@@ -36,8 +36,7 @@ def random_toeplitz(trunc, rng, scale=1.0, decay=2.0):
         blocks[off] = scale * blk * dw ** (-decay)
     A = op.ToplitzOperator(trunc, blocks)
     # symmetrize to a real operator: conj(A^j_k(l)) = A^{-j}_{-k}(-l)
-    rev = blocks[tuple(slice(None, None, -1) for _ in blocks.shape)]
-    return op.ToplitzOperator(trunc, 0.5 * (blocks + np.conj(rev)))
+    return op.ToplitzOperator(trunc, 0.5 * (blocks + np.conj(np.flip(blocks))))
 
 
 # ------------------------------------------------------- multiplication ops
@@ -408,7 +407,7 @@ def test_smoothing_tail_inequality():
         A = random_toeplitz(T, np.random.default_rng(seed))
         for N in [1, 2, 3]:
             for beta in [1.0, 2.0]:
-                tail = op.smooth_complement(A, N)
+                tail = A - op.smooth(A, N)
                 lhs = op.decay_norm(tail, 1.0)
                 rhs = N ** (-beta) * op.decay_norm(tail, 1.0 + beta)
                 assert lhs <= rhs + 1e-12
@@ -494,6 +493,61 @@ def test_exponential_matches_dense_expm_centrally():
     assert np.max(np.abs(Md[center, center] - Me[center, center])) < 1e-10
 
 
+# ------------------------------------------------------- conjugation
+
+
+@pytest.mark.parametrize("mode", ["generic", "hamiltonian"])
+def test_conjugate_matches_dense_on_interior_blocks(mode):
+    # Phi^{-1}(L Phi - Phi (omega.d_phi + diag(d + r))) for L = omega.d_phi +
+    # diag d + V, with Psi and V on offsets |l| <= 1: the dense product of the
+    # truncated matrices agrees with the operator algebra where no sum
+    # reaches past the rectangle, on the rows and columns with |l| <= n_phi - 3
+    trunc = Truncation(1, 6, 3)
+    rng = np.random.default_rng(5)
+    freq = Frequency.default(1, lam=1.1)
+    Psi = op.smooth(random_toeplitz(trunc, rng, scale=0.02), 1)
+    V = op.smooth(random_toeplitz(trunc, rng, scale=0.05), 1)
+    j = trunc.mode_range(1)
+    d = -1j * j.astype(float) ** 3
+    r = 1j * 0.01 * rng.standard_normal(len(j))
+    Phi, Phi_inv = op.near_identity(Psi, mode)
+    got = op.materialize_matrix(op.conjugate(Phi, Phi_inv, freq, d, V, r))
+
+    def with_omega(A):
+        return op.materialize_matrix(A, freq, include_omega_dphi=True)
+
+    P, P_inv = op.materialize_matrix(Phi), op.materialize_matrix(Phi_inv)
+    L = with_omega(op.add(op.from_multiplier(trunc, lambda k: d[k + 3]), V))
+    D = with_omega(op.from_multiplier(trunc, lambda k: d[k + 3] + r[k + 3]))
+    want = P_inv @ (L @ P - P @ D)
+    inner = np.repeat(np.abs(np.arange(-6, 7)) <= 3, 7)
+    block = np.ix_(inner, inner)
+    assert np.max(np.abs(want[block])) > 1e-3
+    assert np.max(np.abs(got[block] - want[block])) < 1e-13
+
+
+def test_conjugate_by_the_identity_leaves_r_to_its_own_rounding():
+    # d and r enter apart, so conjugating by I leaves -diag r with the
+    # rounding of r; rows(d) I - I cols(d + r) would leave that of |d| = 64
+    rng = np.random.default_rng(8)
+    d = -1j * T.mode_range(1).astype(float) ** 3
+    r = 1e-3j * rng.standard_normal(len(d))
+    I = op.identity(T)
+    R = op.conjugate(I, I, Frequency.default(1, lam=1.1), d, I.scale(0.0), r)
+    want = op.from_multiplier(T, lambda k: -r[k + T.n_x])
+    assert np.max(np.abs(R.blocks - want.blocks)) < 1e-15 * np.max(np.abs(r))
+
+
+def test_near_identity_picks_the_pair_by_mode():
+    Psi = random_toeplitz(T, RNG, scale=0.01)
+    Phi, Phi_inv = op.near_identity(Psi, "generic")
+    assert np.array_equal(Phi.blocks, (op.identity(T) + Psi).blocks)
+    assert np.array_equal(Phi_inv.blocks, op.neumann_inverse(Psi).blocks)
+    E, E_inv = op.near_identity(Psi, "hamiltonian")
+    assert np.array_equal(E.blocks, op.matrix_exponential(Psi).blocks)
+    assert np.array_equal(E_inv.blocks, op.matrix_exponential(Psi.scale(-1.0)).blocks)
+
+
 # ------------------------------------------------------- structure closure
 
 
@@ -509,9 +563,7 @@ def test_reality_closed_under_algebra():
 def test_reversibility_preserving_closed():
     # R^{-j}_{-k}(-l) = R^j_k(l) characterizes operators preserving parity
     A = random_toeplitz(T, RNG, scale=0.01)
-    sym = op.ToplitzOperator(
-        T, 0.5 * (A.blocks + A.blocks[tuple(slice(None, None, -1) for _ in A.blocks.shape)])
-    )
+    sym = op.ToplitzOperator(T, 0.5 * (A.blocks + np.flip(A.blocks)))
     B = op.compose(sym, sym)
     assert B.reversibility_defect() < 1e-12
     assert op.neumann_inverse(sym).reversibility_defect() < 1e-12
