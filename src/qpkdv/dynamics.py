@@ -9,11 +9,12 @@ flatness of the transported norm t -> |v(t)|_{H^s_x}, are the verification
 artifacts.
 
 Along phi = omega t the frozen operator -(a3 d^3 + a2 d^2 + a1 d + a0) is
-sum_l e^{i omega.l t} N_l with fixed blocks N_l.  The integrator builds that
-block table once per call and evaluates the matrices of all RK4 stage times
-of a chunk of steps with one ``opalg.freeze`` product, so the step loop does
-only matrix-vector products.  The chain is frozen the same way, at all sample
-times of a report in one call.
+sum_l e^{i omega.l t} N_l with fixed blocks N_l.  The equation is linear, so
+a whole RK4 step is one matrix, the identity plus an increment D(omega t)
+conjugated by the Airy phases.  The integrator tabulates D once per call,
+freezes it for a chunk of steps with one ``opalg.freeze`` product, and does
+one matrix-vector product per step.  The chain is frozen the same way, at
+all sample times of a report in one call.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from . import opalg
 from . import kamreduce as km
 from . import regularize
-from .spectral import FourierField, Frequency, NumericalFailure, omega_dphi
+from .spectral import FourierField, Frequency, NumericalFailure
 
 __all__ = [
     "PhaseState",
@@ -37,7 +38,6 @@ __all__ = [
     "integrate_linear",
     "FrozenChain",
     "psi_map",
-    "psi_inverse",
     "stability_report",
 ]
 
@@ -98,14 +98,58 @@ def reduced_flow(eigs: opalg.DiagonalOperator, v0: PhaseState, t: float) -> Phas
 
 # ---------------------------------------------------------- direct scheme
 
-# RK4 steps per batch of frozen stage matrices (two per step, one product per
-# batch); at n_x = 8 longer batches gain no time and only add peak memory
-_CHUNK = 32
+# RK4 steps per chunk of frozen step matrices (one freeze per chunk); at
+# n_x = 8 longer chunks gain no time and only add peak memory
+_CHUNK = 64
 
 
 def _scalar(f: FourierField, phi: np.ndarray):
     """Value at (phi, .) of an x-constant field, at one angle or a batch of them."""
     return opalg.freeze(f.c, phi)[..., f.trunc.n_x].real
+
+
+def _step_table(coeffs, freq: Frequency, dt: float) -> np.ndarray:
+    """Offset table of D(phi) = P(phi) - I, where P is one RK4 step of size dt
+    on g = E(-t) h from phi = omega t, with E(t) = diag e^{i j^3 t} and the
+    step's conjugation by E(t) left out.
+
+    N(phi) = -(a3 d_xxx + a2 d_xx + a1 d_x + a0) = sum_l e^{i l.phi} N_l has
+    |l_i| <= n_phi.  With h = dt/2 and the stage matrices A = N(phi),
+    B = E(-h) N(phi + omega h) E(h) and C = E(-dt) N(phi + omega dt) E(dt),
+    D = dt/6 (K1 + 2 K2 + 2 K3 + K4) for K1 = A, K2 = B (I + h K1),
+    K3 = B (I + h K2) and K4 = C (I + dt K3): a trigonometric polynomial of
+    degree 4 n_phi per axis, which one FFT of its samples on the
+    (8 n_phi + 1)^nu grid gives exactly.  The table holds D, not P: a fixed
+    near-identity matrix rounds the same way at every step, and over a long
+    run that error adds up coherently.
+    """
+    n_x, n_phi, nu = coeffs[0].trunc.n_x, coeffs[0].trunc.n_phi, freq.nu
+    j = np.arange(-n_x, n_x + 1).astype(float)
+    inner = (slice(n_phi, 3 * n_phi + 1),) * nu
+    N = -sum(opalg.from_multiplication(a).blocks[inner] * ((1j * j) ** k)[None, :]
+             for a, k in zip(coeffs, (3, 2, 1, 0)))
+    size = 8 * n_phi + 1
+    grid = 2.0 * np.pi * np.arange(size) / size
+    phi = np.stack(np.meshgrid(*(grid,) * nu, indexing="ij"), axis=-1).reshape(-1, nu)
+
+    def stage(s):  # E(-s) N(phi + omega s) E(s) at every grid node
+        ph = np.exp(1j * j ** 3 * s)
+        X = opalg.freeze(N, phi + freq.omega * s)
+        X *= ph[None, :] * np.conj(ph)[:, None]
+        return X
+
+    half = 0.5 * dt
+    k = D = stage(0.0)
+    B = stage(half)
+    for X, s, w in ((B, half, 2.0), (B, half, 2.0), (stage(dt), dt, 1.0)):
+        k = X @ k  # D, the first k, is read here before it is updated in place
+        k *= s
+        k += X
+        D += w * k
+    D *= dt / 6.0
+    axes = tuple(range(nu))
+    D = np.fft.fftn(D.reshape((size,) * nu + D.shape[1:]), axes=axes, norm="forward")
+    return np.fft.fftshift(D, axes=axes)
 
 
 def integrate_linear(coeffs, freq: Frequency, h0: PhaseState, T: float, dt: float,
@@ -114,63 +158,47 @@ def integrate_linear(coeffs, freq: Frequency, h0: PhaseState, T: float, dt: floa
 
     The constant Airy part is removed exactly by the integrating factor
     e^{i j^3 t}; the O(epsilon) variable part is advanced by classical RK4 on
-    the filtered variable, giving 4th-order accuracy without a stiff CFL
-    restriction.  Returns (times, states) with one row per step.  A state
-    whose H^1 norm exceeds runaway x (1 + |h0|_H1), or is not finite, raises
-    InstabilityError with the time of the first such step.
+    the filtered variable g = E(-t) h, giving 4th-order accuracy without a
+    stiff CFL restriction.  The equation is linear, so one RK4 step is one
+    matrix: g_{n+1} = g_n + E(-t_n) D(omega t_n) E(t_n) g_n with D the
+    tabulated increment of ``_step_table``.  Returns (times, states) with one
+    row per step.  A state that is not finite, or whose H^1 norm exceeds
+    runaway x (1 + |h0|_H1), raises InstabilityError with the time of the
+    first such step.
     """
     n_x = h0.n_x
-    j = np.arange(-n_x, n_x + 1).astype(float)
-    airy = 1j * j ** 3  # h_j' = i j^3 h_j for the unperturbed part
+    airy = 1j * np.arange(-n_x, n_x + 1).astype(float) ** 3  # h_j' = i j^3 h_j for Airy
 
     steps = int(round(T / dt))
     if abs(steps * dt - T) > 1e-9 * max(1.0, abs(T)):
         steps += 1
         dt = T / steps
     floor = runaway * (1.0 + profile_norm(h0.h, 1.0))
-
-    # -(a3 d_xxx + a2 d_xx + a1 d_x + a0) at phi = omega t is sum_l e^{i omega.l t} N_l
-    # over |l_i| <= n_phi, the only offsets a multiplication operator has
-    n_phi = coeffs[0].trunc.n_phi
-    inner = (slice(n_phi, 3 * n_phi + 1),) * freq.nu
-    N = -sum(opalg.from_multiplication(a).blocks[inner] * ((1j * j) ** k)[None, :]
-             for a, k in zip(coeffs, (3, 2, 1, 0)))
-    omega = freq.omega
-
-    def filtered(t):
-        # E(-t) N(t) E(t) with E(t) = diag e^{i j^3 t}, for a batch of times
-        ph = np.exp(airy * t[:, None])
-        frozen = opalg.freeze(N, np.multiply.outer(t, omega))
-        frozen *= ph[:, None, :] * np.conj(ph)[:, :, None]
-        return frozen
+    table = _step_table(coeffs, freq, dt)
 
     times = np.empty(steps + 1)
     states = np.empty((steps + 1, 2 * n_x + 1), dtype=complex)
     times[0], states[0] = h0.t, h0.h
 
-    half, sixth = 0.5 * dt, dt / 6.0
     g = h0.h * np.exp(-airy * h0.t)
-    M_lo = filtered(np.array([h0.t]))[0]
     for n0 in range(0, steps, _CHUNK):
         n = np.arange(n0, min(n0 + _CHUNK, steps))
         t = h0.t + n * dt
-        stages = filtered(np.column_stack([t + half, t + dt]).ravel())
-        for i, (M_mid, M_hi) in enumerate(stages.reshape(len(n), 2, *M_lo.shape)):
-            k1 = M_lo @ g
-            k2 = M_mid @ (g + half * k1)
-            k3 = M_mid @ (g + half * k2)
-            k4 = M_hi @ (g + dt * k3)
-            g = g + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            M_lo = M_hi
-            states[n0 + 1 + i] = g
+        ph = np.exp(airy * t[:, None])
+        Dn = opalg.freeze(table, np.multiply.outer(t, freq.omega))
+        Dn *= ph[:, None, :]
+        Dn *= np.conj(ph)[:, :, None]
+        for i, D in enumerate(Dn, n0 + 1):
+            g = g + D @ g
+            states[i] = g
         times[n + 1] = t + dt
         states[n + 1] *= np.exp(airy * times[n + 1, None])
-        runaway_steps = np.flatnonzero(~(profile_norm(states[n + 1], 1.0) <= floor))
-        if runaway_steps.size:
-            raise InstabilityError(
-                f"|h(t)|_H1 exceeded {runaway:.1e} x initial at "
-                f"t = {times[n0 + 1 + runaway_steps[0]]:.3f}"
-            )
+        bad = np.flatnonzero(~(profile_norm(states[n + 1], 1.0) <= floor))
+        if bad.size:
+            first = n0 + 1 + bad[0]
+            what = ("state is not finite" if not np.isfinite(states[first]).all()
+                    else f"|h(t)|_H1 exceeded {runaway:.1e} x initial")
+            raise InstabilityError(f"{what} at t = {times[first]:.3f}")
     return times, states
 
 
@@ -180,19 +208,6 @@ def integrate_linear(coeffs, freq: Frequency, h0: PhaseState, T: float, dt: floa
 def psi_map(reg: regularize.RegularizationResult, t):
     """Reparametrized time tau = psi(t) = t + alpha(omega t); t may be an array."""
     return t + _scalar(reg.chain["alpha"], np.multiply.outer(t, reg.freq.omega))
-
-
-def psi_inverse(reg: regularize.RegularizationResult, tau: float,
-                tol: float = 1e-13, max_iters: int = 50) -> float:
-    """Solve psi(t) = tau by scalar Newton (psi' = 1 + omega.d_phi alpha > 1/2)."""
-    dalpha = omega_dphi(reg.chain["alpha"], reg.freq)
-    t = tau
-    for _ in range(max_iters):
-        r = psi_map(reg, t) - tau
-        if abs(r) < tol * max(1.0, abs(tau)):
-            return t
-        t -= r / (1.0 + _scalar(dalpha, reg.freq.omega * t))
-    raise RuntimeError(f"time-reparametrization inversion stalled at tau = {tau}")
 
 
 @lru_cache(maxsize=8)

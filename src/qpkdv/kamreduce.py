@@ -28,13 +28,11 @@ import numpy as np
 from . import opalg
 from .opalg import DiagonalOperator, ToplitzOperator
 from .spectral import (
-    FourierField,
     Frequency,
     NumericalFailure,
     Truncation,
     dot_l,
     index_weights,
-    sobolev_norm,
 )
 
 __all__ = [
@@ -371,19 +369,6 @@ def reduce(reg, freq: Frequency, schedule: IterationSchedule) -> ReductionResult
         trace=trace,
         state=final,
     )
-
-
-def conjugation_residual(reg, red: ReductionResult, z: FourierField) -> float:
-    """|L5(Phi_inf z) - Phi_inf (omega.d_phi + D_inf) z|_{s0} on a probe field."""
-    from .spectral import omega_dphi
-
-    trunc = reg.trunc
-    lhs = reg.apply_L5(opalg.apply(red.Phi_inf, z))
-    dz = omega_dphi(z, reg.freq)
-    mu = red.eigs.mu
-    dz = FourierField(trunc, dz.c + z.c * mu.reshape((1,) * trunc.nu + (-1,)))
-    rhs = opalg.apply(red.Phi_inf, dz)
-    return sobolev_norm(lhs - rhs, trunc.s0)
 
 
 # ---------------------------------------------------------------------------

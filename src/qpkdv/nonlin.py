@@ -315,12 +315,6 @@ def apply_L(coefficients, freq: Frequency, h: FourierField) -> FourierField:
     return omega_dphi(h, freq) + jet[0] + products
 
 
-def apply_linearized(spec: NonlinearitySpec, freq: Frequency,
-                     u: FourierField, h: FourierField) -> FourierField:
-    """Directional derivative of the residual: L(u) h."""
-    return apply_L(linearized_coefficients(spec, u), freq, h)
-
-
 # ---------------------------------------------------------- structure flags
 
 

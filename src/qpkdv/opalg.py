@@ -210,11 +210,6 @@ def pi0_symbol(j: int) -> float:
     return 0.0 if j == 0 else 1.0
 
 
-def dx_inv_multiplier(trunc: Truncation) -> ToplitzOperator:
-    """The zero-average antiderivative d/dx^{-1} as a multiplier operator."""
-    return from_multiplier(trunc, dx_inv_symbol)
-
-
 # ---------------------------------------------------------------------------
 # action and composition
 

@@ -77,7 +77,7 @@ def test_criterion_02_homological_equation():
         q = random_real_field(trunc, rng, decay=3.0, scale=1e-3)
         R = op.add(op.from_multiplication(p),
                    op.compose(op.from_multiplication(q),
-                              op.dx_inv_multiplier(trunc)))
+                              op.from_multiplier(trunc, op.dx_inv_symbol)))
         N = int(rng.integers(2, 9))
         sol = km.solve_homological(D, R, FREQ, N, 1e-8, 3.0)
         assert sol.ok, f"trial {trial}: divisor screen rejected a generic instance"

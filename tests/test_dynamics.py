@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,9 +9,10 @@ from qpkdv import cli
 from qpkdv import dynamics as dyn
 from qpkdv import kamreduce as km
 from qpkdv import nonlin
+from qpkdv import opalg
 from qpkdv import regularize as reg
 from qpkdv import solver as sv
-from qpkdv.spectral import FourierField, Frequency, Truncation, random_real_field
+from qpkdv.spectral import FourierField, Frequency, Truncation, omega_dphi, random_real_field
 
 T = Truncation(1, 8, 8)
 FREQ = Frequency.default(1, lam=1.25)
@@ -145,6 +148,19 @@ def test_integrate_nonfinite_raises():
         dyn.integrate_linear((z, z, z, a0), FREQ, h0, 1.0, 0.01)
 
 
+@pytest.mark.parametrize("a0, cause", [
+    (float("nan"), r"state is not finite at t = 0\.010"),
+    (-2.0, r"\|h\(t\)\|_H1 exceeded 1\.0e\+06 x initial at t = 7\.\d{3}"),
+])
+def test_instability_names_its_cause(a0, cause):
+    trunc = Truncation(1, 2, 2)
+    z = zero_field(trunc)
+    h0 = dyn.random_phase_state(trunc.n_x, np.random.default_rng(7))
+    with pytest.raises(dyn.InstabilityError, match=cause):
+        dyn.integrate_linear((z, z, z, FourierField.constant(trunc, a0)), FREQ, h0,
+                             20.0, 0.01)
+
+
 # ------------------------------------------- per-step oracle of the integrator
 
 
@@ -206,6 +222,68 @@ def _integrate_stepwise(coeffs, freq, h0, T, dt, runaway=1e6):
     return times, states
 
 
+# The integrator before the step was tabulated: the RK4 stage matrices of a
+# chunk of steps frozen in one batch, four matrix-vector products per step.
+_STAGE_CHUNK = 32
+
+
+def _integrate_by_stages(coeffs, freq: Frequency, h0: dyn.PhaseState, T: float,
+                         dt: float, runaway: float = 1e6):
+    n_x = h0.n_x
+    j = np.arange(-n_x, n_x + 1).astype(float)
+    airy = 1j * j ** 3  # h_j' = i j^3 h_j for the unperturbed part
+
+    steps = int(round(T / dt))
+    if abs(steps * dt - T) > 1e-9 * max(1.0, abs(T)):
+        steps += 1
+        dt = T / steps
+    floor = runaway * (1.0 + dyn.profile_norm(h0.h, 1.0))
+
+    # -(a3 d_xxx + a2 d_xx + a1 d_x + a0) at phi = omega t is sum_l e^{i omega.l t} N_l
+    # over |l_i| <= n_phi, the only offsets a multiplication operator has
+    n_phi = coeffs[0].trunc.n_phi
+    inner = (slice(n_phi, 3 * n_phi + 1),) * freq.nu
+    N = -sum(opalg.from_multiplication(a).blocks[inner] * ((1j * j) ** k)[None, :]
+             for a, k in zip(coeffs, (3, 2, 1, 0)))
+    omega = freq.omega
+
+    def filtered(t):
+        # E(-t) N(t) E(t) with E(t) = diag e^{i j^3 t}, for a batch of times
+        ph = np.exp(airy * t[:, None])
+        frozen = opalg.freeze(N, np.multiply.outer(t, omega))
+        frozen *= ph[:, None, :] * np.conj(ph)[:, :, None]
+        return frozen
+
+    times = np.empty(steps + 1)
+    states = np.empty((steps + 1, 2 * n_x + 1), dtype=complex)
+    times[0], states[0] = h0.t, h0.h
+
+    half, sixth = 0.5 * dt, dt / 6.0
+    g = h0.h * np.exp(-airy * h0.t)
+    M_lo = filtered(np.array([h0.t]))[0]
+    for n0 in range(0, steps, _STAGE_CHUNK):
+        n = np.arange(n0, min(n0 + _STAGE_CHUNK, steps))
+        t = h0.t + n * dt
+        stages = filtered(np.column_stack([t + half, t + dt]).ravel())
+        for i, (M_mid, M_hi) in enumerate(stages.reshape(len(n), 2, *M_lo.shape)):
+            k1 = M_lo @ g
+            k2 = M_mid @ (g + half * k1)
+            k3 = M_mid @ (g + half * k2)
+            k4 = M_hi @ (g + dt * k3)
+            g = g + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            M_lo = M_hi
+            states[n0 + 1 + i] = g
+        times[n + 1] = t + dt
+        states[n + 1] *= np.exp(airy * times[n + 1, None])
+        runaway_steps = np.flatnonzero(~(dyn.profile_norm(states[n + 1], 1.0) <= floor))
+        if runaway_steps.size:
+            raise dyn.InstabilityError(
+                f"|h(t)|_H1 exceeded {runaway:.1e} x initial at "
+                f"t = {times[n0 + 1 + runaway_steps[0]]:.3f}"
+            )
+    return times, states
+
+
 def _random_problem(nu, n, seed):
     trunc = Truncation(nu, n, n)
     rng = np.random.default_rng(seed)
@@ -256,14 +334,78 @@ def test_runaway_time_matches_stepwise(growth):
     assert crossing % dyn._CHUNK != 0
 
 
+def test_tabulated_step_matches_stage_oracle_over_long_time():
+    # 10 000 steps: a near-identity table (P or E(dt) P in place of D = P - I)
+    # rounds the same way at every step and drifts past the bound
+    rg, _ = pipeline(1e-3)
+    h0 = dyn.random_phase_state(T.n_x, np.random.default_rng(9), decay=3.0)
+    times, states = dyn.integrate_linear(rg.coefficients, FREQ, h0, 100.0, 0.01)
+    ref_times, ref_states = _integrate_by_stages(rg.coefficients, FREQ, h0, 100.0, 0.01)
+    assert len(times) == 10001
+    assert np.array_equal(times, ref_times)
+    assert np.max(np.abs(states - ref_states)) <= 1e-13 * np.linalg.norm(h0.h)
+
+
+@pytest.mark.parametrize("nu", [1, 2])
+def test_step_table_is_exact_off_grid(nu):
+    # the table must resolve D's degree 4 n_phi: an undersampled one is exact
+    # only at its grid nodes
+    n_x, dt = 3, 0.01
+    coeffs, _ = _random_problem(nu, n_x, 20 + nu)
+    freq = Frequency.default(nu, lam=0.8)
+    table = dyn._step_table(coeffs, freq, dt)
+    airy = 1j * np.arange(-n_x, n_x + 1).astype(float) ** 3
+    eye = np.eye(2 * n_x + 1)
+
+    def stage(phi, s):  # E(-s) N(phi + omega s) E(s)
+        at = SimpleNamespace(omega=phi + freq.omega * s)
+        ph = np.exp(airy * s)
+        return _coefficient_matrix_stepwise(coeffs, at, 1.0, n_x) * (ph[None, :] / ph[:, None])
+
+    for phi in np.random.default_rng(nu).uniform(0.0, 2.0 * np.pi, (5, nu)):
+        A, B, C = stage(phi, 0.0), stage(phi, 0.5 * dt), stage(phi, dt)
+        K2 = B @ (eye + 0.5 * dt * A)
+        K3 = B @ (eye + 0.5 * dt * K2)
+        K4 = C @ (eye + dt * K3)
+        D = dt / 6.0 * (A + 2.0 * K2 + 2.0 * K3 + K4)
+        assert np.max(np.abs(opalg.freeze(table, phi) - D)) <= 1e-14 * np.max(np.abs(D))
+
+
+def test_integrate_peak_memory_is_the_trajectory_and_a_few_chunks():
+    # budget: the trajectory plus six arrays of 64 step matrices; the step
+    # table's build temporaries and chunks much longer than 64 steps exceed it
+    rg, _ = pipeline(1e-3)
+    h0 = dyn.random_phase_state(T.n_x, np.random.default_rng(9), decay=3.0)
+    tracemalloc.start()
+    try:
+        _, states = dyn.integrate_linear(rg.coefficients, FREQ, h0, 100.0, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    m = 2 * T.n_x + 1
+    assert peak <= states.nbytes + 6 * 64 * m * m * np.dtype(complex).itemsize
+
+
 # ------------------------------------------------------------- frozen chain
+
+
+def _psi_inverse(rg, tau, tol=1e-13, max_iters=50):
+    """Solve psi(t) = tau by scalar Newton (psi' = 1 + omega.d_phi alpha > 1/2)."""
+    dalpha = omega_dphi(rg.chain["alpha"], rg.freq)
+    t = tau
+    for _ in range(max_iters):
+        r = dyn.psi_map(rg, t) - tau
+        if abs(r) < tol * max(1.0, abs(tau)):
+            return t
+        t -= r / (1.0 + dyn._scalar(dalpha, rg.freq.omega * t))
+    raise AssertionError(f"time-reparametrization inversion stalled at tau = {tau}")
 
 
 def test_psi_inverse_roundtrip():
     rg, _ = pipeline(1e-3)
     for t in (0.0, 1.7, 42.3):
         tau = dyn.psi_map(rg, t)
-        assert abs(dyn.psi_inverse(rg, tau) - t) < 1e-11
+        assert abs(_psi_inverse(rg, tau) - t) < 1e-11
     assert abs(dyn.psi_map(rg, 5.0) - 5.0) < 0.1  # reparametrization is O(eps)
 
 
