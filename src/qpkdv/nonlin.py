@@ -1,26 +1,31 @@
 """Nonlinearities f(phi, x, u, u_x, u_xx, u_xxx) for the forced third-order flow.
 
-An expression over {phi_1..phi_9, x, z0, z1, z2, z3} is parsed into a sympy
-tree, optionally synthesized from a potential (total x-derivative of g, or a
-Hamiltonian density F), and then evaluated on grids, differentiated for
-linearization coefficients, and probed for the structure that selects the
-solver's projection (reversible, total derivative, Hamiltonian).  The paper's
-hypotheses (F) and (Q) are not probed: step 3 of the regularization needs only
-their consequence, a d_xx coefficient of zero x-mean, and checks it on the
-actual coefficient (`regularize.ZeroMeanViolation`).
+An expression over {phi_1..phi_9, x, z0, z1, z2, z3} is parsed into an
+immutable `Expr` tree, optionally synthesized from a potential (total
+x-derivative of g, or a Hamiltonian density F), and then evaluated on grids,
+differentiated in z_k by the chain rule for the linearization coefficients,
+and probed for the structure that selects the solver's projection
+(reversible, total derivative, Hamiltonian).  The grammar is closed (numbers,
+variables, + - * /, integer powers, sin, cos, exp), so numpy alone evaluates
+it.  The paper's hypotheses (F) and (Q) are not probed: step 3 of the
+regularization needs only their consequence, a d_xx coefficient of zero
+x-mean, and checks it on the actual coefficient
+(`regularize.ZeroMeanViolation`).
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
-import sympy as sp
 
 from .spectral import (
     FourierField,
     Frequency,
+    NumericalFailure,
     Truncation,
     analyze,
     dx_pow,
@@ -28,12 +33,8 @@ from .spectral import (
     synthesize,
 )
 
-_X = sp.Symbol("x", real=True)
-_PHI = [sp.Symbol(f"phi_{k}", real=True) for k in range(1, 10)]
-_Z = [sp.Symbol(f"z{k}", real=True) for k in range(4)]
-_FUNCS = {"sin": sp.sin, "cos": sp.cos, "exp": sp.exp}
-_IDENTS = {"x": _X, **{f"phi_{k}": _PHI[k - 1] for k in range(1, 10)},
-           **{f"z{k}": _Z[k] for k in range(4)}}
+_PHI_NAMES = tuple(f"phi_{k}" for k in range(1, 10))
+_Z_NAMES = tuple(f"z{k}" for k in range(4))
 
 
 class ParseError(ValueError):
@@ -42,6 +43,215 @@ class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at offset {position})")
         self.position = position
+
+
+class NonFiniteError(NumericalFailure, ValueError):
+    """f or one of its z-partials is not finite at some grid node."""
+
+
+# --------------------------------------------------------------- expressions
+
+
+@dataclass(frozen=True, slots=True)
+class Expr:
+    """An immutable, hashable expression node: ``num`` (args: the value),
+    ``var`` (the name), ``add`` and ``mul`` (two operands), ``pow`` (base and
+    an integer exponent), or ``sin``, ``cos``, ``exp`` (one operand).
+
+    The operators fold numeric constants: a constant that is not finite, such
+    as a division by a constant zero, raises ArithmeticError.  Like terms are
+    not collected."""
+
+    kind: str
+    args: tuple
+
+    def __add__(self, other):
+        return _add(self, _lift(other))
+
+    def __sub__(self, other):
+        return _add(self, _mul(_MINUS_ONE, _lift(other)))
+
+    def __mul__(self, other):
+        return _mul(self, _lift(other))
+
+    def __rmul__(self, other):
+        return _mul(_lift(other), self)
+
+    def __truediv__(self, other):
+        return _mul(self, _pow(_lift(other), -1))
+
+    def __neg__(self):
+        return _mul(_MINUS_ONE, self)
+
+    def __pow__(self, n: int):
+        return _pow(self, n)
+
+    def __str__(self) -> str:
+        kind, args = self.kind, self.args
+        if kind == "num":
+            v = args[0]
+            s = repr(int(v)) if v.is_integer() and abs(v) < 2**53 else repr(v)
+            return s if v >= 0 else f"({s})"
+        if kind == "var":
+            return args[0]
+        if kind == "add":
+            return f"{args[0]} + {args[1]}"
+        if kind == "mul":
+            return "*".join(f"({a})" if a.kind == "add" else str(a) for a in args)
+        if kind == "pow":
+            base, n = args
+            return f"{base if base.kind == 'var' else f'({base})'}^{n}"
+        return f"{kind}({args[0]})"
+
+    def __repr__(self) -> str:
+        return f"Expr({str(self)!r})"
+
+    def diff(self, var: str) -> Expr:
+        """d self / d var by the chain rule; var is 'x', 'phi_k' or 'z_k'."""
+        return self._diff(var, {})
+
+    def _diff(self, var: str, memo: dict) -> Expr:
+        d = memo.get(id(self))
+        if d is not None:
+            return d
+        kind, args = self.kind, self.args
+        if kind == "num":
+            d = _ZERO
+        elif kind == "var":
+            d = _ONE if args[0] == var else _ZERO
+        elif kind == "add":
+            d = args[0]._diff(var, memo) + args[1]._diff(var, memo)
+        elif kind == "mul":
+            a, b = args
+            d = a._diff(var, memo) * b + a * b._diff(var, memo)
+        elif kind == "pow":
+            base, n = args
+            d = n * base ** (n - 1) * base._diff(var, memo)
+        else:
+            inner = args[0]._diff(var, memo)
+            if kind == "sin":
+                d = _func("cos", args[0]) * inner
+            elif kind == "cos":
+                d = -_func("sin", args[0]) * inner
+            else:
+                d = self * inner
+        memo[id(self)] = d
+        return d
+
+    def __call__(self, x, phi, z) -> np.ndarray:
+        """Samples at the points (x, phi, z), shaped like x: ``phi`` holds the
+        angles phi_1..phi_nu (those past nu are 0) and ``z`` the jet
+        (z0, z1, z2, z3); all broadcast against x."""
+        env = {name: np.asarray(v, dtype=float) for name, v in
+               [("x", x), *zip(_PHI_NAMES, phi), *zip(_Z_NAMES, z)]}
+        with np.errstate(all="ignore"):
+            out = self._eval(env, {})
+        return np.broadcast_to(np.asarray(out, dtype=float), np.shape(x)).copy()
+
+    def _eval(self, env: dict, memo: dict):
+        v = memo.get(id(self))
+        if v is not None:
+            return v
+        kind, args = self.kind, self.args
+        if kind == "num":
+            v = args[0]
+        elif kind == "var":
+            v = env.get(args[0], _ZERO_SAMPLE)
+        elif kind == "add":
+            v = args[0]._eval(env, memo) + args[1]._eval(env, memo)
+        elif kind == "mul":
+            v = args[0]._eval(env, memo) * args[1]._eval(env, memo)
+        elif kind == "pow":
+            v = args[0]._eval(env, memo) ** args[1]
+        else:
+            v = _UFUNCS[kind](args[0]._eval(env, memo))
+        memo[id(self)] = v
+        return v
+
+
+_ZERO_SAMPLE = np.zeros(())
+_UFUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
+_MATH = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
+
+
+def _num(value: float) -> Expr:
+    if not math.isfinite(value):
+        raise ArithmeticError("a constant is not finite")
+    return Expr("num", (float(value) + 0.0,))  # + 0.0 maps -0.0 to 0.0
+
+
+def _lift(other) -> Expr:
+    return other if isinstance(other, Expr) else _num(other)
+
+
+def _value(e: Expr):
+    """The number held by a constant node, else None."""
+    return e.args[0] if e.kind == "num" else None
+
+
+def _add(a: Expr, b: Expr) -> Expr:
+    va, vb = _value(a), _value(b)
+    if va is not None and vb is not None:
+        return _num(va + vb)
+    if va == 0.0:
+        return b
+    if vb == 0.0:
+        return a
+    return Expr("add", (a, b))
+
+
+def _mul(a: Expr, b: Expr) -> Expr:
+    """a * b with a constant factor first, merged with a constant leading b."""
+    if _value(b) is not None:
+        a, b = b, a
+    va, vb = _value(a), _value(b)
+    if va is None:
+        return Expr("mul", (a, b))
+    if vb is not None:
+        return _num(va * vb)
+    if va == 0.0:
+        return _ZERO
+    if va == 1.0:
+        return b
+    if b.kind == "mul" and _value(b.args[0]) is not None:
+        return _mul(_num(va * b.args[0].args[0]), b.args[1])
+    return Expr("mul", (a, b))
+
+
+def _pow(base: Expr, n: int) -> Expr:
+    if n == 0:
+        return _ONE
+    if n == 1:
+        return base
+    v = _value(base)
+    if v is None:
+        return Expr("pow", (base, n))
+    if v == 0.0 and n < 0:
+        raise ZeroDivisionError("division by zero")
+    try:
+        return _num(v ** n)
+    except OverflowError:
+        raise ArithmeticError("a constant is not finite") from None
+
+
+def _func(name: str, arg: Expr) -> Expr:
+    v = _value(arg)
+    if v is None:
+        return Expr(name, (arg,))
+    try:
+        return _num(_MATH[name](v))
+    except OverflowError:
+        raise ArithmeticError("a constant is not finite") from None
+
+
+_ZERO, _ONE, _MINUS_ONE = _num(0.0), _num(1.0), _num(-1.0)
+_VARS = {name: Expr("var", (name,)) for name in ("x", *_PHI_NAMES, *_Z_NAMES)}
+_FUNCS = {name: partial(_func, name) for name in _MATH}
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv, "^": operator.pow}
+
+
+# ------------------------------------------------------------------- parsing
 
 
 def _tokenize(text: str):
@@ -65,7 +275,9 @@ def _tokenize(text: str):
             try:
                 value = float(text[i:j])
             except ValueError:
-                raise ParseError(f"bad number {text[i:j]!r}", i) from None
+                value = math.inf
+            if not math.isfinite(value):
+                raise ParseError(f"bad number {text[i:j]!r}", i)
             tokens.append(("num", value, i))
             i = j
             continue
@@ -85,7 +297,8 @@ class _Parser:
     """Recursive descent over: expr = term (('+'|'-') term)*,
     term = unary (('*'|'/') unary)*, unary = ('+'|'-') unary | factor,
     factor = base ('^' integer)?, base = number | ident | '(' expr ')' |
-    func '(' expr ')'.  A sign binds looser than '^': -z0^2 is -(z0^2)."""
+    func '(' expr ')'.  A sign binds looser than '^': -z0^2 is -(z0^2).
+    A constant that folds to a non-finite value is refused at its operator."""
 
     def __init__(self, text: str):
         self.text = text
@@ -106,52 +319,56 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         return tok
 
-    def parse(self) -> sp.Expr:
+    @staticmethod
+    def fold(tok, fn, *operands) -> Expr:
+        try:
+            return fn(*operands)
+        except ArithmeticError as err:
+            raise ParseError(str(err), tok[2]) from None
+
+    def parse(self) -> Expr:
         e = self.expr()
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
         return e
 
-    def expr(self) -> sp.Expr:
+    def expr(self) -> Expr:
         e = self.term()
         while self.peek()[0] in "+-":
-            op = self.advance()[0]
-            t = self.term()
-            e = e + t if op == "+" else e - t
+            op = self.advance()
+            e = self.fold(op, _BINARY[op[0]], e, self.term())
         return e
 
-    def term(self) -> sp.Expr:
+    def term(self) -> Expr:
         e = self.unary()
         while self.peek()[0] in "*/":
-            op = self.advance()[0]
-            f = self.unary()
-            e = e * f if op == "*" else e / f
+            op = self.advance()
+            e = self.fold(op, _BINARY[op[0]], e, self.unary())
         return e
 
-    def unary(self) -> sp.Expr:
+    def unary(self) -> Expr:
         if self.peek()[0] in "+-":
             return (-1 if self.advance()[0] == "-" else 1) * self.unary()
         return self.factor()
 
-    def factor(self) -> sp.Expr:
+    def factor(self) -> Expr:
         e = self.base()
         if self.peek()[0] == "^":
-            self.advance()
+            op = self.advance()
             sign = 1
             if self.peek()[0] in "+-":
                 sign = -1 if self.advance()[0] == "-" else 1
             tok = self.advance()
             if tok[0] != "num" or tok[1] != int(tok[1]):
                 raise ParseError("exponent must be an integer", tok[2])
-            e = e ** (sign * int(tok[1]))
+            e = self.fold(op, _BINARY["^"], e, sign * int(tok[1]))
         return e
 
-    def base(self) -> sp.Expr:
+    def base(self) -> Expr:
         tok = self.advance()
         if tok[0] == "num":
-            v = tok[1]
-            return sp.Integer(int(v)) if v == int(v) else sp.Float(v)
+            return _num(tok[1])
         if tok[0] == "(":
             e = self.expr()
             self.expect(")")
@@ -162,37 +379,34 @@ class _Parser:
                 self.expect("(")
                 arg = self.expr()
                 self.expect(")")
-                return _FUNCS[name](arg)
-            if name in _IDENTS:
-                return _IDENTS[name]
+                return self.fold(tok, _FUNCS[name], arg)
+            if name in _VARS:
+                return _VARS[name]
             raise ParseError(f"unknown identifier {name!r}", tok[2])
         raise ParseError(f"expected a value, found {tok[1]!r}", tok[2])
 
 
-def _total_dx(expr: sp.Expr) -> sp.Expr:
+def _total_dx(expr: Expr) -> Expr:
     """Total x-derivative along solutions: z_k picks up z_{k+1}."""
-    out = sp.diff(expr, _X)
-    for k in range(3):
-        out += _Z[k + 1] * sp.diff(expr, _Z[k])
-    if sp.diff(expr, _Z[3]) != 0:
+    if expr.diff("z3") != _ZERO:
         raise ValueError("total x-derivative would need a fourth derivative slot")
-    return sp.expand(out)
+    out = expr.diff("x")
+    for k in range(3):
+        out = out + _VARS[_Z_NAMES[k + 1]] * expr.diff(_Z_NAMES[k])
+    return out
 
 
-def _synthesize(expr: sp.Expr, declared_form: str) -> sp.Expr:
+def _synthesize(expr: Expr, declared_form: str) -> Expr:
     if declared_form == "raw_f":
         return expr
     if declared_form == "dx_of_g":
-        if sp.diff(expr, _Z[3]) != 0:
+        if expr.diff("z3") != _ZERO:
             raise ValueError("g may depend on z0, z1, z2 only")
         return _total_dx(expr)
     if declared_form == "hamiltonian_F":
-        for z in _Z[2:]:
-            if sp.diff(expr, z) != 0:
-                raise ValueError("a Hamiltonian density may depend on z0, z1 only")
-        dz0 = sp.diff(expr, _Z[0])
-        dz1 = sp.diff(expr, _Z[1])
-        return sp.expand(-_total_dx(dz0) + _total_dx(_total_dx(dz1)))
+        if expr.diff("z2") != _ZERO or expr.diff("z3") != _ZERO:
+            raise ValueError("a Hamiltonian density may depend on z0, z1 only")
+        return -_total_dx(expr.diff("z0")) + _total_dx(_total_dx(expr.diff("z1")))
     raise ValueError(f"unknown declared_form {declared_form!r}")
 
 
@@ -204,7 +418,7 @@ class NonlinearitySpec:
     ``source`` keeps the text that was parsed (g or F for derived forms).
     """
 
-    f: sp.Expr
+    f: Expr
     declared_form: str
     epsilon: float
     source: str = ""
@@ -212,41 +426,21 @@ class NonlinearitySpec:
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        free = self.f.free_symbols - set(_IDENTS.values())
-        if free:
-            raise ValueError(f"unexpected free symbols: {free}")
-
-    @cached_property
-    def _callable(self):
-        return _lambdify(self.f)
 
     @cached_property
     def _z_derivative_callables(self):
-        return tuple(_lambdify(sp.diff(self.f, z)) for z in _Z)
-
-    def z_derivative(self, k: int) -> sp.Expr:
-        return sp.diff(self.f, _Z[k])
+        return _z_partials(self.f)
 
 
 @lru_cache(maxsize=256)
-def _lambdify(expr: sp.Expr):
-    """Grid evaluator of expr, shared by every spec with an equal expression."""
-    args = [_X, *_PHI, *_Z]
-    fn = sp.lambdify(args, expr, modules="numpy")
-
-    def call(x, phi, z):
-        # phi: list of nu arrays, padded with zeros for unused angles
-        phis = list(phi) + [0.0] * (9 - len(phi))
-        out = fn(x, *phis, *z)
-        return np.broadcast_to(np.asarray(out, dtype=float), np.shape(x)).copy()
-
-    return call
+def _z_partials(f: Expr) -> tuple[Expr, ...]:
+    """(d f / d z0, ..., d f / d z3), shared by every spec with an equal f."""
+    return tuple(f.diff(z) for z in _Z_NAMES)
 
 
 def parse_nonlinearity(text: str, declared_form: str = "raw_f",
                        epsilon: float = 1e-3) -> NonlinearitySpec:
-    expr = _Parser(text).parse()
-    f = _synthesize(sp.expand(expr), declared_form)
+    f = _synthesize(_Parser(text).parse(), declared_form)
     return NonlinearitySpec(f=f, declared_form=declared_form,
                             epsilon=epsilon, source=text)
 
@@ -284,11 +478,17 @@ def _jet_on_grid(u: FourierField):
     return list(synthesize([dx_pow(u, k) for k in range(4)]))
 
 
+def _finite(samples: np.ndarray, name: str) -> np.ndarray:
+    bad = samples.size - np.count_nonzero(np.isfinite(samples))
+    if bad:
+        raise NonFiniteError(f"{name} is not finite at {bad} of {samples.size} grid nodes")
+    return samples
+
+
 def evaluate_f(spec: NonlinearitySpec, u: FourierField) -> FourierField:
     """f(phi, x, u, u_x, u_xx, u_xxx) sampled on the grid and re-truncated."""
     phis, xg = _grid_coords(u.trunc)
-    z = _jet_on_grid(u)
-    samples = spec._callable(xg, phis, z)
+    samples = _finite(spec.f(xg, phis, _jet_on_grid(u)), "f")
     return analyze(u.trunc, samples)
 
 
@@ -301,7 +501,9 @@ def linearized_coefficients(spec: NonlinearitySpec, u: FourierField):
     """Fields a_i = epsilon * (d f / d z_i) along u, for i = 3, 2, 1, 0."""
     phis, xg = _grid_coords(u.trunc)
     z = _jet_on_grid(u)
-    samples = np.stack([spec._z_derivative_callables[k](xg, phis, z) for k in (3, 2, 1, 0)])
+    partials = spec._z_derivative_callables
+    samples = np.stack([_finite(partials[k](xg, phis, z), f"d f/d z{k}")
+                        for k in (3, 2, 1, 0)])
     return tuple(a * spec.epsilon for a in analyze(u.trunc, samples))
 
 
@@ -325,20 +527,6 @@ class StructureFlags:
     hamiltonian: bool
 
 
-def _is_zero(expr: sp.Expr, rng: np.random.Generator, tol: float = 1e-10) -> bool:
-    simplified = sp.simplify(expr)
-    if simplified == 0:
-        return True
-    fn = _lambdify(expr)
-    for _ in range(64):
-        x = rng.uniform(0, 2 * np.pi)
-        phi = rng.uniform(0, 2 * np.pi, size=9)
-        z = rng.uniform(-1, 1, size=4)
-        if abs(fn(np.array(x), phi, z)) > tol:
-            return False
-    return True
-
-
 def structure_flags(spec: NonlinearitySpec, seed: int = 0) -> StructureFlags:
     """The structure of spec.f that selects the solver's projection, probed at
     points drawn from ``seed``.  It depends on neither epsilon nor lambda, so
@@ -348,13 +536,13 @@ def structure_flags(spec: NonlinearitySpec, seed: int = 0) -> StructureFlags:
 
 
 @lru_cache(maxsize=64)
-def _structure_flags(f: sp.Expr, declared_form: str, seed: int) -> StructureFlags:
+def _structure_flags(f: Expr, declared_form: str, seed: int) -> StructureFlags:
     # reversibility: f(-phi, -x, z0, -z1, z2, -z3) = -f(phi, x, z0, z1, z2, z3)
-    flipped = f.subs(
-        {**{p: -p for p in _PHI}, _X: -_X, _Z[1]: -_Z[1], _Z[3]: -_Z[3]},
-        simultaneous=True,
-    )
-    reversible = _is_zero(sp.expand(flipped + f), np.random.default_rng(seed))
+    # at 64 points, each drawn as (x, phi_1..phi_9, z0..z3)
+    d = np.random.default_rng(seed).random((64, 14)).T
+    x, phi, z = 2 * np.pi * d[0], 2 * np.pi * d[1:10], 2 * d[10:] - 1
+    flipped = f(-x, -phi, [z[0], -z[1], z[2], -z[3]])
+    reversible = bool(np.all(np.abs(f(x, phi, z) + flipped) <= 1e-10))
     total_derivative = (declared_form in ("dx_of_g", "hamiltonian_F")
                         or _numeric_total_derivative(f))
     return StructureFlags(
@@ -364,15 +552,19 @@ def _structure_flags(f: sp.Expr, declared_form: str, seed: int) -> StructureFlag
     )
 
 
-def _numeric_total_derivative(f: sp.Expr, tol: float = 1e-10) -> bool:
-    """Check that the x-average of f vanishes along random trigonometric u."""
+def _numeric_total_derivative(f: Expr, tol: float = 1e-10) -> bool:
+    """Check that the x-average of f vanishes along random trigonometric u;
+    an f that is not finite along them is not shown to be one."""
     trunc = Truncation(nu=1, n_phi=2, n_x=4)
     spec = NonlinearitySpec(f=f, declared_form="raw_f", epsilon=1.0)
     from .spectral import random_real_field, x_average
 
     for seed in range(3):
         u = random_real_field(trunc, np.random.default_rng(seed), decay=2.0, scale=0.3)
-        avg = x_average(evaluate_f(spec, u))
+        try:
+            avg = x_average(evaluate_f(spec, u))
+        except NonFiniteError:
+            return False
         if np.max(np.abs(avg.c)) > tol:
             return False
     return True

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -343,6 +346,43 @@ def test_main_bad_config_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_main_constant_division_by_zero_exits_1(tmp_path, capsys):
+    text = "cos(phi_1) * sin(x) + z0/0"
+    cfg = write_config(tmp_path, nonlinearity={"text": text, "declared_form": "raw_f"})
+    assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: division by zero (at offset {text.index('/')})"]
+
+
+def test_solve_non_finite_f_names_its_cause(tmp_path, capsys):
+    # singular at u = 0, the first iterate
+    text = "cos(phi_1) * sin(x) + z3/z0"
+    cfg = write_config(tmp_path, nonlinearity={"text": text, "declared_form": "raw_f"})
+    out = tmp_path / "solve"
+    assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_ERROR
+    run = json.loads((out / "report.json").read_text(),
+                     parse_constant=lambda c: pytest.fail(f"report.json holds {c}"))["runs"][0]
+    assert run["failure"].startswith("NonFiniteError: f is not finite at ")
+    assert not run["converged"] and not run["excluded_lambda"]
+    assert capsys.readouterr().err.splitlines() == [f"error: lam1.25_eps0.001: {run['failure']}"]
+
+
+def test_runtime_never_imports_sympy(tmp_path):
+    cfg = write_config(tmp_path)
+    script = "\n".join([
+        "import sys",
+        "import qpkdv.cli as cli",
+        "assert 'sympy' not in sys.modules, 'importing qpkdv.cli imported sympy'",
+        "sys.modules['sympy'] = None",
+        f"sys.exit(cli.main(['solve', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'o')!r}]))",
+    ])
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+
+
 def test_main_failed_reduction_exits_1(tmp_path, capsys):
     # at epsilon = 0.4 the Neumann contraction of the reduction fails
     path = write_config(
@@ -408,17 +448,26 @@ REVERSIBLE_TERMS = ("z0^2*z3", "z0*z1", "z1*z2", "z1^3", "z3*cos(x)", "z1*cos(x)
                     "z2*sin(x)", "cos(phi_1)*cos(x)*z3", "z3*exp(3*cos(x))")
 
 
+FORCING = st.floats(0.1, 3.0)
+TERMS = st.lists(st.tuples(st.sampled_from(REVERSIBLE_TERMS), st.floats(-3.0, 3.0)),
+                 min_size=1, max_size=3)
+
+
+def reversible_text(forcing, terms):
+    """The text of forcing * cos(phi_1) sin(x) + sum c * term."""
+    return f"{forcing:.3g}*cos(phi_1)*sin(x)" + "".join(
+        f" {'-' if c < 0 else '+'} {abs(c):.3g}*({t})" for t, c in terms)
+
+
 @settings(max_examples=100, derandomize=True, deadline=None)
-@given(forcing=st.floats(0.1, 3.0),
-       terms=st.lists(st.tuples(st.sampled_from(REVERSIBLE_TERMS), st.floats(-3.0, 3.0)),
-                      min_size=1, max_size=3),
+@given(forcing=FORCING,
+       terms=TERMS,
        log_eps=st.floats(-6.0, 0.0),
        n=st.integers(4, 8),
        lambdas=st.lists(st.floats(0.5, 1.5), min_size=2, max_size=2),
        subcommand=st.sampled_from(sorted(cli._SUBCOMMANDS)))
 def test_every_subcommand_ends_in_a_report(forcing, terms, log_eps, n, lambdas, subcommand):
-    text = f"{forcing:.3g}*cos(phi_1)*sin(x)" + "".join(
-        f" {'-' if c < 0 else '+'} {abs(c):.3g}*({t})" for t, c in terms)
+    text = reversible_text(forcing, terms)
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "config.json"
         cfg.write_text(json.dumps(base_config(

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from test_cli import FORCING, NO_STRUCTURE, STEEP, TERMS, base_config, reversible_text
 
 from qpkdv import nonlin
 from qpkdv.spectral import (
@@ -19,6 +21,16 @@ from qpkdv.spectral import (
 T = Truncation(1, 4, 6)
 FREQ = Frequency.default(1, lam=1.2)
 
+# the grammar's variables as real sympy symbols, in the order x, phi_1..phi_9,
+# z0..z3 of the evaluators' arguments
+SYMBOLS = {name: sp.Symbol(name, real=True)
+           for name in ("x", *(f"phi_{k}" for k in range(1, 10)), "z0", "z1", "z2", "z3")}
+
+
+def _sympy(expr):
+    """sympy's reading of an expression's (or a text's) printed form."""
+    return sp.sympify(str(expr), locals=SYMBOLS, convert_xor=True)
+
 
 # ----------------------------------------------------------------- parsing
 
@@ -26,7 +38,7 @@ FREQ = Frequency.default(1, lam=1.2)
 def test_parse_quasilinear_cubic():
     spec = nonlin.parse_nonlinearity("z0^2 * z3")
     z0, z3 = sp.Symbol("z0", real=True), sp.Symbol("z3", real=True)
-    assert sp.simplify(spec.f - z0**2 * z3) == 0
+    assert sp.simplify(_sympy(spec.f) - z0**2 * z3) == 0
 
 
 def test_parse_unbalanced_paren_position():
@@ -49,7 +61,7 @@ def test_parse_non_integer_exponent():
 def test_parse_precedence_and_unary_minus():
     spec = nonlin.parse_nonlinearity("-z0 + 2*z1^2")
     z0, z1 = sp.Symbol("z0", real=True), sp.Symbol("z1", real=True)
-    assert sp.simplify(spec.f - (-z0 + 2 * z1**2)) == 0
+    assert sp.simplify(_sympy(spec.f) - (-z0 + 2 * z1**2)) == 0
 
 
 Z0, Z1, Z3, X, PHI1 = sp.symbols("z0 z1 z3 x phi_1", real=True)
@@ -68,7 +80,7 @@ Z0, Z1, Z3, X, PHI1 = sp.symbols("z0 z1 z3 x phi_1", real=True)
     ("z0^2*(-z3)", -(Z0**2) * Z3),
 ])
 def test_parse_sign_after_an_operator(text, expected):
-    assert sp.simplify(nonlin.parse_nonlinearity(text).f - expected) == 0
+    assert sp.simplify(_sympy(nonlin.parse_nonlinearity(text).f) - expected) == 0
 
 
 def test_parse_rejects_an_operator_without_operand():
@@ -77,17 +89,36 @@ def test_parse_rejects_an_operator_without_operand():
     assert e.value.position == 3
 
 
+@pytest.mark.parametrize("text, operator, message", [
+    ("cos(phi_1) * sin(x) + z0/0", "/", "division by zero"),
+    ("0^-1*z0", "^", "division by zero"),
+    ("z0/(1 - 1)", "/", "division by zero"),
+    ("exp(1000)*z3", "exp", "a constant is not finite"),
+    ("1e300*1e300*z3", "*", "a constant is not finite"),
+])
+def test_parse_refuses_a_constant_that_is_not_finite(text, operator, message):
+    with pytest.raises(nonlin.ParseError, match=message) as e:
+        nonlin.parse_nonlinearity(text)
+    assert e.value.position == text.index(operator)
+
+
+def test_parse_refuses_a_number_that_is_not_finite():
+    with pytest.raises(nonlin.ParseError, match="bad number") as e:
+        nonlin.parse_nonlinearity("z3 * 1e400")
+    assert e.value.position == 5
+
+
 def test_dx_of_g_chain_rule():
     spec = nonlin.parse_nonlinearity("z0^3", declared_form="dx_of_g")
     z0, z1 = sp.Symbol("z0", real=True), sp.Symbol("z1", real=True)
-    assert sp.simplify(spec.f - 3 * z0**2 * z1) == 0
+    assert sp.simplify(_sympy(spec.f) - 3 * z0**2 * z1) == 0
 
 
 def test_hamiltonian_synthesis():
     spec = nonlin.parse_nonlinearity("z1^3", declared_form="hamiltonian_F")
     z1, z2, z3 = (sp.Symbol(f"z{k}", real=True) for k in (1, 2, 3))
     # f = -D_x(F_{z0}) + D_x^2(F_{z1}) with F = z1^3
-    assert sp.simplify(spec.f - (6 * z2**2 + 6 * z1 * z3)) == 0
+    assert sp.simplify(_sympy(spec.f) - (6 * z2**2 + 6 * z1 * z3)) == 0
 
 
 def test_builtin_registry():
@@ -106,13 +137,83 @@ def test_symbolic_derivative_matches_finite_difference():
         phi = rng.uniform(0, 2 * np.pi, size=9)
         z = rng.uniform(-0.5, 0.5, size=4)
         for k in range(4):
-            dfk = nonlin._lambdify(spec.z_derivative(k))(x, phi, z)
+            dfk = spec._z_derivative_callables[k](x, phi, z)
             h = 1e-6
             zp, zm = z.copy(), z.copy()
             zp[k] += h
             zm[k] -= h
-            fd = (spec._callable(x, phi, zp) - spec._callable(x, phi, zm)) / (2 * h)
+            fd = (spec.f(x, phi, zp) - spec.f(x, phi, zm)) / (2 * h)
             assert abs(dfk - fd) < 1e-8 * max(1.0, abs(dfk))
+
+
+def _sympy_synthesis(text, declared_form):
+    """f synthesized from text by sympy: the reference for `nonlin`'s own."""
+    e = sp.expand(_sympy(text))
+    x, z = SYMBOLS["x"], [SYMBOLS[f"z{k}"] for k in range(4)]
+
+    def total_dx(g):
+        return sp.expand(sp.diff(g, x) + sum(z[k + 1] * sp.diff(g, z[k]) for k in range(3)))
+
+    if declared_form == "raw_f":
+        return e
+    if declared_form == "dx_of_g":
+        return total_dx(e)
+    return sp.expand(-total_dx(sp.diff(e, z[0])) + total_dx(total_dx(sp.diff(e, z[1]))))
+
+
+def _assert_matches_sympy(text, declared_form="raw_f"):
+    """f and its four z-partials against sympy.lambdify of the same text, at
+    random points, to 1e-13 relative to the largest sample."""
+    spec = nonlin.parse_nonlinearity(text, declared_form)
+    ref = _sympy_synthesis(text, declared_form)
+    rng = np.random.default_rng(0)
+    x = rng.uniform(0, 2 * np.pi, 200)
+    phi = rng.uniform(0, 2 * np.pi, (9, 200))
+    z = rng.uniform(-1, 1, (4, 200))
+    partials = [sp.diff(ref, SYMBOLS[f"z{k}"]) for k in range(4)]
+    for ours, theirs in zip((spec.f, *spec._z_derivative_callables), (ref, *partials)):
+        want = np.broadcast_to(sp.lambdify(list(SYMBOLS.values()), theirs, "numpy")(x, *phi, *z),
+                               x.shape)
+        got = ours(x, phi, z)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (text, theirs)
+    return spec, ref
+
+
+@pytest.mark.parametrize("text, declared_form", [
+    *nonlin.BUILTINS.values(),
+    (base_config("out")["nonlinearity"]["text"], "raw_f"),
+    (NO_STRUCTURE["text"], "raw_f"),
+    (STEEP["text"], "raw_f"),
+    ("z0^3", "dx_of_g"),
+    ("cos(x + phi_1) * z0^2 + exp(sin(x)) * z1 / (3 + cos(x))", "dx_of_g"),
+    ("cos(x) * z1^2 + sin(phi_1 + x) * z0^3", "hamiltonian_F"),
+    ("sin(x + phi_1) * z1 * exp(z0) + z3 / (2 + z2)", "raw_f"),
+])
+def test_evaluator_matches_sympy(text, declared_form):
+    spec, ref = _assert_matches_sympy(text, declared_form)
+    if declared_form != "raw_f":
+        assert sp.simplify(_sympy(spec.f) - ref) == 0
+    # the probed reversibility agrees with sympy's: f(-phi, -x, z0, -z1, z2, -z3) = -f
+    flip = {s: -s for name, s in SYMBOLS.items() if name not in ("z0", "z2")}
+    reversible = sp.simplify(ref.subs(flip, simultaneous=True) + ref) == 0
+    assert nonlin.structure_flags(spec).reversible == reversible
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(forcing=FORCING, terms=TERMS)
+def test_evaluator_matches_sympy_on_drawn_texts(forcing, terms):
+    _assert_matches_sympy(reversible_text(forcing, terms))
+
+
+def test_non_finite_f_is_a_named_failure():
+    spec = nonlin.parse_nonlinearity("cos(phi_1) * sin(x) + z3/z0")
+    zero = FourierField.zeros(T)
+    nodes = int(np.prod(T.grid_shape))
+    with pytest.raises(nonlin.NonFiniteError,
+                       match=f"^f is not finite at {nodes} of {nodes} grid nodes$"):
+        nonlin.evaluate_f(spec, zero)
+    with pytest.raises(nonlin.NonFiniteError, match="^d f/d z3 is not finite at"):
+        nonlin.linearized_coefficients(spec, zero)
 
 
 # ---------------------------------------------------------------- residual
@@ -246,13 +347,12 @@ def test_specs_differing_in_epsilon_share_analysis():
     a = nonlin.parse_nonlinearity(text, epsilon=1e-3)
     b = nonlin.parse_nonlinearity(text, epsilon=1e-5)
     assert nonlin.structure_flags(a) is nonlin.structure_flags(b)
-    assert a._callable is b._callable
+    assert a.f == b.f
     assert all(fa is fb for fa, fb in zip(a._z_derivative_callables,
                                           b._z_derivative_callables))
     # the same f declared through its Hamiltonian density is analyzed apart
     ham = nonlin.builtin("hamiltonian_cubic")
-    raw = nonlin.parse_nonlinearity("6 * z2^2 + 6 * z1 * z3")
-    assert raw.f == ham.f
+    raw = nonlin.NonlinearitySpec(f=ham.f, declared_form="raw_f", epsilon=1e-3)
     assert nonlin.structure_flags(ham).hamiltonian
     assert not nonlin.structure_flags(raw).hamiltonian
     phis, xg = nonlin._grid_coords(T)

@@ -185,6 +185,16 @@ def test_nash_moser_out_of_iterations_is_a_failure():
     assert len(rep.iterates) == 1
 
 
+def test_nash_moser_non_finite_f_is_a_failure():
+    # z3/z0 is 0/0 at u = 0, the first iterate, on every grid node
+    spec = nonlin.parse_nonlinearity("cos(phi_1) * sin(x) + z3/z0", "raw_f", epsilon=1e-3)
+    rep = sv.nash_moser(spec, FREQ, sv.SolverConfig(trunc=T))
+    nodes = int(np.prod(T.grid_shape))
+    assert not rep.converged and not rep.excluded_lambda
+    assert rep.failure == f"NonFiniteError: f is not finite at {nodes} of {nodes} grid nodes"
+    assert rep.iterates == []
+
+
 def test_nash_moser_converges_with_decreasing_residuals():
     spec = nonlin.parse_nonlinearity(FORCED, "raw_f", epsilon=1e-3)
     rep = sv.nash_moser(spec, FREQ, sv.SolverConfig(trunc=T))
