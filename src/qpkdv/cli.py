@@ -435,7 +435,9 @@ def _verify_checks(config: ExperimentConfig, rng: np.random.Generator) -> list:
     u0 = random_real_field(trunc, rng, decay=4.0, scale=1e-3, parity="X")
     rg = regularize.regularize_at(spec, freq, u0)
     probe = random_real_field(trunc, rng, decay=3.0, scale=1.0)
-    add("regularization semi-conjugacy", regularize.conjugacy_residual(rg, probe), 1e-5)
+    # relative: one probe reads the rounding floor, which scales with |L Phi2 z|_s0
+    add("regularization semi-conjugacy (relative)", regularize.conjugacy_residual(rg, probe)
+        / sobolev_norm(rg.apply_L(rg.phi2(probe)), trunc.s0), 1e-8)
     add("order-one remainder", float(np.max(np.abs(rg.chain["r1"].c))), 1e-10)
 
     sched = sv.SolverConfig(trunc=trunc, gamma=0.01).schedule(spec.epsilon, rg.mode)

@@ -8,8 +8,9 @@ equispaced grids, Sobolev norms, powers of d/dx (including the zero-average
 antiderivative), inversion of omega . d/dphi, composition with torus
 diffeomorphisms, and parity/reality predicates.
 
-Grid transforms are real FFTs on the modes j >= 0, so fields must be real;
-the torus diffeomorphisms evaluate fields at displaced nodes by Horner's rule.
+Grid transforms are real FFTs on the modes j >= 0, so fields must be real; a
+torus diffeomorphism is the transport series h o (id + d) = sum_k d^k/k! D^k h,
+K + 1 uniform syntheses summed in the samples of d, its mean an exact phase.
 """
 
 from __future__ import annotations
@@ -36,12 +37,11 @@ __all__ = [
     "NumericalFailure",
     "DegenerateCoefficientError",
     "DiffeoConvergenceError",
+    "LargeDisplacementError",
     "structure_check",
     "pointwise",
     "multiply",
     "x_average",
-    "embed_field",
-    "field_at_phi",
     "random_real_field",
     "field_to_json",
     "field_from_json",
@@ -293,14 +293,14 @@ def _phi_indices(trunc: Truncation, gphi: tuple[int, ...]):
     return idx
 
 
-def _phi_synth(trunc: Truncation, c: np.ndarray, gphi: tuple[int, ...], width: int = 0) -> np.ndarray:
-    """Stacked tables synthesized along phi on the modes j >= 0, zero past j = n_x:
-    (field, phi grid..., max(width, n_x + 1)); irfft pads a short input slower."""
-    buf = np.zeros((len(c),) + gphi + (max(width, trunc.n_x + 1),), dtype=complex)
-    half = buf[..., : trunc.n_x + 1]
-    half[(slice(None),) + _phi_indices(trunc, gphi)] = c[..., trunc.n_x:]
+def _phi_synth(trunc: Truncation, half: np.ndarray, gphi: tuple[int, ...], width: int = 0) -> np.ndarray:
+    """Stacked tables synthesized along phi from their x coefficients j < J, half (field, l..., J):
+    (field, phi grid..., max(width, J)), zero past J; irfft pads a short input slower."""
+    buf = np.zeros((len(half),) + gphi + (max(width, half.shape[-1]),), dtype=complex)
+    part = buf[..., : half.shape[-1]]
+    part[(slice(None),) + _phi_indices(trunc, gphi)] = half
     for ax in range(1, trunc.nu + 1):
-        np.fft.ifft(half, axis=ax, norm="forward", out=half)
+        np.fft.ifft(part, axis=ax, norm="forward", out=part)
     return buf
 
 
@@ -309,7 +309,7 @@ def synthesize(f, grid_shape: tuple[int, ...] | None = None) -> np.ndarray:
     fields gives their samples stacked on a leading axis, by one transform."""
     trunc, c, batched = _stacked(f)
     shape = tuple(grid_shape or trunc.grid_shape)
-    half = _phi_synth(trunc, c, shape[:-1], shape[-1] // 2 + 1)  # irfft's full input length
+    half = _phi_synth(trunc, c[..., trunc.n_x:], shape[:-1], shape[-1] // 2 + 1)  # irfft's full input length
     samples = np.fft.irfft(half, n=shape[-1], axis=-1, norm="forward")
     return samples if batched else samples[0]
 
@@ -436,42 +436,17 @@ class DiffeoConvergenceError(NumericalFailure, RuntimeError):
     """An inverse torus diffeomorphism did not converge."""
 
 
-def _horner(c: np.ndarray, z: np.ndarray, real: bool = False) -> np.ndarray:
-    """sum_m c_m z^m at unit phases z = e^{ip} by Horner's rule in place; the modes run
-    along axis 0 of c, each c[k] broadcasting against z: -n..n, or with ``real`` the modes
-    0..n of a Hermitian sequence, for which c_0 + 2 Re sum_{m>=1} c_m z^m is returned."""
-
-    def tail(coef, w):  # sum_{m>=1} coef[m - 1] w^m
-        acc = coef[-1] * w
-        for ck in coef[-2::-1]:
-            acc += ck
-            acc *= w
-        return acc
-
-    if real:
-        return c[0].real + 2.0 * tail(c[1:], z).real
-    n = len(c) // 2  # the negative modes use conj(z) = 1/z
-    return c[n] + tail(c[n + 1:], z) + tail(c[n - 1::-1], z.conj())
+class LargeDisplacementError(NumericalFailure, ValueError):
+    """A torus diffeomorphism's displacement is too large for its transport series:
+    x = max|m| max|d - mean d| > _X_MAX, where its rounding e^x eps passes 1e-12."""
 
 
-def _nodes(m: int) -> np.ndarray:
-    return 2.0 * np.pi * np.arange(m) / m
-
-
-def _at_time_nodes(c: np.ndarray, gphi: tuple, freq: Frequency, alpha, real=False) -> np.ndarray:
-    """sum_l c_l e^{i l.theta}, c of layout (l_1..l_nu, rest...), one phi axis at a time at the nodes
-    theta = phi + omega alpha(phi): (phi grid..., rest...); ``real``: c Hermitian in l, l_1 >= 0 read."""
-    mesh = np.meshgrid(*[_nodes(m) for m in gphi], indexing="ij")
-    a = c[None, len(c) // 2:] if real else c[None]  # the nodes lead, passengers follow
-    for ax in range(len(gphi) - 1, -1, -1):
-        z = np.exp(1j * (mesh[ax] + freq.omega[ax] * alpha)).reshape((-1,) + (1,) * (a.ndim - 2))
-        a = _horner(np.moveaxis(a, ax + 1, 0), z, real and ax == 0)
-    return a.reshape(gphi + a.shape[1:])
+_X_MAX = math.log(1e-12 / np.finfo(float).eps)
 
 
 def _fine_shape(trunc: Truncation, kind: str, freq: Frequency | None) -> tuple[int, ...]:
     """Grid for compositions: oversampled a further 2x along phi and, for the
-    space kind, x (time only samples alpha on x).  This does not bound the
+    space kind, x (the time kind does not displace x).  This does not bound the
     aliasing of a composition: at nu = 2, n = 2 the inverse space displacement
     of a random beta (decay 3, scale 0.02) was measured 9.0e-9 away from the
     same fixed point solved by direct sums on 40- and 60-point grids (1.5e-16
@@ -486,9 +461,58 @@ def _fine_shape(trunc: Truncation, kind: str, freq: Frequency | None) -> tuple[i
     return (gp,) * trunc.nu + (gx,)
 
 
-def _check_slope(samples: np.ndarray, what: str) -> None:
-    if np.max(np.abs(samples)) > 0.5 + 1e-12:
-        raise DegenerateCoefficientError(f"{what} = {np.max(np.abs(samples)):.3f} > 1/2")
+def _displacement_samples(kind: str, d: FourierField, freq, gs, verdict: str) -> np.ndarray:
+    """Samples of beta on gs, or of alpha(phi) on the phi grid as (phi grid..., 1), after
+    checking that the slope beta_x or omega.d_phi alpha stays within 1/2."""
+    if kind == "space":
+        (samples, slope), name = synthesize([d, dx_pow(d, 1)], gs), "beta_x"
+    else:  # the j = 0 column along phi only
+        pair = np.stack([d.c, omega_dphi(d, freq).c])[..., d.trunc.n_x, None]
+        (samples, slope), name = _phi_synth(d.trunc, pair, gs[:-1]).real, "omega.d_phi alpha"
+    if np.max(np.abs(slope)) > 0.5 + 1e-12:
+        raise DegenerateCoefficientError(
+            f"{kind} diffeomorphism {verdict}: |{name}|_inf = {np.max(np.abs(slope)):.3f} > 1/2")
+    return samples
+
+
+def _series_tables(kind: str, trunc: Truncation, half: np.ndarray, shift: float, size: float, gs, freq):
+    """The tables k -> samples of D^k h(. + shift)/k! of the transport series h(. + t) = sum_k
+    (t - shift)^k D^k h(. + shift)/k!, D = d_x or omega.d_phi of multiplier i m, for the x
+    coefficients j >= 0 in half, (field, l..., J): (field, gs...) for the space kind, (field,
+    phi grid..., J) for the time kind; and the least K with x^K/K! <= 1e-17, x = max|m| size."""
+    if kind == "space":  # m = j commutes with the phi synthesis: one for all k
+        m = trunc.mode_range(trunc.nu)[trunc.n_x:]
+        moved = _phi_synth(trunc, half * np.exp(1j * m * shift), gs[:-1])
+        part = np.zeros(moved.shape[:-1] + (gs[-1] // 2 + 1,), dtype=complex)  # irfft's full input
+
+        def table(k):
+            np.multiply(moved, (1j * m) ** k / math.factorial(k), out=part[..., : len(m)])
+            return np.fft.irfft(part, n=gs[-1], axis=-1, norm="forward")
+    else:  # m = omega.l: one phi synthesis per k
+        m = freq.omega_dot_l(trunc)[..., None]
+        moved = half * np.exp(1j * m * shift)
+
+        def table(k):
+            return _phi_synth(trunc, moved * ((1j * m) ** k / math.factorial(k)), gs[:-1])
+    x = float(np.max(np.abs(m))) * size
+    if x > _X_MAX:
+        raise LargeDisplacementError(f"{kind} displacement too large for its transport series: "
+                                     f"x = max|m| max|d - mean d| = {x:.3g} > {_X_MAX:.2f}")
+    order, term = 1, x
+    while term > 1e-17:
+        order += 1
+        term *= x / order
+    return table, order
+
+
+def _transport_sum(table, order: int, s: np.ndarray) -> np.ndarray:
+    """sum_{k <= order} s^k table(k) for order >= 1, summed from k = order down in the
+    samples s, so that only the running sum and one table are alive."""
+    acc = table(order) * s  # a new array: a table may be kept
+    for k in range(order - 1, 0, -1):
+        acc += table(k)
+        acc *= s
+    return np.add(acc, table(0), out=acc)
 
 
 def compose(kind: str, f, displacement: FourierField, freq: Frequency | None = None):
@@ -497,24 +521,20 @@ def compose(kind: str, f, displacement: FourierField, freq: Frequency | None = N
     kind = 'space': returns h(phi, x + beta(phi, x)) for displacement beta.
     kind = 'time':  returns h(phi + omega*alpha(phi), x) for a displacement
     alpha depending on phi only (freq required).  A sequence of fields, which
-    share the displaced nodes and the degeneracy check, gives a list.
+    share the displacement and the degeneracy check, gives a list.
+    The mean c of the displacement d is the exact phase e^{i m c} on the coefficients;
+    the rest is the transport series sum_k (d - c)^k/k! D^k h of D = d_x or omega.d_phi.
     """
     trunc, c, batched = _stacked(f)
     _check_same(trunc, displacement.trunc)
     gs = _fine_shape(trunc, kind, freq)
-    if kind == "space":
-        beta, bx = synthesize([displacement, dx_pow(displacement, 1)], gs)
-        _check_slope(bx, "space diffeomorphism degenerate: |beta_x|_inf")
-        hyb = np.moveaxis(_phi_synth(trunc, c, gs[:-1]), -1, 0)[..., None]
-        out = analyze(trunc, _horner(hyb, np.exp(1j * (_nodes(gs[-1]) + beta)), real=True))
-    else:
-        if np.max(np.abs(np.delete(displacement.c, trunc.n_x, axis=-1))) > 1e-12 * np.max(np.abs(displacement.c)):
-            raise ValueError("time displacement must depend on phi only")
-        alpha, da = synthesize([displacement, omega_dphi(displacement, freq)], gs)
-        _check_slope(da, "time diffeomorphism degenerate: |omega.d_phi alpha|_inf")
-        # x is not displaced: the sums over l are the x coefficients j >= 0
-        hyb = _at_time_nodes(np.moveaxis(c[..., trunc.n_x:], 0, trunc.nu), gs[:-1], freq, alpha[..., 0])
-        out = _from_x_half(trunc, np.moveaxis(hyb, trunc.nu, 0))
+    x_modes = np.delete(displacement.c, trunc.n_x, axis=-1)
+    if kind == "time" and np.max(np.abs(x_modes)) > 1e-12 * np.max(np.abs(displacement.c)):
+        raise ValueError("time displacement must depend on phi only")
+    s = _displacement_samples(kind, displacement, freq, gs, "degenerate") - displacement.mean
+    out = _transport_sum(*_series_tables(kind, trunc, c[..., trunc.n_x:], displacement.mean,
+                                         np.max(np.abs(s)), gs, freq), s)
+    out = analyze(trunc, out) if kind == "space" else _from_x_half(trunc, out)
     return out if batched else out[0]
 
 
@@ -529,36 +549,30 @@ def invert_torus_diffeo(
 
     space: solves beta~(y) = -beta(y + beta~(y));
     time:  solves alpha~(theta) = -alpha(theta + omega*alpha~(theta)).
+    The displacement's series tables are synthesized once, and each iterate is a
+    polynomial in them; it takes the values of -d, so max|d - mean d| bounds it.
     Raises DegenerateCoefficientError if the slope of the displacement exceeds 1/2,
     and DiffeoConvergenceError if max_iter iterations do not reach tol.
     """
     trunc = displacement.trunc
     gs = _fine_shape(trunc, kind, freq)
-    if kind == "space":
-        _check_slope(synthesize(dx_pow(displacement, 1), gs), "space diffeomorphism not invertible: |beta_x|_inf")
-        hyb = np.moveaxis(_phi_synth(trunc, displacement.c[None], gs[:-1]), -1, 0)[..., None]
-        y, cur = _nodes(gs[-1]), np.zeros(gs)
-
-        def step(bt):
-            return -_horner(hyb, np.exp(1j * (y + bt)), real=True)[0]
-    else:
-        _check_slope(synthesize(omega_dphi(displacement, freq), gs),
-                     "time diffeomorphism not invertible: |omega.d_phi alpha|_inf")
-        a, cur = displacement.c[..., trunc.n_x], np.zeros(gs[:-1])  # alpha(phi)
-
-        def step(at):
-            return -_at_time_nodes(a, gs[:-1], freq, at, real=True)
-    delta = np.inf
+    d = _displacement_samples(kind, displacement, freq, gs, "not invertible")
+    half = displacement.c[None, ..., trunc.n_x:] if kind == "space" else displacement.c[None, ..., trunc.n_x, None]
+    shift = -displacement.mean
+    table, order = _series_tables(kind, trunc, half, shift, np.max(np.abs(d + shift)), gs, freq)
+    tables = [np.real(table(k)[0]) for k in range(order + 1)]
+    cur, new = 0.0, -d  # the first iterate, from 0, is exact
+    del table, d  # the moved spectrum and the slope samples
     for _ in range(max_iter):
-        new = step(cur)
         delta, cur = np.max(np.abs(new - cur)), new
         if delta < tol:
             break
+        new = -_transport_sum(tables.__getitem__, order, cur - shift)
     else:
         raise DiffeoConvergenceError(
             f"inverse {kind} diffeomorphism did not converge in {max_iter} "
             f"iterations (last delta {delta:.2e})")
-    return analyze(trunc, cur if kind == "space" else np.broadcast_to(cur[..., None], gs))
+    return analyze(trunc, np.broadcast_to(cur, gs))
 
 
 # ---------------------------------------------------------------------------
@@ -581,25 +595,6 @@ def structure_check(f: FourierField, tol: float = 1e-12) -> dict:
         "zero_space_average": float(np.max(np.abs(f.c[..., f.trunc.n_x]))) <= tol * scale,
         "zero_total_average": abs(f.c[cen]) <= tol * scale,
     }
-
-
-def embed_field(f: FourierField, big: Truncation) -> FourierField:
-    """Zero-pad a field into a larger truncation (same nu)."""
-    if big.nu != f.trunc.nu or big.n_phi < f.trunc.n_phi or big.n_x < f.trunc.n_x:
-        raise ValueError("target truncation must dominate the source")
-    c = np.zeros(big.shape, dtype=complex)
-    sl = tuple(
-        slice(b - s, b + s + 1)
-        for b, s in zip(_centers(big), _centers(f.trunc))
-    )
-    c[sl] = f.c
-    return FourierField(big, c)
-
-
-def field_at_phi(f: FourierField, phi: np.ndarray) -> np.ndarray:
-    """Spatial coefficient vector h_j = sum_l u_{l,j} e^{i l.phi} at fixed phi."""
-    from .opalg import freeze  # opalg imports this module
-    return freeze(f.c, np.atleast_1d(phi))
 
 
 # ---------------------------------------------------------------------------

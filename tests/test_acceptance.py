@@ -29,13 +29,13 @@ from qpkdv.spectral import (
     Truncation,
     analyze,
     dx_pow,
-    embed_field,
     multiply,
     random_real_field,
     sobolev_norm,
     synthesize,
     x_average,
 )
+from test_spectral import embed_field
 
 FREQ = Frequency.default(1, lam=1.25)
 

@@ -11,12 +11,12 @@ from qpkdv.spectral import (
     FourierField,
     Frequency,
     Truncation,
-    embed_field,
     index_weights,
     omega_dphi,
     random_real_field,
     sobolev_norm,
 )
+from test_spectral import embed_field
 
 T = Truncation(1, 8, 8)
 FREQ = Frequency.default(1, lam=1.25)

@@ -280,7 +280,7 @@ def _apply_linearized(spec, freq, u, h):
 
 
 def test_jacobian_directional_ratio():
-    from qpkdv.spectral import embed_field
+    from test_spectral import embed_field
 
     spec = nonlin.builtin("quasilinear_cubic", epsilon=1e-2)
     rng = np.random.default_rng(4)

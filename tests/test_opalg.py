@@ -112,7 +112,7 @@ def test_compose_identity():
 
 
 def test_compose_of_multiplications_is_product():
-    from qpkdv.spectral import embed_field
+    from test_spectral import embed_field
 
     rng = np.random.default_rng(3)
     small = Truncation(1, 4, 4)

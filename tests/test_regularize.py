@@ -9,7 +9,6 @@ from qpkdv.spectral import (
     analyze,
     compose,
     dx_pow,
-    embed_field,
     multiply,
     omega_dphi,
     pointwise,
@@ -19,6 +18,7 @@ from qpkdv.spectral import (
     synthesize,
     x_average,
 )
+from test_spectral import embed_field
 
 T = Truncation(1, 8, 8)
 FREQ = Frequency.default(1, lam=1.2)

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,6 +242,39 @@ def test_nu3_solve_matches_dense_newton():
     assert sobolev_norm(rep.solution - oracle, trunc.s0) < 1e-8
 
 
+# the nu = 3 solve above at n_phi = n_x = n, in a process of its own so that its
+# peak RSS is the solve's; it prints converged, the last residual and the MB
+NU3_SOLVE = """
+import resource, sys
+from qpkdv import nonlin, solver as sv
+from qpkdv.spectral import Frequency, Truncation
+n = int(sys.argv[1])
+text = " + ".join(f"10 * cos(phi_{i}) * sin(x)" for i in (1, 2, 3)) + " + z0^2 * z3"
+spec = nonlin.parse_nonlinearity(text, "raw_f", epsilon=1e-6)
+rep = sv.nash_moser(spec, Frequency.default(3, lam=1.25), sv.SolverConfig(trunc=Truncation(3, n, n)))
+print(rep.converged, rep.iterates[-1]["res"], resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
+
+
+def nu3_solve(n):
+    """(converged, last residual, peak RSS in MB) of the nu = 3 solve at n."""
+    src = str(Path(sv.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", NU3_SOLVE, str(n)], env=env, capture_output=True,
+                          text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    converged, res, mb = done.stdout.split()
+    return converged == "True", float(res), float(mb)
+
+
+def test_nu3_solve_peak_memory():
+    # guards the memory of the torus compositions: evaluated node by node they
+    # build a (grid) x (modes)^2 intermediate at nu = 3, and this solve peaks at
+    # 585 MB; as transport series it reads about 150 MB
+    converged, res, mb = nu3_solve(3)
+    assert converged and res < 1e-15 and mb <= 300, (converged, res, mb)
+
+
 def test_nash_moser_solution_shrinks_with_epsilon():
     norms = {}
     for eps in (1e-3, 1e-4):
@@ -398,3 +435,11 @@ def test_structure_mode_decides_projection():
     assert sv.structure_mode(flags(True, True, True)) == "total_derivative"
     with pytest.raises(sv.StructureError, match="neither"):
         sv.structure_mode(flags(False, False, False))
+
+
+if __name__ == "__main__":
+    # the memory step of CI: PYTHONPATH=src python tests/test_solver.py <n> <peak MB>
+    n, limit = int(sys.argv[1]), float(sys.argv[2])
+    converged, res, mb = nu3_solve(n)
+    print(f"nu = 3, n = {n}: converged {converged}, residual {res:.2e}, peak RSS {mb:.0f} MB (limit {limit:.0f})")
+    sys.exit(0 if converged and res < 1e-15 and mb <= limit else 1)

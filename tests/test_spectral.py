@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qpkdv import spectral
+from qpkdv.opalg import freeze
 from qpkdv.spectral import (
-    _horner,
     DiffeoConvergenceError,
     FourierField,
     Frequency,
@@ -11,12 +12,11 @@ from qpkdv.spectral import (
     analyze,
     compose,
     dx_pow,
-    field_at_phi,
     field_from_json,
     field_to_json,
-    embed_field,
     index_weights,
     invert_torus_diffeo,
+    LargeDisplacementError,
     multiply,
     omega_dphi,
     omega_dphi_inv,
@@ -50,6 +50,15 @@ def direct_sum(f, pts):
             term = term * phases[ax][k]
         out += term
     return out.real
+
+
+def embed_field(f, big):
+    """Zero-pad a field into a larger truncation (same nu)."""
+    if big.nu != f.trunc.nu or big.n_phi < f.trunc.n_phi or big.n_x < f.trunc.n_x:
+        raise ValueError("target truncation must dominate the source")
+    c = np.zeros(big.shape, dtype=complex)
+    c[tuple(slice((b - s) // 2, (b + s) // 2) for b, s in zip(big.shape, f.trunc.shape))] = f.c
+    return FourierField(big, c)
 
 
 # oracle truncations: nu = 1 and nu = 2, with the oracle grid 8x oversampled
@@ -220,6 +229,77 @@ def test_omega_dphi_inv_guards_every_l_but_zero():
 # ---------------------------------------------------------------- compose
 
 
+# The Horner oracle: the former compose and invert_torus_diffeo, which evaluate
+# a field at every displaced node of the composition grid by Horner's rule (a
+# nonuniform DFT), exact to rounding for any displacement.
+
+
+def _horner(c, z, real=False):
+    """sum_m c_m z^m at unit phases z = e^{ip} by Horner's rule in place; the modes run
+    along axis 0 of c, each c[k] broadcasting against z: -n..n, or with ``real`` the modes
+    0..n of a Hermitian sequence, for which c_0 + 2 Re sum_{m>=1} c_m z^m is returned."""
+
+    def tail(coef, w):  # sum_{m>=1} coef[m - 1] w^m
+        acc = coef[-1] * w
+        for ck in coef[-2::-1]:
+            acc += ck
+            acc *= w
+        return acc
+
+    if real:
+        return c[0].real + 2.0 * tail(c[1:], z).real
+    n = len(c) // 2  # the negative modes use conj(z) = 1/z
+    return c[n] + tail(c[n + 1:], z) + tail(c[n - 1::-1], z.conj())
+
+
+def _nodes(m):
+    return 2.0 * np.pi * np.arange(m) / m
+
+
+def _at_time_nodes(c, gphi, freq, alpha, real=False):
+    """sum_l c_l e^{i l.theta}, c of layout (l_1..l_nu, rest...), one phi axis at a time at the nodes
+    theta = phi + omega alpha(phi): (phi grid..., rest...); ``real``: c Hermitian in l, l_1 >= 0 read."""
+    mesh = np.meshgrid(*[_nodes(m) for m in gphi], indexing="ij")
+    a = c[None, len(c) // 2:] if real else c[None]  # the nodes lead, passengers follow
+    for ax in range(len(gphi) - 1, -1, -1):
+        z = np.exp(1j * (mesh[ax] + freq.omega[ax] * alpha)).reshape((-1,) + (1,) * (a.ndim - 2))
+        a = _horner(np.moveaxis(a, ax + 1, 0), z, real and ax == 0)
+    return a.reshape(gphi + a.shape[1:])
+
+
+def horner_compose(kind, f, disp, freq=None):
+    tr = f.trunc
+    gs = spectral._fine_shape(tr, kind, freq)
+    half = f.c[None, ..., tr.n_x:]
+    if kind == "space":
+        hyb = np.moveaxis(spectral._phi_synth(tr, half, gs[:-1]), -1, 0)[..., None]
+        return analyze(tr, _horner(hyb, np.exp(1j * (_nodes(gs[-1]) + synthesize(disp, gs))), real=True))[0]
+    hyb = _at_time_nodes(np.moveaxis(half, 0, tr.nu), gs[:-1], freq, synthesize(disp, gs)[..., 0])
+    return spectral._from_x_half(tr, np.moveaxis(hyb, tr.nu, 0))[0]
+
+
+def horner_invert(kind, disp, freq=None, tol=1e-13):
+    tr = disp.trunc
+    gs = spectral._fine_shape(tr, kind, freq)
+    if kind == "space":
+        hyb = np.moveaxis(spectral._phi_synth(tr, disp.c[None, ..., tr.n_x:], gs[:-1]), -1, 0)[..., None]
+        y, cur = _nodes(gs[-1]), np.zeros(gs)
+
+        def step(bt):
+            return -_horner(hyb, np.exp(1j * (y + bt)), real=True)[0]
+    else:
+        a, cur = disp.c[..., tr.n_x], np.zeros(gs[:-1])
+
+        def step(at):
+            return -_at_time_nodes(a, gs[:-1], freq, at, real=True)
+    for _ in range(200):
+        new = step(cur)
+        delta, cur = np.max(np.abs(new - cur)), new
+        if delta < tol:
+            break
+    return analyze(tr, cur if kind == "space" else np.broadcast_to(cur[..., None], gs))
+
+
 def test_compose_zero_displacement_identity():
     f = random_real_field(T, RNG)
     beta = FourierField.zeros(T)
@@ -306,6 +386,55 @@ def test_compose_batch_matches_single_calls_and_reruns(kind):
     # two identical calls give bit-identical results
     again = compose(kind, fields, disp, freq)
     assert all(np.array_equal(g.c, h.c) for g, h in zip(batch, again))
+
+
+def transport_case(kind, tr, freq, x, mean, rng):
+    """A displacement whose transport series has x = max|m| max|d - mean d| on the
+    composition grid, m = j (space) or omega.l (time), shifted by the constant mean."""
+    d = random_real_field(tr, rng, decay=6.0, zero_total_average=True)
+    if kind == "time":
+        d = x_average(d)
+    m = tr.n_x if kind == "space" else tr.n_phi * np.sum(np.abs(freq.omega))
+    d = d * (x / (m * np.max(np.abs(synthesize(d, spectral._fine_shape(tr, kind, freq))))))
+    return d.shift_mean(mean)
+
+
+# per kind, the least modes along the displaced axes that carry x = 1.3 at a slope below 1/2
+TRANSPORT_CASES = {"space": [Truncation(1, 4, 4), Truncation(2, 3, 4), Truncation(3, 1, 3)],
+                   "time": [Truncation(1, 4, 4), Truncation(2, 3, 4), Truncation(3, 2, 1)]}
+
+
+@pytest.mark.parametrize("kind", ["space", "time"])
+@pytest.mark.parametrize("nu", [1, 2, 3], ids=["nu1", "nu2", "nu3"])
+def test_transport_series_matches_horner_oracle(nu, kind):
+    # x from 1e-17 to 1.3, and a large constant, the exact phase, plus a small
+    # part; a batch equals its single calls bit for bit
+    tr = TRANSPORT_CASES[kind][nu - 1]
+    rng = np.random.default_rng(nu)
+    freq = Frequency.default(tr.nu, lam=0.9)
+    fields = [random_real_field(tr, rng, decay=2.0) for _ in range(2)]
+    for x, mean in [(1e-17, 0.0), (1e-8, 0.0), (0.1, 0.0), (1.3, 0.0), (0.1, 50.0)]:
+        disp = transport_case(kind, tr, freq, x, mean, rng)
+        batch = compose(kind, fields, disp, freq)
+        for f, g in zip(fields, batch):
+            assert np.array_equal(g.c, compose(kind, f, disp, freq).c)
+        oracle = horner_compose(kind, fields[0], disp, freq)
+        assert np.max(np.abs(batch[0].c - oracle.c)) <= 1e-13 * np.max(np.abs(oracle.c)), (x, mean)
+        oracle = horner_invert(kind, disp, freq)
+        inv = invert_torus_diffeo(kind, disp, freq)
+        assert np.max(np.abs(inv.c - oracle.c)) <= 1e-13 * np.max(np.abs(oracle.c)), (x, mean)
+
+
+@pytest.mark.parametrize("kind", ["space", "time"])
+def test_transport_series_refuses_large_displacement(kind):
+    # slope 0.45 <= 1/2, but x = 24 * 0.45 = 10.8, where e^x eps exceeds 1e-12
+    tr = Truncation(1, 2, 24) if kind == "space" else Truncation(1, 24, 2)
+    freq = Frequency.default(1, lam=1.0)
+    disp = FourierField.from_modes(tr, {(0, 1) if kind == "space" else (1, 0): 0.225})
+    with pytest.raises(LargeDisplacementError, match=r"x = max\|m\| max\|d - mean d\| = 10.8 > 8.41"):
+        compose(kind, random_real_field(tr, RNG), disp, freq)
+    with pytest.raises(LargeDisplacementError, match=r"= 10.8 > 8.41"):
+        invert_torus_diffeo(kind, disp, freq)
 
 
 def test_non_hermitian_field_is_rejected():
@@ -460,7 +589,7 @@ def test_json_round_trip():
 def test_field_at_phi_matches_synthesis():
     f = random_real_field(T, RNG)
     phi = np.array([0.37])
-    hj = field_at_phi(f, phi)
+    hj = freeze(f.c, phi)  # h_j = sum_l u_{l,j} e^{i l.phi}
     x = np.linspace(0, 2 * np.pi, 7, endpoint=False)
     jj = np.arange(-T.n_x, T.n_x + 1)
     direct = np.zeros_like(x)
