@@ -285,7 +285,7 @@ def _run_solve(config: ExperimentConfig, out: Path) -> int:
             _write_json(out / "fields" / f"solution_{tag}.json", field_to_json(rep.solution))
             if rep.eigs is not None:
                 _write_json(out / "fields" / f"eigenvalues_{tag}.json",
-                            {"mu": rep.eigs.mu})
+                            {"mu": rep.eigs})
             for it in rep.iterates:
                 trace_rows.append({"tag": tag, **it})
     _write_json(out / "report.json", {"subcommand": "solve", "runs": results,
@@ -323,7 +323,7 @@ def _run_reduce(config: ExperimentConfig, out: Path) -> int:
     _write_json(out / "report.json", report)
     _write_trace(out / "trace.csv",
                  ["step", "N", "R_s0", "R_s0p2", "sup_r", "mask_fraction"], red.trace)
-    _write_json(out / "fields" / "eigenvalues.json", {"mu": red.eigs.mu})
+    _write_json(out / "fields" / "eigenvalues.json", {"mu": red.eigs})
     return EXIT_OK if red.mask else EXIT_EXCLUDED
 
 
@@ -399,7 +399,7 @@ def _run_stability(config: ExperimentConfig, out: Path) -> int:
         "excluded": False, "seed": config.seed, **report,
     })
     _write_trace(out / "trace.csv", ["t", "h_H1", "h_Hs", "v_Hs", "discrepancy"], samples)
-    _write_json(out / "fields" / "h0.json", {"h": h0.h})
+    _write_json(out / "fields" / "h0.json", {"h": h0})
     return EXIT_OK
 
 
@@ -462,7 +462,7 @@ def _verify_checks(config: ExperimentConfig, rng: np.random.Generator) -> list:
     _, states = dyn.integrate_linear((zero, zero, zero, zero), freq, h0, 1.0, 0.01)
     j = np.arange(-trunc.n_x, trunc.n_x + 1)
     add("free flow exactness",
-        float(np.max(np.abs(states[-1] - np.exp(1j * j**3) * h0.h))), 1e-12)
+        float(np.max(np.abs(states[-1] - np.exp(1j * j**3) * h0))), 1e-12)
     return checks
 
 

@@ -6,7 +6,8 @@ integrating-factor scheme, and independently predicted by pushing the exact
 diagonal flow v_j(t) = e^{-mu_j t} v_j(0) through the transformation chain
 frozen along the trajectory phi = omega t.  Agreement of the two, and the
 flatness of the transported norm t -> |v(t)|_{H^s_x}, are the verification
-artifacts.
+artifacts.  A state is a plain array of centered x-coefficients h_j,
+|j| <= n_x, and the exponents mu_j are one array of the same layout.
 
 Along phi = omega t the frozen operator -(a3 d^3 + a2 d^2 + a1 d + a0) is
 sum_l e^{i omega.l t} N_l with fixed blocks N_l.  The equation is linear, so
@@ -14,7 +15,8 @@ a whole RK4 step is one matrix, the identity plus an increment D(omega t)
 conjugated by the Airy phases.  The integrator tabulates D once per call,
 freezes it for a chunk of steps with one ``opalg.freeze`` product, and does
 one matrix-vector product per step.  The chain is frozen the same way, at
-all sample times of a report in one call.
+all sample times of a report in one call, and inverted by one batched
+``np.linalg.inv``.
 """
 
 from __future__ import annotations
@@ -27,14 +29,12 @@ import numpy as np
 from . import opalg
 from . import kamreduce as km
 from . import regularize
-from .spectral import FourierField, Frequency, NumericalFailure
+from .spectral import FourierField, Frequency, NumericalFailure, index_weights
 
 __all__ = [
-    "PhaseState",
     "InstabilityError",
     "profile_norm",
     "random_phase_state",
-    "reduced_flow",
     "integrate_linear",
     "FrozenChain",
     "psi_map",
@@ -46,54 +46,19 @@ class InstabilityError(NumericalFailure, RuntimeError):
     """The integrated trajectory grew beyond the runaway threshold."""
 
 
-@dataclass(frozen=True)
-class PhaseState:
-    """Spatial Fourier coefficients h_j, |j| <= n_x, at a time instant."""
-
-    h: np.ndarray
-    t: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "h", np.asarray(self.h, dtype=complex))
-        if self.h.ndim != 1 or self.h.size % 2 == 0:
-            raise ValueError("state must be a centered coefficient vector of odd length")
-
-    @property
-    def n_x(self) -> int:
-        return (self.h.size - 1) // 2
-
-    def reality_defect(self) -> float:
-        return float(np.max(np.abs(np.conj(self.h) - self.h[::-1])))
-
-    def norm(self, s: float) -> float:
-        return profile_norm(self.h, s)
-
-
 def profile_norm(h: np.ndarray, s: float):
     """H^s_x norm sqrt(sum <j>^{2s} |h_j|^2) of a centered coefficient vector,
     or of each row of a stack of them (a float, or an array of one per row)."""
-    n = (h.shape[-1] - 1) // 2
-    w = np.maximum(1.0, np.abs(np.arange(-n, n + 1))).astype(float)
+    w = index_weights(0, 0, (h.shape[-1] - 1) // 2, 1.0)
     norm = np.sqrt(np.sum(w ** (2.0 * s) * np.abs(h) ** 2, axis=-1))
     return float(norm) if norm.ndim == 0 else norm
 
 
-def random_phase_state(n_x: int, rng: np.random.Generator, decay: float = 2.0,
-                       scale: float = 1.0) -> PhaseState:
-    """Random real initial condition with coefficients damped like <j>^-decay."""
-    j = np.arange(-n_x, n_x + 1)
-    amp = scale * np.maximum(1.0, np.abs(j)).astype(float) ** (-decay)
+def random_phase_state(n_x: int, rng: np.random.Generator, decay: float = 2.0) -> np.ndarray:
+    """Random real initial coefficients h_j, |j| <= n_x, damped like <j>^-decay."""
+    amp = index_weights(0, 0, n_x, 1.0) ** (-decay)
     h = amp * (rng.standard_normal(2 * n_x + 1) + 1j * rng.standard_normal(2 * n_x + 1))
-    h = 0.5 * (h + np.conj(h[::-1]))
-    return PhaseState(h, 0.0)
-
-
-# ------------------------------------------------------------ reduced flow
-
-
-def reduced_flow(eigs: opalg.DiagonalOperator, v0: PhaseState, t: float) -> PhaseState:
-    """Exact diagonal flow v_j(t) = e^{-mu_j t} v_j(0)."""
-    return PhaseState(np.exp(-eigs.mu * t) * v0.h, v0.t + t)
+    return 0.5 * (h + np.conj(h[::-1]))
 
 
 # ---------------------------------------------------------- direct scheme
@@ -101,6 +66,7 @@ def reduced_flow(eigs: opalg.DiagonalOperator, v0: PhaseState, t: float) -> Phas
 # RK4 steps per chunk of frozen step matrices (one freeze per chunk); at
 # n_x = 8 longer chunks gain no time and only add peak memory
 _CHUNK = 64
+RUNAWAY = 1e6
 
 
 def _scalar(f: FourierField, phi: np.ndarray):
@@ -152,9 +118,10 @@ def _step_table(coeffs, freq: Frequency, dt: float) -> np.ndarray:
     return np.fft.fftshift(D, axes=axes)
 
 
-def integrate_linear(coeffs, freq: Frequency, h0: PhaseState, T: float, dt: float,
-                     runaway: float = 1e6):
-    """Integrate d_t h = -(1 + a3) h_xxx - a2 h_xx - a1 h_x - a0 h from h0.
+def integrate_linear(coeffs, freq: Frequency, h0: np.ndarray, T: float, dt: float,
+                     t0: float = 0.0):
+    """Integrate d_t h = -(1 + a3) h_xxx - a2 h_xx - a1 h_x - a0 h over
+    [t0, t0 + T] from the centered coefficients h0 at t0.
 
     The constant Airy part is removed exactly by the integrating factor
     e^{i j^3 t}; the O(epsilon) variable part is advanced by classical RK4 on
@@ -162,28 +129,31 @@ def integrate_linear(coeffs, freq: Frequency, h0: PhaseState, T: float, dt: floa
     stiff CFL restriction.  The equation is linear, so one RK4 step is one
     matrix: g_{n+1} = g_n + E(-t_n) D(omega t_n) E(t_n) g_n with D the
     tabulated increment of ``_step_table``.  Returns (times, states) with one
-    row per step.  A state that is not finite, or whose H^1 norm exceeds
-    runaway x (1 + |h0|_H1), raises InstabilityError with the time of the
-    first such step.
+    row per step and h0 as row 0.  A state that is not finite, or whose H^1
+    norm exceeds RUNAWAY x (1 + |h0|_H1), raises InstabilityError with the
+    time of the first such step.
     """
-    n_x = h0.n_x
+    h0 = np.asarray(h0, dtype=complex)
+    if h0.ndim != 1 or h0.size % 2 == 0:
+        raise ValueError("state must be a centered coefficient vector of odd length")
+    n_x = (h0.size - 1) // 2
     airy = 1j * np.arange(-n_x, n_x + 1).astype(float) ** 3  # h_j' = i j^3 h_j for Airy
 
     steps = int(round(T / dt))
     if abs(steps * dt - T) > 1e-9 * max(1.0, abs(T)):
         steps += 1
         dt = T / steps
-    floor = runaway * (1.0 + profile_norm(h0.h, 1.0))
+    floor = RUNAWAY * (1.0 + profile_norm(h0, 1.0))
     table = _step_table(coeffs, freq, dt)
 
     times = np.empty(steps + 1)
     states = np.empty((steps + 1, 2 * n_x + 1), dtype=complex)
-    times[0], states[0] = h0.t, h0.h
+    times[0], states[0] = t0, h0
 
-    g = h0.h * np.exp(-airy * h0.t)
+    g = h0 * np.exp(-airy * t0)
     for n0 in range(0, steps, _CHUNK):
         n = np.arange(n0, min(n0 + _CHUNK, steps))
-        t = h0.t + n * dt
+        t = t0 + n * dt
         ph = np.exp(airy * t[:, None])
         Dn = opalg.freeze(table, np.multiply.outer(t, freq.omega))
         Dn *= ph[:, None, :]
@@ -197,7 +167,7 @@ def integrate_linear(coeffs, freq: Frequency, h0: PhaseState, T: float, dt: floa
         if bad.size:
             first = n0 + 1 + bad[0]
             what = ("state is not finite" if not np.isfinite(states[first]).all()
-                    else f"|h(t)|_H1 exceeded {runaway:.1e} x initial")
+                    else f"|h(t)|_H1 exceeded {RUNAWAY:.1e} x initial")
             raise InstabilityError(f"{what} at t = {times[first]:.3f}")
     return times, states
 
@@ -239,56 +209,48 @@ class FrozenChain:
     """The solution-map chain evaluated along the trajectory phi = omega t.
 
     forward maps reduced coordinates v (at the reparametrized time psi(t)) to
-    physical coordinates h(t); inverse undoes it.  Both are dense matrices on
-    the centered x-coefficient vector.  ``at_time`` also takes a 1-D array
-    of times; forward, inverse and tau then carry one entry per time.
+    physical coordinates h(t); inverse undoes it.  At each of the times t (a
+    1-D array) both are dense matrices on the centered x-coefficient vector,
+    stacked along the first axis as t and tau are.
     """
 
     forward: np.ndarray
     inverse: np.ndarray
-    t: float | np.ndarray
-    tau: float | np.ndarray
+    t: np.ndarray
+    tau: np.ndarray
 
     @classmethod
     def at_time(cls, reg: regularize.RegularizationResult,
                 red: km.ReductionResult, t) -> "FrozenChain":
         freq, ch, n_x = reg.freq, reg.chain, reg.trunc.n_x
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        phi = np.multiply.outer(ts, freq.omega)
-        tau = psi_map(reg, ts)
+        t = np.asarray(t, dtype=float)
+        phi = np.multiply.outer(t, freq.omega)
+        tau = psi_map(reg, t)
         theta = np.multiply.outer(tau, freq.omega)
         frz = opalg.freeze
 
         def mult(f, angles):
             return frz(opalg.from_multiplication(f).blocks, angles)
 
-        # forward = warp . v . e^{i j p} . S . Phi_inf and inverse in reverse
+        # forward = warp . v . e^{i j p} . S . Phi_inf
         shift = np.exp(1j * np.multiply.outer(_scalar(ch["p"], theta),
                                               np.arange(-n_x, n_x + 1)))
         forward = shift[:, :, None] * (frz(ch["S"].blocks, theta)
                                        @ frz(red.Phi_inf.blocks, theta))
         warp = _warp_matrix(frz(ch["beta"].c, phi), n_x)
-        inverse = _warp_matrix(frz(ch["beta_tilde"].c, phi), n_x)
         if reg.mode == "hamiltonian":
             warp = mult(ch["sigma"], phi) @ warp
-            inverse = mult(ch["sigma_tilde"], phi) @ inverse
         if ch.get("v") is not None:
-            mv = mult(ch["v"], theta)
-            forward = mv @ forward
-            inverse = np.linalg.inv(mv) @ inverse
+            forward = mult(ch["v"], theta) @ forward
         forward = warp @ forward
-        inverse = frz(ch["S_inv"].blocks, theta) @ (np.conj(shift)[:, :, None] * inverse)
-        inverse = frz(red.Phi_inf_inv.blocks, theta) @ inverse
-        if np.ndim(t) == 0:
-            return cls(forward=forward[0], inverse=inverse[0], t=t, tau=float(tau[0]))
-        return cls(forward=forward, inverse=inverse, t=ts, tau=tau)
+        return cls(forward=forward, inverse=np.linalg.inv(forward), t=t, tau=tau)
 
 
 # --------------------------------------------------------------- reporting
 
 
 def stability_report(reg: regularize.RegularizationResult,
-                     red: km.ReductionResult, freq: Frequency, h0: PhaseState,
+                     red: km.ReductionResult, freq: Frequency, h0: np.ndarray,
                      T: float, s: float, dt: float = 0.01,
                      n_samples: int = 101) -> dict:
     """Two-method comparison of the forced linear flow over [0, T].
@@ -298,7 +260,7 @@ def stability_report(reg: regularize.RegularizationResult,
     h stays within a bounded ratio of its initial norm.  The endpoint is also
     compared against the pushforward of the exact diagonal flow.
     """
-    mu = red.eigs.mu
+    mu = red.eigs
     if np.max(np.abs(mu.real)) > 1e-8 * max(1.0, np.max(np.abs(mu))):
         raise ValueError(
             "stability verification needs purely imaginary eigenvalues "
@@ -311,13 +273,13 @@ def stability_report(reg: regularize.RegularizationResult,
     times, hs = times[picks], states[picks]  # row 0 is h0
     del states  # the full trajectory need not stay alive beside the chain batch
     chains = FrozenChain.at_time(reg, red, times)
-    v0 = chains.inverse[0] @ h0.h
+    v0 = chains.inverse[0] @ h0
     v = (chains.inverse @ hs[:, :, None])[:, :, 0]
     flow = np.exp(-np.multiply.outer(chains.tau - chains.tau[0], mu)) * v0
     pred = (chains.forward @ flow[:, :, None])[:, :, 0]
-    h0_s, v0_s = profile_norm(h0.h, s), profile_norm(v0, s)
+    h0_s, v0_s = profile_norm(h0, s), profile_norm(v0, s)
     h_s, v_s = profile_norm(hs, s), profile_norm(v, s)
-    disc = profile_norm(hs - pred, s) / max(profile_norm(h0.h, s + 1.0), 1e-300)
+    disc = profile_norm(hs - pred, s) / max(profile_norm(h0, s + 1.0), 1e-300)
     rows = [{"t": float(t), "h_H1": float(h1), "h_Hs": float(a), "v_Hs": float(b),
              "discrepancy": float(d)}
             for t, h1, a, b, d in zip(times, profile_norm(hs, 1.0), h_s, v_s, disc)]

@@ -5,7 +5,8 @@ each step solves a homological equation for Psi, absorbs the diagonal part
 [R] of the remainder into the Floquet exponents mu_j, and conjugates by
 Phi = I + Psi (exp(Psi) in hamiltonian mode) through `opalg.near_identity`
 and `opalg.conjugate`, as regularization step 5 does.  The new remainder is
-quadratically smaller.
+quadratically smaller.  The exponents are a plain array, mu[j + n_x] for
+|j| <= n_x.
 
 `screen` is the one implementation of the paper's Melnikov divisor bounds,
 first order |i omega.l + mu_j| >= 2 gamma <j>^3 <l>^-tau and second order
@@ -26,11 +27,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import opalg
-from .opalg import DiagonalOperator, ToplitzOperator
+from .opalg import ToplitzOperator
 from .spectral import (
     Frequency,
     NumericalFailure,
-    Truncation,
     dot_l,
     index_weights,
 )
@@ -49,7 +49,6 @@ __all__ = [
     "screen",
     "smallest_margin",
     "solve_homological",
-    "homological_residual",
     "kam_step",
     "reduce",
     "melnikov_mask",
@@ -90,10 +89,13 @@ class IterationSchedule:
     mode: str = "generic"
     smallness_threshold: float = 1e6  # loose: each step's |Psi|_s0 < 1/2 guard binds
 
+    def N(self, k: int) -> int:
+        """N_k = N0^(chi^k), rounded."""
+        return round(float(self.N0) ** (self.chi**k))
+
     def cutoff(self, nu_step: int, n_phi: int) -> int:
         """Time-truncation N_nu, capped where the complement projector dies."""
-        n = round(float(self.N0) ** (self.chi**nu_step))
-        return int(min(n, 2 * n_phi))
+        return min(self.N(nu_step), 2 * n_phi)
 
 
 @dataclass(frozen=True)
@@ -117,7 +119,7 @@ class Exclusion:
 @dataclass(frozen=True)
 class ReducibilityState:
     nu_step: int
-    D: DiagonalOperator
+    D: np.ndarray  # the exponents mu_j
     R: ToplitzOperator
     # product of the steps' transformations, the identity at nu_step = 0
     Phi_acc: ToplitzOperator
@@ -133,7 +135,7 @@ class ReducibilityState:
 
 class HomologicalSolution(NamedTuple):
     Psi: ToplitzOperator | None
-    diag_part: DiagonalOperator
+    diag_part: np.ndarray
     exclusion: Exclusion | None = None
 
     @property
@@ -143,7 +145,7 @@ class HomologicalSolution(NamedTuple):
 
 @dataclass
 class ReductionResult:
-    eigs: DiagonalOperator
+    eigs: np.ndarray
     Phi_inf: ToplitzOperator
     Phi_inf_inv: ToplitzOperator
     trace: list
@@ -158,10 +160,10 @@ class ReductionResult:
         return self.state.mask
 
 
-def airy_diagonal(trunc: Truncation, m3: float, m1: float) -> DiagonalOperator:
-    """Unperturbed exponents mu_j = -i (m3 j^3 - m1 j)."""
-    j = trunc.mode_range(trunc.nu)
-    return DiagonalOperator(trunc, -1j * (m3 * j.astype(float) ** 3 - m1 * j))
+def airy_diagonal(n_x: int, m3: float, m1: float) -> np.ndarray:
+    """Unperturbed exponents mu_j = -i (m3 j^3 - m1 j), |j| <= n_x."""
+    j = np.arange(-n_x, n_x + 1)
+    return -1j * (m3 * j.astype(float) ** 3 - m1 * j)
 
 
 def screen(dots, lsz, mu, gamma: float, tau: float, order: str, where):
@@ -180,7 +182,7 @@ def screen(dots, lsz, mu, gamma: float, tau: float, order: str, where):
     decay = lsz ** (-tau)
     if order == "first":
         delta = 1j * dots[..., None] + mu
-        bound = 2.0 * gamma * np.maximum(1.0, np.abs(j)) ** 3 * decay[..., None]
+        bound = 2.0 * gamma * index_weights(0, 0, n_x, 1.0) ** 3 * decay[..., None]
     elif order == "second":
         delta = 1j * dots[..., None, None] + (mu[:, None] - mu[None, :])
         bound = gamma * np.abs(j[:, None] ** 3 - j[None, :] ** 3) * decay[..., None, None]
@@ -205,7 +207,7 @@ def smallest_margin(order: str, bad, delta, bound) -> Exclusion | None:
 
 
 def solve_homological(
-    D: DiagonalOperator,
+    mu: np.ndarray,
     R: ToplitzOperator,
     freq: Frequency,
     N: int,
@@ -222,7 +224,6 @@ def solve_homological(
     error.
     """
     trunc = R.trunc
-    mu = D.mu
     dots = freq.omega_dot_l(trunc, double=True)
     linf = index_weights(trunc.nu, 2 * trunc.n_phi)
     lsz = index_weights(trunc.nu, 2 * trunc.n_phi, floor=1.0)
@@ -236,7 +237,7 @@ def solve_homological(
     bound[center + (diag, diag)] = 0.0
     exclusion = smallest_margin("second", within & (np.abs(delta) < bound), delta, bound)
 
-    diag_part = DiagonalOperator(trunc, np.diagonal(R.blocks[center]).copy())
+    diag_part = np.diagonal(R.blocks[center]).copy()
     if exclusion is not None:
         return HomologicalSolution(None, diag_part, exclusion)
 
@@ -248,23 +249,6 @@ def solve_homological(
     blocks = np.zeros_like(R.blocks)
     np.divide(-R.blocks, delta, out=blocks, where=keep)
     return HomologicalSolution(ToplitzOperator(trunc, blocks), diag_part)
-
-
-def homological_residual(
-    Psi: ToplitzOperator,
-    D: DiagonalOperator,
-    R: ToplitzOperator,
-    freq: Frequency,
-    N: int,
-) -> float:
-    """sup-entry residual of omega.d_phi Psi + [D, Psi] + Pi_N R - [R]."""
-    trunc = Psi.trunc
-    t = opalg.commutator(Psi, freq, D.mu).blocks + opalg.smooth(R, N).blocks
-    center = (2 * trunc.n_phi,) * trunc.nu
-    diag = np.arange(2 * trunc.n_x + 1)
-    t[center + (diag, diag)] -= np.diagonal(R.blocks[center])
-    scale = 1.0 + float(np.max(np.abs(R.blocks)))
-    return float(np.max(np.abs(t))) / scale
 
 
 def kam_step(state: ReducibilityState, freq: Frequency) -> ReducibilityState:
@@ -285,7 +269,7 @@ def kam_step(state: ReducibilityState, freq: Frequency) -> ReducibilityState:
         )
 
     Phi, Phi_inv = opalg.near_identity(Psi, sched.mode)
-    R_new = opalg.conjugate(Phi, Phi_inv, freq, state.D.mu, state.R, sol.diag_part.mu)
+    R_new = opalg.conjugate(Phi, Phi_inv, freq, state.D, state.R, sol.diag_part)
 
     first = state.nu_step == 0  # Phi_acc is still the identity
     return ReducibilityState(
@@ -303,7 +287,7 @@ def initial_state(reg, schedule: IterationSchedule) -> ReducibilityState:
     trunc = reg.trunc
     return ReducibilityState(
         nu_step=0,
-        D=airy_diagonal(trunc, reg.m3, reg.m1),
+        D=airy_diagonal(trunc.n_x, reg.m3, reg.m1),
         R=reg.R,
         Phi_acc=opalg.identity(trunc),
         Phi_acc_inv=opalg.identity(trunc),
@@ -311,14 +295,14 @@ def initial_state(reg, schedule: IterationSchedule) -> ReducibilityState:
     )
 
 
-def _trace_row(state: ReducibilityState, D0: DiagonalOperator, N: int) -> dict:
+def _trace_row(state: ReducibilityState, D0: np.ndarray, N: int) -> dict:
     s0 = state.R.trunc.s0
     return {
         "step": state.nu_step,
         "N": N,
         "R_s0": opalg.decay_norm(state.R, s0),
         "R_s0p2": opalg.decay_norm(state.R, s0 + 2.0),
-        "sup_r": float(np.max(np.abs(state.D.mu - D0.mu))),
+        "sup_r": float(np.max(np.abs(state.D - D0))),
         "mask_fraction": 1.0 if state.mask else 0.0,
     }
 
@@ -377,7 +361,7 @@ def reduce(reg, freq: Frequency, schedule: IterationSchedule) -> ReductionResult
 
 def melnikov_mask(
     lambdas: np.ndarray,
-    eigs_by_lambda: list,
+    mu_by_lambda: list,
     omega_bar,
     gamma: float,
     tau: float,
@@ -397,8 +381,8 @@ def melnikov_mask(
     lsz = index_weights(len(ob), N, floor=1.0).ravel()
 
     out = np.zeros(len(lambdas), dtype=bool)
-    for i, (lam, eigs) in enumerate(zip(lambdas, eigs_by_lambda)):
-        m = len(eigs.mu)
+    for i, (lam, mu) in enumerate(zip(lambdas, mu_by_lambda)):
+        m = len(mu)
         if order == "first":
             where = np.ones((len(obl), m), dtype=bool)
             where[len(obl) // 2, m // 2] = False  # (l, j) = (0, 0)
@@ -408,27 +392,25 @@ def melnikov_mask(
             j = np.arange(m, dtype=float) - m // 2
             diff = np.abs(j[:, None] ** 3 - j[None, :] ** 3)
             where = diff <= 8.0 * locality * np.abs(obl)[:, None, None]
-        bad, _, _ = screen(lam * obl, lsz, eigs.mu, gamma, tau, order, where)
+        bad, _, _ = screen(lam * obl, lsz, mu, gamma, tau, order, where)
         out[i] = not bad.any()
     return out
 
 
 def eigenvalue_report(
-    eigs: DiagonalOperator,
+    mu: np.ndarray,
     m3: float,
     m1: float,
     epsilon: float,
     mode: str = "generic",
 ) -> dict:
     """Structural defects of the final exponents relative to the Airy part."""
-    trunc = eigs.trunc
-    mu = eigs.mu
-    mu0 = airy_diagonal(trunc, m3, m1).mu
+    n_x = (len(mu) - 1) // 2
     report = {
-        "sup_rj": float(np.max(np.abs(mu - mu0))),
+        "sup_rj": float(np.max(np.abs(mu - airy_diagonal(n_x, m3, m1)))),
         "re_mu_max": float(np.max(np.abs(mu.real))),
-        "mu0_abs": float(np.abs(eigs.mu_at(0))),
-        "conj_defect": eigs.conjugate_symmetry_defect(),
+        "mu0_abs": float(np.abs(mu[n_x])),
+        "conj_defect": float(np.max(np.abs(mu - np.conj(mu[::-1])))),
         "epsilon": epsilon,
         "mode": mode,
     }

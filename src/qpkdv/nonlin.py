@@ -452,13 +452,6 @@ BUILTINS = {
 }
 
 
-def builtin(name: str, epsilon: float = 1e-3) -> NonlinearitySpec:
-    if name not in BUILTINS:
-        raise KeyError(f"unknown builtin {name!r}; have {sorted(BUILTINS)}")
-    text, form = BUILTINS[name]
-    return parse_nonlinearity(text, form, epsilon)
-
-
 # --------------------------------------------------------------- evaluation
 
 
@@ -552,7 +545,11 @@ def _structure_flags(f: Expr, declared_form: str, seed: int) -> StructureFlags:
     )
 
 
-def _numeric_total_derivative(f: Expr, tol: float = 1e-10) -> bool:
+# an f is a total derivative if its x-average stays within this of zero
+TOTAL_DERIVATIVE_TOL = 1e-10
+
+
+def _numeric_total_derivative(f: Expr) -> bool:
     """Check that the x-average of f vanishes along random trigonometric u;
     an f that is not finite along them is not shown to be one."""
     trunc = Truncation(nu=1, n_phi=2, n_x=4)
@@ -565,6 +562,6 @@ def _numeric_total_derivative(f: Expr, tol: float = 1e-10) -> bool:
             avg = x_average(evaluate_f(spec, u))
         except NonFiniteError:
             return False
-        if np.max(np.abs(avg.c)) > tol:
+        if np.max(np.abs(avg.c)) > TOTAL_DERIVATIVE_TOL:
             return False
     return True

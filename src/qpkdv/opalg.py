@@ -6,10 +6,12 @@ A^{(l2,j2)}_{(l1,j1)} = A^{j2}_{j1}(l1 - l2).  They are stored as a table of
 spatial blocks indexed by the offset l on the doubled rectangle
 |l_i| <= 2 n_phi.  The module provides construction from multiplication and
 Fourier-multiplier operators, application to fields, composition, s-decay
-norms, time-offset smoothing, Neumann inversion, matrix exponentials,
-evaluation of block tables at a batch of angles (``freeze``), and dense
-materialization for oracle checks.  Regularization step 5 and every KAM step
-are one conjugation, by the Phi of ``near_identity``, through ``conjugate``.
+norms, Neumann inversion, matrix exponentials, evaluation of block tables at
+a batch of angles (``freeze``), and dense materialization for the
+Galerkin-Newton oracle.  A diagonal operator is its symbol, a plain array
+over |j| <= n_x, applied by ``scale_modes``.  Regularization step 5 and every
+KAM step are one conjugation, by the Phi of ``near_identity``, through
+``conjugate``.
 
 ``compose`` is one zero-padded FFT convolution over the offset axes (each
 phi-axis padded to a 2-3-5-smooth length >= 8 n_phi + 1, so the full product
@@ -18,9 +20,9 @@ The transforms run in place over the leading offset axes of a reused
 workspace: three padded spectra of the last truncation composed (7 MB at
 nu = 1, n = 16; 72 MB at nu = 2, n = 8), held for the life of the process.
 Offsets outside the Minkowski sum of the operands' nonzero offsets are exact
-zeros, so block sparsity is exact and ``apply``/``operator_to_json`` skip
-empty offsets; entries inside a block carry rounding of order eps |A| |B|, so
-an entry that is zero by structure is not an exact zero.  ``dropped_mass`` is
+zeros, so block sparsity is exact and ``apply`` skips empty offsets; entries
+inside a block carry rounding of order eps |A| |B|, so an entry that is zero
+by structure is not an exact zero.  ``dropped_mass`` is
 the l2 (Parseval) norm of the summed product outside the kept rectangle.
 Fourier multipliers, a single diagonal l = 0 block, are applied by
 ``scale_modes`` as row/column scalings.
@@ -38,19 +40,16 @@ from .spectral import FourierField, Frequency, NumericalFailure, Truncation, ind
 
 __all__ = [
     "ToplitzOperator",
-    "DiagonalOperator",
     "freeze",
     "identity",
     "from_multiplication",
     "from_multiplier",
-    "from_diagonal",
     "symbol",
     "apply",
     "compose",
     "scale_modes",
     "add",
     "decay_norm",
-    "smooth",
     "commutator",
     "neumann_inverse",
     "matrix_exponential",
@@ -61,11 +60,14 @@ __all__ = [
     "materialize_matrix",
     "materialize_linearized",
     "flatten_field",
-    "unflatten_field",
-    "operator_to_json",
 ]
 
 MATERIALIZE_CAP = 20000
+# the Neumann series stops at a term of |.|_s0 below NEUMANN_TOL, and fails
+# after NEUMANN_MAX_TERMS terms; the exponential series stops at EXP_TERM_TOL
+NEUMANN_TOL = 1e-14
+NEUMANN_MAX_TERMS = 60
+EXP_TERM_TOL = 1e-15
 
 
 class SeriesRefused(NumericalFailure, ValueError):
@@ -98,11 +100,6 @@ class ToplitzOperator:
             )
         self.blocks.setflags(write=False)
 
-    # offsets are centered at index 2*n_phi per phi axis
-    def block(self, l: tuple[int, ...]) -> np.ndarray:
-        idx = tuple(li + 2 * self.trunc.n_phi for li in l)
-        return self.blocks[idx]
-
     def scale(self, a: complex) -> "ToplitzOperator":
         return ToplitzOperator(self.trunc, self.blocks * a)
 
@@ -115,32 +112,6 @@ class ToplitzOperator:
     def reality_defect(self) -> float:
         """sup |conj(A^j_k(l)) - A^{-j}_{-k}(-l)| (zero for real operators)."""
         return float(np.max(np.abs(np.conj(self.blocks) - np.flip(self.blocks))))
-
-    def reversibility_defect(self) -> float:
-        """sup |A^{-j}_{-k}(-l) - A^j_k(l)|; zero for operators preserving parity classes."""
-        return float(np.max(np.abs(np.flip(self.blocks) - self.blocks)))
-
-
-@dataclass(frozen=True)
-class DiagonalOperator:
-    """Constant-coefficient diagonal operator: mu[j + n_x] acts on the j-th mode."""
-
-    trunc: Truncation
-    mu: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if self.mu.shape != (2 * self.trunc.n_x + 1,):
-            raise ValueError("mu must have one entry per spatial mode")
-        self.mu.setflags(write=False)
-
-    def mu_at(self, j: int) -> complex:
-        return complex(self.mu[j + self.trunc.n_x])
-
-    def conjugate_symmetry_defect(self) -> float:
-        return float(np.max(np.abs(self.mu - np.conj(self.mu[::-1]))))
-
-    def __add__(self, other: "DiagonalOperator") -> "DiagonalOperator":
-        return DiagonalOperator(self.trunc, self.mu + other.mu)
 
 
 def freeze(table: np.ndarray, theta) -> np.ndarray:
@@ -194,10 +165,6 @@ def from_multiplier(trunc: Truncation, m_func) -> ToplitzOperator:
     center = (2 * trunc.n_phi,) * trunc.nu
     blocks[center] = np.diag(symbol(trunc, m_func))
     return ToplitzOperator(trunc, blocks)
-
-
-def from_diagonal(d: DiagonalOperator) -> ToplitzOperator:
-    return from_multiplier(d.trunc, lambda j: d.mu[j + d.trunc.n_x])
 
 
 def dx_inv_symbol(j: int) -> complex:
@@ -337,24 +304,11 @@ def decay_norm(A: ToplitzOperator, s: float) -> float:
     return float(np.sqrt(np.sum(w ** (2.0 * s) * _offset_profile(A) ** 2)))
 
 
-def smooth(A: ToplitzOperator, N: int) -> ToplitzOperator:
-    """Keep only the blocks with time offset |l|_inf <= N."""
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    blocks = A.blocks.copy()
-    blocks[index_weights(A.trunc.nu, 2 * A.trunc.n_phi) > N] = 0.0
-    return ToplitzOperator(A.trunc, blocks, A.dropped_mass)
-
-
 # ---------------------------------------------------------------------------
 # inversion and exponential
 
 
-def neumann_inverse(
-    Psi: ToplitzOperator,
-    tol: float = 1e-14,
-    max_terms: int = 60,
-) -> ToplitzOperator:
+def neumann_inverse(Psi: ToplitzOperator) -> ToplitzOperator:
     """Inverse of I + Psi by the geometric series, requiring |Psi|_{s0} < 1/2."""
     s0 = Psi.trunc.s0
     norm0 = decay_norm(Psi, s0)
@@ -363,17 +317,17 @@ def neumann_inverse(
     negPsi = Psi.scale(-1.0)
     out = identity(Psi.trunc)
     # the series starts at the first power, so nothing is composed with I
-    for k in range(max_terms):
+    for k in range(NEUMANN_MAX_TERMS):
         term = negPsi if k == 0 else compose(term, negPsi)
         out = add(out, term)
-        if decay_norm(term, s0) < tol:
+        if decay_norm(term, s0) < NEUMANN_TOL:
             break
     else:
         raise SeriesCapError("Neumann series did not converge within the term cap")
     return out
 
 
-def matrix_exponential(Psi: ToplitzOperator, term_tol: float = 1e-15) -> ToplitzOperator:
+def matrix_exponential(Psi: ToplitzOperator) -> ToplitzOperator:
     """exp(Psi) by scaling-and-squaring of the block series."""
     s0 = Psi.trunc.s0
     norm0 = decay_norm(Psi, s0)
@@ -389,7 +343,7 @@ def matrix_exponential(Psi: ToplitzOperator, term_tol: float = 1e-15) -> Toplitz
         term = scaled if n == 1 else compose(term, scaled)
         fact /= n
         out = add(out, term.scale(fact))
-        if decay_norm(term, s0) * fact < term_tol:
+        if decay_norm(term, s0) * fact < EXP_TERM_TOL:
             break
     for _ in range(k):
         out = compose(out, out)
@@ -420,12 +374,8 @@ def flatten_field(u: FourierField) -> np.ndarray:
     return u.c.reshape(-1)
 
 
-def unflatten_field(trunc: Truncation, vec: np.ndarray) -> FourierField:
-    return FourierField(trunc, vec.reshape(trunc.shape).copy())
-
-
 def materialize_matrix(
-    op: ToplitzOperator | DiagonalOperator,
+    op: ToplitzOperator,
     freq: Frequency | None = None,
     include_omega_dphi: bool = False,
 ) -> np.ndarray:
@@ -434,20 +384,12 @@ def materialize_matrix(
     dim = int(np.prod(trunc.shape))
     if dim > MATERIALIZE_CAP:
         raise ValueError(f"flattened dimension {dim} exceeds cap {MATERIALIZE_CAP}")
-    M = np.zeros((dim, dim), dtype=complex)
-    idx = list(np.ndindex(*trunc.shape))
-    if isinstance(op, DiagonalOperator):
-        for r, i in enumerate(idx):
-            M[r, r] = op.mu[i[-1]]
-    else:
-        nu, npk = trunc.nu, trunc.n_phi
-        multi = np.array(idx)  # (dim, nu + 1) raw indices
-        gather = []
-        for ax in range(nu):
-            gather.append(multi[:, ax][:, None] - multi[:, ax][None, :] + 2 * npk)
-        gather.append(np.broadcast_to(multi[:, -1][:, None], (dim, dim)))
-        gather.append(np.broadcast_to(multi[:, -1][None, :], (dim, dim)))
-        M = op.blocks[tuple(gather)]
+    multi = np.array(list(np.ndindex(*trunc.shape)))  # (dim, nu + 1) raw indices
+    gather = [multi[:, ax][:, None] - multi[:, ax][None, :] + 2 * trunc.n_phi
+              for ax in range(trunc.nu)]
+    gather.append(np.broadcast_to(multi[:, -1][:, None], (dim, dim)))
+    gather.append(np.broadcast_to(multi[:, -1][None, :], (dim, dim)))
+    M = op.blocks[tuple(gather)]
     if include_omega_dphi:
         if freq is None:
             raise ValueError("include_omega_dphi requires a Frequency")
@@ -470,17 +412,3 @@ def materialize_linearized(
     T = add(T, from_multiplication(a0))
     return materialize_matrix(T, freq, include_omega_dphi=True)
 
-
-def operator_to_json(A: ToplitzOperator) -> dict:
-    """{trunc, blocks: [[l..., re-block, im-block]...]} for nonzero offsets."""
-    trunc = A.trunc
-    entries = []
-    for off in np.argwhere(_offset_support(A)):
-        blk = A.blocks[tuple(off)]
-        entries.append([[int(o) - 2 * trunc.n_phi for o in off], blk.real.tolist(), blk.imag.tolist()])
-    return {
-        "nu": trunc.nu,
-        "n_phi": trunc.n_phi,
-        "n_x": trunc.n_x,
-        "blocks": entries,
-    }

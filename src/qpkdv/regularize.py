@@ -41,9 +41,14 @@ class ZeroMeanViolation(NumericalFailure, ValueError):
     hypotheses on f do not hold at this input."""
 
 
-def _inverse(samples: np.ndarray, what: str, floor: float = 1e-14) -> np.ndarray:
-    """1/g on grid samples of g, refused where g comes within floor of zero."""
-    if np.min(np.abs(samples)) < floor:
+DIVISION_FLOOR = 1e-14
+# step 3 requires |x-mean of c2| <= ZERO_MEAN_TOL at every phi node
+ZERO_MEAN_TOL = 1e-9
+
+
+def _inverse(samples: np.ndarray, what: str) -> np.ndarray:
+    """1/g on grid samples of g, refused where g comes within DIVISION_FLOOR of zero."""
+    if np.min(np.abs(samples)) < DIVISION_FLOOR:
         raise DegenerateCoefficientError(f"division by a vanishing {what}")
     return 1.0 / samples
 
@@ -154,15 +159,14 @@ def step2_time_reparam(b3, b2, b1, b0, freq: Frequency):
 # ----------------------------------------------------------------- step 3
 
 
-def step3_descent_zero(c2, c1, c0, m3: float, freq: Frequency,
-                       zero_mean_tol: float = 1e-9):
+def step3_descent_zero(c2, c1, c0, m3: float, freq: Frequency):
     """Remove the d_yy coefficient by conjugation with the multiplication
     operator v = exp(-(1/3m3) d_y^{-1} c2); requires c2 to have zero x-mean."""
     trunc = c2.trunc
     g2, g1, g0, e = synthesize([c2, c1, c0, dx_pow(c2, -1) * (-1.0 / (3.0 * m3))])
     avg = np.mean(g2, axis=-1)  # the x-mean at each phi node
     worst = np.unravel_index(np.argmax(np.abs(avg)), avg.shape)
-    if np.abs(avg[worst]) > zero_mean_tol:
+    if np.abs(avg[worst]) > ZERO_MEAN_TOL:
         raise ZeroMeanViolation(
             f"x-mean of the d_xx coefficient is {avg[worst]:.3e} at phi node "
             f"{tuple(int(i) for i in worst)}; expected 0")

@@ -106,7 +106,7 @@ class SolveReport:
 
     iterates: list
     solution: FourierField  # the last iterate
-    eigs: opalg.DiagonalOperator | None = None
+    eigs: np.ndarray | None = None  # the exponents mu_j of the last reduction
     converged: bool = False
     excluded_lambda: bool = False
     exclusion_reason: str | None = None
@@ -137,13 +137,13 @@ def _parity_project(u: FourierField) -> FourierField:
 
 
 def diag_inverse(
-    eigs: opalg.DiagonalOperator,
+    mu: np.ndarray,
     freq: Frequency,
     g: FourierField,
     gamma: float,
     tau: float,
 ) -> FourierField:
-    """Solve (omega.d_phi + D_inf) w = g by exact mode division.
+    """Solve (omega.d_phi + diag mu) w = g by exact mode division.
 
     The constant (l, j) = (0, 0) mode is excluded (it spans the kernel), so g
     must carry no component there; every other divisor passes the first-order
@@ -161,7 +161,7 @@ def diag_inverse(
     check[center] = False
     bad, delta, bound = km.screen(freq.omega_dot_l(trunc),
                                   index_weights(trunc.nu, trunc.n_phi, floor=1.0),
-                                  eigs.mu, gamma, tau, "first", check)
+                                  mu, gamma, tau, "first", check)
     exclusion = km.smallest_margin("first", bad, delta, bound)
     if exclusion is not None:
         raise DivisorViolation(exclusion)
@@ -266,7 +266,7 @@ def _iterate(spec: nonlin.NonlinearitySpec, freq: Frequency, config: SolverConfi
     grow = 0
     for n in range(config.max_iters + 1):
         sched = config.schedule(spec.epsilon, mode, n)
-        N_next = int(round(config.N0 ** (config.chi ** (n + 1))))
+        N_next = sched.N(n + 1)
         report.iterates.append({
             "n": n,
             "u_norm": sobolev_norm(u, trunc.s0),
@@ -310,27 +310,30 @@ def _iterate(spec: nonlin.NonlinearitySpec, freq: Frequency, config: SolverConfi
         res = new_res
 
 
+# galerkin_newton stops below GALERKIN_TOL, or fails after GALERKIN_MAX_ITERS
+GALERKIN_TOL = 1e-12
+GALERKIN_MAX_ITERS = 40
+
+
 def galerkin_newton(
     spec: nonlin.NonlinearitySpec,
     freq: Frequency,
     trunc: Truncation,
-    tol: float = 1e-12,
-    max_iters: int = 40,
-    damping: float = 1.0,
 ) -> FourierField:
     """Dense reference solver: Newton on the materialized linearization.
 
     The Jacobian is materialized over the flattened mode rectangle and the
     update solved in the least-squares sense (the minimal-norm solution kills
-    the constant-mode kernel).  Used as an oracle against the spectral path.
+    the constant-mode kernel).  A full step halves, down to 1/4, after each
+    residual growth.  Used as an oracle against the spectral path.
     """
     u = FourierField.zeros(trunc)
     res_prev = np.inf
-    step = damping
-    for _ in range(max_iters):
+    step = 1.0
+    for _ in range(GALERKIN_MAX_ITERS):
         Fu = nonlin.residual(spec, freq, u)
         res = sobolev_norm(Fu, trunc.s0)
-        if res < tol:
+        if res < GALERKIN_TOL:
             return u
         if res > res_prev:
             step = max(0.25, step * 0.5)
@@ -400,7 +403,7 @@ def cantor_measure(
         records[eps] = rows
         fractions[eps] = sum(r["accepted"] for r in rows) / len(rows)
 
-        airy = [km.airy_diagonal(trunc, 1.0, 0.0) for _ in lambda_grid]
+        airy = [km.airy_diagonal(trunc.n_x, 1.0, 0.0)] * len(lambda_grid)
         base = km.melnikov_mask(lambda_grid, airy, omega_bar, gamma, tau,
                                 2 * trunc.n_phi)
         base &= km.melnikov_mask(lambda_grid, airy, omega_bar, gamma, tau,

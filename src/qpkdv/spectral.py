@@ -177,10 +177,6 @@ class FourierField:
         """sup |conj(u_{l,j}) - u_{-l,-j}| over stored indices."""
         return float(np.max(np.abs(np.conj(self.c) - np.flip(self.c))))
 
-    def is_real(self, tol: float = 1e-10) -> bool:
-        scale = max(1.0, float(np.max(np.abs(self.c))))
-        return self.reality_defect() <= tol * scale
-
 
 def _centers(trunc: Truncation) -> tuple[int, ...]:
     return (trunc.n_phi,) * trunc.nu + (trunc.n_x,)
@@ -378,11 +374,14 @@ def omega_dphi(f: FourierField, freq: Frequency) -> FourierField:
     return FourierField(f.trunc, f.c * (1j * dots)[..., None])
 
 
-def omega_dphi_inv(f: FourierField, freq: Frequency, divisor_floor: float | None = None) -> FourierField:
-    """Invert omega . d/dphi on the l != 0 modes; the l = 0 modes are zeroed."""
+DIVISOR_FLOOR = 1e-10
+
+
+def omega_dphi_inv(f: FourierField, freq: Frequency) -> FourierField:
+    """Invert omega . d/dphi on the l != 0 modes; the l = 0 modes are zeroed.
+    A divisor |omega.l| below DIVISOR_FLOOR |omega| raises ZeroDivisionError."""
     dots = freq.omega_dot_l(f.trunc)
-    if divisor_floor is None:
-        divisor_floor = 1e-10 * float(np.linalg.norm(freq.omega))
+    divisor_floor = DIVISOR_FLOOR * float(np.linalg.norm(freq.omega))
     nz = np.ones(dots.shape, dtype=bool)
     nz[(f.trunc.n_phi,) * f.trunc.nu] = False  # the l = 0 row, by position
     small = nz & (np.abs(dots) < divisor_floor)

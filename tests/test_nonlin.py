@@ -3,6 +3,7 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings
 from test_cli import FORCING, NO_STRUCTURE, STEEP, TERMS, base_config, reversible_text
+from test_regularize import builtin
 
 from qpkdv import nonlin
 from qpkdv.spectral import (
@@ -123,10 +124,10 @@ def test_hamiltonian_synthesis():
 
 def test_builtin_registry():
     for name in ("quasilinear_cubic", "hamiltonian_cubic", "fully_nonlinear_F"):
-        spec = nonlin.builtin(name, epsilon=1e-3)
+        spec = builtin(name, epsilon=1e-3)
         assert spec.epsilon == 1e-3
     with pytest.raises(KeyError):
-        nonlin.builtin("nope")
+        builtin("nope")
 
 
 def test_symbolic_derivative_matches_finite_difference():
@@ -220,7 +221,7 @@ def test_non_finite_f_is_a_named_failure():
 
 
 def test_residual_zero_field():
-    spec = nonlin.builtin("quasilinear_cubic")
+    spec = builtin("quasilinear_cubic")
     r = nonlin.residual(spec, FREQ, FourierField.zeros(T))
     assert np.max(np.abs(r.c)) == 0.0
 
@@ -243,7 +244,7 @@ def test_total_derivative_residual_has_zero_x_average():
 
 
 def test_residual_real_for_real_u():
-    spec = nonlin.builtin("fully_nonlinear_F", epsilon=1e-2)
+    spec = builtin("fully_nonlinear_F", epsilon=1e-2)
     u = random_real_field(T, np.random.default_rng(2), decay=3.0, scale=0.1)
     r = nonlin.residual(spec, FREQ, u)
     assert r.reality_defect() < 1e-12
@@ -254,7 +255,7 @@ def test_residual_real_for_real_u():
 
 def test_coefficients_quasilinear_cubic():
     eps = 1e-3
-    spec = nonlin.builtin("quasilinear_cubic", epsilon=eps)
+    spec = builtin("quasilinear_cubic", epsilon=eps)
     u = random_real_field(T, np.random.default_rng(3), decay=3.0, scale=0.3)
     a3, a2, a1, a0 = nonlin.linearized_coefficients(spec, u)
     u_sq = multiply(u, u) * eps
@@ -266,7 +267,7 @@ def test_coefficients_quasilinear_cubic():
 
 
 def test_coefficients_at_zero_field():
-    spec = nonlin.builtin("fully_nonlinear_F", epsilon=1e-2)
+    spec = builtin("fully_nonlinear_F", epsilon=1e-2)
     a3, a2, a1, a0 = nonlin.linearized_coefficients(spec, FourierField.zeros(T))
     # d f / d z3 at z = 0 is cos(phi_1 + x): modes (1,1) and (-1,-1) at eps/2
     expect = FourierField.from_modes(T, {(1, 1): 0.5 * 1e-2})
@@ -282,7 +283,7 @@ def _apply_linearized(spec, freq, u, h):
 def test_jacobian_directional_ratio():
     from test_spectral import embed_field
 
-    spec = nonlin.builtin("quasilinear_cubic", epsilon=1e-2)
+    spec = builtin("quasilinear_cubic", epsilon=1e-2)
     rng = np.random.default_rng(4)
     # band-limit u and h so every product in the cubic stays representable
     sub = Truncation(1, 1, 2)
@@ -301,7 +302,7 @@ def test_jacobian_directional_ratio():
 
 
 def test_linearization_maps_X_to_Y():
-    spec = nonlin.builtin("quasilinear_cubic", epsilon=1e-2)
+    spec = builtin("quasilinear_cubic", epsilon=1e-2)
     u = random_real_field(T, np.random.default_rng(5), decay=3.0, scale=0.3,
                           parity="X")
     h = random_real_field(T, np.random.default_rng(6), decay=3.0, scale=1.0,
@@ -315,18 +316,18 @@ def test_linearization_maps_X_to_Y():
 
 
 def test_flags_quasilinear_cubic():
-    flags = nonlin.structure_flags(nonlin.builtin("quasilinear_cubic"))
+    flags = nonlin.structure_flags(builtin("quasilinear_cubic"))
     assert flags.reversible
     assert not flags.hamiltonian
 
 
 def test_flags_hamiltonian_alpha_two():
-    flags = nonlin.structure_flags(nonlin.builtin("hamiltonian_cubic"))
+    flags = nonlin.structure_flags(builtin("hamiltonian_cubic"))
     assert flags.hamiltonian and flags.total_derivative
 
 
 def test_flags_fully_nonlinear():
-    flags = nonlin.structure_flags(nonlin.builtin("fully_nonlinear_F"))
+    flags = nonlin.structure_flags(builtin("fully_nonlinear_F"))
     assert flags.reversible
 
 
@@ -337,7 +338,7 @@ def test_flags_non_reversible():
 
 @pytest.mark.parametrize("name", sorted(nonlin.BUILTINS))
 def test_cached_flags_equal_uncached(name):
-    spec = nonlin.builtin(name)
+    spec = builtin(name)
     uncached = nonlin._structure_flags.__wrapped__(spec.f, spec.declared_form, 0)
     assert nonlin.structure_flags(spec) == uncached
 
@@ -351,7 +352,7 @@ def test_specs_differing_in_epsilon_share_analysis():
     assert all(fa is fb for fa, fb in zip(a._z_derivative_callables,
                                           b._z_derivative_callables))
     # the same f declared through its Hamiltonian density is analyzed apart
-    ham = nonlin.builtin("hamiltonian_cubic")
+    ham = builtin("hamiltonian_cubic")
     raw = nonlin.NonlinearitySpec(f=ham.f, declared_form="raw_f", epsilon=1e-3)
     assert nonlin.structure_flags(ham).hamiltonian
     assert not nonlin.structure_flags(raw).hamiltonian

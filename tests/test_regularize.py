@@ -24,13 +24,21 @@ T = Truncation(1, 8, 8)
 FREQ = Frequency.default(1, lam=1.2)
 
 
+def builtin(name, epsilon=1e-3):
+    """The spec of a named entry of nonlin.BUILTINS."""
+    if name not in nonlin.BUILTINS:
+        raise KeyError(f"unknown builtin {name!r}; have {sorted(nonlin.BUILTINS)}")
+    text, form = nonlin.BUILTINS[name]
+    return nonlin.parse_nonlinearity(text, form, epsilon)
+
+
 def small_u(trunc=T, seed=0, scale=0.1, decay=4.0):
     return random_real_field(trunc, np.random.default_rng(seed), decay=decay,
                              scale=scale, parity="X")
 
 
 def pipeline_coeffs(eps=1e-3, trunc=T, seed=0):
-    spec = nonlin.builtin("quasilinear_cubic", epsilon=eps)
+    spec = builtin("quasilinear_cubic", epsilon=eps)
     u = small_u(trunc, seed)
     return nonlin.linearized_coefficients(spec, u)
 
@@ -100,7 +108,7 @@ def test_step1_beta_parity():
 
 
 def test_step1_hamiltonian_b2_vanishes():
-    spec = nonlin.builtin("hamiltonian_cubic", epsilon=1e-3)
+    spec = builtin("hamiltonian_cubic", epsilon=1e-3)
     u = small_u(scale=0.02, decay=5.0)
     a3, a2, a1, a0 = nonlin.linearized_coefficients(spec, u)
     out = reg.step1_space_diffeo(a3, a2, a1, a0, FREQ, mode="hamiltonian")
@@ -238,7 +246,7 @@ def test_step5_r1_vanishes():
 def test_step5_remainder_scales_with_eps():
     norms = {}
     for eps in (1e-3, 1e-4):
-        spec = nonlin.builtin("quasilinear_cubic", epsilon=eps)
+        spec = builtin("quasilinear_cubic", epsilon=eps)
         u = small_u(seed=4)
         result = reg.regularize_at(spec, FREQ, u)
         norms[eps] = result.diagnostics["R_norm_s0"]
@@ -260,7 +268,7 @@ def test_chain_eps_zero_limit():
 
 
 def test_chain_m_constants_small():
-    spec = nonlin.builtin("quasilinear_cubic", epsilon=1e-3)
+    spec = builtin("quasilinear_cubic", epsilon=1e-3)
     result = reg.regularize_at(spec, FREQ, small_u(seed=6))
     assert result.diagnostics["m3_minus_1"] < 0.01
     assert result.diagnostics["m1_abs"] < 0.01
@@ -268,7 +276,7 @@ def test_chain_m_constants_small():
 
 
 def test_chain_parities():
-    spec = nonlin.builtin("quasilinear_cubic", epsilon=1e-3)
+    spec = builtin("quasilinear_cubic", epsilon=1e-3)
     result = reg.regularize_at(spec, FREQ, small_u(seed=6))
     ch = result.chain
     assert structure_check(ch["beta"], tol=1e-9)["in_Y"]
@@ -279,7 +287,7 @@ def test_chain_parities():
 
 
 def test_chain_transform_round_trips():
-    spec = nonlin.builtin("quasilinear_cubic", epsilon=1e-3)
+    spec = builtin("quasilinear_cubic", epsilon=1e-3)
     result = reg.regularize_at(spec, FREQ, small_u(seed=6))
     sub = Truncation(1, 4, 4)
     z = embed_field(random_real_field(sub, np.random.default_rng(8), decay=3.0,
@@ -291,7 +299,7 @@ def test_chain_transform_round_trips():
 
 
 def test_chain_semi_conjugacy():
-    spec = nonlin.builtin("quasilinear_cubic", epsilon=1e-3)
+    spec = builtin("quasilinear_cubic", epsilon=1e-3)
     result = reg.regularize_at(spec, FREQ, small_u(seed=6))
     sub = Truncation(1, 4, 4)
     for seed in range(3):
@@ -302,7 +310,7 @@ def test_chain_semi_conjugacy():
 
 
 def test_chain_hamiltonian_mode():
-    spec = nonlin.builtin("hamiltonian_cubic", epsilon=1e-3)
+    spec = builtin("hamiltonian_cubic", epsilon=1e-3)
     result = reg.regularize_at(spec, FREQ, small_u(seed=9, scale=0.02, decay=5.0))
     assert result.mode == "hamiltonian"
     assert result.chain["v"] is None  # descent step skipped
@@ -377,10 +385,10 @@ def test_steps_1_to_3_match_product_form(nu, n, mode):
     trunc, big = Truncation(nu, n, n), Truncation(nu, 2 * n, 2 * n)
     freq = Frequency.default(nu, lam=1.1)
     if mode == "hamiltonian":
-        spec = nonlin.builtin("hamiltonian_cubic", epsilon=1e-3)
+        spec = builtin("hamiltonian_cubic", epsilon=1e-3)
         u = small_u(trunc, seed=4, scale=0.02, decay=5.0)
     else:
-        spec = nonlin.builtin("quasilinear_cubic", epsilon=1e-2)
+        spec = builtin("quasilinear_cubic", epsilon=1e-2)
         u = small_u(trunc, seed=4)
     coeffs = nonlin.linearized_coefficients(spec, u)
 
@@ -425,7 +433,7 @@ def test_chain_transform_count(monkeypatch, mode, count):
             return _f(*args, **kw)
         for module in (spectral, reg):
             monkeypatch.setattr(module, name, counted)
-    spec = nonlin.builtin("hamiltonian_cubic" if mode == "hamiltonian" else "quasilinear_cubic",
+    spec = builtin("hamiltonian_cubic" if mode == "hamiltonian" else "quasilinear_cubic",
                           epsilon=1e-3)
     coeffs = nonlin.linearized_coefficients(spec, small_u(seed=6, scale=0.02, decay=5.0))
     reg.run_regularization(*coeffs, FREQ, mode)
@@ -465,7 +473,7 @@ def _assembled_step5(e1, e0, m3, m1, freq, mode):
 def _step5_inputs(nu, n, mode):
     trunc = Truncation(nu, n, n)
     freq = Frequency.default(nu, lam=1.1)
-    spec = nonlin.builtin("hamiltonian_cubic" if mode == "hamiltonian" else "quasilinear_cubic",
+    spec = builtin("hamiltonian_cubic" if mode == "hamiltonian" else "quasilinear_cubic",
                           epsilon=1e-2)
     rg = reg.regularize_at(spec, freq, small_u(trunc, seed=4, scale=0.05, decay=4.0))
     ch = rg.chain
