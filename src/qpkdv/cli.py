@@ -304,7 +304,7 @@ def _run_reduce(config: ExperimentConfig, out: Path) -> int:
     spec = config.spec(eps)
     u = FourierField.zeros(config.truncation)
     rg = regularize.regularize_at(spec, freq, u)
-    red = km.reduce(rg, freq, config.solver_config().schedule(spec.epsilon, rg.mode))
+    red = km.reduce(rg, freq, config.solver_config().schedule(spec.epsilon))
     mode = rg.mode
     if mode == "generic" and nonlin.structure_flags(spec).reversible:
         mode = "reversible"
@@ -381,7 +381,7 @@ def _run_stability(config: ExperimentConfig, out: Path) -> int:
         })
         return EXIT_EXCLUDED
     rg = regularize.regularize_at(spec, freq, solve.solution)
-    red = km.reduce(rg, freq, cfg.schedule(spec.epsilon, rg.mode))
+    red = km.reduce(rg, freq, cfg.schedule(spec.epsilon))
     h0 = dyn.random_phase_state(
         config.truncation.n_x,
         np.random.default_rng(int(config.dynamics.get("seed", config.seed))),
@@ -410,9 +410,10 @@ def _verify_checks(config: ExperimentConfig, rng: np.random.Generator) -> list:
     freq = Frequency(config.omega_bar, lam)
     checks = []
 
-    def add(name, value, tol):
-        checks.append({"check": name, "value": float(value), "tol": tol,
-                       "passed": bool(value < tol)})
+    def add(name, value, tol, reason=None):  # a reason fails the check
+        row = {"check": name, "value": None if value is None else float(value),
+               "tol": tol, "passed": bool(reason is None and value < tol)}
+        checks.append(row if reason is None else {**row, "reason": reason})
 
     u = random_real_field(trunc, rng, decay=3.0)
     v = random_real_field(trunc, rng, decay=3.0)
@@ -440,22 +441,27 @@ def _verify_checks(config: ExperimentConfig, rng: np.random.Generator) -> list:
         / sobolev_norm(rg.apply_L(rg.phi2(probe)), trunc.s0), 1e-8)
     add("order-one remainder", float(np.max(np.abs(rg.chain["r1"].c))), 1e-10)
 
-    sched = sv.SolverConfig(trunc=trunc, gamma=0.01).schedule(spec.epsilon, rg.mode)
+    sched = sv.SolverConfig(trunc=trunc, gamma=0.01).schedule(spec.epsilon)
     check = "reduction final remainder"
     try:
         red = km.reduce(rg, freq, sched)
-        add(check, red.trace[-1]["R_s0"], 1e-9)
+        # an excluded lambda fails the reduction and leaves no right inverse
+        excluded = None if red.mask else str(red.exclusion)
+        add(check, red.trace[-1]["R_s0"], 1e-9, excluded)
         check = "right-inverse residual"
+        # drawn in either case, so the later checks see the same random stream
         f = random_real_field(trunc, rng, decay=4.0, scale=1.0, parity="Y")
-        structure = sv.structure_mode(nonlin.structure_flags(spec))
-        if structure == "total_derivative":
-            f = f.shift_mean(-f.mean)
-        h = sv.right_inverse(rg, red, freq, f, sched.gamma, sched.tau, structure)
-        add(check, sobolev_norm(rg.apply_L(h) - f, trunc.s0), 1e-6)
+        if excluded:
+            add(check, None, None, excluded)
+        else:
+            structure = sv.structure_mode(nonlin.structure_flags(spec))
+            if structure == "total_derivative":
+                f = f.shift_mean(-f.mean)
+            h = sv.right_inverse(rg, red, f, structure)
+            add(check, sobolev_norm(rg.apply_L(h) - f, trunc.s0), 1e-6)
     # a stage that failed, or a lambda a divisor excludes: the check cannot run
     except (NumericalFailure, sv.DivisorViolation) as err:
-        checks.append({"check": check, "value": None, "tol": None, "passed": False,
-                       "reason": str(err)})
+        add(check, None, None, str(err))
 
     h0 = dyn.random_phase_state(trunc.n_x, rng, decay=3.0)
     zero = FourierField.zeros(trunc)

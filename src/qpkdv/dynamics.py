@@ -221,7 +221,7 @@ class FrozenChain:
 
     @classmethod
     def at_time(cls, reg: regularize.RegularizationResult,
-                red: km.ReductionResult, t) -> "FrozenChain":
+                red: km.ReducibilityState, t) -> "FrozenChain":
         freq, ch, n_x = reg.freq, reg.chain, reg.trunc.n_x
         t = np.asarray(t, dtype=float)
         phi = np.multiply.outer(t, freq.omega)
@@ -250,7 +250,7 @@ class FrozenChain:
 
 
 def stability_report(reg: regularize.RegularizationResult,
-                     red: km.ReductionResult, freq: Frequency, h0: np.ndarray,
+                     red: km.ReducibilityState, freq: Frequency, h0: np.ndarray,
                      T: float, s: float, dt: float = 0.01,
                      n_samples: int = 101) -> dict:
     """Two-method comparison of the forced linear flow over [0, T].

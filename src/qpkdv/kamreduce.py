@@ -8,6 +8,11 @@ and `opalg.conjugate`, as regularization step 5 does.  The new remainder is
 quadratically smaller.  The exponents are a plain array, mu[j + n_x] for
 |j| <= n_x.
 
+`reduce` returns its final `ReducibilityState`: the exponents `eigs`, the
+reducing transformation `Phi_inf` and its inverse, the per-step `trace`, and
+the `exclusion` of an excluded lambda beside the last accepted step's `eigs`
+and `Phi_inf`.  The state takes its mode from the regularization.
+
 `screen` is the one implementation of the paper's Melnikov divisor bounds,
 first order |i omega.l + mu_j| >= 2 gamma <j>^3 <l>^-tau and second order
 |i omega.l + mu_j - mu_k| >= gamma |j^3 - k^3| <l>^-tau.  It checks an explicit
@@ -21,7 +26,7 @@ divisor and bound, which both the reduction and `solver.diag_inverse` report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -39,7 +44,6 @@ __all__ = [
     "IterationSchedule",
     "Exclusion",
     "ReducibilityState",
-    "ReductionResult",
     "ReductionError",
     "ContractionError",
     "StagnationError",
@@ -86,7 +90,6 @@ class IterationSchedule:
     tau: float = 3.0
     max_steps: int = 12
     target_decay: float = 1e-10
-    mode: str = "generic"
     smallness_threshold: float = 1e6  # loose: each step's |Psi|_s0 < 1/2 guard binds
 
     def N(self, k: int) -> int:
@@ -119,14 +122,16 @@ class Exclusion:
 @dataclass(frozen=True)
 class ReducibilityState:
     nu_step: int
-    D: np.ndarray  # the exponents mu_j
+    eigs: np.ndarray  # the exponents mu_j
     R: ToplitzOperator
     # product of the steps' transformations, the identity at nu_step = 0
-    Phi_acc: ToplitzOperator
-    Phi_acc_inv: ToplitzOperator
+    Phi_inf: ToplitzOperator
+    Phi_inf_inv: ToplitzOperator
     schedule: IterationSchedule
+    mode: str  # the regularization's: "hamiltonian" conjugates by exp(Psi)
     # the divisor of a failed step; None while not excluded
     exclusion: Exclusion | None = None
+    trace: list = field(default_factory=list)  # reduce's rows, one per step
 
     @property
     def mask(self) -> bool:
@@ -141,23 +146,6 @@ class HomologicalSolution(NamedTuple):
     @property
     def ok(self) -> bool:
         return self.exclusion is None
-
-
-@dataclass
-class ReductionResult:
-    eigs: np.ndarray
-    Phi_inf: ToplitzOperator
-    Phi_inf_inv: ToplitzOperator
-    trace: list
-    state: ReducibilityState
-
-    @property
-    def exclusion(self) -> Exclusion | None:
-        return self.state.exclusion
-
-    @property
-    def mask(self) -> bool:
-        return self.state.mask
 
 
 def airy_diagonal(n_x: int, m3: float, m1: float) -> np.ndarray:
@@ -252,13 +240,13 @@ def solve_homological(
 
 
 def kam_step(state: ReducibilityState, freq: Frequency) -> ReducibilityState:
-    """One quadratic step: D -> D + [R] and
-    R -> Phi^{-1}([omega.d_phi + D, Phi] + R Phi - Phi [R]), with
+    """One quadratic step: mu -> mu + [R] and
+    R -> Phi^{-1}([omega.d_phi + diag mu, Phi] + R Phi - Phi [R]), with
     Phi = I + Psi (exp(Psi) in hamiltonian mode) for the homological Psi."""
     sched = state.schedule
     trunc = state.R.trunc
     N = sched.cutoff(state.nu_step, trunc.n_phi)
-    sol = solve_homological(state.D, state.R, freq, N, sched.gamma, sched.tau)
+    sol = solve_homological(state.eigs, state.R, freq, N, sched.gamma, sched.tau)
     if not sol.ok:
         return replace(state, exclusion=sol.exclusion)
     Psi = sol.Psi
@@ -268,47 +256,50 @@ def kam_step(state: ReducibilityState, freq: Frequency) -> ReducibilityState:
             f"|Psi|_s0 = {psi_norm:.3f} >= 1/2 at step {state.nu_step}"
         )
 
-    Phi, Phi_inv = opalg.near_identity(Psi, sched.mode)
-    R_new = opalg.conjugate(Phi, Phi_inv, freq, state.D, state.R, sol.diag_part)
+    Phi, Phi_inv = opalg.near_identity(Psi, state.mode)
+    R_new = opalg.conjugate(Phi, Phi_inv, freq, state.eigs, state.R, sol.diag_part)
 
-    first = state.nu_step == 0  # Phi_acc is still the identity
-    return ReducibilityState(
+    first = state.nu_step == 0  # Phi_inf is still the identity
+    return replace(
+        state,
         nu_step=state.nu_step + 1,
-        D=state.D + sol.diag_part,
+        eigs=state.eigs + sol.diag_part,
         R=R_new,
-        Phi_acc=Phi if first else opalg.compose(state.Phi_acc, Phi),
-        Phi_acc_inv=Phi_inv if first else opalg.compose(Phi_inv, state.Phi_acc_inv),
-        schedule=sched,
+        Phi_inf=Phi if first else opalg.compose(state.Phi_inf, Phi),
+        Phi_inf_inv=Phi_inv if first else opalg.compose(Phi_inv, state.Phi_inf_inv),
     )
 
 
 def initial_state(reg, schedule: IterationSchedule) -> ReducibilityState:
-    """Step-0 state from a regularization result (D0 from m3, m1; R0 = reg.R)."""
+    """Step-0 state of a regularization: mu from m3, m1, R0 = reg.R, reg.mode."""
     trunc = reg.trunc
     return ReducibilityState(
         nu_step=0,
-        D=airy_diagonal(trunc.n_x, reg.m3, reg.m1),
+        eigs=airy_diagonal(trunc.n_x, reg.m3, reg.m1),
         R=reg.R,
-        Phi_acc=opalg.identity(trunc),
-        Phi_acc_inv=opalg.identity(trunc),
+        Phi_inf=opalg.identity(trunc),
+        Phi_inf_inv=opalg.identity(trunc),
         schedule=schedule,
+        mode=reg.mode,
     )
 
 
-def _trace_row(state: ReducibilityState, D0: np.ndarray, N: int) -> dict:
+def _trace_row(state: ReducibilityState, mu0: np.ndarray, N: int) -> dict:
     s0 = state.R.trunc.s0
     return {
         "step": state.nu_step,
         "N": N,
         "R_s0": opalg.decay_norm(state.R, s0),
         "R_s0p2": opalg.decay_norm(state.R, s0 + 2.0),
-        "sup_r": float(np.max(np.abs(state.D - D0))),
+        "sup_r": float(np.max(np.abs(state.eigs - mu0))),
         "mask_fraction": 1.0 if state.mask else 0.0,
     }
 
 
-def reduce(reg, freq: Frequency, schedule: IterationSchedule) -> ReductionResult:
-    """Iterate kam_step until |R_nu|_{s0} < target_decay (or exclusion).
+def reduce(reg, freq: Frequency, schedule: IterationSchedule) -> ReducibilityState:
+    """Iterate kam_step until |R_nu|_{s0} < target_decay (or exclusion), and
+    return the final state with its trace.  An excluded step leaves the last
+    accepted step's exponents and transformation beside the exclusion.
 
     Raises SmallnessError when the initial remainder violates the operational
     smallness test |R0|_{s0} N0^(2 tau + 1) / gamma < threshold, and
@@ -317,7 +308,7 @@ def reduce(reg, freq: Frequency, schedule: IterationSchedule) -> ReductionResult
     trunc = reg.trunc
     s0 = trunc.s0
     state = initial_state(reg, schedule)
-    D0 = state.D
+    mu0 = state.eigs
 
     r0 = opalg.decay_norm(state.R, s0)
     smallness = r0 * float(schedule.N0) ** (2.0 * schedule.tau + 1.0) / schedule.gamma
@@ -327,16 +318,14 @@ def reduce(reg, freq: Frequency, schedule: IterationSchedule) -> ReductionResult
             f">= {schedule.smallness_threshold}"
         )
 
-    trace = [_trace_row(state, D0, schedule.cutoff(0, trunc.n_phi))]
+    trace = [_trace_row(state, mu0, schedule.cutoff(0, trunc.n_phi))]
     flat = 0
     norm = r0
-    final = state  # the excluded step's state, if one is
     while norm > schedule.target_decay and state.nu_step < schedule.max_steps:
-        final = kam_step(state, freq)
-        if not final.mask:
-            trace.append(_trace_row(final, D0, 0))
+        state = kam_step(state, freq)
+        if not state.mask:  # the last accepted step's state, with the exclusion
+            trace.append(_trace_row(state, mu0, 0))
             break
-        state = final
         new_norm = opalg.decay_norm(state.R, s0)
         flat = flat + 1 if new_norm >= norm else 0
         if flat >= 3:
@@ -344,15 +333,8 @@ def reduce(reg, freq: Frequency, schedule: IterationSchedule) -> ReductionResult
                 f"|R|_s0 stalled at {new_norm:.3e} for 3 consecutive steps"
             )
         norm = new_norm
-        trace.append(_trace_row(state, D0, schedule.cutoff(state.nu_step, trunc.n_phi)))
-
-    return ReductionResult(
-        eigs=state.D,
-        Phi_inf=state.Phi_acc,
-        Phi_inf_inv=state.Phi_acc_inv,
-        trace=trace,
-        state=final,
-    )
+        trace.append(_trace_row(state, mu0, schedule.cutoff(state.nu_step, trunc.n_phi)))
+    return replace(state, trace=trace)
 
 
 # ---------------------------------------------------------------------------

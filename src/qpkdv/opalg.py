@@ -109,10 +109,6 @@ class ToplitzOperator:
     def __sub__(self, other: "ToplitzOperator") -> "ToplitzOperator":
         return add(self, other.scale(-1.0))
 
-    def reality_defect(self) -> float:
-        """sup |conj(A^j_k(l)) - A^{-j}_{-k}(-l)| (zero for real operators)."""
-        return float(np.max(np.abs(np.conj(self.blocks) - np.flip(self.blocks))))
-
 
 def freeze(table: np.ndarray, theta) -> np.ndarray:
     """sum_l e^{i l.theta} table[l] at one angle theta (shape (nu,)) or a batch

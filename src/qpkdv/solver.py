@@ -3,11 +3,13 @@
 The linear solve conjugates the linearized operator to constant diagonal form
 (regularization followed by the quadratic reduction), divides by the exact
 divisors i lambda omega_bar.l + mu_j, and transports the result back through
-the transformation chains.  The outer iteration is a projected Newton scheme
-with shrinking non-resonance constants gamma_n; values of the modulation
-parameter lambda that fail a divisor bound at some iterate are excluded, and
-the surviving fraction of a lambda grid estimates the measure of the
-admissible set as epsilon varies.
+the transformation chains.  It reads the frequency from the regularization and
+the exponents, transformation and divisor constants from the reduction's final
+state; the mode (hamiltonian or generic) is decided once, by `regularize_at`.
+The outer iteration is a projected Newton scheme with shrinking non-resonance
+constants gamma_n; values of the modulation parameter lambda that fail a
+divisor bound at some iterate are excluded, and the surviving fraction of a
+lambda grid estimates the measure of the admissible set as epsilon varies.
 """
 
 from __future__ import annotations
@@ -87,8 +89,7 @@ class SolverConfig:
         tau = self.tau if self.tau is not None else nu + 2.0
         return gamma, tau
 
-    def schedule(self, epsilon: float, mode: str,
-                 n: int | None = None) -> km.IterationSchedule:
+    def schedule(self, epsilon: float, n: int | None = None) -> km.IterationSchedule:
         """The KAM schedule of this config: gamma, or gamma_n = gamma (1 + 2^-n)
         at Newton iterate n."""
         gamma, tau = self.resolved(self.trunc.nu, epsilon)
@@ -96,7 +97,7 @@ class SolverConfig:
             gamma *= 1.0 + 0.5**n
         return km.IterationSchedule(
             N0=self.N0, chi=self.chi, gamma=gamma, tau=tau,
-            max_steps=self.kam_max_steps, target_decay=self.kam_target, mode=mode,
+            max_steps=self.kam_max_steps, target_decay=self.kam_target,
         )
 
 
@@ -174,18 +175,17 @@ def diag_inverse(
 
 def right_inverse(
     reg: regularize.RegularizationResult,
-    red: km.ReductionResult,
-    freq: Frequency,
+    red: km.ReducibilityState,
     f: FourierField,
-    gamma: float,
-    tau: float,
     structure: str = "reversible",
 ) -> FourierField:
     """Approximate inverse h of the linearized operator applied to f.
 
     h is transported through both transformation chains: undo the outer chain
     and the reducing transformation, divide by the exact divisors, and map
-    back (h = Phi2 Phi_inf D_inf^{-1} Phi_inf^{-1} Phi1^{-1} f).
+    back (h = Phi2 Phi_inf D_inf^{-1} Phi_inf^{-1} Phi1^{-1} f).  The divisors
+    are screened at the frequency of `reg` and the gamma, tau of the
+    reduction's schedule.
     """
     trunc = f.trunc
     scale = 1.0 + sobolev_norm(f, trunc.s0)
@@ -205,7 +205,7 @@ def right_inverse(
     g = reg.phi1(f, inverse=True)
     g = opalg.apply(red.Phi_inf_inv, g)
     g = g.shift_mean(-g.mean)  # drop round-off mass on the excluded mode
-    w = diag_inverse(red.eigs, freq, g, gamma, tau)
+    w = diag_inverse(red.eigs, reg.freq, g, red.schedule.gamma, red.schedule.tau)
     h = opalg.apply(red.Phi_inf, w)
     h = reg.phi2(h)
     if structure == "reversible":
@@ -255,7 +255,6 @@ def _iterate(spec: nonlin.NonlinearitySpec, freq: Frequency, config: SolverConfi
     """The iteration of `nash_moser`, recorded in its report as it goes."""
     trunc = config.trunc
     structure = structure_mode(nonlin.structure_flags(spec))
-    mode = "hamiltonian" if spec.declared_form == "hamiltonian_F" else "generic"
 
     u = report.solution
     Fu = nonlin.residual(spec, freq, u)
@@ -265,7 +264,7 @@ def _iterate(spec: nonlin.NonlinearitySpec, freq: Frequency, config: SolverConfi
 
     grow = 0
     for n in range(config.max_iters + 1):
-        sched = config.schedule(spec.epsilon, mode, n)
+        sched = config.schedule(spec.epsilon, n)
         N_next = sched.N(n + 1)
         report.iterates.append({
             "n": n,
@@ -287,8 +286,7 @@ def _iterate(spec: nonlin.NonlinearitySpec, freq: Frequency, config: SolverConfi
         exclusion = red.exclusion
         if exclusion is None:
             try:
-                h = right_inverse(rg, red, freq, project_ball(Fu, N_next),
-                                  sched.gamma, sched.tau, structure)
+                h = right_inverse(rg, red, project_ball(Fu, N_next), structure)
             except DivisorViolation as exc:
                 exclusion = exc.exclusion
         if exclusion is not None:
@@ -297,7 +295,7 @@ def _iterate(spec: nonlin.NonlinearitySpec, freq: Frequency, config: SolverConfi
             return
 
         u = u - project_ball(h, N_next)
-        if structure == "reversible" or mode == "hamiltonian":
+        if structure == "reversible" or rg.mode == "hamiltonian":
             u = _parity_project(u)
         report.solution = u
         Fu = nonlin.residual(spec, freq, u)

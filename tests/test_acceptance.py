@@ -273,7 +273,7 @@ def test_criterion_10_right_inverse_oracle():
                                                    smallness_threshold=1e6))
     f = random_real_field(trunc, np.random.default_rng(6), decay=4.0,
                           scale=1.0, parity="Y")
-    h = sv.right_inverse(rg, red, FREQ, f, 0.01, 3.0)
+    h = sv.right_inverse(rg, red, f)
     a3, a2, a1, a0 = rg.coefficients
     M = op.materialize_linearized(a3, a2, a1, a0, FREQ)
     dense, *_ = np.linalg.lstsq(M, op.flatten_field(f), rcond=None)

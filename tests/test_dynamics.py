@@ -446,7 +446,7 @@ def hamiltonian_pipeline():
     assert rep.converged
     rg = reg.regularize_at(spec, FREQ, rep.solution)
     assert rg.mode == "hamiltonian"
-    return rg, km.reduce(rg, FREQ, km.IterationSchedule(gamma=0.01, mode="hamiltonian"))
+    return rg, km.reduce(rg, FREQ, km.IterationSchedule(gamma=0.01))
 
 
 @pytest.mark.parametrize("mode", ["generic", "hamiltonian"])

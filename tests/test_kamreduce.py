@@ -16,7 +16,7 @@ from qpkdv.spectral import (
     random_real_field,
     sobolev_norm,
 )
-from test_opalg import block, smooth
+from test_opalg import block, reality_defect, smooth
 from test_regularize import builtin
 from test_spectral import embed_field
 
@@ -106,7 +106,7 @@ def test_homological_support_and_reality():
         assert np.all(block(Psi, (l,)) == 0)
         assert np.all(block(Psi, (-l,)) == 0)
     assert np.all(np.diagonal(block(Psi, (0,))) == 0)
-    assert Psi.reality_defect() < 1e-15
+    assert reality_defect(Psi) < 1e-15
     # the diagonal part collects R_j^j(0)
     assert np.allclose(sol.diag_part, np.diagonal(block(R, (0,))))
 
@@ -188,13 +188,14 @@ def test_screen_unknown_order():
 # ---------------------------------------------------------------- kam steps
 
 
-def make_state(R, D=None, **sched_kw):
+def make_state(R, **sched_kw):
     kw = {"gamma": 1e-6, "tau": 3.0}
     kw.update(sched_kw)
     sched = km.IterationSchedule(**kw)
     return km.ReducibilityState(
-        nu_step=0, D=D if D is not None else airy_D(), R=R,
-        Phi_acc=op.identity(T), Phi_acc_inv=op.identity(T), schedule=sched,
+        nu_step=0, eigs=airy_D(), R=R,
+        Phi_inf=op.identity(T), Phi_inf_inv=op.identity(T), schedule=sched,
+        mode="generic",
     )
 
 
@@ -203,7 +204,7 @@ def test_kam_step_already_diagonal():
     R = diagonal_operator(T, mu_r)
     state = make_state(R)
     new = km.kam_step(state, FREQ)
-    assert np.allclose(new.D, airy_D() + mu_r)
+    assert np.allclose(new.eigs, airy_D() + mu_r)
     assert op.decay_norm(new.R, T.s0) < 1e-18
 
 
@@ -211,7 +212,7 @@ def test_kam_step_diagonal_update_is_center_block_diagonal():
     R = random_remainder(seed=2, scale=1e-4)
     state = make_state(R)
     new = km.kam_step(state, FREQ)
-    assert np.allclose(new.D - state.D, np.diagonal(block(R, (0,))))
+    assert np.allclose(new.eigs - state.eigs, np.diagonal(block(R, (0,))))
 
 
 def test_kam_step_quadratic_contraction_band_limited():
@@ -244,8 +245,8 @@ def test_kam_step_spectrum_preserved():
                                   include_omega_dphi=True)
         return np.linalg.eigvals(M)
 
-    before = spectrum(state.D, state.R)
-    after = spectrum(new.D, new.R)
+    before = spectrum(state.eigs, state.R)
+    after = spectrum(new.eigs, new.R)
     cost = np.abs(before[:, None] - after[None, :])
     r, c = linear_sum_assignment(cost)
     assert cost[r, c].max() < 1e-9
@@ -255,11 +256,11 @@ def _assembled_kam_remainder(state, freq):
     """kam_step's new remainder assembled by hand: in hamiltonian mode the
     conjugation by exp(Psi) with rows(D) Phi - Phi cols(D + [R]), otherwise
     the homological shortcut (I + Psi)^{-1}(Pi_N^perp R + R Psi - Psi [R])."""
-    sched, R, D = state.schedule, state.R, state.D
+    sched, R, D = state.schedule, state.R, state.eigs
     N = sched.cutoff(state.nu_step, R.trunc.n_phi)
     sol = km.solve_homological(D, R, freq, N, sched.gamma, sched.tau)
     Psi = sol.Psi
-    if sched.mode == "hamiltonian":
+    if state.mode == "hamiltonian":
         Phi = op.matrix_exponential(Psi)
         Phi_inv = op.matrix_exponential(Psi.scale(-1.0))
         dots = freq.omega_dot_l(R.trunc, double=True)
@@ -285,14 +286,15 @@ def test_kam_step_matches_assembled_remainder(mode):
         rg = pipeline(scale=2e-3, seed=3, text="z1^3", form="hamiltonian_F")
     else:
         rg = pipeline()
-    state = km.initial_state(rg, km.IterationSchedule(gamma=0.01, mode=mode))
+    state = km.initial_state(rg, km.IterationSchedule(gamma=0.01))
+    assert state.mode == mode
     assert op.decay_norm(state.R, T.s0) > 1e-8
     for _ in range(2):
         new = km.kam_step(state, FREQ)
         old = _assembled_kam_remainder(state, FREQ)
         floor = 1e-14 * op.decay_norm(state.R, T.s0)
         if mode == "hamiltonian":
-            floor += 1e-15 * np.max(np.abs(state.D))
+            floor += 1e-15 * np.max(np.abs(state.eigs))
         assert op.decay_norm(new.R - old, T.s0) < floor
         state = new
 
@@ -335,14 +337,19 @@ def test_excluded_reduce_screens_each_step_once(monkeypatch):
         return calls[-1]
 
     def counted_step(*args):
-        steps.append(1)
-        return real_step(*args)
+        steps.append(real_step(*args))
+        return steps[-1]
 
     monkeypatch.setattr(km, "solve_homological", counted_solve)
     monkeypatch.setattr(km, "kam_step", counted_step)
     red = km.reduce(rg, freq, km.IterationSchedule(gamma=0.01))
-    assert not red.mask and not red.state.mask
+    assert not red.mask
     assert len(steps) == 2 and len(calls) == len(steps)
+    # the last accepted step's exponents and transformation, with the exclusion
+    accepted = steps[0]
+    assert accepted.mask and red.nu_step == accepted.nu_step == 1
+    assert red.eigs is accepted.eigs and red.R is accepted.R
+    assert red.Phi_inf is accepted.Phi_inf and red.Phi_inf_inv is accepted.Phi_inf_inv
     assert not calls[-1].ok
     assert red.exclusion == calls[-1].exclusion
     assert (red.exclusion.l, red.exclusion.j, red.exclusion.k) == ((-6,), -2, -1)
@@ -394,14 +401,31 @@ def test_reduce_hamiltonian_mode():
     u = random_real_field(T, np.random.default_rng(3), decay=5.0, scale=2e-3,
                           parity="X")
     rg = reg.regularize_at(spec, FREQ, u)
-    sched = km.IterationSchedule(gamma=0.01, mode="hamiltonian",
-                                 smallness_threshold=1e3)
+    sched = km.IterationSchedule(gamma=0.01, smallness_threshold=1e3)
     red = km.reduce(rg, FREQ, sched)
     assert red.mask
     assert red.trace[-1]["R_s0"] < 1e-10
     rep = km.eigenvalue_report(red.eigs, rg.m3, rg.m1, 1e-3, mode="hamiltonian")
     assert rep["re_mu_max"] < 1e-10
     assert rep["antisym_defect"] < 1e-10
+
+
+def test_reduce_takes_the_mode_of_its_regularization():
+    # a schedule names no mode: a hamiltonian regularization is reduced by
+    # the conjugation with exp(Psi), not with I + Psi
+    spec = builtin("hamiltonian_cubic", epsilon=1e-3)
+    u = random_real_field(T, np.random.default_rng(3), decay=5.0, scale=2e-3,
+                          parity="X")
+    rg = reg.regularize_at(spec, FREQ, u)
+    assert rg.mode == "hamiltonian"
+    sched = km.IterationSchedule(gamma=0.01, max_steps=1, smallness_threshold=1e3)
+    red = km.reduce(rg, FREQ, sched)
+    assert red.mode == "hamiltonian" and red.nu_step == 1
+    state = km.initial_state(rg, sched)
+    Psi = km.solve_homological(state.eigs, state.R, FREQ, sched.cutoff(0, T.n_phi),
+                               sched.gamma, sched.tau).Psi
+    assert np.array_equal(red.Phi_inf.blocks, op.matrix_exponential(Psi).blocks)
+    assert not np.array_equal(red.Phi_inf.blocks, op.add(op.identity(T), Psi).blocks)
 
 
 def test_eigenvalue_report_reversible_defects():

@@ -566,13 +566,18 @@ def test_near_identity_picks_the_pair_by_mode():
 # ------------------------------------------------------- structure closure
 
 
+def reality_defect(A):
+    """sup |conj(A^j_k(l)) - A^{-j}_{-k}(-l)| (zero for real operators)."""
+    return float(np.max(np.abs(np.conj(A.blocks) - np.flip(A.blocks))))
+
+
 def test_reality_closed_under_algebra():
     A = random_toeplitz(T, RNG, scale=0.01)
     B = random_toeplitz(T, RNG, scale=0.01)
-    assert A.reality_defect() < 1e-13
-    assert op.compose(A, B).reality_defect() < 1e-12
-    assert op.neumann_inverse(A).reality_defect() < 1e-12
-    assert op.matrix_exponential(A).reality_defect() < 1e-12
+    assert reality_defect(A) < 1e-13
+    assert reality_defect(op.compose(A, B)) < 1e-12
+    assert reality_defect(op.neumann_inverse(A)) < 1e-12
+    assert reality_defect(op.matrix_exponential(A)) < 1e-12
 
 
 def reversibility_defect(A):

@@ -45,7 +45,7 @@ def solve_pipeline(f: FourierField, spec, u_lin=None, structure="reversible"):
     u_lin = u_lin if u_lin is not None else FourierField.zeros(T)
     rg = reg.regularize_at(spec, FREQ, u_lin)
     red = km.reduce(rg, FREQ, km.IterationSchedule(gamma=0.01, smallness_threshold=1e6))
-    h = sv.right_inverse(rg, red, FREQ, f, 0.01, 3.0, structure)
+    h = sv.right_inverse(rg, red, f, structure)
     return rg, h
 
 
@@ -155,7 +155,7 @@ def test_right_inverse_matches_dense_restricted_solve():
                                                    smallness_threshold=1e6))
     f = random_real_field(trunc, np.random.default_rng(6), decay=4.0,
                           scale=1.0, parity="Y")
-    h = sv.right_inverse(rg, red, freq, f, 0.01, 3.0)
+    h = sv.right_inverse(rg, red, f)
 
     a3, a2, a1, a0 = rg.coefficients
     M = op.materialize_linearized(a3, a2, a1, a0, freq)
@@ -321,11 +321,11 @@ def test_nash_moser_second_order_exclusion_names_divisor_and_bound():
 
 def test_solver_config_schedule():
     config = sv.SolverConfig(trunc=T, gamma=0.1, chi=1.3, N0=3, kam_max_steps=7)
-    sched = config.schedule(1e-3, "hamiltonian")
+    sched = config.schedule(1e-3)
     assert (sched.gamma, sched.tau, sched.chi, sched.N0) == (0.1, 3.0, 1.3, 3)
-    assert (sched.max_steps, sched.target_decay, sched.mode) == (7, 1e-12, "hamiltonian")
-    assert config.schedule(1e-3, "generic", n=2).gamma == 0.1 * 1.25
-    assert sv.SolverConfig(trunc=T).schedule(1e-4, "generic").gamma == 1e-4 ** 0.5
+    assert (sched.max_steps, sched.target_decay) == (7, 1e-12)
+    assert config.schedule(1e-3, n=2).gamma == 0.1 * 1.25
+    assert sv.SolverConfig(trunc=T).schedule(1e-4).gamma == 1e-4 ** 0.5
 
 
 def test_nash_moser_superlinear_order_estimate():
