@@ -13,23 +13,29 @@ over |j| <= n_x, applied by ``scale_modes``.  Regularization step 5 and every
 KAM step are one conjugation, by the Phi of ``near_identity``, through
 ``conjugate``.
 
-``compose`` is one zero-padded FFT convolution over the offset axes (each
-phi-axis padded to a 2-3-5-smooth length >= 8 n_phi + 1, so the full product
-is alias-free), one batched matrix product, and a clip to |l_i| <= 2 n_phi.
-The transforms run in place over the leading offset axes of a reused
-workspace: three padded spectra of the last truncation composed (7 MB at
-nu = 1, n = 16; 72 MB at nu = 2, n = 8), held for the life of the process.
+``compose`` is one zero-padded FFT convolution over the offset axes, one
+batched matrix product, and a clip to |l_i| <= 2 n_phi.  Only the bounding
+box of each operand's nonzero offsets is transformed: a phi-axis on which the
+boxes are a and b offsets wide is padded to the 2-3-5-smooth length
+>= a + b - 1, so the product is alias-free.  Two full tables keep the length
+>= 8 n_phi + 1, and a zero operand runs no transform.  The transforms run in
+place over the leading offset axes of a reused workspace: three buffers, each
+a padded spectrum of two full tables of the last truncation composed (7 MB in
+all at nu = 1, n = 16; 72 MB at nu = 2, n = 8), held for the life of the
+process; a call views the head of each as its own padded shape.
 Offsets outside the Minkowski sum of the operands' nonzero offsets are exact
 zeros, so block sparsity is exact and ``apply`` skips empty offsets; entries
 inside a block carry rounding of order eps |A| |B|, so an entry that is zero
-by structure is not an exact zero.  ``dropped_mass`` is
-the l2 (Parseval) norm of the summed product outside the kept rectangle.
+by structure, or a block whose products cancel, is not an exact zero.
+``dropped_mass`` is the l2 (Parseval) norm of the summed product outside the
+kept rectangle.
 Fourier multipliers, a single diagonal l = 0 block, are applied by
 ``scale_modes`` as row/column scalings.
 """
 
 from __future__ import annotations
 
+import bisect
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -199,19 +205,36 @@ def apply(A: ToplitzOperator, u: FourierField) -> FourierField:
     return FourierField(trunc, out)
 
 
-@lru_cache(maxsize=32)
+# the 2-3-5-smooth integers, ascending
+_SMOOTH = tuple(sorted(2**a * 3**b * 5**c for a in range(20) for b in range(13)
+                       for c in range(9)))
+
+
 def _fft_length(n: int) -> int:
     """Smallest 2-3-5-smooth integer >= n."""
-    return min(k for k in (2**a * 3**b * 5**c for a in range(20) for b in range(13)
-                           for c in range(9)) if k >= n)
+    return _SMOOTH[bisect.bisect_left(_SMOOTH, n)]
+
+
+def _support_box(support: np.ndarray) -> tuple[slice, ...]:
+    """Per offset axis, the slice from the first to the last index of a
+    nonzero block (``support`` is an ``_offset_support`` with a nonzero entry)."""
+    nu = support.ndim
+    box = []
+    for ax in range(nu):
+        hit = np.flatnonzero(support.any(axis=tuple(a for a in range(nu) if a != ax)))
+        box.append(slice(int(hit[0]), int(hit[-1]) + 1))
+    return tuple(box)
 
 
 @lru_cache(maxsize=1)
-def _workspace(shape: tuple[int, ...], thread: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The two operand spectra and the product of ``compose``, held for the
-    last padded shape and thread.  A thread that composes while another does
-    gets buffers of its own; the other keeps its own until it returns."""
-    return tuple(np.empty(shape, dtype=complex) for _ in range(3))
+def _workspace(size: int, thread: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The two operand spectra and the product of ``compose``: three flat
+    buffers of ``size`` elements, the padded spectrum of two full tables of
+    the last truncation composed, held for that size and thread.  A call
+    views the head of each as its own padded shape, which is never larger.
+    A thread that composes while another does gets buffers of its own; the
+    other keeps its own until it returns."""
+    return tuple(np.empty(size, dtype=complex) for _ in range(3))
 
 
 def compose(A: ToplitzOperator, B: ToplitzOperator) -> ToplitzOperator:
@@ -224,30 +247,44 @@ def compose(A: ToplitzOperator, B: ToplitzOperator) -> ToplitzOperator:
     if trunc != B.trunc:
         raise ValueError("truncation mismatch")
     nu, w = trunc.nu, 4 * trunc.n_phi + 1
+    supA, supB = _offset_support(A), _offset_support(B)
+    if not (supA.any() and supB.any()):
+        return ToplitzOperator(trunc, np.zeros_like(A.blocks),
+                               dropped_mass=A.dropped_mass + B.dropped_mass)
+    boxA, boxB = _support_box(supA), _support_box(supB)
     axes = tuple(range(nu))
-    s = (_fft_length(2 * w - 1),) * nu
-    full_l = (slice(0, 2 * w - 1),) * nu
+    # product index k on an axis holds the table index k + a0 + b0 - 2 n_phi
+    wide = [(a.stop - a.start) + (b.stop - b.start) - 1 for a, b in zip(boxA, boxB)]
+    shift = [a.start + b.start - 2 * trunc.n_phi for a, b in zip(boxA, boxB)]
+    s = tuple(_fft_length(n) for n in wide)
+    shape = s + A.blocks.shape[nu:]
+    size = int(np.prod(shape))
+    full_l = tuple(slice(0, n) for n in wide)
 
-    def spectrum(X, buf):
+    def spectrum(X, box, buf):
         buf.fill(0.0)
-        buf[(slice(0, w),) * nu] = X.blocks
+        buf[tuple(slice(0, sl.stop - sl.start) for sl in box)] = X.blocks[box]
         return np.fft.fftn(buf, axes=axes, out=buf)
 
-    FA, FB, P = _workspace(s + A.blocks.shape[nu:], threading.get_ident())
-    FA = spectrum(A, FA)
+    FA, FB, P = (buf[:size].reshape(shape) for buf in _workspace(
+        _fft_length(2 * w - 1) ** nu * int(np.prod(shape[nu:])), threading.get_ident()))
+    FA = spectrum(A, boxA, FA)
     # Up to m = 33 OpenBLAS runs each GEMM of the batch on the calling
     # thread, so no helper threads compete with the process pool of
     # solver.cantor_measure.
-    np.matmul(FA, FA if B is A else spectrum(B, FB), out=P)
+    np.matmul(FA, FA if B is A else spectrum(B, boxB, FB), out=P)
     full = np.fft.ifftn(P, axes=axes, out=P)[full_l]
     # the indicator convolution counts the pairs (l', l - l') of nonzero
     # blocks; a zero count marks an offset that is exactly zero
-    counts = np.fft.irfftn(np.fft.rfftn(_offset_support(A), s, axes)
-                           * np.fft.rfftn(_offset_support(B), s, axes), s, axes)
+    counts = np.fft.irfftn(np.fft.rfftn(supA[boxA], s, axes)
+                           * np.fft.rfftn(supB[boxB], s, axes), s, axes)
     full[counts[full_l] < 0.5] = 0.0
-    window = (slice(w // 2, w // 2 + w),) * nu
-    out = full[window].copy()
-    full[window] = 0.0
+    lo = [max(0, -d) for d in shift]
+    src = tuple(slice(a, max(a, min(n, w - d))) for a, n, d in zip(lo, wide, shift))
+    dst = tuple(slice(sl.start + d, sl.stop + d) for sl, d in zip(src, shift))
+    out = np.zeros_like(A.blocks)
+    out[dst] = full[src]
+    full[src] = 0.0
     # a sum, not np.linalg.norm: BLAS dot products start helper threads
     dropped = float(np.sqrt(np.sum(np.abs(full) ** 2)))
     return ToplitzOperator(trunc, out, dropped_mass=dropped + A.dropped_mass + B.dropped_mass)
@@ -312,11 +349,12 @@ def neumann_inverse(Psi: ToplitzOperator) -> ToplitzOperator:
         raise SeriesRefused(f"Neumann contraction fails: |Psi|_s0 = {norm0:.3f} >= 1/2")
     negPsi = Psi.scale(-1.0)
     out = identity(Psi.trunc)
-    # the series starts at the first power, so nothing is composed with I
+    # the series starts at the first power, so nothing is composed with I,
+    # and the first term's norm is norm0
     for k in range(NEUMANN_MAX_TERMS):
         term = negPsi if k == 0 else compose(term, negPsi)
         out = add(out, term)
-        if decay_norm(term, s0) < NEUMANN_TOL:
+        if (norm0 if k == 0 else decay_norm(term, s0)) < NEUMANN_TOL:
             break
     else:
         raise SeriesCapError("Neumann series did not converge within the term cap")
@@ -335,11 +373,12 @@ def matrix_exponential(Psi: ToplitzOperator) -> ToplitzOperator:
     scaled = Psi.scale(0.5**k)
     out = identity(Psi.trunc)
     fact = 1.0
+    # a power-of-two scaling is exact, so |scaled|_s0 is norm0 2^-k
     for n in range(1, 30):
         term = scaled if n == 1 else compose(term, scaled)
         fact /= n
         out = add(out, term.scale(fact))
-        if decay_norm(term, s0) * fact < EXP_TERM_TOL:
+        if (norm0 * 0.5**k if n == 1 else decay_norm(term, s0)) * fact < EXP_TERM_TOL:
             break
     for _ in range(k):
         out = compose(out, out)

@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,15 +200,29 @@ def _sparse_toeplitz(trunc, rng, band):
     return op.ToplitzOperator(trunc, blocks)
 
 
+def _reach(A, B):
+    """The kept offsets that some pair of nonzero blocks of A and B sums to."""
+    trunc = A.trunc
+    nu, w = trunc.nu, 4 * trunc.n_phi + 1
+    reach = np.zeros((2 * w - 1,) * nu, dtype=bool)
+    for offA in np.argwhere(_offset_support(A.blocks, nu)):
+        reach[tuple(slice(o, o + w) for o in offA)] |= _offset_support(B.blocks, nu)
+    return reach[(slice(2 * trunc.n_phi, 2 * trunc.n_phi + w),) * nu]
+
+
 def _check_against_direct(A, B):
     C = op.compose(A, B)
     ref, dropped = _compose_direct(A, B)
     assert np.max(np.abs(C.blocks - ref)) <= 1e-13 * np.max(np.abs(ref))
     # FFT rounding fills entries inside a block, so sparsity is compared per
-    # offset: exactly the offsets of nonzero products keep a nonzero block
+    # offset: the offsets of nonzero products keep a nonzero block, and those
+    # no pair of nonzero blocks reaches are exact zeros.  A reached offset
+    # whose block products cancel exactly keeps rounding (checked above).
     nu = A.trunc.nu
     support = _offset_support(ref, nu)
-    assert np.array_equal(_offset_support(C.blocks, nu), support)
+    got = _offset_support(C.blocks, nu)
+    assert not (support & ~got).any()
+    assert not (got & ~_reach(A, B)).any()
     assert abs(C.dropped_mass - dropped) <= 1e-12 * dropped
     return support, dropped
 
@@ -220,23 +235,41 @@ def test_compose_matches_direct_kernel(trunc):
     support, dropped = _check_against_direct(A, B)
     assert support.any()
     assert dropped > 0
-    # operands with only the center block nonzero, and with no nonzero block
+    # operands with only the center block nonzero, with no nonzero block, and
+    # with dense blocks on a box of offsets touching the edges (its own width
+    # per axis at nu = 2)
     M = op.from_multiplier(trunc, lambda j: 0.0 if j == 0 else 1.0 / (1.0 + j * j))
     Z = op.ToplitzOperator(trunc, np.zeros(op._block_shape(trunc), dtype=complex))
-    for X, Y in [(A, M), (M, A), (M, M), (A, Z), (Z, A)]:
-        _check_against_direct(X, Y)
+    w = 4 * trunc.n_phi + 1
+    X = _box_toeplitz(trunc, rng, (slice(0, 3), slice(w - 5, w))[: trunc.nu])
+    for P, Q in [(A, M), (M, A), (M, M), (A, Z), (Z, A), (A, X), (X, A), (X, X), (X, M)]:
+        _check_against_direct(P, Q)
     # A's empty offsets stay empty in a product with the center block
     support, _ = _check_against_direct(A, M)
     assert support.any() and not support.all()
 
 
+def _box_toeplitz(trunc, rng, box):
+    """Random dense blocks on the offset indices ``box`` (one slice per axis), zero elsewhere."""
+    shape = op._block_shape(trunc)
+    blocks = np.zeros(shape, dtype=complex)
+    sub = blocks[box].shape
+    blocks[box] = rng.standard_normal(sub) + 1j * rng.standard_normal(sub)
+    return op.ToplitzOperator(trunc, blocks)
+
+
 def _operand(trunc, kind, rng):
-    """A compose operand of the given kind: a random sparse table, a single
-    nonzero offset, no nonzero offset, or a single offset on the edge
-    |l|_inf = 2 n_phi, whose products mostly leave the kept window."""
+    """A compose operand of the given kind: a random sparse table, dense
+    blocks on a random box of offsets (its own width per axis, possibly
+    touching the edge), a single nonzero offset, no nonzero offset, or a
+    single offset on the edge |l|_inf = 2 n_phi, whose products mostly leave
+    the kept window."""
     shape = op._block_shape(trunc)
     if kind == "sparse":
         return _sparse_toeplitz(trunc, rng, band=int(rng.integers(0, shape[-1])))
+    if kind == "box":
+        ends = np.sort(rng.integers(0, shape[0], size=(trunc.nu, 2)), axis=1)
+        return _box_toeplitz(trunc, rng, tuple(slice(a, b + 1) for a, b in ends))
     blocks = np.zeros(shape, dtype=complex)
     if kind != "zero":
         off = rng.integers(0, shape[0], size=trunc.nu)
@@ -246,7 +279,7 @@ def _operand(trunc, kind, rng):
     return op.ToplitzOperator(trunc, blocks)
 
 
-KINDS = st.sampled_from(["sparse", "single", "zero", "edge"])
+KINDS = st.sampled_from(["sparse", "box", "single", "zero", "edge"])
 
 
 @settings(max_examples=40, deadline=None)
@@ -256,6 +289,86 @@ def test_property_compose_matches_direct_kernel(nu, n_phi, n_x, kind_a, kind_b, 
     trunc = Truncation(nu, n_phi, n_x)
     rng = np.random.default_rng(seed)
     _check_against_direct(_operand(trunc, kind_a, rng), _operand(trunc, kind_b, rng))
+
+
+def test_compose_of_blocks_whose_products_cancel():
+    # A on l = -4, -2 and B on l = 1, 4: the pairs reaching l = 0 and 2
+    # multiply e0 e0^T by e1 e1^T, exactly zero, so the direct kernel leaves
+    # those offsets empty where the FFT leaves rounding; offsets no pair
+    # reaches stay exact zeros
+    trunc = Truncation(1, 4, 1)
+    rng = np.random.default_rng(0)
+    blocks = np.zeros((2,) + op._block_shape(trunc), dtype=complex)
+    blocks[0, 4, 0, 0], blocks[0, 6, 0, 0], blocks[1, 12, 1, 1] = 1.3 + 0.7j, -0.4 + 2j, 0.9 - 1.1j
+    blocks[1, 9] = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    A, B = (op.ToplitzOperator(trunc, b) for b in blocks)
+    support, _ = _check_against_direct(A, B)
+    assert np.array_equal(np.flatnonzero(support), [5, 7])
+    assert np.array_equal(np.flatnonzero(_reach(A, B)), [5, 7, 8, 10])
+
+
+def test_compose_transforms_only_the_support_boxes(monkeypatch):
+    trunc = Truncation(1, 16, 16)
+    rng = np.random.default_rng(13)
+    near = (slice(28, 37),)  # |l| <= 4
+    A, B = _box_toeplitz(trunc, rng, near), _box_toeplitz(trunc, rng, near)
+    lengths = []
+    fftn = np.fft.fftn
+
+    def spy(a, *args, axes=None, **kwargs):
+        lengths.append(tuple(a.shape[ax] for ax in axes))
+        return fftn(a, *args, axes=axes, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fftn", spy)
+    _check_against_direct(A, B)
+    # boxes 9 offsets wide: 17 product offsets, padded to 18 (full tables: 135)
+    assert lengths == [(18,), (18,)]
+    D = random_toeplitz(trunc, rng)
+    lengths.clear()
+    op.compose(D, D)
+    assert lengths == [(135,)]
+    # a zero operand transforms nothing and gives exact zeros
+    A = op.ToplitzOperator(trunc, A.blocks, dropped_mass=0.25)
+    Z = op.ToplitzOperator(trunc, np.zeros(op._block_shape(trunc), dtype=complex), 0.5)
+    lengths.clear()
+    for C in (op.compose(A, Z), op.compose(Z, A)):
+        assert not C.blocks.any()
+        assert C.dropped_mass == 0.75
+    assert lengths == []
+
+
+def test_compose_allocates_no_padded_spectrum():
+    trunc = Truncation(1, 16, 16)
+    rng = np.random.default_rng(14)
+    boxes = [(slice(28, 37),), (slice(24, 41),), (slice(16, 49),), (slice(0, 65),),
+             (slice(40, 65),)]
+    pairs = [(_box_toeplitz(trunc, rng, a), _box_toeplitz(trunc, rng, b))
+             for a, b in zip(boxes, boxes[1:] + boxes[:1])]
+    for A, B in pairs:
+        op.compose(A, B)  # the workspace is made here
+    table = A.blocks.nbytes
+    spectrum = 135 * 33 * 33 * 16
+    tracemalloc.start()
+    try:
+        for A, B in pairs:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            C = op.compose(A, B)
+            assert tracemalloc.get_traced_memory()[1] - base < table + spectrum
+            del C
+    finally:
+        tracemalloc.stop()
+
+
+def test_series_first_term_norms_are_exact_scalings():
+    # neumann_inverse and matrix_exponential reuse |Psi|_s0 for their first
+    # term, -Psi and Psi 2^-k, which is bitwise right
+    for trunc in [T, Truncation(2, 3, 3)]:
+        Psi = random_toeplitz(trunc, np.random.default_rng(15), scale=0.3)
+        norm0 = op.decay_norm(Psi, trunc.s0)
+        assert op.decay_norm(Psi.scale(-1.0), trunc.s0) == norm0
+        for k in range(6):
+            assert op.decay_norm(Psi.scale(0.5**k), trunc.s0) == norm0 * 0.5**k
 
 
 def test_compose_is_bit_identical_across_calls():
@@ -275,9 +388,9 @@ WORKSPACE_TRUNCS = [Truncation(1, 16, 16), Truncation(2, 4, 4)]
 def _workspace_of(trunc):
     """The buffers the last compose at ``trunc`` used (a cache hit, not new ones)."""
     w = 4 * trunc.n_phi + 1
-    shape = (op._fft_length(2 * w - 1),) * trunc.nu + (2 * trunc.n_x + 1,) * 2
+    size = op._fft_length(2 * w - 1) ** trunc.nu * (2 * trunc.n_x + 1) ** 2
     misses = op._workspace.cache_info().misses
-    bufs = op._workspace(shape, threading.get_ident())
+    bufs = op._workspace(size, threading.get_ident())
     assert op._workspace.cache_info().misses == misses
     return bufs
 
