@@ -47,6 +47,7 @@ from .spectral import FourierField, Frequency, NumericalFailure, Truncation, ind
 __all__ = [
     "ToplitzOperator",
     "freeze",
+    "offset_phases",
     "identity",
     "from_multiplication",
     "from_multiplier",
@@ -116,6 +117,20 @@ class ToplitzOperator:
         return add(self, other.scale(-1.0))
 
 
+def offset_phases(offsets: tuple[int, ...], theta) -> np.ndarray:
+    """e^{i l.theta} over the centered offsets l of a table whose leading axes
+    have the shape ``offsets``, one flattened row per angle: (offsets,) at one
+    angle theta (shape (nu,)), (k, offsets) for a batch (shape (k, nu))."""
+    theta = np.asarray(theta, dtype=float)
+    angles = theta.reshape(-1, len(offsets))
+    phases = np.ones((len(angles), 1), dtype=complex)
+    for ax, size in enumerate(offsets):
+        half = size // 2
+        e = np.exp(1j * np.outer(angles[:, ax], np.arange(-half, half + 1)))
+        phases = (phases[:, :, None] * e[:, None, :]).reshape(len(angles), -1)
+    return phases.reshape(theta.shape[:-1] + (-1,))
+
+
 def freeze(table: np.ndarray, theta) -> np.ndarray:
     """sum_l e^{i l.theta} table[l] at one angle theta (shape (nu,)) or a batch
     (shape (k, nu)), as one (angles x offsets) @ (offsets x rest) product.
@@ -124,12 +139,7 @@ def freeze(table: np.ndarray, theta) -> np.ndarray:
     table of a ToplitzOperator or the coefficient table of a FourierField."""
     theta = np.asarray(theta, dtype=float)
     nu = theta.shape[-1]
-    angles = theta.reshape(-1, nu)
-    phases = np.ones((len(angles), 1), dtype=complex)
-    for ax in range(nu):
-        half = table.shape[ax] // 2
-        e = np.exp(1j * np.outer(angles[:, ax], np.arange(-half, half + 1)))
-        phases = (phases[:, :, None] * e[:, None, :]).reshape(len(angles), -1)
+    phases = offset_phases(table.shape[:nu], theta.reshape(-1, nu))
     out = phases @ table.reshape(phases.shape[1], -1)
     return out.reshape(theta.shape[:-1] + table.shape[nu:])
 

@@ -43,6 +43,7 @@ __all__ = [
     "multiply",
     "x_average",
     "random_real_field",
+    "check_real",
     "field_to_json",
     "field_from_json",
 ]
@@ -267,9 +268,11 @@ def dot_l(w, n: int) -> np.ndarray:
 # grid transforms
 
 
-def _stacked(f) -> tuple[Truncation, np.ndarray, bool]:
-    """(truncation, stacked coefficient tables, whether f is a sequence) for real field(s) of one truncation."""
-    fields = [f] if isinstance(f, FourierField) else list(f)
+def check_real(fields) -> np.ndarray:
+    """Stacked coefficient tables of a sequence of real fields of one truncation.
+    A field whose Hermitian defect max|c[l, j] - conj c[-l, -j]| exceeds
+    1e-10 x max(1, max|c|) is refused with a ValueError that names the defect."""
+    fields = list(fields)
     for g in fields[1:]:
         _check_same(fields[0].trunc, g.trunc)
     c = np.stack([g.c for g in fields])
@@ -277,7 +280,13 @@ def _stacked(f) -> tuple[Truncation, np.ndarray, bool]:
     defect = np.abs(flat - flat[:, ::-1].conj()).max(axis=1)
     if defect.max() > 1e-10 and np.any(defect > 1e-10 * np.maximum(1.0, np.abs(flat).max(axis=1))):
         raise ValueError(f"field is not real (Hermitian defect {defect.max():.2e})")
-    return fields[0].trunc, c, not isinstance(f, FourierField)
+    return c
+
+
+def _stacked(f) -> tuple[Truncation, np.ndarray, bool]:
+    """(truncation, stacked coefficient tables, whether f is a sequence) for real field(s) of one truncation."""
+    fields = [f] if isinstance(f, FourierField) else list(f)
+    return fields[0].trunc, check_real(fields), not isinstance(f, FourierField)
 
 
 @lru_cache(maxsize=32)

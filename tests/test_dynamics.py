@@ -1,4 +1,7 @@
 import math
+import resource
+import sys
+import time
 import tracemalloc
 from types import SimpleNamespace
 
@@ -377,6 +380,49 @@ def test_step_table_is_exact_off_grid(nu):
         assert np.max(np.abs(opalg.freeze(table, phi) - D)) <= 1e-14 * np.max(np.abs(D))
 
 
+@pytest.mark.parametrize("nu", [1, 2])
+@pytest.mark.parametrize("t0", [0.0, 2.7])
+def test_chunk_matrices_match_direct_freeze(nu, t0):
+    # 334 steps: five whole chunks and a ragged last one of 14; the rows j < 0
+    # are the mirror of the rows j >= 0, not frozen themselves
+    n_x, dt, steps = 3, 0.003, 334
+    coeffs, _ = _random_problem(nu, n_x, 30 + nu)
+    freq = Frequency.default(nu, lam=0.8)
+    table = dyn._step_table(coeffs, freq, dt)
+    frozen = dyn._chunk_freezer(table, freq.omega, dt)
+    airy = 1j * np.arange(-n_x, n_x + 1).astype(float) ** 3
+    for n0 in range(0, steps, dyn._CHUNK):
+        t = t0 + np.arange(n0, min(n0 + dyn._CHUNK, steps)) * dt
+        ph = np.exp(airy * t[:, None])
+        direct = opalg.freeze(table, np.multiply.outer(t, freq.omega))
+        direct *= ph[:, None, :] * np.conj(ph)[:, :, None]
+        got = frozen(t)
+        scale = np.max(np.abs(direct))
+        assert got.shape == direct.shape
+        assert np.max(np.abs(got - direct)) <= 1e-14 * scale
+        assert np.max(np.abs(got[:, :n_x] - direct[:, :n_x])) <= 1e-14 * scale
+        assert np.array_equal(got[:, :n_x], np.conj(got[:, :n_x:-1, ::-1]))
+    assert len(t) == steps % dyn._CHUNK
+
+
+def test_integrate_refuses_non_real_coefficients():
+    # the mirrored rows hold only for real coefficients
+    trunc = Truncation(1, 2, 2)
+    z = zero_field(trunc)
+    c = np.zeros(trunc.shape, dtype=complex)
+    c[3, 2] = 0.5  # e^{i phi} alone, without its conjugate
+    h0 = dyn.random_phase_state(trunc.n_x, np.random.default_rng(7))
+    with pytest.raises(ValueError, match=r"Hermitian defect 5\.00e-01"):
+        dyn.integrate_linear((z, z, z, FourierField(trunc, c)), FREQ, h0, 1.0, 0.01)
+    with pytest.raises(ValueError, match="Hermitian defect"):
+        dyn.integrate_linear((FourierField(trunc, 1e-3j * c), z, z, z), FREQ, h0, 1.0, 0.01)
+    # a defect at the rounding level of the field passes, as in synthesize
+    a0 = FourierField.from_modes(trunc, {(1, 0): 0.5})
+    noisy = FourierField(trunc, a0.c + 1e-12 * c)
+    _, states = dyn.integrate_linear((z, z, z, noisy), FREQ, h0, 1.0, 0.01)
+    assert np.isfinite(states).all()
+
+
 def test_integrate_peak_memory_is_the_trajectory_and_a_few_chunks():
     # budget: the trajectory plus six arrays of 64 step matrices; the step
     # table's build temporaries and chunks much longer than 64 steps exceed it
@@ -504,3 +550,21 @@ def test_trajectory_csv_roundtrip(tmp_path):
     assert len(lines) == len(rep["samples"]) + 1
     first = [float(x) for x in lines[1].split(",")]
     assert first[0] == 0.0 and first[1] == pytest.approx(dyn.profile_norm(h0, 1.0))
+
+
+if __name__ == "__main__":
+    # the long-time stability step of CI: PYTHONPATH=src python tests/test_dynamics.py <T> <seconds>
+    # criterion 9's problem and gates, as in the acceptance test and the stability benchmark
+    span, limit = float(sys.argv[1]), float(sys.argv[2])
+    rg, red = pipeline(1e-3, gamma=0.01)
+    h0 = dyn.random_phase_state(T.n_x, np.random.default_rng(9), decay=3.0)
+    start = time.perf_counter()
+    rep = dyn.stability_report(rg, red, FREQ, h0, T=span, s=2.0, dt=0.01)
+    wall = time.perf_counter() - start
+    mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    ok = (rep["v_drift"] < 1e-8 and 0.9 <= rep["ratio_max"] <= 1.1
+          and rep["endpoint_discrepancy"] < 1e-4)
+    print(f"stability_report at T = {span:g}: {wall:.2f} s (limit {limit:g}), peak RSS {mb:.0f} MB, "
+          f"v_drift {rep['v_drift']:.2e}, ratio_max {rep['ratio_max']:.9f}, "
+          f"endpoint discrepancy {rep['endpoint_discrepancy']:.2e}")
+    sys.exit(0 if ok and wall <= limit else 1)
