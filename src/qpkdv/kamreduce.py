@@ -63,6 +63,9 @@ __all__ = [
 #: |j^3 - k^3| <= 8 |omega_bar . l| when restricting divisor scans
 LOCALITY_SAFETY = 2.0
 
+#: the paper's growth exponent chi = 3/2 of the cutoffs N_k = N0^(chi^k)
+CHI = 1.5
+
 
 class ReductionError(NumericalFailure, RuntimeError):
     """Base class for failures of the iterative diagonalization."""
@@ -85,7 +88,6 @@ class IterationSchedule:
     """Truncation/contraction schedule N_nu = N0^(chi^nu) with divisor bounds."""
 
     N0: int = 4
-    chi: float = 1.5
     gamma: float = 0.05
     tau: float = 3.0
     max_steps: int = 12
@@ -94,7 +96,7 @@ class IterationSchedule:
 
     def N(self, k: int) -> int:
         """N_k = N0^(chi^k), rounded."""
-        return round(float(self.N0) ** (self.chi**k))
+        return round(float(self.N0) ** (CHI**k))
 
     def cutoff(self, nu_step: int, n_phi: int) -> int:
         """Time-truncation N_nu, capped where the complement projector dies."""

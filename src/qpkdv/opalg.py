@@ -13,20 +13,21 @@ over |j| <= n_x, applied by ``scale_modes``.  Regularization step 5 and every
 KAM step are one conjugation, by the Phi of ``near_identity``, through
 ``conjugate``.
 
-``compose`` is one zero-padded FFT convolution over the offset axes, one
-batched matrix product, and a clip to |l_i| <= 2 n_phi.  Only the bounding
-box of each operand's nonzero offsets is transformed: a phi-axis on which the
-boxes are a and b offsets wide is padded to the 2-3-5-smooth length
->= a + b - 1, so the product is alias-free.  Two full tables keep the length
->= 8 n_phi + 1, and a zero operand runs no transform.  The transforms run in
+``apply`` and ``compose`` share one offset convolution: a zero-padded FFT
+over the offset axes, one batched matrix product, and a clip to the right
+operand's rectangle (for ``apply`` the field's, an m x 1 block per l).  Only
+the bounding box of each operand's nonzero offsets is transformed: a phi-axis
+on which the boxes are a and b offsets wide is padded to the 2-3-5-smooth
+length >= a + b - 1 (>= 8 n_phi + 1 for two full tables), so the product
+is alias-free, and a zero operand runs no transform.  The transforms run in
 place over the leading offset axes of a reused workspace: three buffers, each
 a padded spectrum of two full tables of the last truncation composed (7 MB in
 all at nu = 1, n = 16; 72 MB at nu = 2, n = 8), held for the life of the
 process; a call views the head of each as its own padded shape.
 Offsets outside the Minkowski sum of the operands' nonzero offsets are exact
-zeros, so block sparsity is exact and ``apply`` skips empty offsets; entries
-inside a block carry rounding of order eps |A| |B|, so an entry that is zero
-by structure, or a block whose products cancel, is not an exact zero.
+zeros, so block sparsity is exact; entries inside a block carry rounding of
+order eps |A| |B|, so an entry that is zero by structure, or a block whose
+products cancel, is not an exact zero.
 ``dropped_mass`` is the l2 (Parseval) norm of the summed product outside the
 kept rectangle.
 Fourier multipliers, a single diagonal l = 0 block, are applied by
@@ -108,7 +109,7 @@ class ToplitzOperator:
         self.blocks.setflags(write=False)
 
     def scale(self, a: complex) -> "ToplitzOperator":
-        return ToplitzOperator(self.trunc, self.blocks * a)
+        return ToplitzOperator(self.trunc, self.blocks * a, abs(a) * self.dropped_mass)
 
     def __add__(self, other: "ToplitzOperator") -> "ToplitzOperator":
         return add(self, other)
@@ -193,26 +194,9 @@ def pi0_symbol(j: int) -> float:
 # action and composition
 
 
-def _offset_support(A: ToplitzOperator) -> np.ndarray:
-    """Boolean table of the offsets l whose block is not identically zero."""
-    nu = A.trunc.nu
-    return A.blocks.reshape(A.blocks.shape[:nu] + (-1,)).any(axis=-1)
-
-
-def apply(A: ToplitzOperator, u: FourierField) -> FourierField:
-    """(Au)_{l1,j1} = sum_{l2,j2} A^{j2}_{j1}(l1-l2) u_{l2,j2}, clipped to the rectangle."""
-    trunc = A.trunc
-    if trunc != u.trunc:
-        raise ValueError("truncation mismatch between operator and field")
-    W = 2 * trunc.n_phi + 1
-    out = np.zeros(trunc.shape, dtype=complex)
-    for off in np.argwhere(_offset_support(A)):
-        # output index l1 = l2 + l must stay within |l1_i| <= n_phi
-        l = off - 2 * trunc.n_phi
-        src = tuple(slice(max(0, -li), min(W, W - li)) for li in l)
-        dst = tuple(slice(sl.start + li, sl.stop + li) for sl, li in zip(src, l))
-        out[dst] += u.c[src] @ A.blocks[tuple(off)].T
-    return FourierField(trunc, out)
+def _offset_support(table: np.ndarray) -> np.ndarray:
+    """Boolean table of the offsets l whose block (the last two axes) is not all zero."""
+    return table.reshape(table.shape[:-2] + (-1,)).any(axis=-1)
 
 
 # the 2-3-5-smooth integers, ascending
@@ -238,13 +222,68 @@ def _support_box(support: np.ndarray) -> tuple[slice, ...]:
 
 @lru_cache(maxsize=1)
 def _workspace(size: int, thread: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The two operand spectra and the product of ``compose``: three flat
+    """The two operand spectra and the product of ``_convolve``: three flat
     buffers of ``size`` elements, the padded spectrum of two full tables of
     the last truncation composed, held for that size and thread.  A call
     views the head of each as its own padded shape, which is never larger.
-    A thread that composes while another does gets buffers of its own; the
+    A thread that convolves while another does gets buffers of its own; the
     other keeps its own until it returns."""
     return tuple(np.empty(size, dtype=complex) for _ in range(3))
+
+
+def _convolve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """sum_{l'} a(l') @ b(l - l') over centered offsets, clipped to b's offset
+    rectangle, and the l2 norm of the product outside it: ``a`` is a full block
+    table, ``b`` an m x k block per offset of its own odd-width rectangle."""
+    nu, w = a.ndim - 2, a.shape[0]
+    out = np.zeros(b.shape, dtype=complex)
+    supA, supB = _offset_support(a), _offset_support(b)
+    if not (supA.any() and supB.any()):
+        return out, 0.0
+    boxA, boxB = _support_box(supA), _support_box(supB)
+    axes = tuple(range(nu))
+    # product index k on an axis holds the offset k + a0 - w//2 + b0 - c//2,
+    # which is the output index k + a0 + b0 - w//2 on b's width c
+    wide = [(p.stop - p.start) + (q.stop - q.start) - 1 for p, q in zip(boxA, boxB)]
+    shift = [p.start + q.start - w // 2 for p, q in zip(boxA, boxB)]
+    s = tuple(_fft_length(n) for n in wide)
+    full_l = tuple(slice(0, n) for n in wide)
+
+    def spectrum(x, box, buf):
+        buf.fill(0.0)
+        buf[tuple(slice(0, sl.stop - sl.start) for sl in box)] = x[box]
+        return np.fft.fftn(buf, axes=axes, out=buf)
+
+    bufs = _workspace(_fft_length(2 * w - 1) ** nu * a.shape[-1] ** 2, threading.get_ident())
+    FA, FB, P = (buf[:int(np.prod(s + x.shape[nu:]))].reshape(s + x.shape[nu:])
+                 for buf, x in zip(bufs, (a, b, b)))
+    FA = spectrum(a, boxA, FA)
+    # Up to m = 33 OpenBLAS runs each GEMM of the batch on the calling
+    # thread, so no helper threads compete with the process pool of
+    # solver.cantor_measure.
+    np.matmul(FA, FA if b is a else spectrum(b, boxB, FB), out=P)
+    full = np.fft.ifftn(P, axes=axes, out=P)[full_l]
+    # the indicator convolution counts the pairs (l', l - l') of nonzero
+    # blocks; a zero count marks an offset that is exactly zero
+    counts = np.fft.irfftn(np.fft.rfftn(supA[boxA], s, axes)
+                           * np.fft.rfftn(supB[boxB], s, axes), s, axes)
+    full[counts[full_l] < 0.5] = 0.0
+    lo = [max(0, -d) for d in shift]
+    src = tuple(slice(i, max(i, min(n, c - d)))
+                for i, n, c, d in zip(lo, wide, b.shape, shift))
+    dst = tuple(slice(sl.start + d, sl.stop + d) for sl, d in zip(src, shift))
+    out[dst] = full[src]
+    full[src] = 0.0
+    # a sum, not np.linalg.norm: BLAS dot products start helper threads
+    return out, float(np.sqrt(np.sum(np.abs(full) ** 2)))
+
+
+def apply(A: ToplitzOperator, u: FourierField) -> FourierField:
+    """(Au)_{l1,j1} = sum_{l2,j2} A^{j2}_{j1}(l1-l2) u_{l2,j2}, clipped to the rectangle."""
+    if A.trunc != u.trunc:
+        raise ValueError("truncation mismatch between operator and field")
+    out, _ = _convolve(A.blocks, u.c[..., None])
+    return FourierField(A.trunc, out[..., 0])
 
 
 def compose(A: ToplitzOperator, B: ToplitzOperator) -> ToplitzOperator:
@@ -253,51 +292,10 @@ def compose(A: ToplitzOperator, B: ToplitzOperator) -> ToplitzOperator:
     The l2 norm of the product beyond the doubled rectangle is added to the
     operands' dropped_mass.
     """
-    trunc = A.trunc
-    if trunc != B.trunc:
+    if A.trunc != B.trunc:
         raise ValueError("truncation mismatch")
-    nu, w = trunc.nu, 4 * trunc.n_phi + 1
-    supA, supB = _offset_support(A), _offset_support(B)
-    if not (supA.any() and supB.any()):
-        return ToplitzOperator(trunc, np.zeros_like(A.blocks),
-                               dropped_mass=A.dropped_mass + B.dropped_mass)
-    boxA, boxB = _support_box(supA), _support_box(supB)
-    axes = tuple(range(nu))
-    # product index k on an axis holds the table index k + a0 + b0 - 2 n_phi
-    wide = [(a.stop - a.start) + (b.stop - b.start) - 1 for a, b in zip(boxA, boxB)]
-    shift = [a.start + b.start - 2 * trunc.n_phi for a, b in zip(boxA, boxB)]
-    s = tuple(_fft_length(n) for n in wide)
-    shape = s + A.blocks.shape[nu:]
-    size = int(np.prod(shape))
-    full_l = tuple(slice(0, n) for n in wide)
-
-    def spectrum(X, box, buf):
-        buf.fill(0.0)
-        buf[tuple(slice(0, sl.stop - sl.start) for sl in box)] = X.blocks[box]
-        return np.fft.fftn(buf, axes=axes, out=buf)
-
-    FA, FB, P = (buf[:size].reshape(shape) for buf in _workspace(
-        _fft_length(2 * w - 1) ** nu * int(np.prod(shape[nu:])), threading.get_ident()))
-    FA = spectrum(A, boxA, FA)
-    # Up to m = 33 OpenBLAS runs each GEMM of the batch on the calling
-    # thread, so no helper threads compete with the process pool of
-    # solver.cantor_measure.
-    np.matmul(FA, FA if B is A else spectrum(B, boxB, FB), out=P)
-    full = np.fft.ifftn(P, axes=axes, out=P)[full_l]
-    # the indicator convolution counts the pairs (l', l - l') of nonzero
-    # blocks; a zero count marks an offset that is exactly zero
-    counts = np.fft.irfftn(np.fft.rfftn(supA[boxA], s, axes)
-                           * np.fft.rfftn(supB[boxB], s, axes), s, axes)
-    full[counts[full_l] < 0.5] = 0.0
-    lo = [max(0, -d) for d in shift]
-    src = tuple(slice(a, max(a, min(n, w - d))) for a, n, d in zip(lo, wide, shift))
-    dst = tuple(slice(sl.start + d, sl.stop + d) for sl, d in zip(src, shift))
-    out = np.zeros_like(A.blocks)
-    out[dst] = full[src]
-    full[src] = 0.0
-    # a sum, not np.linalg.norm: BLAS dot products start helper threads
-    dropped = float(np.sqrt(np.sum(np.abs(full) ** 2)))
-    return ToplitzOperator(trunc, out, dropped_mass=dropped + A.dropped_mass + B.dropped_mass)
+    out, dropped = _convolve(A.blocks, B.blocks)
+    return ToplitzOperator(A.trunc, out, dropped_mass=dropped + A.dropped_mass + B.dropped_mass)
 
 
 def scale_modes(A: ToplitzOperator, rows=None, cols=None) -> ToplitzOperator:

@@ -78,7 +78,6 @@ class SolverConfig:
     a: float = 0.5
     tau: float | None = None  # None: nu + 2
     N0: int = 4
-    chi: float = 1.5
     tol_res: float | None = None  # None: 1e-10 (1 + |F(0)|_{s0})
     max_iters: int = 12
     kam_target: float = 1e-12
@@ -96,7 +95,7 @@ class SolverConfig:
         if n is not None:
             gamma *= 1.0 + 0.5**n
         return km.IterationSchedule(
-            N0=self.N0, chi=self.chi, gamma=gamma, tau=tau,
+            N0=self.N0, gamma=gamma, tau=tau,
             max_steps=self.kam_max_steps, target_decay=self.kam_target,
         )
 

@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -421,23 +420,19 @@ def test_reduce_numerical_failure_is_an_error_not_an_exclusion(tmp_path, monkeyp
 
 
 @pytest.mark.parametrize("subcommand", ["reduce", "stability"])
-def test_solver_config_chi_reaches_schedule(tmp_path, monkeypatch, subcommand):
-    real_config, real_reduce = cli.ExperimentConfig.solver_config, km.reduce
+def test_solver_config_reaches_schedule(tmp_path, monkeypatch, subcommand):
+    real_reduce = km.reduce
     seen = []
-
-    def with_chi(self):
-        return replace(real_config(self), chi=1.3)
 
     def recording(rg, freq, schedule):
         seen.append(schedule)
         return real_reduce(rg, freq, schedule)
 
-    monkeypatch.setattr(cli.ExperimentConfig, "solver_config", with_chi)
     monkeypatch.setattr(km, "reduce", recording)
-    cfg = write_config(tmp_path)
+    cfg = write_config(tmp_path, kam={"N0": 3})
     out = tmp_path / subcommand
     assert cli.main([subcommand, "--config", str(cfg), "--out", str(out)]) == 0
-    assert seen and all(s.chi == 1.3 for s in seen)
+    assert seen and all(s.N0 == 3 for s in seen)
 
 
 # ------------------------------------------------------------------- fuzz

@@ -536,6 +536,27 @@ def test_stability_report_pipeline():
     assert rep["samples"][-1]["t"] == pytest.approx(20.0)
 
 
+def test_stability_report_at_nu2():
+    # the solve-nu2-n4 benchmark problem, reduced at gamma = 0.01, under the
+    # benchmark's stability gates
+    trunc, freq = Truncation(2, 4, 4), Frequency.default(2, lam=0.8)
+    spec = nonlin.parse_nonlinearity(
+        "10 * cos(phi_1) * sin(x) + 10 * cos(phi_2) * sin(x) + z0^2 * z3", "raw_f", epsilon=1e-3)
+    rep = sv.nash_moser(spec, freq, sv.SolverConfig(trunc=trunc))
+    assert rep.converged
+    rg = reg.regularize_at(spec, freq, rep.solution)
+    red = km.reduce(rg, freq, km.IterationSchedule(gamma=0.01))
+    assert red.exclusion is None
+    chain = dyn.FrozenChain.at_time(rg, red, np.array([0.0, 2.4, 42.3]))
+    assert np.max(np.abs(chain.inverse @ chain.forward - np.eye(2 * trunc.n_x + 1))) < 1e-14
+    h0 = dyn.random_phase_state(trunc.n_x, np.random.default_rng(9), decay=3.0)
+    rep = dyn.stability_report(rg, red, freq, h0, T=20.0, s=2.0, dt=0.01)
+    assert rep["v_drift"] < 1e-8
+    assert 0.9 <= rep["ratio_max"] <= 1.1
+    assert rep["endpoint_discrepancy"] < 1e-4
+    assert rep["samples"][-1]["t"] == pytest.approx(20.0)
+
+
 def test_trajectory_csv_roundtrip(tmp_path):
     rg, red = pipeline(1e-3)
     h0 = dyn.random_phase_state(T.n_x, np.random.default_rng(10), decay=3.0)

@@ -371,6 +371,18 @@ def test_series_first_term_norms_are_exact_scalings():
             assert op.decay_norm(Psi.scale(0.5**k), trunc.s0) == norm0 * 0.5**k
 
 
+def test_scale_carries_dropped_mass():
+    rng = np.random.default_rng(16)
+    A = random_toeplitz(T, rng)
+    C = op.compose(A, A)
+    assert C.dropped_mass > 0
+    for a in (-1.0, 0.5, 2j, 0.0):
+        assert C.scale(a).dropped_mass == abs(a) * C.dropped_mass
+    B = op.ToplitzOperator(T, A.blocks, dropped_mass=0.25)
+    assert (C - B).dropped_mass == C.dropped_mass + 0.25
+    assert op.neumann_inverse(B.scale(0.01)).dropped_mass > 0
+
+
 def test_compose_is_bit_identical_across_calls():
     trunc = Truncation(2, 3, 3)
     rng = np.random.default_rng(8)
@@ -439,13 +451,18 @@ def test_compose_is_bit_identical_across_interleaved_truncations():
 
 def test_compose_is_bit_identical_across_threads():
     pairs = [_workspace_operands(trunc, 7) for trunc in WORKSPACE_TRUNCS]
+    fields = [random_real_field(trunc, np.random.default_rng(7)) for trunc in WORKSPACE_TRUNCS]
     ref = [op.compose(A, B) for A, B in pairs]
+    # apply convolves in the same workspace
+    applied = [op.apply(A, u) for (A, _), u in zip(pairs, fields)]
     bad = []
 
     def run(k):
         for _ in range(5):
             C = op.compose(*pairs[k % 2])
-            if not np.array_equal(C.blocks, ref[k % 2].blocks):
+            v = op.apply(pairs[k % 2][0], fields[k % 2])
+            if not (np.array_equal(C.blocks, ref[k % 2].blocks)
+                    and np.array_equal(v.c, applied[k % 2].c)):
                 bad.append(k)
 
     interval = sys.getswitchinterval()
@@ -467,6 +484,116 @@ def test_compose_of_an_operator_with_itself():
     C, D = op.compose(A, A), op.compose(A, A.scale(1.0))
     assert np.array_equal(C.blocks, D.blocks)
     assert C.dropped_mass == D.dropped_mass
+
+
+# ------------------------------------------------------- apply
+
+
+def _apply_by_offsets(A, u):
+    """Reference kernel: one block product per nonzero offset of A, each
+    shifted onto the part of the rectangle it reaches."""
+    trunc = A.trunc
+    W = 2 * trunc.n_phi + 1
+    out = np.zeros(trunc.shape, dtype=complex)
+    for off in np.argwhere(_offset_support(A.blocks, trunc.nu)):
+        # output index l1 = l2 + l must stay within |l1_i| <= n_phi
+        l = off - 2 * trunc.n_phi
+        src = tuple(slice(max(0, -li), min(W, W - li)) for li in l)
+        dst = tuple(slice(sl.start + li, sl.stop + li) for sl, li in zip(src, l))
+        out[dst] += u.c[src] @ A.blocks[tuple(off)].T
+    return out
+
+
+def _apply_reach(A, u):
+    """The field offsets that some nonzero block of A and nonzero row of u sum to."""
+    trunc = A.trunc
+    nu, W = trunc.nu, 2 * trunc.n_phi + 1
+    reach = np.zeros((W + 4 * trunc.n_phi,) * nu, dtype=bool)
+    rows = u.c.reshape((W,) * nu + (-1,)).any(axis=-1)
+    for off in np.argwhere(_offset_support(A.blocks, nu)):
+        reach[tuple(slice(o, o + W) for o in off)] |= rows
+    return reach[(slice(2 * trunc.n_phi, 2 * trunc.n_phi + W),) * nu]
+
+
+def _apply_operator(trunc, kind, rng):
+    w = 4 * trunc.n_phi + 1
+    if kind == "random":
+        return random_toeplitz(trunc, rng)
+    if kind == "banded":
+        return _sparse_toeplitz(trunc, rng, band=1)
+    if kind == "edge box":
+        return _box_toeplitz(trunc, rng, (slice(0, 3), slice(w - 5, w), slice(1, w))[: trunc.nu])
+    if kind == "identity":
+        return op.identity(trunc)
+    return _operand(trunc, kind, rng)  # "single" or "zero"
+
+
+def _apply_field(trunc, kind, rng):
+    if kind == "random":
+        return random_real_field(trunc, rng)
+    c = np.zeros(trunc.shape, dtype=complex)
+    if kind == "few l":
+        m = c.shape[-1]
+        for idx in rng.integers(0, 2 * trunc.n_phi + 1, size=(3, trunc.nu)):
+            c[tuple(idx)] = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    return FourierField(trunc, c)
+
+
+@pytest.mark.parametrize("field_kind", ["random", "few l", "zero"])
+@pytest.mark.parametrize("kind", ["random", "banded", "edge box", "single", "identity", "zero"])
+@pytest.mark.parametrize("trunc", [Truncation(1, 4, 4), Truncation(2, 3, 3), Truncation(3, 2, 2)])
+def test_apply_matches_offset_loop(trunc, kind, field_kind):
+    rng = np.random.default_rng(17)
+    A, u = _apply_operator(trunc, kind, rng), _apply_field(trunc, field_kind, rng)
+    got, ref = op.apply(A, u).c, _apply_by_offsets(A, u)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+    # the offsets of nonzero products stay nonzero, and those no pair of a
+    # nonzero block and a nonzero row reaches are exact zeros
+    nu = trunc.nu
+    support, reached = (x.reshape(x.shape[:nu] + (-1,)).any(axis=-1) for x in (ref, got))
+    assert not (support & ~reached).any()
+    assert not (reached & ~_apply_reach(A, u)).any()
+
+
+def test_apply_reuses_the_workspace_and_allocates_no_padded_spectrum(monkeypatch):
+    trunc = Truncation(1, 16, 16)
+    rng = np.random.default_rng(18)
+    A, u = random_toeplitz(trunc, rng), random_real_field(trunc, rng)
+    op.compose(A, A)  # the workspace is made here
+    ref = op.apply(A, u)
+
+    def refuse(*args):
+        raise AssertionError("apply composed")
+
+    # apply is not a composition: the benchmark counts compose calls
+    monkeypatch.setattr(op, "compose", refuse)
+    # the output and two temporaries the size of the product's padded rows
+    # (100 offsets): a padded spectrum of the operator (1.7 MB) breaks it
+    bound = u.c.nbytes + 2 * 100 * 33 * 16
+    info = op._workspace.cache_info()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        v = op.apply(A, u)
+        assert tracemalloc.get_traced_memory()[1] - base < bound
+    finally:
+        tracemalloc.stop()
+    after = op._workspace.cache_info()
+    assert (after.hits, after.misses) == (info.hits + 1, info.misses)
+    assert np.array_equal(v.c, ref.c)
+    assert not any(np.shares_memory(v.c, buf) for buf in _workspace_of(trunc))
+
+
+def test_apply_is_bit_identical_across_calls():
+    trunc = Truncation(2, 3, 3)
+    rng = np.random.default_rng(19)
+    A, B = random_toeplitz(trunc, rng), _sparse_toeplitz(trunc, rng, band=2)
+    u = random_real_field(trunc, rng)
+    first = op.apply(A, u)
+    op.compose(B, A)
+    op.apply(B, u)
+    assert np.array_equal(op.apply(A, u).c, first.c)
 
 
 @pytest.mark.parametrize("m_func", [
@@ -744,7 +871,7 @@ def operator_to_json(A):
     """{trunc, blocks: [[l..., re-block, im-block]...]} for nonzero offsets."""
     trunc = A.trunc
     entries = []
-    for off in np.argwhere(op._offset_support(A)):
+    for off in np.argwhere(_offset_support(A.blocks, trunc.nu)):
         blk = A.blocks[tuple(off)]
         entries.append([[int(o) - 2 * trunc.n_phi for o in off], blk.real.tolist(), blk.imag.tolist()])
     return {

@@ -320,9 +320,11 @@ def test_nash_moser_second_order_exclusion_names_divisor_and_bound():
 
 
 def test_solver_config_schedule():
-    config = sv.SolverConfig(trunc=T, gamma=0.1, chi=1.3, N0=3, kam_max_steps=7)
+    config = sv.SolverConfig(trunc=T, gamma=0.1, N0=3, kam_max_steps=7)
     sched = config.schedule(1e-3)
-    assert (sched.gamma, sched.tau, sched.chi, sched.N0) == (0.1, 3.0, 1.3, 3)
+    assert (sched.gamma, sched.tau, sched.N0) == (0.1, 3.0, 3)
+    # N_k = N0^(chi^k) with the paper's chi = 3/2
+    assert [sched.N(k) for k in range(4)] == [3, 5, 12, 41]
     assert (sched.max_steps, sched.target_decay) == (7, 1e-12)
     assert config.schedule(1e-3, n=2).gamma == 0.1 * 1.25
     assert sv.SolverConfig(trunc=T).schedule(1e-4).gamma == 1e-4 ** 0.5
