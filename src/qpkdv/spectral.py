@@ -10,7 +10,8 @@ diffeomorphisms, and parity/reality predicates.
 
 Grid transforms are real FFTs on the modes j >= 0, so fields must be real; a
 torus diffeomorphism is the transport series h o (id + d) = sum_k d^k/k! D^k h,
-K + 1 uniform syntheses summed in the samples of d, its mean an exact phase.
+K + 1 uniform syntheses summed in the samples of d, its mean an exact phase, on a
+grid that grows with K from the product grid.
 """
 
 from __future__ import annotations
@@ -67,8 +68,10 @@ def _grid_len(n: int, oversample: int) -> int:
 class Truncation:
     """Rectangular Fourier truncation |l_i| <= n_phi, |j| <= n_x.
 
-    ``oversample`` controls the size of the grids used for products and
-    compositions; 2 is enough to de-alias products of band-limited fields.
+    ``oversample`` sets the product grid ``grid_shape``; 2 is enough to de-alias
+    products of band-limited fields.  That grid is also the least one a torus
+    composition runs on: ``compose`` and ``invert_torus_diffeo`` grow it per
+    call with the size of the displacement.
     """
 
     nu: int
@@ -452,21 +455,42 @@ class LargeDisplacementError(NumericalFailure, ValueError):
 _X_MAX = math.log(1e-12 / np.finfo(float).eps)
 
 
-def _fine_shape(trunc: Truncation, kind: str, freq: Frequency | None) -> tuple[int, ...]:
-    """Grid for compositions: oversampled a further 2x along phi and, for the
-    space kind, x (the time kind does not displace x).  This does not bound the
-    aliasing of a composition: at nu = 2, n = 2 the inverse space displacement
-    of a random beta (decay 3, scale 0.02) was measured 9.0e-9 away from the
-    same fixed point solved by direct sums on 40- and 60-point grids (1.5e-16
-    at nu = 1, n = 4; 4e-14 for the time kind).
-    Checks the kind, and that the time kind comes with a Frequency."""
+def _series_order(x: float) -> int:
+    """The least K >= 1 with x^K/K! <= 1e-17: the last order of a transport series of size x."""
+    order, term = 1, x
+    while term > 1e-17:
+        order += 1
+        term *= x / order
+    return order
+
+
+def _composition_grid(kind: str, d: FourierField, freq: Frequency | None) -> tuple[int, ...]:
+    """Grid of a composition with displacement d, chosen before d is sampled.  The series term
+    s^k D^k h has bandwidth (k + 1) n along each axis that s = d - mean d varies on (phi and, for
+    the space kind, x), so it projects onto |mode| <= n without aliasing on (k + 2) n + 1 points.
+    K is the series order of x_bound = max|m| sum|d_{l,j}| over the non-mean modes, which bounds
+    x = max|m| max|s| on every grid (capped at _X_MAX, past which the series is refused).  Each
+    such axis takes the least even length >= (K + 1) n + 1 and >= trunc.grid_shape's: orders
+    k < K do not alias, and orders >= K are below the series cutoff.  The time kind keeps the
+    standard x grid.  Checks the kind, and that the time kind comes with a Frequency."""
     if kind not in ("space", "time"):
         raise ValueError(f"unknown diffeomorphism kind {kind!r}")
     if kind == "time" and freq is None:
         raise ValueError("the time kind needs a Frequency")
-    gp = _grid_len(trunc.n_phi, 2 * trunc.oversample)
-    gx = _grid_len(trunc.n_x, (2 if kind == "space" else 1) * trunc.oversample)
-    return (gp,) * trunc.nu + (gx,)
+    trunc = d.trunc
+    if kind == "space":
+        max_m, modes = trunc.n_x, d.c.ravel()
+    else:  # the j = 0 column, the part of alpha that is sampled
+        max_m, modes = trunc.n_phi * float(np.sum(np.abs(freq.omega))), d.c[..., trunc.n_x].ravel()
+    size = float(np.sum(np.abs(np.delete(modes, modes.size // 2))))  # the mean sits at the centre
+    order = _series_order(min(max_m * size, _X_MAX))
+
+    def length(n: int, standard: int) -> int:
+        g = (order + 1) * n + 1
+        return max(standard, g + g % 2)
+
+    *gphi, gx = trunc.grid_shape
+    return tuple(length(trunc.n_phi, g) for g in gphi) + (length(trunc.n_x, gx) if kind == "space" else gx,)
 
 
 def _displacement_samples(kind: str, d: FourierField, freq, gs, verdict: str) -> np.ndarray:
@@ -506,11 +530,7 @@ def _series_tables(kind: str, trunc: Truncation, half: np.ndarray, shift: float,
     if x > _X_MAX:
         raise LargeDisplacementError(f"{kind} displacement too large for its transport series: "
                                      f"x = max|m| max|d - mean d| = {x:.3g} > {_X_MAX:.2f}")
-    order, term = 1, x
-    while term > 1e-17:
-        order += 1
-        term *= x / order
-    return table, order
+    return table, _series_order(x)
 
 
 def _transport_sum(table, order: int, s: np.ndarray) -> np.ndarray:
@@ -535,7 +555,7 @@ def compose(kind: str, f, displacement: FourierField, freq: Frequency | None = N
     """
     trunc, c, batched = _stacked(f)
     _check_same(trunc, displacement.trunc)
-    gs = _fine_shape(trunc, kind, freq)
+    gs = _composition_grid(kind, displacement, freq)
     x_modes = np.delete(displacement.c, trunc.n_x, axis=-1)
     if kind == "time" and np.max(np.abs(x_modes)) > 1e-12 * np.max(np.abs(displacement.c)):
         raise ValueError("time displacement must depend on phi only")
@@ -563,7 +583,7 @@ def invert_torus_diffeo(
     and DiffeoConvergenceError if max_iter iterations do not reach tol.
     """
     trunc = displacement.trunc
-    gs = _fine_shape(trunc, kind, freq)
+    gs = _composition_grid(kind, displacement, freq)
     d = _displacement_samples(kind, displacement, freq, gs, "not invertible")
     half = displacement.c[None, ..., trunc.n_x:] if kind == "space" else displacement.c[None, ..., trunc.n_x, None]
     shift = -displacement.mean

@@ -272,7 +272,8 @@ def nu3_solve(n):
 def test_nu3_solve_peak_memory():
     # guards the memory of the torus compositions: evaluated node by node they
     # build a (grid) x (modes)^2 intermediate at nu = 3, and this solve peaks at
-    # 585 MB; as transport series it reads about 150 MB
+    # 585 MB; as transport series on a fixed 4x grid it read about 120 MB, and
+    # on the grid each displacement needs about 80 MB
     converged, res, mb = nu3_solve(3)
     assert converged and res < 1e-15 and mb <= 300, (converged, res, mb)
 
