@@ -59,10 +59,6 @@ __all__ = [
     "eigenvalue_report",
 ]
 
-#: safety factor applied on top of the resonance locality bound
-#: |j^3 - k^3| <= 8 |omega_bar . l| when restricting divisor scans
-LOCALITY_SAFETY = 2.0
-
 #: the paper's growth exponent chi = 3/2 of the cutoffs N_k = N0^(chi^k)
 CHI = 1.5
 
@@ -308,11 +304,11 @@ def reduce(reg, freq: Frequency, schedule: IterationSchedule) -> ReducibilitySta
     StagnationError when the norm fails to decrease three steps in a row.
     """
     trunc = reg.trunc
-    s0 = trunc.s0
     state = initial_state(reg, schedule)
     mu0 = state.eigs
 
-    r0 = opalg.decay_norm(state.R, s0)
+    trace = [_trace_row(state, mu0, schedule.cutoff(0, trunc.n_phi))]
+    r0 = trace[0]["R_s0"]
     smallness = r0 * float(schedule.N0) ** (2.0 * schedule.tau + 1.0) / schedule.gamma
     if r0 > 0.0 and smallness >= schedule.smallness_threshold:
         raise SmallnessError(
@@ -320,7 +316,6 @@ def reduce(reg, freq: Frequency, schedule: IterationSchedule) -> ReducibilitySta
             f">= {schedule.smallness_threshold}"
         )
 
-    trace = [_trace_row(state, mu0, schedule.cutoff(0, trunc.n_phi))]
     flat = 0
     norm = r0
     while norm > schedule.target_decay and state.nu_step < schedule.max_steps:
@@ -328,14 +323,14 @@ def reduce(reg, freq: Frequency, schedule: IterationSchedule) -> ReducibilitySta
         if not state.mask:  # the last accepted step's state, with the exclusion
             trace.append(_trace_row(state, mu0, 0))
             break
-        new_norm = opalg.decay_norm(state.R, s0)
+        trace.append(_trace_row(state, mu0, schedule.cutoff(state.nu_step, trunc.n_phi)))
+        new_norm = trace[-1]["R_s0"]
         flat = flat + 1 if new_norm >= norm else 0
         if flat >= 3:
             raise StagnationError(
                 f"|R|_s0 stalled at {new_norm:.3e} for 3 consecutive steps"
             )
         norm = new_norm
-        trace.append(_trace_row(state, mu0, schedule.cutoff(state.nu_step, trunc.n_phi)))
     return replace(state, trace=trace)
 
 
@@ -351,14 +346,10 @@ def melnikov_mask(
     tau: float,
     N: int,
     order: str = "second",
-    locality: float | None = LOCALITY_SAFETY,
 ) -> np.ndarray:
-    """Per-lambda acceptance under the first or second order divisor `screen`.
-
-    Second order: checked for j != k only where |j^3 - k^3| <= 8 |omega_bar.l|
-    inflated by the safety factor `locality` (pass None for the full scan).
-    First order: checked for (l, j) != (0, 0).  Both over |l|_inf <= N.
-    """
+    """Per-lambda acceptance under the first or second order divisor `screen`,
+    over |l|_inf <= N: every (l, j, k) at second order, every
+    (l, j) != (0, 0) at first order."""
     lambdas = np.asarray(lambdas, dtype=float)
     ob = np.atleast_1d(np.asarray(omega_bar, dtype=float))
     obl = dot_l(ob, N).ravel()
@@ -366,16 +357,10 @@ def melnikov_mask(
 
     out = np.zeros(len(lambdas), dtype=bool)
     for i, (lam, mu) in enumerate(zip(lambdas, mu_by_lambda)):
-        m = len(mu)
+        where = True
         if order == "first":
-            where = np.ones((len(obl), m), dtype=bool)
-            where[len(obl) // 2, m // 2] = False  # (l, j) = (0, 0)
-        elif locality is None:
-            where = True
-        else:
-            j = np.arange(m, dtype=float) - m // 2
-            diff = np.abs(j[:, None] ** 3 - j[None, :] ** 3)
-            where = diff <= 8.0 * locality * np.abs(obl)[:, None, None]
+            where = np.ones((len(obl), len(mu)), dtype=bool)
+            where[len(obl) // 2, len(mu) // 2] = False  # (l, j) = (0, 0)
         bad, _, _ = screen(lam * obl, lsz, mu, gamma, tau, order, where)
         out[i] = not bad.any()
     return out

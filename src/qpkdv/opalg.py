@@ -24,10 +24,11 @@ place over the leading offset axes of a reused workspace: three buffers, each
 a padded spectrum of two full tables of the last truncation composed (7 MB in
 all at nu = 1, n = 16; 72 MB at nu = 2, n = 8), held for the life of the
 process; a call views the head of each as its own padded shape.
-Offsets outside the Minkowski sum of the operands' nonzero offsets are exact
-zeros, so block sparsity is exact; entries inside a block carry rounding of
-order eps |A| |B|, so an entry that is zero by structure, or a block whose
-products cancel, is not an exact zero.
+Only the Minkowski sum of the operands' support boxes is copied out, so the
+offsets outside it are exact zeros; inside it every entry carries rounding
+of order eps |A| |B|, so an offset no pair of nonzero blocks reaches, an
+entry that is zero by structure, or a block whose products cancel, is not an
+exact zero.
 ``dropped_mass`` is the l2 (Parseval) norm of the summed product outside the
 kept rectangle.
 Fourier multipliers, a single diagonal l = 0 block, are applied by
@@ -263,11 +264,6 @@ def _convolve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     # solver.cantor_measure.
     np.matmul(FA, FA if b is a else spectrum(b, boxB, FB), out=P)
     full = np.fft.ifftn(P, axes=axes, out=P)[full_l]
-    # the indicator convolution counts the pairs (l', l - l') of nonzero
-    # blocks; a zero count marks an offset that is exactly zero
-    counts = np.fft.irfftn(np.fft.rfftn(supA[boxA], s, axes)
-                           * np.fft.rfftn(supB[boxB], s, axes), s, axes)
-    full[counts[full_l] < 0.5] = 0.0
     lo = [max(0, -d) for d in shift]
     src = tuple(slice(i, max(i, min(n, c - d)))
                 for i, n, c, d in zip(lo, wide, b.shape, shift))

@@ -477,16 +477,6 @@ def test_melnikov_mask_double_gamma_inclusion():
     assert np.all(loose[strict])  # accepted under 2*gamma => accepted under gamma
 
 
-def test_melnikov_mask_locality_loses_no_exclusions():
-    lams = np.linspace(0.5, 1.5, 51)
-    sub = Truncation(1, 4, 6)
-    eigs = [km.airy_diagonal(sub.n_x, 1.0, 0.0) for _ in lams]
-    restricted = km.melnikov_mask(lams, eigs, FREQ.omega_bar, 1e-2, 3.0, 6)
-    full = km.melnikov_mask(lams, eigs, FREQ.omega_bar, 1e-2, 3.0, 6,
-                            locality=None)
-    assert np.array_equal(restricted, full)
-
-
 def test_melnikov_mask_first_order():
     lams = np.linspace(0.5, 1.5, 101)
     eigs = airy_eigs_table(lams)

@@ -200,13 +200,22 @@ def _sparse_toeplitz(trunc, rng, band):
     return op.ToplitzOperator(trunc, blocks)
 
 
+def _box(support):
+    """The bounding box of the True entries of ``support``, as a boolean table."""
+    box = np.zeros_like(support)
+    if support.any():
+        hit = np.argwhere(support)
+        box[tuple(slice(lo, hi + 1) for lo, hi in zip(hit.min(0), hit.max(0)))] = True
+    return box
+
+
 def _reach(A, B):
-    """The kept offsets that some pair of nonzero blocks of A and B sums to."""
+    """The kept offsets in the Minkowski sum of the support boxes of A and B."""
     trunc = A.trunc
     nu, w = trunc.nu, 4 * trunc.n_phi + 1
     reach = np.zeros((2 * w - 1,) * nu, dtype=bool)
-    for offA in np.argwhere(_offset_support(A.blocks, nu)):
-        reach[tuple(slice(o, o + w) for o in offA)] |= _offset_support(B.blocks, nu)
+    for offA in np.argwhere(_box(_offset_support(A.blocks, nu))):
+        reach[tuple(slice(o, o + w) for o in offA)] |= _box(_offset_support(B.blocks, nu))
     return reach[(slice(2 * trunc.n_phi, 2 * trunc.n_phi + w),) * nu]
 
 
@@ -214,10 +223,11 @@ def _check_against_direct(A, B):
     C = op.compose(A, B)
     ref, dropped = _compose_direct(A, B)
     assert np.max(np.abs(C.blocks - ref)) <= 1e-13 * np.max(np.abs(ref))
-    # FFT rounding fills entries inside a block, so sparsity is compared per
-    # offset: the offsets of nonzero products keep a nonzero block, and those
-    # no pair of nonzero blocks reaches are exact zeros.  A reached offset
-    # whose block products cancel exactly keeps rounding (checked above).
+    # FFT rounding fills every entry inside the Minkowski sum of the operands'
+    # support boxes, so sparsity is compared per offset: the offsets of
+    # nonzero products keep a nonzero block, and those outside that sum are
+    # exact zeros.  An offset inside it that no pair of nonzero blocks
+    # reaches, or whose block products cancel, keeps rounding (checked above).
     nu = A.trunc.nu
     support = _offset_support(ref, nu)
     got = _offset_support(C.blocks, nu)
@@ -294,8 +304,9 @@ def test_property_compose_matches_direct_kernel(nu, n_phi, n_x, kind_a, kind_b, 
 def test_compose_of_blocks_whose_products_cancel():
     # A on l = -4, -2 and B on l = 1, 4: the pairs reaching l = 0 and 2
     # multiply e0 e0^T by e1 e1^T, exactly zero, so the direct kernel leaves
-    # those offsets empty where the FFT leaves rounding; offsets no pair
-    # reaches stay exact zeros
+    # those offsets empty where the FFT leaves rounding, as it does at the
+    # unreached l = -2 and 1; offsets outside the boxes' sum -3..2 stay
+    # exact zeros
     trunc = Truncation(1, 4, 1)
     rng = np.random.default_rng(0)
     blocks = np.zeros((2,) + op._block_shape(trunc), dtype=complex)
@@ -304,7 +315,7 @@ def test_compose_of_blocks_whose_products_cancel():
     A, B = (op.ToplitzOperator(trunc, b) for b in blocks)
     support, _ = _check_against_direct(A, B)
     assert np.array_equal(np.flatnonzero(support), [5, 7])
-    assert np.array_equal(np.flatnonzero(_reach(A, B)), [5, 7, 8, 10])
+    assert np.array_equal(np.flatnonzero(_reach(A, B)), [5, 6, 7, 8, 9, 10])
 
 
 def test_compose_transforms_only_the_support_boxes(monkeypatch):
@@ -313,20 +324,30 @@ def test_compose_transforms_only_the_support_boxes(monkeypatch):
     near = (slice(28, 37),)  # |l| <= 4
     A, B = _box_toeplitz(trunc, rng, near), _box_toeplitz(trunc, rng, near)
     lengths = []
-    fftn = np.fft.fftn
 
-    def spy(a, *args, axes=None, **kwargs):
-        lengths.append(tuple(a.shape[ax] for ax in axes))
-        return fftn(a, *args, axes=axes, **kwargs)
+    def spy(name):
+        transform = getattr(np.fft, name)
 
-    monkeypatch.setattr(np.fft, "fftn", spy)
+        def run(a, *args, axes=None, **kwargs):
+            lengths.append((name, tuple(a.shape[ax] for ax in axes)))
+            return transform(a, *args, axes=axes, **kwargs)
+        return run
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a real transform ran")
+
+    for name in ("fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, name, spy(name))
+    for name in ("rfftn", "irfftn"):
+        monkeypatch.setattr(np.fft, name, refuse)
     _check_against_direct(A, B)
-    # boxes 9 offsets wide: 17 product offsets, padded to 18 (full tables: 135)
-    assert lengths == [(18,), (18,)]
+    # boxes 9 offsets wide: 17 product offsets, padded to 18 (full tables:
+    # 135); two forward transforms and one inverse
+    assert lengths == [("fftn", (18,)), ("fftn", (18,)), ("ifftn", (18,))]
     D = random_toeplitz(trunc, rng)
     lengths.clear()
     op.compose(D, D)
-    assert lengths == [(135,)]
+    assert lengths == [("fftn", (135,)), ("ifftn", (135,))]
     # a zero operand transforms nothing and gives exact zeros
     A = op.ToplitzOperator(trunc, A.blocks, dropped_mass=0.25)
     Z = op.ToplitzOperator(trunc, np.zeros(op._block_shape(trunc), dtype=complex), 0.5)
@@ -505,12 +526,13 @@ def _apply_by_offsets(A, u):
 
 
 def _apply_reach(A, u):
-    """The field offsets that some nonzero block of A and nonzero row of u sum to."""
+    """The field offsets in the Minkowski sum of the support boxes of A's
+    blocks and u's rows."""
     trunc = A.trunc
     nu, W = trunc.nu, 2 * trunc.n_phi + 1
     reach = np.zeros((W + 4 * trunc.n_phi,) * nu, dtype=bool)
-    rows = u.c.reshape((W,) * nu + (-1,)).any(axis=-1)
-    for off in np.argwhere(_offset_support(A.blocks, nu)):
+    rows = _box(u.c.reshape((W,) * nu + (-1,)).any(axis=-1))
+    for off in np.argwhere(_box(_offset_support(A.blocks, nu))):
         reach[tuple(slice(o, o + W) for o in off)] |= rows
     return reach[(slice(2 * trunc.n_phi, 2 * trunc.n_phi + W),) * nu]
 
@@ -547,8 +569,8 @@ def test_apply_matches_offset_loop(trunc, kind, field_kind):
     A, u = _apply_operator(trunc, kind, rng), _apply_field(trunc, field_kind, rng)
     got, ref = op.apply(A, u).c, _apply_by_offsets(A, u)
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
-    # the offsets of nonzero products stay nonzero, and those no pair of a
-    # nonzero block and a nonzero row reaches are exact zeros
+    # the offsets of nonzero products stay nonzero, and those outside the
+    # Minkowski sum of the boxes of A's blocks and u's rows are exact zeros
     nu = trunc.nu
     support, reached = (x.reshape(x.shape[:nu] + (-1,)).any(axis=-1) for x in (ref, got))
     assert not (support & ~reached).any()
