@@ -510,8 +510,17 @@ def run(config: ExperimentConfig, subcommand: str, out: Path | None = None,
         return _write_failure(out, subcommand, config.seed, err.describe())
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a bad command line with a ValueError, so that it exits 1 like
+    any other unreadable input (argparse itself exits 2, the code of an
+    all-excluded run)."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qpkdv",
         description="Quasi-periodic forced KdV: solve, reduce, measure, "
                     "stability, verify.",
@@ -521,18 +530,20 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a JSON config")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--workers", type=int, default=1)
         p.add_argument("--seed", type=int, default=None)
-    args = parser.parse_args(argv)
+        if name == "measure":
+            p.add_argument("--workers", type=int, default=1)
 
     try:
+        args = parser.parse_args(argv)
         with open(args.config) as fh:
             raw = json.load(fh)
         config = ExperimentConfig.from_dict(raw)
         return run(config, args.subcommand, out=args.out,
-                   workers=args.workers, seed=args.seed)
+                   workers=getattr(args, "workers", 1), seed=args.seed)
     # numerical failures end in run, with their report; what is left here is
-    # a config that cannot be read (ConfigError, JSONDecodeError, ParseError)
+    # a command line or a config that cannot be read (ConfigError,
+    # JSONDecodeError, ParseError, or a usage error from _Parser)
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR

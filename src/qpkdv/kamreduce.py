@@ -34,6 +34,7 @@ import numpy as np
 from . import opalg
 from .opalg import ToplitzOperator
 from .spectral import (
+    WITNESS_GAMMA0,
     Frequency,
     NumericalFailure,
     dot_l,
@@ -219,7 +220,7 @@ def solve_homological(
     # floor of the frequency witness (none at l = 0, where [R] is absorbed)
     diag = np.arange(len(mu))
     center = (2 * trunc.n_phi,) * trunc.nu
-    bound[..., diag, diag] = (freq.gamma0 * lsz ** (-freq.tau0))[..., None]
+    bound[..., diag, diag] = (WITNESS_GAMMA0 * lsz ** -freq.nu)[..., None]
     bound[center + (diag, diag)] = 0.0
     exclusion = smallest_margin("second", within & (np.abs(delta) < bound), delta, bound)
 

@@ -517,32 +517,26 @@ def apply_L(coefficients, freq: Frequency, h: FourierField) -> FourierField:
 class StructureFlags:
     reversible: bool
     total_derivative: bool
-    hamiltonian: bool
 
 
-def structure_flags(spec: NonlinearitySpec, seed: int = 0) -> StructureFlags:
-    """The structure of spec.f that selects the solver's projection, probed at
-    points drawn from ``seed``.  It depends on neither epsilon nor lambda, so
-    one result per (f, declared form, seed) is computed and shared by every
-    caller."""
-    return _structure_flags(spec.f, spec.declared_form, seed)
+def structure_flags(spec: NonlinearitySpec) -> StructureFlags:
+    """The structure of spec.f that selects the solver's projection.  It
+    depends on neither epsilon nor lambda, so one result per (f, declared
+    form) is computed and shared by every caller."""
+    return _structure_flags(spec.f, spec.declared_form)
 
 
 @lru_cache(maxsize=64)
-def _structure_flags(f: Expr, declared_form: str, seed: int) -> StructureFlags:
+def _structure_flags(f: Expr, declared_form: str) -> StructureFlags:
     # reversibility: f(-phi, -x, z0, -z1, z2, -z3) = -f(phi, x, z0, z1, z2, z3)
-    # at 64 points, each drawn as (x, phi_1..phi_9, z0..z3)
-    d = np.random.default_rng(seed).random((64, 14)).T
+    # at 64 fixed points, each drawn as (x, phi_1..phi_9, z0..z3)
+    d = np.random.default_rng(0).random((64, 14)).T
     x, phi, z = 2 * np.pi * d[0], 2 * np.pi * d[1:10], 2 * d[10:] - 1
     flipped = f(-x, -phi, [z[0], -z[1], z[2], -z[3]])
     reversible = bool(np.all(np.abs(f(x, phi, z) + flipped) <= 1e-10))
     total_derivative = (declared_form in ("dx_of_g", "hamiltonian_F")
                         or _numeric_total_derivative(f))
-    return StructureFlags(
-        reversible=reversible,
-        total_derivative=total_derivative,
-        hamiltonian=declared_form == "hamiltonian_F",
-    )
+    return StructureFlags(reversible=reversible, total_derivative=total_derivative)
 
 
 # an f is a total derivative if its x-average stays within this of zero

@@ -413,12 +413,9 @@ def flatten_field(u: FourierField) -> np.ndarray:
     return u.c.reshape(-1)
 
 
-def materialize_matrix(
-    op: ToplitzOperator,
-    freq: Frequency | None = None,
-    include_omega_dphi: bool = False,
-) -> np.ndarray:
-    """Dense matrix over the flattened (l, j) index (row-major over trunc.shape)."""
+def materialize_matrix(op: ToplitzOperator, freq: Frequency | None = None) -> np.ndarray:
+    """Dense matrix over the flattened (l, j) index (row-major over trunc.shape),
+    plus omega.d_phi on the diagonal if a frequency is given."""
     trunc = op.trunc
     dim = int(np.prod(trunc.shape))
     if dim > MATERIALIZE_CAP:
@@ -429,9 +426,7 @@ def materialize_matrix(
     gather.append(np.broadcast_to(multi[:, -1][:, None], (dim, dim)))
     gather.append(np.broadcast_to(multi[:, -1][None, :], (dim, dim)))
     M = op.blocks[tuple(gather)]
-    if include_omega_dphi:
-        if freq is None:
-            raise ValueError("include_omega_dphi requires a Frequency")
+    if freq is not None:
         dots = freq.omega_dot_l(trunc).reshape(-1)
         mshape = 2 * trunc.n_x + 1
         M += np.diag(np.repeat(1j * dots, mshape))
@@ -449,5 +444,5 @@ def materialize_linearized(
     T = add(T, scale_modes(from_multiplication(a2), cols=dx**2))
     T = add(T, scale_modes(from_multiplication(a1), cols=dx))
     T = add(T, from_multiplication(a0))
-    return materialize_matrix(T, freq, include_omega_dphi=True)
+    return materialize_matrix(T, freq)
 

@@ -5,7 +5,8 @@ The linear solve conjugates the linearized operator to constant diagonal form
 divisors i lambda omega_bar.l + mu_j, and transports the result back through
 the transformation chains.  It reads the frequency from the regularization and
 the exponents, transformation and divisor constants from the reduction's final
-state; the mode (hamiltonian or generic) is decided once, by `regularize_at`.
+state; the mode (hamiltonian or generic) is decided once, by `regularize_at`,
+and the projection (reversible or total derivative) once, by `structure_mode`.
 The outer iteration is a projected Newton scheme with shrinking non-resonance
 constants gamma_n; values of the modulation parameter lambda that fail a
 divisor bound at some iterate are excluded, and the surviving fraction of a
@@ -176,7 +177,7 @@ def right_inverse(
     reg: regularize.RegularizationResult,
     red: km.ReducibilityState,
     f: FourierField,
-    structure: str = "reversible",
+    structure: str,
 ) -> FourierField:
     """Approximate inverse h of the linearized operator applied to f.
 
@@ -184,7 +185,8 @@ def right_inverse(
     and the reducing transformation, divide by the exact divisors, and map
     back (h = Phi2 Phi_inf D_inf^{-1} Phi_inf^{-1} Phi1^{-1} f).  The divisors
     are screened at the frequency of `reg` and the gamma, tau of the
-    reduction's schedule.
+    reduction's schedule.  `structure` is what `structure_mode` chose; h is
+    projected onto X in the reversible case, the solve's one parity projection.
     """
     trunc = f.trunc
     scale = 1.0 + sobolev_norm(f, trunc.s0)
@@ -214,7 +216,7 @@ def right_inverse(
 
 def structure_mode(flags: nonlin.StructureFlags) -> str:
     """The projection `right_inverse` works in for f with these flags."""
-    if flags.hamiltonian or flags.total_derivative:
+    if flags.total_derivative:
         return "total_derivative"
     if flags.reversible:
         return "reversible"
@@ -294,8 +296,6 @@ def _iterate(spec: nonlin.NonlinearitySpec, freq: Frequency, config: SolverConfi
             return
 
         u = u - project_ball(h, N_next)
-        if structure == "reversible" or rg.mode == "hamiltonian":
-            u = _parity_project(u)
         report.solution = u
         Fu = nonlin.residual(spec, freq, u)
         new_res = sobolev_norm(Fu, trunc.s0)

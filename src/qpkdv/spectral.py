@@ -191,35 +191,33 @@ def _check_same(a: Truncation, b: Truncation) -> None:
         raise ValueError(f"truncation mismatch: {a} vs {b}")
 
 
+# the Diophantine witness of a Frequency: |omega_bar . l| >= 3 WITNESS_GAMMA0 /
+# |l|^nu for all 0 < |l|_inf <= WITNESS_RANGE
+WITNESS_GAMMA0 = 0.05
+WITNESS_RANGE = 24
+
+
 @dataclass(frozen=True)
 class Frequency:
-    """Forcing frequency omega = lambda * omega_bar with a Diophantine witness.
-
-    The witness |omega_bar . l| >= 3*gamma0 / |l|^tau0 is checked for all
-    0 < |l|_inf <= check_range at construction.
-    """
+    """Forcing frequency omega = lambda * omega_bar with a Diophantine witness,
+    checked at construction (see WITNESS_GAMMA0)."""
 
     omega_bar: tuple
     lam: float = 1.0
-    gamma0: float = 0.05
-    tau0: float | None = None
-    check_range: int = 24
 
     def __post_init__(self):
         ob = np.atleast_1d(np.asarray(self.omega_bar, dtype=float))
         object.__setattr__(self, "omega_bar", tuple(ob.tolist()))
         if not (0.5 <= self.lam <= 1.5):
             raise ValueError("lambda must lie in [1/2, 3/2]")
-        if self.tau0 is None:
-            object.__setattr__(self, "tau0", float(len(self.omega_bar)))
         self._check_witness()
 
     @staticmethod
-    def default(nu: int, lam: float = 1.0, **kw) -> "Frequency":
+    def default(nu: int, lam: float = 1.0) -> "Frequency":
         """A basis of a real number field of degree nu, which is Diophantine
         with tau = nu - 1 (|q.omega_bar| >= c/|q|^(nu-1) by the norm argument):
         1, the golden mean for Q(sqrt 5), and (1, 2^(1/3) - 1, 4^(1/3) - 1)
-        for Q(2^(1/3)).  All three pass the default witness."""
+        for Q(2^(1/3)).  All three pass the witness."""
         if nu == 1:
             ob = (1.0,)
         elif nu == 2:
@@ -231,7 +229,7 @@ class Frequency:
                 f"no default frequency for nu = {nu}: the defaults are bases of real "
                 "number fields of degree nu <= 3; pass omega_bar, e.g. such a basis "
                 "of degree nu, and it is checked by the Diophantine witness")
-        return Frequency(ob, lam=lam, **kw)
+        return Frequency(ob, lam=lam)
 
     @property
     def nu(self) -> int:
@@ -242,9 +240,9 @@ class Frequency:
         return self.lam * np.asarray(self.omega_bar)
 
     def _check_witness(self) -> None:
-        n = self.check_range
+        n = WITNESS_RANGE
         dots = np.abs(dot_l(self.omega_bar, n))
-        bound = 3.0 * self.gamma0 / index_weights(self.nu, n, floor=1.0) ** self.tau0
+        bound = 3.0 * WITNESS_GAMMA0 / index_weights(self.nu, n, floor=1.0) ** self.nu
         bound[(n,) * self.nu] = 0.0  # l = 0
         gap = dots - bound
         if np.any(gap < 0):
@@ -675,10 +673,10 @@ def field_to_json(f: FourierField) -> dict:
     return {"nu": t.nu, "n_phi": t.n_phi, "n_x": t.n_x, "entries": entries}
 
 
-def field_from_json(data: dict | str, oversample: int = 2) -> FourierField:
+def field_from_json(data: dict | str) -> FourierField:
     if isinstance(data, str):
         data = json.loads(data)
-    trunc = Truncation(data["nu"], data["n_phi"], data["n_x"], oversample)
+    trunc = Truncation(data["nu"], data["n_phi"], data["n_x"])
     modes = {}
     for row in data["entries"]:
         idx = tuple(int(v) for v in row[: trunc.nu + 1])

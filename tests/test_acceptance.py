@@ -144,7 +144,7 @@ def test_criterion_04_kam_reduction():
 
     L5 = op.add(rg.R, op.from_multiplier(
         trunc, lambda j: -1j * (rg.m3 * float(j) ** 3 - rg.m1 * j)))
-    M = op.materialize_matrix(L5, FREQ, include_omega_dphi=True)
+    M = op.materialize_matrix(L5, FREQ)
     ev = np.linalg.eigvals(M)
     pred = (1j * FREQ.omega_dot_l(trunc)[:, None] + red.eigs[None, :]).ravel()
     cost = np.abs(ev[:, None] - pred[None, :])
@@ -273,7 +273,7 @@ def test_criterion_10_right_inverse_oracle():
                                                    smallness_threshold=1e6))
     f = random_real_field(trunc, np.random.default_rng(6), decay=4.0,
                           scale=1.0, parity="Y")
-    h = sv.right_inverse(rg, red, f)
+    h = sv.right_inverse(rg, red, f, "reversible")
     a3, a2, a1, a0 = rg.coefficients
     M = op.materialize_linearized(a3, a2, a1, a0, FREQ)
     dense, *_ = np.linalg.lstsq(M, op.flatten_field(f), rcond=None)

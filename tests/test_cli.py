@@ -345,6 +345,41 @@ def test_main_bad_config_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["solve"], "qpkdv solve: the following arguments are required: --config"),
+    (["bogus", "--config", "c.json"], "invalid choice: 'bogus'"),
+    ([], "the following arguments are required: subcommand"),
+    (["measure", "--config", "c.json", "--workers", "x"], "invalid int value: 'x'"),
+    # only measure reads --workers
+    (["solve", "--config", "c.json", "--workers", "2"], "unrecognized arguments: --workers 2"),
+])
+def test_main_usage_error_exits_1(argv, message, capsys):
+    # exit 2 is reserved for a run whose every lambda was excluded
+    assert cli.main(argv) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: qpkdv") and message in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["measure", "-h"]])
+def test_main_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    assert "usage: qpkdv" in capsys.readouterr().out
+
+
+def test_main_workers_reach_measure(tmp_path, monkeypatch):
+    seen = {}
+    monkeypatch.setattr(cli, "run", lambda config, subcommand, out, workers, seed:
+                        seen.update(subcommand=subcommand, workers=workers) or 0)
+    cfg = write_config(tmp_path)
+    assert cli.main(["measure", "--config", str(cfg), "--workers", "3"]) == 0
+    assert seen == {"subcommand": "measure", "workers": 3}
+    assert cli.main(["solve", "--config", str(cfg)]) == 0
+    assert seen == {"subcommand": "solve", "workers": 1}
+
+
 def test_main_constant_division_by_zero_exits_1(tmp_path, capsys):
     text = "cos(phi_1) * sin(x) + z0/0"
     cfg = write_config(tmp_path, nonlinearity={"text": text, "declared_form": "raw_f"})

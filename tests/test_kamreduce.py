@@ -241,8 +241,7 @@ def test_kam_step_spectrum_preserved():
     new = km.kam_step(state, FREQ)
 
     def spectrum(D, Rop):
-        M = op.materialize_matrix(op.add(Rop, diagonal_operator(T, D)), FREQ,
-                                  include_omega_dphi=True)
+        M = op.materialize_matrix(op.add(Rop, diagonal_operator(T, D)), FREQ)
         return np.linalg.eigvals(M)
 
     before = spectrum(state.eigs, state.R)
@@ -387,7 +386,7 @@ def test_reduce_dense_spectrum_oracle():
     red = km.reduce(rg, FREQ, km.IterationSchedule(gamma=0.01))
     L5 = op.add(rg.R, op.from_multiplier(
         T, lambda j: -1j * (rg.m3 * float(j) ** 3 - rg.m1 * j)))
-    M = op.materialize_matrix(L5, FREQ, include_omega_dphi=True)
+    M = op.materialize_matrix(L5, FREQ)
     ev = np.linalg.eigvals(M)
     dots = FREQ.omega_dot_l(T)
     pred = (1j * dots[:, None] + red.eigs[None, :]).ravel()

@@ -791,7 +791,7 @@ def test_conjugate_matches_dense_on_interior_blocks(mode):
     got = op.materialize_matrix(op.conjugate(Phi, Phi_inv, freq, d, V, r))
 
     def with_omega(A):
-        return op.materialize_matrix(A, freq, include_omega_dphi=True)
+        return op.materialize_matrix(A, freq)
 
     P, P_inv = op.materialize_matrix(Phi), op.materialize_matrix(Phi_inv)
     L = with_omega(op.add(op.from_multiplier(trunc, lambda k: d[k + 3]), V))
@@ -879,7 +879,7 @@ def test_airy_spectrum_is_exact():
     freq = Frequency.default(1, lam=1.1)
     tr = Truncation(1, 3, 3)
     A = op.from_multiplier(tr, lambda j: (1j * j) ** 3)
-    M = op.materialize_matrix(A, freq, include_omega_dphi=True)
+    M = op.materialize_matrix(A, freq)
     eigs = np.sort_complex(np.linalg.eigvals(M))
     expected = []
     for l in range(-3, 4):

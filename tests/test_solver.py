@@ -155,7 +155,7 @@ def test_right_inverse_matches_dense_restricted_solve():
                                                    smallness_threshold=1e6))
     f = random_real_field(trunc, np.random.default_rng(6), decay=4.0,
                           scale=1.0, parity="Y")
-    h = sv.right_inverse(rg, red, f)
+    h = sv.right_inverse(rg, red, f, "reversible")
 
     a3, a2, a1, a0 = rg.coefficients
     M = op.materialize_linearized(a3, a2, a1, a0, freq)
@@ -220,6 +220,19 @@ def test_nash_moser_total_derivative_keeps_zero_average():
     assert rep.converged
     final = nonlin.residual(spec, FREQ, rep.solution)
     assert abs(final.mean) < 1e-14
+    assert rep.diagnostics["structure"] == "total_derivative"
+
+
+@pytest.mark.parametrize("forcing", ["sin(phi_1) * cos(x)", "cos(phi_1) * sin(x)"])
+def test_nash_moser_non_reversible_hamiltonian_converges(forcing):
+    # a Hamiltonian F need not be reversible: its iterates leave the even
+    # class X, so no parity projection may act on them
+    spec = nonlin.parse_nonlinearity(f"10 * {forcing} * z0 + z0^2 * z1^2",
+                                     "hamiltonian_F", epsilon=1e-3)
+    assert not nonlin.structure_flags(spec).reversible
+    rep = sv.nash_moser(spec, FREQ, sv.SolverConfig(trunc=T))
+    assert rep.converged, rep.failure
+    assert rep.iterates[-1]["res"] < 1e-10
     assert rep.diagnostics["structure"] == "total_derivative"
 
 
@@ -435,11 +448,11 @@ def test_cantor_measure_records_structure_error():
 
 def test_structure_mode_decides_projection():
     flags = nonlin.StructureFlags
-    assert sv.structure_mode(flags(True, False, False)) == "reversible"
-    assert sv.structure_mode(flags(False, True, False)) == "total_derivative"
-    assert sv.structure_mode(flags(True, True, True)) == "total_derivative"
+    assert sv.structure_mode(flags(True, False)) == "reversible"
+    assert sv.structure_mode(flags(False, True)) == "total_derivative"
+    assert sv.structure_mode(flags(True, True)) == "total_derivative"
     with pytest.raises(sv.StructureError, match="neither"):
-        sv.structure_mode(flags(False, False, False))
+        sv.structure_mode(flags(False, False))
 
 
 if __name__ == "__main__":

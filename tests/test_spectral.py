@@ -241,7 +241,7 @@ def test_default_frequency_up_to_three_angles():
 
 def test_diophantine_witness_rejects_resonant():
     with pytest.raises(ValueError):
-        Frequency((1.0, 0.5), gamma0=0.05, check_range=8)
+        Frequency((1.0, 0.5))  # resonant at l = (1, -2)
 
 
 def test_omega_dphi_inv_guards_every_l_but_zero():
