@@ -166,13 +166,9 @@ class ExperimentConfig:
         if any(not (0.5 <= v <= 1.5) for v in lambdas):
             raise ConfigError("lambda: values must lie in [1/2, 3/2]")
 
-        tr = _section(raw, "truncation", ("n_phi", "n_x", "oversample"), {})
-        trunc = Truncation(
-            len(omega_bar),
-            int(take(tr, "n_phi", "truncation.n_phi", 8)),
-            int(take(tr, "n_x", "truncation.n_x", 8)),
-            int(take(tr, "oversample", "truncation.oversample", 2)),
-        )
+        tr = _section(raw, "truncation", ("n_phi", "n_x"), {})
+        trunc = Truncation(len(omega_bar), int(take(tr, "n_phi", "truncation.n_phi", 8)),
+                           int(take(tr, "n_x", "truncation.n_x", 8)))
 
         kam = _section(raw, "kam", SOLVER_FIELDS["kam"], {})
         nu = len(omega_bar)

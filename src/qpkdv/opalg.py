@@ -6,7 +6,7 @@ A^{(l2,j2)}_{(l1,j1)} = A^{j2}_{j1}(l1 - l2).  They are stored as a table of
 spatial blocks indexed by the offset l on the doubled rectangle
 |l_i| <= 2 n_phi.  The module provides construction from multiplication and
 Fourier-multiplier operators, application to fields, composition, s-decay
-norms, Neumann inversion, matrix exponentials, evaluation of block tables at
+norms, Neumann inversion, the pair exp(+-Psi), evaluation of block tables at
 a batch of angles (``freeze``), and dense materialization for the
 Galerkin-Newton oracle.  A diagonal operator is its symbol, a plain array
 over |j| <= n_x, applied by ``scale_modes``.  Regularization step 5 and every
@@ -61,7 +61,6 @@ __all__ = [
     "decay_norm",
     "commutator",
     "neumann_inverse",
-    "matrix_exponential",
     "near_identity",
     "conjugate",
     "SeriesRefused",
@@ -365,8 +364,12 @@ def neumann_inverse(Psi: ToplitzOperator) -> ToplitzOperator:
     return out
 
 
-def matrix_exponential(Psi: ToplitzOperator) -> ToplitzOperator:
-    """exp(Psi) by scaling-and-squaring of the block series."""
+def near_identity(Psi: ToplitzOperator, mode: str) -> tuple[ToplitzOperator, ToplitzOperator]:
+    """(Phi, Phi^{-1}): I + Psi and its Neumann inverse, or in hamiltonian mode exp(+-Psi) by
+    scaling and squaring.  The series of -Psi has the terms of Psi times (-1)^n, exactly, so
+    one series of powers of Psi 2^-k serves both: only the two sums and the squarings are apart."""
+    if mode != "hamiltonian":
+        return add(identity(Psi.trunc), Psi), neumann_inverse(Psi)
     s0 = Psi.trunc.s0
     norm0 = decay_norm(Psi, s0)
     if norm0 > 1.0:
@@ -375,25 +378,18 @@ def matrix_exponential(Psi: ToplitzOperator) -> ToplitzOperator:
     while norm0 / (2**k) > 0.25:
         k += 1
     scaled = Psi.scale(0.5**k)
-    out = identity(Psi.trunc)
+    pos = neg = identity(Psi.trunc)
     fact = 1.0
     # a power-of-two scaling is exact, so |scaled|_s0 is norm0 2^-k
     for n in range(1, 30):
         term = scaled if n == 1 else compose(term, scaled)
         fact /= n
-        out = add(out, term.scale(fact))
+        pos, neg = add(pos, term.scale(fact)), add(neg, term.scale(-fact if n % 2 else fact))
         if (norm0 * 0.5**k if n == 1 else decay_norm(term, s0)) * fact < EXP_TERM_TOL:
             break
     for _ in range(k):
-        out = compose(out, out)
-    return out
-
-
-def near_identity(Psi: ToplitzOperator, mode: str) -> tuple[ToplitzOperator, ToplitzOperator]:
-    """(Phi, Phi^{-1}): exp(+-Psi) in hamiltonian mode, else I + Psi and its Neumann inverse."""
-    if mode == "hamiltonian":
-        return matrix_exponential(Psi), matrix_exponential(Psi.scale(-1.0))
-    return add(identity(Psi.trunc), Psi), neumann_inverse(Psi)
+        pos, neg = compose(pos, pos), compose(neg, neg)
+    return pos, neg
 
 
 def conjugate(Phi: ToplitzOperator, Phi_inv: ToplitzOperator, freq, d, V: ToplitzOperator,

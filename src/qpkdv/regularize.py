@@ -60,7 +60,7 @@ def _inverse(samples: np.ndarray, what: str) -> np.ndarray:
 # ----------------------------------------------------------------- step 1
 
 
-def step1_space_diffeo(a3, a2, a1, a0, freq: Frequency, mode: str = "generic"):
+def step1_space_diffeo(a3, a2, a1, a0, freq: Frequency, mode: str):
     """Flatten the leading coefficient by x |-> x + beta(phi, x).
 
     Returns a dict with b (the flattened d_yyy coefficient, a function of phi
@@ -203,8 +203,7 @@ def step4_translation(d1, d0, freq: Frequency):
 # ----------------------------------------------------------------- step 5
 
 
-def step5_pseudo_diff(e1, e0, m3: float, m1: float, freq: Frequency,
-                      mode: str = "generic"):
+def step5_pseudo_diff(e1, e0, m3: float, m1: float, freq: Frequency, mode: str):
     """Trade the remaining variable d_x coefficient for an order-zero remainder
     via S = I + w d_x^{-1} (exp(Pi_0 w d_x^{-1}) in hamiltonian mode)."""
     trunc = e1.trunc
@@ -300,8 +299,7 @@ class RegularizationResult:
         return out + dx_pow(z, 1) * self.m1 + opalg.apply(self.R, z)
 
 
-def run_regularization(a3, a2, a1, a0, freq: Frequency,
-                       mode: str = "generic") -> RegularizationResult:
+def run_regularization(a3, a2, a1, a0, freq: Frequency, mode: str) -> RegularizationResult:
     """Full Steps 1-5 from the four linearization coefficients."""
     s1 = step1_space_diffeo(a3, a2, a1, a0, freq, mode)
     s2 = step2_time_reparam(s1["b3"], s1["b2"], s1["b1"], s1["b0"], freq)
@@ -319,7 +317,6 @@ def run_regularization(a3, a2, a1, a0, freq: Frequency,
     diagnostics = {
         "m3_minus_1": abs(m3 - 1.0),
         "m1_abs": abs(m1),
-        "R_norm_s0": opalg.decay_norm(s5["R"], a3.trunc.s0),
         "r1_sup": float(np.max(np.abs(s5["r1"].c))),
         "b2_sup": float(np.max(np.abs(s1["b2"].c))) if mode == "hamiltonian" else None,
     }

@@ -8,10 +8,11 @@ equispaced grids, Sobolev norms, powers of d/dx (including the zero-average
 antiderivative), inversion of omega . d/dphi, composition with torus
 diffeomorphisms, and parity/reality predicates.
 
-Grid transforms are real FFTs on the modes j >= 0, so fields must be real; a
-torus diffeomorphism is the transport series h o (id + d) = sum_k d^k/k! D^k h,
-K + 1 uniform syntheses summed in the samples of d, its mean an exact phase, on a
-grid that grows with K from the product grid.
+Grid transforms are real FFTs on the modes j >= 0, so fields must be real; the
+product grid has 4n + 2 points per axis.  A torus diffeomorphism is the transport
+series h o (id + d) = sum_k d^k/k! D^k h, K + 1 uniform syntheses summed in the
+samples of d, its mean an exact phase, on a grid that grows with K from the
+product grid; one planner makes every decision of a composition of either kind.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -58,18 +60,12 @@ class NumericalFailure(Exception):
         return f"{type(self).__name__}: {self}"
 
 
-def _grid_len(n: int, oversample: int) -> int:
-    """Even grid length >= oversample * (2n + 1)."""
-    m = oversample * (2 * n + 1)
-    return m if m % 2 == 0 else m + 1
-
-
 @dataclass(frozen=True)
 class Truncation:
     """Rectangular Fourier truncation |l_i| <= n_phi, |j| <= n_x.
 
-    ``oversample`` sets the product grid ``grid_shape``; 2 is enough to de-alias
-    products of band-limited fields.  That grid is also the least one a torus
+    ``grid_shape`` is the product grid, 4n + 2 points per axis: it de-aliases
+    products of band-limited fields.  It is also the least grid a torus
     composition runs on: ``compose`` and ``invert_torus_diffeo`` grow it per
     call with the size of the displacement.
     """
@@ -77,15 +73,12 @@ class Truncation:
     nu: int
     n_phi: int
     n_x: int
-    oversample: int = 2
 
     def __post_init__(self):
         if self.nu < 1:
             raise ValueError("nu must be >= 1")
         if self.n_phi < 1 or self.n_x < 1:
             raise ValueError("n_phi and n_x must be >= 1")
-        if self.oversample < 2:
-            raise ValueError("oversample must be >= 2")
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -93,9 +86,7 @@ class Truncation:
 
     @property
     def grid_shape(self) -> tuple[int, ...]:
-        gp = _grid_len(self.n_phi, self.oversample)
-        gx = _grid_len(self.n_x, self.oversample)
-        return (gp,) * self.nu + (gx,)
+        return (4 * self.n_phi + 2,) * self.nu + (4 * self.n_x + 2,)
 
     def mode_range(self, axis: int) -> np.ndarray:
         n = self.n_phi if axis < self.nu else self.n_x
@@ -462,73 +453,82 @@ def _series_order(x: float) -> int:
     return order
 
 
-def _composition_grid(kind: str, d: FourierField, freq: Frequency | None) -> tuple[int, ...]:
-    """Grid of a composition with displacement d, chosen before d is sampled.  The series term
-    s^k D^k h has bandwidth (k + 1) n along each axis that s = d - mean d varies on (phi and, for
-    the space kind, x), so it projects onto |mode| <= n without aliasing on (k + 2) n + 1 points.
-    K is the series order of x_bound = max|m| sum|d_{l,j}| over the non-mean modes, which bounds
-    x = max|m| max|s| on every grid (capped at _X_MAX, past which the series is refused).  Each
-    such axis takes the least even length >= (K + 1) n + 1 and >= trunc.grid_shape's: orders
-    k < K do not alias, and orders >= K are below the series cutoff.  The time kind keeps the
-    standard x grid.  Checks the kind, and that the time kind comes with a Frequency."""
-    if kind not in ("space", "time"):
-        raise ValueError(f"unknown diffeomorphism kind {kind!r}")
-    if kind == "time" and freq is None:
-        raise ValueError("the time kind needs a Frequency")
-    trunc = d.trunc
-    if kind == "space":
-        max_m, modes = trunc.n_x, d.c.ravel()
-    else:  # the j = 0 column, the part of alpha that is sampled
-        max_m, modes = trunc.n_phi * float(np.sum(np.abs(freq.omega))), d.c[..., trunc.n_x].ravel()
-    size = float(np.sum(np.abs(np.delete(modes, modes.size // 2))))  # the mean sits at the centre
-    order = _series_order(min(max_m * size, _X_MAX))
+class _Plan(NamedTuple):
+    """A torus composition, decided: its grid; the samples of d on it (of alpha as (phi grid...,
+    1) for the time kind); the series order K; d's own x coefficients, which the series of its
+    inverse reads; tables(half, shift), the function k -> samples of D^k h(. + shift)/k! for the
+    x coefficients j >= 0 in half, (field, l..., J): (field, grid...) for the space kind,
+    (field, phi grid..., J) for the time kind; and project, from summed tables to fields."""
 
-    def length(n: int, standard: int) -> int:
-        g = (order + 1) * n + 1
-        return max(standard, g + g % 2)
+    grid: tuple
+    samples: np.ndarray
+    order: int
+    own_half: np.ndarray
+    tables: Callable
+    project: Callable
 
+
+def _plan(kind: str, d: FourierField, freq: Frequency | None) -> _Plan:
+    """Every decision of a torus composition with displacement d, made once.  The kind is 'space',
+    D = d_x of multiplier i m, m = j, or 'time', D = omega.d_phi, m = omega.l, which needs a
+    Frequency and a d of phi only (x-modes within 1e-12 max|d_{l,j}|).
+
+    The grid is chosen before d is sampled.  The series term s^k D^k h, s = d - mean d, has
+    bandwidth (k + 1) n along each axis that s varies on (phi and, for the space kind, x), so it
+    projects onto |mode| <= n without aliasing on (k + 2) n + 1 points.  K, the series order of
+    x_bound = max|m| sum|d_{l,j}| over the non-mean modes, which bounds x = max|m| max|s| on every
+    grid (capped at _X_MAX), gives each such axis the least even length >= (K + 1) n + 1 and >=
+    the product grid's 4n + 2: orders k < K do not alias, and orders >= K are below the series
+    cutoff.  Then d is sampled, its slope beta_x or omega.d_phi alpha must stay within 1/2, and
+    the order is that of the sampled x, refused past _X_MAX."""
+    trunc, n = d.trunc, d.trunc.n_x
+    if kind == "space":  # m = j commutes with the phi synthesis: one for all k
+        m, modes, name = trunc.mode_range(trunc.nu)[n:], d.c, "beta_x"
+
+        def sample(gs):
+            return synthesize([d, dx_pow(d, 1)], gs)
+
+        def tables(half, shift):
+            moved = _phi_synth(trunc, half * np.exp(1j * m * shift), gs[:-1])
+            part = np.zeros(moved.shape[:-1] + (gs[-1] // 2 + 1,), dtype=complex)  # irfft's full input
+
+            def table(k):
+                np.multiply(moved, (1j * m) ** k / math.factorial(k), out=part[..., : len(m)])
+                return np.fft.irfft(part, n=gs[-1], axis=-1, norm="forward")
+            return table
+        own_half, project = d.c[None, ..., n:], lambda out: analyze(trunc, out)
+    elif kind == "time" and freq is not None:
+        if np.max(np.abs(np.delete(d.c, n, axis=-1))) > 1e-12 * np.max(np.abs(d.c)):
+            raise ValueError("time displacement must depend on phi only")
+        m, modes, name = freq.omega_dot_l(trunc)[..., None], d.c[..., n], "omega.d_phi alpha"
+
+        def sample(gs):  # the j = 0 column along phi only
+            return _phi_synth(trunc, np.stack([d.c, omega_dphi(d, freq).c])[..., n, None], gs[:-1]).real
+
+        def tables(half, shift):  # one phi synthesis per k
+            moved = half * np.exp(1j * m * shift)
+            return lambda k: _phi_synth(trunc, moved * ((1j * m) ** k / math.factorial(k)), gs[:-1])
+        own_half, project = d.c[None, ..., n, None], lambda out: _from_x_half(trunc, out)
+    else:
+        raise ValueError("the time kind needs a Frequency" if kind == "time"
+                         else f"unknown diffeomorphism kind {kind!r}")
+    max_m, modes = float(np.max(np.abs(m))), modes.ravel()  # the mean sits at the centre
+    order = _series_order(min(max_m * float(np.sum(np.abs(np.delete(modes, modes.size // 2)))), _X_MAX))
+
+    def length(k: int, least: int) -> int:
+        g = (order + 1) * k + 1
+        return max(least, g + g % 2)
     *gphi, gx = trunc.grid_shape
-    return tuple(length(trunc.n_phi, g) for g in gphi) + (length(trunc.n_x, gx) if kind == "space" else gx,)
-
-
-def _displacement_samples(kind: str, d: FourierField, freq, gs, verdict: str) -> np.ndarray:
-    """Samples of beta on gs, or of alpha(phi) on the phi grid as (phi grid..., 1), after
-    checking that the slope beta_x or omega.d_phi alpha stays within 1/2."""
-    if kind == "space":
-        (samples, slope), name = synthesize([d, dx_pow(d, 1)], gs), "beta_x"
-    else:  # the j = 0 column along phi only
-        pair = np.stack([d.c, omega_dphi(d, freq).c])[..., d.trunc.n_x, None]
-        (samples, slope), name = _phi_synth(d.trunc, pair, gs[:-1]).real, "omega.d_phi alpha"
+    gs = tuple(length(trunc.n_phi, g) for g in gphi) + (length(n, gx) if kind == "space" else gx,)
+    samples, slope = sample(gs)
     if np.max(np.abs(slope)) > 0.5 + 1e-12:
         raise DegenerateCoefficientError(
-            f"{kind} diffeomorphism {verdict}: |{name}|_inf = {np.max(np.abs(slope)):.3f} > 1/2")
-    return samples
-
-
-def _series_tables(kind: str, trunc: Truncation, half: np.ndarray, shift: float, size: float, gs, freq):
-    """The tables k -> samples of D^k h(. + shift)/k! of the transport series h(. + t) = sum_k
-    (t - shift)^k D^k h(. + shift)/k!, D = d_x or omega.d_phi of multiplier i m, for the x
-    coefficients j >= 0 in half, (field, l..., J): (field, gs...) for the space kind, (field,
-    phi grid..., J) for the time kind; and the least K with x^K/K! <= 1e-17, x = max|m| size."""
-    if kind == "space":  # m = j commutes with the phi synthesis: one for all k
-        m = trunc.mode_range(trunc.nu)[trunc.n_x:]
-        moved = _phi_synth(trunc, half * np.exp(1j * m * shift), gs[:-1])
-        part = np.zeros(moved.shape[:-1] + (gs[-1] // 2 + 1,), dtype=complex)  # irfft's full input
-
-        def table(k):
-            np.multiply(moved, (1j * m) ** k / math.factorial(k), out=part[..., : len(m)])
-            return np.fft.irfft(part, n=gs[-1], axis=-1, norm="forward")
-    else:  # m = omega.l: one phi synthesis per k
-        m = freq.omega_dot_l(trunc)[..., None]
-        moved = half * np.exp(1j * m * shift)
-
-        def table(k):
-            return _phi_synth(trunc, moved * ((1j * m) ** k / math.factorial(k)), gs[:-1])
-    x = float(np.max(np.abs(m))) * size
+            f"{kind} diffeomorphism not invertible: |{name}|_inf = {np.max(np.abs(slope)):.3f} > 1/2")
+    x = max_m * float(np.max(np.abs(samples - d.mean)))
     if x > _X_MAX:
         raise LargeDisplacementError(f"{kind} displacement too large for its transport series: "
                                      f"x = max|m| max|d - mean d| = {x:.3g} > {_X_MAX:.2f}")
-    return table, _series_order(x)
+    return _Plan(gs, samples, _series_order(x), own_half, tables, project)
 
 
 def _transport_sum(table, order: int, s: np.ndarray) -> np.ndarray:
@@ -553,24 +553,19 @@ def compose(kind: str, f, displacement: FourierField, freq: Frequency | None = N
     """
     trunc, c, batched = _stacked(f)
     _check_same(trunc, displacement.trunc)
-    gs = _composition_grid(kind, displacement, freq)
-    x_modes = np.delete(displacement.c, trunc.n_x, axis=-1)
-    if kind == "time" and np.max(np.abs(x_modes)) > 1e-12 * np.max(np.abs(displacement.c)):
-        raise ValueError("time displacement must depend on phi only")
-    s = _displacement_samples(kind, displacement, freq, gs, "degenerate") - displacement.mean
-    out = _transport_sum(*_series_tables(kind, trunc, c[..., trunc.n_x:], displacement.mean,
-                                         np.max(np.abs(s)), gs, freq), s)
-    out = analyze(trunc, out) if kind == "space" else _from_x_half(trunc, out)
+    plan = _plan(kind, displacement, freq)
+    s = plan.samples - displacement.mean
+    out = plan.project(_transport_sum(plan.tables(c[..., trunc.n_x:], displacement.mean), plan.order, s))
     return out if batched else out[0]
 
 
-def invert_torus_diffeo(
-    kind: str,
-    displacement: FourierField,
-    freq: Frequency | None = None,
-    tol: float = 1e-13,
-    max_iter: int = 100,
-) -> FourierField:
+# the fixed-point iteration of invert_torus_diffeo: it stops when an iterate moves
+# by less than DIFFEO_TOL, and fails after DIFFEO_MAX_ITER iterates
+DIFFEO_TOL = 1e-13
+DIFFEO_MAX_ITER = 100
+
+
+def invert_torus_diffeo(kind: str, displacement: FourierField, freq: Frequency | None = None) -> FourierField:
     """Displacement of the inverse diffeomorphism, by fixed-point iteration.
 
     space: solves beta~(y) = -beta(y + beta~(y));
@@ -578,27 +573,24 @@ def invert_torus_diffeo(
     The displacement's series tables are synthesized once, and each iterate is a
     polynomial in them; it takes the values of -d, so max|d - mean d| bounds it.
     Raises DegenerateCoefficientError if the slope of the displacement exceeds 1/2,
-    and DiffeoConvergenceError if max_iter iterations do not reach tol.
+    and DiffeoConvergenceError if DIFFEO_MAX_ITER iterations do not reach DIFFEO_TOL.
     """
-    trunc = displacement.trunc
-    gs = _composition_grid(kind, displacement, freq)
-    d = _displacement_samples(kind, displacement, freq, gs, "not invertible")
-    half = displacement.c[None, ..., trunc.n_x:] if kind == "space" else displacement.c[None, ..., trunc.n_x, None]
+    plan = _plan(kind, displacement, freq)
     shift = -displacement.mean
-    table, order = _series_tables(kind, trunc, half, shift, np.max(np.abs(d + shift)), gs, freq)
-    tables = [np.real(table(k)[0]) for k in range(order + 1)]
-    cur, new = 0.0, -d  # the first iterate, from 0, is exact
-    del table, d  # the moved spectrum and the slope samples
-    for _ in range(max_iter):
+    table = plan.tables(plan.own_half, shift)
+    tables = [np.real(table(k)[0]) for k in range(plan.order + 1)]
+    del table  # the moved spectrum
+    cur, new = 0.0, -plan.samples  # the first iterate, from 0, is exact
+    for _ in range(DIFFEO_MAX_ITER):
         delta, cur = np.max(np.abs(new - cur)), new
-        if delta < tol:
+        if delta < DIFFEO_TOL:
             break
-        new = -_transport_sum(tables.__getitem__, order, cur - shift)
+        new = -_transport_sum(tables.__getitem__, plan.order, cur - shift)
     else:
         raise DiffeoConvergenceError(
-            f"inverse {kind} diffeomorphism did not converge in {max_iter} "
+            f"inverse {kind} diffeomorphism did not converge in {DIFFEO_MAX_ITER} "
             f"iterations (last delta {delta:.2e})")
-    return analyze(trunc, np.broadcast_to(cur, gs))
+    return analyze(displacement.trunc, np.broadcast_to(cur, plan.grid))
 
 
 # ---------------------------------------------------------------------------

@@ -97,10 +97,10 @@ def test_criterion_03_regularization_chain():
                           scale=0.1, parity="X")
     t0 = time.time()
     a3, a2, a1, a0 = nonlin.linearized_coefficients(spec, u)
-    s1 = reg.step1_space_diffeo(a3, a2, a1, a0, FREQ)
+    s1 = reg.step1_space_diffeo(a3, a2, a1, a0, FREQ, "generic")
     b3_var = float(np.max(np.abs((s1["b3"] - x_average(s1["b3"])).c)))
 
-    rg = reg.run_regularization(a3, a2, a1, a0, FREQ)
+    rg = reg.run_regularization(a3, a2, a1, a0, FREQ, "generic")
     m3 = rg.m3
     s2 = reg.step2_time_reparam(s1["b3"], s1["b2"], s1["b1"], s1["b0"], FREQ)
     s3 = reg.step3_descent_zero(s2["c2"], s2["c1"], s2["c0"], m3, FREQ)

@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 from qpkdv import cli
 from qpkdv import dynamics as dyn
 from qpkdv import kamreduce as km
-from qpkdv import regularize as reg
 from qpkdv import solver as sv
+from qpkdv import spectral
 from qpkdv.spectral import field_from_json, sobolev_norm
 
 
@@ -106,6 +106,7 @@ def test_config_frequency_preset():
     ({"lambda": {"min": 0.5, "max": 1.5, "n": 5}}, "lambda.n"),
     ({"nonlinearity": {"text": "z0^2 * z3", "form": "raw_f"}}, "nonlinearity.form"),
     ({"epsilons": [1e-3]}, "epsilons"),
+    ({"truncation": {"n_phi": 6, "oversample": 3}}, "truncation.oversample"),
 ])
 def test_config_unknown_field_names_path(tmp_path, overrides, path):
     raw = base_config(tmp_path / "out", **overrides)
@@ -431,9 +432,8 @@ def test_main_failed_reduction_exits_1(tmp_path, capsys):
 
 
 def test_main_diffeo_non_convergence_exits_1(tmp_path, monkeypatch, capsys):
-    real = reg.invert_torus_diffeo
-    monkeypatch.setattr(reg, "invert_torus_diffeo",
-                        lambda *a, **kw: real(*a, **{**kw, "max_iter": 1, "tol": 0.0}))
+    monkeypatch.setattr(spectral, "DIFFEO_MAX_ITER", 1)
+    monkeypatch.setattr(spectral, "DIFFEO_TOL", 0.0)
     cfg = write_config(tmp_path)
     out = tmp_path / "diffeo_fail"
     assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_ERROR

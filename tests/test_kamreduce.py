@@ -16,7 +16,7 @@ from qpkdv.spectral import (
     random_real_field,
     sobolev_norm,
 )
-from test_opalg import block, reality_defect, smooth
+from test_opalg import block, matrix_exponential, reality_defect, smooth
 from test_regularize import builtin
 from test_spectral import embed_field
 
@@ -260,8 +260,8 @@ def _assembled_kam_remainder(state, freq):
     sol = km.solve_homological(D, R, freq, N, sched.gamma, sched.tau)
     Psi = sol.Psi
     if state.mode == "hamiltonian":
-        Phi = op.matrix_exponential(Psi)
-        Phi_inv = op.matrix_exponential(Psi.scale(-1.0))
+        Phi = matrix_exponential(Psi)
+        Phi_inv = matrix_exponential(Psi.scale(-1.0))
         dots = freq.omega_dot_l(R.trunc, double=True)
         q = op.ToplitzOperator(R.trunc, (1j * dots)[..., None, None] * Phi.blocks)
         q = op.add(q, op.scale_modes(Phi, rows=D))
@@ -423,7 +423,7 @@ def test_reduce_takes_the_mode_of_its_regularization():
     state = km.initial_state(rg, sched)
     Psi = km.solve_homological(state.eigs, state.R, FREQ, sched.cutoff(0, T.n_phi),
                                sched.gamma, sched.tau).Psi
-    assert np.array_equal(red.Phi_inf.blocks, op.matrix_exponential(Psi).blocks)
+    assert np.array_equal(red.Phi_inf.blocks, matrix_exponential(Psi).blocks)
     assert not np.array_equal(red.Phi_inf.blocks, op.add(op.identity(T), Psi).blocks)
 
 

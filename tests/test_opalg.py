@@ -382,8 +382,8 @@ def test_compose_allocates_no_padded_spectrum():
 
 
 def test_series_first_term_norms_are_exact_scalings():
-    # neumann_inverse and matrix_exponential reuse |Psi|_s0 for their first
-    # term, -Psi and Psi 2^-k, which is bitwise right
+    # neumann_inverse and near_identity's exponential reuse |Psi|_s0 for
+    # their first term, -Psi and Psi 2^-k, which is bitwise right
     for trunc in [T, Truncation(2, 3, 3)]:
         Psi = random_toeplitz(trunc, np.random.default_rng(15), scale=0.3)
         norm0 = op.decay_norm(Psi, trunc.s0)
@@ -733,15 +733,41 @@ def test_contraction_guard():
         op.neumann_inverse(op.from_multiplication(big))
 
 
+def matrix_exponential(Psi):
+    """exp(Psi) by scaling and squaring of its own series: the oracle of
+    near_identity, which sums the series of Psi and -Psi from one set of powers."""
+    s0 = Psi.trunc.s0
+    norm0 = op.decay_norm(Psi, s0)
+    k = 0
+    while norm0 / (2**k) > 0.25:
+        k += 1
+    scaled = Psi.scale(0.5**k)
+    out = op.identity(Psi.trunc)
+    fact = 1.0
+    for n in range(1, 30):
+        term = scaled if n == 1 else op.compose(term, scaled)
+        fact /= n
+        out = op.add(out, term.scale(fact))
+        if (norm0 * 0.5**k if n == 1 else op.decay_norm(term, s0)) * fact < op.EXP_TERM_TOL:
+            break
+    for _ in range(k):
+        out = op.compose(out, out)
+    return out
+
+
+def exp_pair(Psi):
+    return op.near_identity(Psi, "hamiltonian")
+
+
 def test_exponential_of_zero():
     Z = op.ToplitzOperator(T, np.zeros(op._block_shape(T), dtype=complex))
-    E = op.matrix_exponential(Z)
-    assert np.max(np.abs(E.blocks - op.identity(T).blocks)) < 1e-15
+    for E in exp_pair(Z):
+        assert np.max(np.abs(E.blocks - op.identity(T).blocks)) < 1e-15
 
 
 def test_exponential_small_series():
     Psi = random_toeplitz(T, RNG, scale=1e-4 / 60.0, decay=2.0)
-    E = op.matrix_exponential(Psi)
+    E = exp_pair(Psi)[0]
     approx = op.add(op.add(op.identity(T), Psi), op.compose(Psi, Psi).scale(0.5))
     diff = op.add(E, approx.scale(-1.0))
     n = op.decay_norm(Psi, T.s0)
@@ -750,8 +776,7 @@ def test_exponential_small_series():
 
 def test_exponential_inverse():
     Psi = op.from_multiplication(random_real_field(T, RNG, decay=6.0, scale=0.002))
-    E = op.matrix_exponential(Psi)
-    Einv = op.matrix_exponential(Psi.scale(-1.0))
+    E, Einv = exp_pair(Psi)
     res = op.add(op.compose(E, Einv), op.identity(T).scale(-1.0))
     assert op.decay_norm(res, T.s0) < 1e-11
 
@@ -761,7 +786,7 @@ def test_exponential_matches_dense_expm_centrally():
     Psi = op.from_multiplication(
         random_real_field(tr, np.random.default_rng(9), decay=4.0, scale=0.005)
     )
-    E = op.matrix_exponential(Psi)
+    E = exp_pair(Psi)[0]
     Md = expm(op.materialize_matrix(Psi))
     Me = op.materialize_matrix(E)
     m = 2 * tr.n_x + 1
@@ -821,8 +846,26 @@ def test_near_identity_picks_the_pair_by_mode():
     assert np.array_equal(Phi.blocks, (op.identity(T) + Psi).blocks)
     assert np.array_equal(Phi_inv.blocks, op.neumann_inverse(Psi).blocks)
     E, E_inv = op.near_identity(Psi, "hamiltonian")
-    assert np.array_equal(E.blocks, op.matrix_exponential(Psi).blocks)
-    assert np.array_equal(E_inv.blocks, op.matrix_exponential(Psi.scale(-1.0)).blocks)
+    assert np.array_equal(E.blocks, matrix_exponential(Psi).blocks)
+    assert np.array_equal(E_inv.blocks, matrix_exponential(Psi.scale(-1.0)).blocks)
+
+
+@pytest.mark.parametrize("norm, squarings", [(0.18, 0), (0.82, 2)])
+def test_exponential_pair_shares_one_series(monkeypatch, norm, squarings):
+    # exp(Psi) and exp(-Psi) equal their single-sign series bit for bit; the
+    # powers of Psi 2^-k are composed once, and only the squarings twice
+    Psi = random_toeplitz(T, np.random.default_rng(17))
+    Psi = Psi.scale(norm / op.decay_norm(Psi, T.s0))
+    calls = []
+    monkeypatch.setattr(op, "compose", lambda *a, _f=op.compose: calls.append(1) or _f(*a))
+    want = matrix_exponential(Psi)
+    single = len(calls)
+    want_inv = matrix_exponential(Psi.scale(-1.0))
+    del calls[:]
+    E, E_inv = op.near_identity(Psi, "hamiltonian")
+    assert len(calls) == single + squarings
+    assert np.array_equal(E.blocks, want.blocks) and np.array_equal(E_inv.blocks, want_inv.blocks)
+    assert (E.dropped_mass, E_inv.dropped_mass) == (want.dropped_mass, want_inv.dropped_mass)
 
 
 # ------------------------------------------------------- structure closure
@@ -839,7 +882,7 @@ def test_reality_closed_under_algebra():
     assert reality_defect(A) < 1e-13
     assert reality_defect(op.compose(A, B)) < 1e-12
     assert reality_defect(op.neumann_inverse(A)) < 1e-12
-    assert reality_defect(op.matrix_exponential(A)) < 1e-12
+    assert all(reality_defect(E) < 1e-12 for E in exp_pair(A))
 
 
 def reversibility_defect(A):

@@ -12,6 +12,7 @@ from qpkdv import nonlin
 from qpkdv import opalg as op
 from qpkdv import regularize as reg
 from qpkdv import solver as sv
+from qpkdv import spectral
 from qpkdv.spectral import (
     FourierField,
     Frequency,
@@ -422,10 +423,9 @@ def test_cantor_measure_completes_past_step_failures(text, cause):
 
 
 def test_cantor_measure_records_diffeo_non_convergence(monkeypatch):
-    # with tol = 0 no inversion converges within its one iteration
-    real = reg.invert_torus_diffeo
-    monkeypatch.setattr(reg, "invert_torus_diffeo",
-                        lambda *a, **kw: real(*a, **{**kw, "max_iter": 1, "tol": 0.0}))
+    # with tolerance 0 no inversion converges within its one iteration
+    monkeypatch.setattr(spectral, "DIFFEO_MAX_ITER", 1)
+    monkeypatch.setattr(spectral, "DIFFEO_TOL", 0.0)
     rep = sv.cantor_measure(FORCED, "raw_f", (1.0,), [1e-3], np.array([1.1]),
                             a=0.5, trunc=Truncation(1, 4, 4))
     rec = rep.records[1e-3][0]

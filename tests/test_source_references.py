@@ -10,9 +10,12 @@ method that shares its name with a used one passes unseen; the test-only
 `spectral`, was found by hand."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qpkdv"
+TRACER = SRC.parents[1] / "bench" / "tracer.py"
 
 # what bench/, demos/ and the README call, and the reader of the solution
 # files that `solve` writes
@@ -79,3 +82,35 @@ def test_a_test_only_helper_is_found(tmp_path):
         "        return self.method()\n")
     (tmp_path / "b.py").write_text("__all__ = ['helper']\n")
     assert unreferenced_definitions(tmp_path) == ["a.helper"]
+
+
+def _tracer_tables() -> dict:
+    """TRACED, CLASSMETHODS and SPLIT_BY_KIND of the benchmark's tracer, read
+    from its source as literals, without importing it."""
+    tables = {}
+    for node in ast.parse(TRACER.read_text()).body:
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            if node.targets[0].id in ("TRACED", "CLASSMETHODS", "SPLIT_BY_KIND"):
+                tables[node.targets[0].id] = ast.literal_eval(node.value)
+    return tables
+
+
+def test_traced_benchmark_api_exists():
+    # the tracer wraps these by name: a deleted or renamed one breaks the
+    # benchmark, and a split one must take the kind first (spans split by args[0])
+    tables = _tracer_tables()
+    assert tables.keys() == {"TRACED", "CLASSMETHODS", "SPLIT_BY_KIND"}
+    traced, missing = {}, []
+    for prefix, module, attr in tables["TRACED"]:
+        mod = importlib.import_module(f"qpkdv.{module}")
+        if hasattr(mod, attr):
+            traced[prefix] = getattr(mod, attr)
+        else:
+            missing.append(f"{module}.{attr}")
+    for _, module, cls, attr in tables["CLASSMETHODS"]:
+        owner = getattr(importlib.import_module(f"qpkdv.{module}"), cls, None)
+        if not isinstance(vars(owner).get(attr) if owner else None, classmethod):
+            missing.append(f"classmethod {module}.{cls}.{attr}")
+    assert not missing, f"bench/tracer.py traces what qpkdv no longer has: {missing}"
+    for prefix in tables["SPLIT_BY_KIND"]:
+        assert list(inspect.signature(traced[prefix]).parameters)[0] == "kind", prefix

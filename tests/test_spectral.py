@@ -86,15 +86,16 @@ def phi_grid_sum(f, gphi, x):
 ORACLE_CASES = [Truncation(1, 4, 4), Truncation(2, 2, 2)]
 
 
-def oracle_shape(tr, oversample=6):
-    """An equispaced grid fixed by the test, not chosen by the library.  At 6x the
-    Horner oracles below agree with their own 12x results to 6e-16 relative on
-    every transport case, x = 1.3 included."""
-    return Truncation(tr.nu, tr.n_phi, tr.n_x, oversample=oversample).grid_shape
+def oracle_shape(tr, factor=6):
+    """An equispaced grid fixed by the test, not chosen by the library: the least even
+    length >= factor (2n + 1) per axis.  At 6x the Horner oracles below agree with their
+    own 12x results to 6e-16 relative on every transport case, x = 1.3 included."""
+    lengths = [factor * (2 * n + 1) for n in (tr.n_phi,) * tr.nu + (tr.n_x,)]
+    return tuple(m + m % 2 for m in lengths)
 
 
-def oracle_grid(tr, oversample):
-    return list(grids(Truncation(tr.nu, tr.n_phi, tr.n_x, oversample=oversample)))
+def oracle_grid(tr, factor):
+    return list(np.meshgrid(*[_nodes(m) for m in oracle_shape(tr, factor)], indexing="ij"))
 
 
 # ---------------------------------------------------------------- transforms
@@ -449,7 +450,7 @@ def test_transport_series_matches_horner_oracle(nu, kind):
     fields = [random_real_field(tr, rng, decay=2.0) for _ in range(2)]
     for x, mean in [(1e-17, 0.0), (1e-8, 0.0), (0.1, 0.0), (1.3, 0.0), (0.1, 50.0)]:
         disp = transport_case(kind, tr, freq, x, mean, rng)
-        gs = spectral._composition_grid(kind, disp, freq)
+        gs = spectral._plan(kind, disp, freq).grid
         order = next(k for k in range(1, 100) if x ** k / math.factorial(k) <= 1e-17)
         displaced = [tr.n_phi] * nu + ([tr.n_x] if kind == "space" else [])
         assert all(g >= (order + 1) * n + 1 for g, n in zip(gs, displaced)), (x, gs)
@@ -526,18 +527,37 @@ def test_compose_rejects_steep_displacement():
         compose("space", f, beta)
 
 
-def test_compose_time_phi_only_tolerance_is_relative():
+# compose and invert_torus_diffeo on one displacement d: the refusals of the planner
+# they share must reach both
+TORUS_FUNCTIONS = {"compose": lambda kind, d, freq: compose(kind, random_real_field(T, RNG), d, freq),
+                   "invert": invert_torus_diffeo}
+
+
+@pytest.mark.parametrize("fn", TORUS_FUNCTIONS)
+def test_compose_time_phi_only_tolerance_is_relative(fn):
     freq = Frequency.default(1, lam=1.0)
-    f = random_real_field(T, RNG)
     # amplitude 1e3 with an x-mode 1e-14 of it: accepted, a pure phase shift
     big = FourierField.from_modes(T, {(0, 0): 1e3, (0, 1): 1e-11})
-    g = compose("time", f, big, freq)
-    shift = np.exp(1j * 1e3 * T.mode_range(0))[:, None]
-    assert np.max(np.abs(g.c - f.c * shift)) < 1e-9
+    if fn == "compose":
+        f = random_real_field(T, RNG)
+        shift = np.exp(1j * 1e3 * T.mode_range(0))[:, None]
+        assert np.max(np.abs(compose("time", f, big, freq).c - f.c * shift)) < 1e-9
+    else:  # the inverse of a constant shift is its opposite
+        assert abs(invert_torus_diffeo("time", big, freq).mean + 1e3) < 1e-12
     # amplitude 1e-6 with an x-mode 1e-7 of it: rejected
     small = FourierField.from_modes(T, {(1, 0): 0.5e-6, (0, 1): 1e-13})
     with pytest.raises(ValueError, match="phi only"):
-        compose("time", f, small, freq)
+        TORUS_FUNCTIONS[fn]("time", small, freq)
+
+
+@pytest.mark.parametrize("fn", TORUS_FUNCTIONS)
+@pytest.mark.parametrize("kind, freq, message", [
+    ("shear", Frequency.default(1), "unknown diffeomorphism kind 'shear'"),
+    ("time", None, "the time kind needs a Frequency"),
+])
+def test_torus_functions_refuse_kind_and_missing_frequency(fn, kind, freq, message):
+    with pytest.raises(ValueError, match=message):
+        TORUS_FUNCTIONS[fn](kind, FourierField.from_modes(T, {(1, 0): 0.01}), freq)
 
 
 # ------------------------------------------------------------ inverse diffeo
@@ -589,11 +609,12 @@ def test_inverse_time_diffeo():
 
 
 @pytest.mark.parametrize("kind", ["space", "time"])
-def test_inverse_diffeo_non_convergence_is_typed(kind):
+def test_inverse_diffeo_non_convergence_is_typed(kind, monkeypatch):
     freq = Frequency.default(1, lam=1.2)
     disp = FourierField.from_modes(T, {(1, 0): 0.02})
-    with pytest.raises(DiffeoConvergenceError, match="did not converge"):
-        invert_torus_diffeo(kind, disp, freq, max_iter=1)
+    monkeypatch.setattr(spectral, "DIFFEO_MAX_ITER", 1)
+    with pytest.raises(DiffeoConvergenceError, match="did not converge in 1 iterations"):
+        invert_torus_diffeo(kind, disp, freq)
 
 
 # ---------------------------------------------------------------- structure
