@@ -285,11 +285,12 @@ def initial_state(reg, schedule: IterationSchedule) -> ReducibilityState:
 
 def _trace_row(state: ReducibilityState, mu0: np.ndarray, N: int) -> dict:
     s0 = state.R.trunc.s0
+    R_s0, R_s0p2 = opalg.decay_norm(state.R, s0, s0 + 2.0)
     return {
         "step": state.nu_step,
         "N": N,
-        "R_s0": opalg.decay_norm(state.R, s0),
-        "R_s0p2": opalg.decay_norm(state.R, s0 + 2.0),
+        "R_s0": R_s0,
+        "R_s0p2": R_s0p2,
         "sup_r": float(np.max(np.abs(state.eigs - mu0))),
         "mask_fraction": 1.0 if state.mask else 0.0,
     }

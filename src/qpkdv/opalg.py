@@ -16,21 +16,27 @@ KAM step are one conjugation, by the Phi of ``near_identity``, through
 ``apply`` and ``compose`` share one offset convolution: a zero-padded FFT
 over the offset axes, one batched matrix product, and a clip to the right
 operand's rectangle (for ``apply`` the field's, an m x 1 block per l).  Only
-the bounding box of each operand's nonzero offsets is transformed: a phi-axis
-on which the boxes are a and b offsets wide is padded to the 2-3-5-smooth
-length >= a + b - 1 (>= 8 n_phi + 1 for two full tables), so the product
-is alias-free, and a zero operand runs no transform.  The transforms run in
-place over the leading offset axes of a reused workspace: three buffers, each
-a padded spectrum of two full tables of the last truncation composed (7 MB in
-all at nu = 1, n = 16; 72 MB at nu = 2, n = 8), held for the life of the
-process; a call views the head of each as its own padded shape.
+the bounding box of each operand's nonzero offsets is transformed, and only
+as long as the kept window needs (overlap-discard): on a phi-axis where the
+boxes are a and b offsets wide and the product indices k0..k1 of
+0..a + b - 2 are kept, the cyclic length is the 2-3-5-smooth length
+>= max(a, b, a + b - 1 - k0, k1 + 1), so every alias falls on a discarded
+index (>= 6 n_phi + 1 for two full tables, a + b - 1 when the box sum fits
+the rectangle).  A zero operand or an empty kept window runs no transform.
+The transforms run in place over the leading offset axes of a reused
+workspace: three buffers of _fft_length(6 n_phi + 1)^nu m^2 elements, the
+most a call needs (5 MB in all at nu = 1, n = 16; 35 MB at nu = 2, n = 8),
+held for the life of the process; a call views the head of each as its own
+padded shape.
 Only the Minkowski sum of the operands' support boxes is copied out, so the
 offsets outside it are exact zeros; inside it every entry carries rounding
 of order eps |A| |B|, so an offset no pair of nonzero blocks reaches, an
 entry that is zero by structure, or a block whose products cancel, is not an
 exact zero.
-``dropped_mass`` is the l2 (Parseval) norm of the summed product outside the
-kept rectangle.
+The discarded part is aliased, so ``dropped_mass`` is an upper bound on the
+l2 norm of the product outside the kept rectangle: the l2 norm over those
+offsets of the Frobenius bound |C(l)|_F <= sum_l' |A(l')|_F |B(l - l')|_F,
+exactly 0 when the support boxes' sum fits the rectangle.
 Fourier multipliers, a single diagonal l = 0 block, are applied by
 ``scale_modes`` as row/column scalings.
 """
@@ -97,8 +103,8 @@ class ToplitzOperator:
 
     trunc: Truncation
     blocks: np.ndarray = field(repr=False)
-    #: Frobenius mass of blocks dropped at the |l| <= 2 n_phi boundary by the
-    #: producing operation (composition leakage diagnostic).
+    #: bound on the Frobenius mass of blocks dropped at the |l| <= 2 n_phi
+    #: boundary by the producing operations (composition leakage diagnostic).
     dropped_mass: float = 0.0
 
     def __post_init__(self):
@@ -220,41 +226,65 @@ def _support_box(support: np.ndarray) -> tuple[slice, ...]:
     return tuple(box)
 
 
+def _kept_window(boxA, boxB, w: int, out_shape):
+    """Per offset axis of the linear product of the boxes of a w-wide table
+    and of an operand of the offset widths ``out_shape``: the shift from a
+    product index to an output index, the product's width, and the product
+    indices kept."""
+    # product index k on an axis holds the offset k + a0 - w//2 + b0 - c//2,
+    # which is the output index k + a0 + b0 - w//2 on the output's width c
+    shift = [p.start + q.start - w // 2 for p, q in zip(boxA, boxB)]
+    wide = [(p.stop - p.start) + (q.stop - q.start) - 1 for p, q in zip(boxA, boxB)]
+    kept = tuple(slice(max(0, -d), max(0, min(n, c - d)))
+                 for n, c, d in zip(wide, out_shape, shift))
+    return shift, wide, kept
+
+
 @lru_cache(maxsize=1)
 def _workspace(size: int, thread: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The two operand spectra and the product of ``_convolve``: three flat
-    buffers of ``size`` elements, the padded spectrum of two full tables of
-    the last truncation composed, held for that size and thread.  A call
+    buffers of ``size`` elements, held for that size and thread.  A call
     views the head of each as its own padded shape, which is never larger.
     A thread that convolves while another does gets buffers of its own; the
-    other keeps its own until it returns."""
+    other keeps its own until it returns.
+
+    ``size`` is _fft_length(6 n_phi + 1)^nu m^2: on each axis the boxes of a
+    w = 4 n_phi + 1 wide table, a0 <= a1 and b0 <= b1, give a product of
+    width a1 + b1 - a0 - b0 + 1 whose kept indices start at
+    k0 = max(0, 2 n_phi - a0 - b0) and stop before
+    k1 = c + 2 n_phi - a0 - b0 on the output width c <= w.  With a1, b1 <= 4 n_phi,
+    wide - k0 <= a1 + b1 - 2 n_phi + 1 <= 6 n_phi + 1 and k1 <= 6 n_phi + 1,
+    and both box widths are at most w."""
     return tuple(np.empty(size, dtype=complex) for _ in range(3))
 
 
-def _convolve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """sum_{l'} a(l') @ b(l - l') over centered offsets, clipped to b's offset
-    rectangle, and the l2 norm of the product outside it: ``a`` is a full block
-    table, ``b`` an m x k block per offset of its own odd-width rectangle."""
+    rectangle: ``a`` is a full block table, ``b`` an m x k block per offset of
+    its own odd-width rectangle."""
     nu, w = a.ndim - 2, a.shape[0]
     out = np.zeros(b.shape, dtype=complex)
     supA, supB = _offset_support(a), _offset_support(b)
     if not (supA.any() and supB.any()):
-        return out, 0.0
+        return out
     boxA, boxB = _support_box(supA), _support_box(supB)
+    shift, wide, kept = _kept_window(boxA, boxB, w, b.shape)
+    if any(k.stop <= k.start for k in kept):
+        return out
     axes = tuple(range(nu))
-    # product index k on an axis holds the offset k + a0 - w//2 + b0 - c//2,
-    # which is the output index k + a0 + b0 - w//2 on b's width c
-    wide = [(p.stop - p.start) + (q.stop - q.start) - 1 for p, q in zip(boxA, boxB)]
-    shift = [p.start + q.start - w // 2 for p, q in zip(boxA, boxB)]
-    s = tuple(_fft_length(n) for n in wide)
-    full_l = tuple(slice(0, n) for n in wide)
+    # overlap-discard: a cyclic length L >= wide - k0 and >= k1 folds every
+    # alias of the linear product onto a discarded index, and L >= both box
+    # widths holds each box in its buffer
+    s = tuple(_fft_length(max(p.stop - p.start, q.stop - q.start, n - k.start, k.stop))
+              for p, q, n, k in zip(boxA, boxB, wide, kept))
 
     def spectrum(x, box, buf):
         buf.fill(0.0)
         buf[tuple(slice(0, sl.stop - sl.start) for sl in box)] = x[box]
         return np.fft.fftn(buf, axes=axes, out=buf)
 
-    bufs = _workspace(_fft_length(2 * w - 1) ** nu * a.shape[-1] ** 2, threading.get_ident())
+    bufs = _workspace(_fft_length(3 * (w // 2) + 1) ** nu * a.shape[-1] ** 2,
+                      threading.get_ident())
     FA, FB, P = (buf[:int(np.prod(s + x.shape[nu:]))].reshape(s + x.shape[nu:])
                  for buf, x in zip(bufs, (a, b, b)))
     FA = spectrum(a, boxA, FA)
@@ -262,35 +292,67 @@ def _convolve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     # thread, so no helper threads compete with the process pool of
     # solver.cantor_measure.
     np.matmul(FA, FA if b is a else spectrum(b, boxB, FB), out=P)
-    full = np.fft.ifftn(P, axes=axes, out=P)[full_l]
-    lo = [max(0, -d) for d in shift]
-    src = tuple(slice(i, max(i, min(n, c - d)))
-                for i, n, c, d in zip(lo, wide, b.shape, shift))
-    dst = tuple(slice(sl.start + d, sl.stop + d) for sl, d in zip(src, shift))
-    out[dst] = full[src]
-    full[src] = 0.0
+    full = np.fft.ifftn(P, axes=axes, out=P)
+    out[tuple(slice(k.start + d, k.stop + d) for k, d in zip(kept, shift))] = full[kept]
+    return out
+
+
+def _scalar_convolution(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
+    """The linear convolution of two nonnegative arrays over the same axes,
+    as direct sums of nonnegative terms (each accurate to a few eps relative):
+    one matrix product per index of fa's leading axes, with fa's last axis
+    shifted along fb's."""
+    a, b = fa.shape[-1], fb.shape[-1]
+    shifted = np.zeros(fa.shape[:-1] + (b, a + b - 1))
+    for q in range(b):
+        shifted[..., q, q:q + a] = fa
+    out = np.zeros(tuple(p + q - 1 for p, q in zip(fa.shape, fb.shape)))
+    for i in np.ndindex(*fa.shape[:-1]):
+        out[tuple(slice(j, j + n) for j, n in zip(i, fb.shape[:-1]))] += fb @ shifted[i]
+    return out
+
+
+def _dropped_bound(a: np.ndarray, b: np.ndarray) -> float:
+    """An upper bound on the l2 norm, over the offsets outside the doubled
+    rectangle, of the product of two full block tables: by
+    |XY|_F <= |X|_F |Y|_F its block there has
+    |C(l)|_F <= sum_{l'} |a(l')|_F |b(l - l')|_F, a scalar convolution over
+    the support boxes, which is exactly 0 when the boxes' sum fits."""
+    # |x(l)|_F by einsum over the real and imaginary views: no temporary
+    # the size of a table
+    sq = "...ij,...ij->..."
+    fa, fb = (np.sqrt(np.einsum(sq, x.real, x.real) + np.einsum(sq, x.imag, x.imag))
+              for x in (a, b))
+    if not (fa.any() and fb.any()):
+        return 0.0
+    boxA, boxB = _support_box(fa > 0), _support_box(fb > 0)
+    _, wide, kept = _kept_window(boxA, boxB, a.shape[0], b.shape)
+    if all(k.start == 0 and k.stop == n for k, n in zip(kept, wide)):
+        return 0.0
+    spill = _scalar_convolution(fa[boxA], fb[boxB])
+    spill[kept] = 0.0
     # a sum, not np.linalg.norm: BLAS dot products start helper threads
-    return out, float(np.sqrt(np.sum(np.abs(full) ** 2)))
+    return float(np.sqrt(np.sum(spill * spill)))
 
 
 def apply(A: ToplitzOperator, u: FourierField) -> FourierField:
     """(Au)_{l1,j1} = sum_{l2,j2} A^{j2}_{j1}(l1-l2) u_{l2,j2}, clipped to the rectangle."""
     if A.trunc != u.trunc:
         raise ValueError("truncation mismatch between operator and field")
-    out, _ = _convolve(A.blocks, u.c[..., None])
-    return FourierField(A.trunc, out[..., 0])
+    return FourierField(A.trunc, _convolve(A.blocks, u.c[..., None])[..., 0])
 
 
 def compose(A: ToplitzOperator, B: ToplitzOperator) -> ToplitzOperator:
     """(AB)(l) = sum_{l'} A(l') B(l - l'), offsets clipped at |l| <= 2 n_phi.
 
-    The l2 norm of the product beyond the doubled rectangle is added to the
-    operands' dropped_mass.
+    A Frobenius bound on the l2 norm of the product beyond the doubled
+    rectangle (``_dropped_bound``) is added to the operands' dropped_mass.
     """
     if A.trunc != B.trunc:
         raise ValueError("truncation mismatch")
-    out, dropped = _convolve(A.blocks, B.blocks)
-    return ToplitzOperator(A.trunc, out, dropped_mass=dropped + A.dropped_mass + B.dropped_mass)
+    dropped = _dropped_bound(A.blocks, B.blocks)
+    return ToplitzOperator(A.trunc, _convolve(A.blocks, B.blocks),
+                           dropped_mass=dropped + A.dropped_mass + B.dropped_mass)
 
 
 def scale_modes(A: ToplitzOperator, rows=None, cols=None) -> ToplitzOperator:
@@ -333,11 +395,15 @@ def _offset_profile(A: ToplitzOperator) -> np.ndarray:
     return skew.reshape(lead + (m, 2 * m - 1)).max(axis=-2)
 
 
-def decay_norm(A: ToplitzOperator, s: float) -> float:
-    """|A|_s^2 = sum_{l,d} <l,d>^{2s} sup_{j1-j2=d} |A^{j2}_{j1}(l)|^2."""
+def decay_norm(A: ToplitzOperator, s: float, *more: float):
+    """|A|_s^2 = sum_{l,d} <l,d>^{2s} sup_{j1-j2=d} |A^{j2}_{j1}(l)|^2; given
+    further exponents, the tuple of the norms at s and at each of them, from
+    one offset profile."""
     trunc = A.trunc
     w = index_weights(trunc.nu, 2 * trunc.n_phi, 2 * trunc.n_x, 1.0)
-    return float(np.sqrt(np.sum(w ** (2.0 * s) * _offset_profile(A) ** 2)))
+    profile2 = _offset_profile(A) ** 2
+    norms = tuple(float(np.sqrt(np.sum(w ** (2.0 * x) * profile2))) for x in (s,) + more)
+    return norms if more else norms[0]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
 from qpkdv import opalg as op
@@ -209,14 +209,21 @@ def _box(support):
     return box
 
 
-def _reach(A, B):
-    """The kept offsets in the Minkowski sum of the support boxes of A and B."""
+def _box_sum(A, B):
+    """The Minkowski sum of the support boxes of A and B over the unclipped
+    offsets |l_i| <= 4 n_phi, and the index of the kept window |l_i| <= 2 n_phi."""
     trunc = A.trunc
     nu, w = trunc.nu, 4 * trunc.n_phi + 1
     reach = np.zeros((2 * w - 1,) * nu, dtype=bool)
     for offA in np.argwhere(_box(_offset_support(A.blocks, nu))):
         reach[tuple(slice(o, o + w) for o in offA)] |= _box(_offset_support(B.blocks, nu))
-    return reach[(slice(2 * trunc.n_phi, 2 * trunc.n_phi + w),) * nu]
+    return reach, (slice(2 * trunc.n_phi, 2 * trunc.n_phi + w),) * nu
+
+
+def _reach(A, B):
+    """The kept offsets in the Minkowski sum of the support boxes of A and B."""
+    reach, window = _box_sum(A, B)
+    return reach[window]
 
 
 def _check_against_direct(A, B):
@@ -233,11 +240,17 @@ def _check_against_direct(A, B):
     got = _offset_support(C.blocks, nu)
     assert not (support & ~got).any()
     assert not (got & ~_reach(A, B)).any()
-    assert abs(C.dropped_mass - dropped) <= 1e-12 * dropped
+    # dropped_mass is a Frobenius bound: at least the direct kernel's exact
+    # dropped mass, up to rounding, and exactly 0 when the support boxes'
+    # sum fits the kept window
+    assert dropped <= C.dropped_mass * (1.0 + 1e-12)
+    reach, window = _box_sum(A, B)
+    if reach.sum() == reach[window].sum():
+        assert C.dropped_mass == 0.0
     return support, dropped
 
 
-@pytest.mark.parametrize("trunc", [Truncation(1, 8, 8), Truncation(2, 4, 4)])
+@pytest.mark.parametrize("trunc", [Truncation(1, 8, 8), Truncation(2, 4, 4), Truncation(3, 2, 2)])
 def test_compose_matches_direct_kernel(trunc):
     rng = np.random.default_rng(11)
     A = _sparse_toeplitz(trunc, rng, band=2)
@@ -245,14 +258,18 @@ def test_compose_matches_direct_kernel(trunc):
     support, dropped = _check_against_direct(A, B)
     assert support.any()
     assert dropped > 0
-    # operands with only the center block nonzero, with no nonzero block, and
-    # with dense blocks on a box of offsets touching the edges (its own width
-    # per axis at nu = 2)
+    # operands with only the center block nonzero, with no nonzero block, with
+    # dense blocks on a box of offsets touching the edges (its own width per
+    # axis at nu >= 2), and a full table against a single block on either
+    # corner |l_i| = 2 n_phi, whose kept window is one end of the product
     M = op.from_multiplier(trunc, lambda j: 0.0 if j == 0 else 1.0 / (1.0 + j * j))
     Z = op.ToplitzOperator(trunc, np.zeros(op._block_shape(trunc), dtype=complex))
     w = 4 * trunc.n_phi + 1
     X = _box_toeplitz(trunc, rng, (slice(0, 3), slice(w - 5, w))[: trunc.nu])
-    for P, Q in [(A, M), (M, A), (M, M), (A, Z), (Z, A), (A, X), (X, A), (X, X), (X, M)]:
+    D = random_toeplitz(trunc, rng)
+    E, F = (_box_toeplitz(trunc, rng, (slice(c, c + 1),) * trunc.nu) for c in (0, w - 1))
+    for P, Q in [(A, M), (M, A), (M, M), (A, Z), (Z, A), (A, X), (X, A), (X, X), (X, M),
+                 (D, E), (E, D), (D, F), (F, D)]:
         _check_against_direct(P, Q)
     # A's empty offsets stay empty in a product with the center block
     support, _ = _check_against_direct(A, M)
@@ -295,6 +312,9 @@ KINDS = st.sampled_from(["sparse", "box", "single", "zero", "edge"])
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([1, 2]), st.integers(1, 4), st.integers(1, 4), KINDS, KINDS,
        st.integers(0, 10_000))
+# FFT rounding at unreached offsets outside the rectangle, where the direct
+# kernel drops exactly 0
+@example(1, 1, 1, "sparse", "sparse", 8704)
 def test_property_compose_matches_direct_kernel(nu, n_phi, n_x, kind_a, kind_b, seed):
     trunc = Truncation(nu, n_phi, n_x)
     rng = np.random.default_rng(seed)
@@ -318,11 +338,9 @@ def test_compose_of_blocks_whose_products_cancel():
     assert np.array_equal(np.flatnonzero(_reach(A, B)), [5, 6, 7, 8, 9, 10])
 
 
-def test_compose_transforms_only_the_support_boxes(monkeypatch):
-    trunc = Truncation(1, 16, 16)
-    rng = np.random.default_rng(13)
-    near = (slice(28, 37),)  # |l| <= 4
-    A, B = _box_toeplitz(trunc, rng, near), _box_toeplitz(trunc, rng, near)
+def _spy_transforms(monkeypatch):
+    """The list that each complex transform appends its name and the lengths
+    of its axes to; a real transform fails."""
     lengths = []
 
     def spy(name):
@@ -340,14 +358,30 @@ def test_compose_transforms_only_the_support_boxes(monkeypatch):
         monkeypatch.setattr(np.fft, name, spy(name))
     for name in ("rfftn", "irfftn"):
         monkeypatch.setattr(np.fft, name, refuse)
+    return lengths
+
+
+def test_compose_transforms_only_the_support_boxes(monkeypatch):
+    trunc = Truncation(1, 16, 16)
+    rng = np.random.default_rng(13)
+    near = (slice(28, 37),)  # |l| <= 4
+    A, B = _box_toeplitz(trunc, rng, near), _box_toeplitz(trunc, rng, near)
+    lengths = _spy_transforms(monkeypatch)
     _check_against_direct(A, B)
-    # boxes 9 offsets wide: 17 product offsets, padded to 18 (full tables:
-    # 135); two forward transforms and one inverse
+    # boxes 9 offsets wide: 17 product offsets, all kept, padded to 18; two
+    # forward transforms and one inverse
     assert lengths == [("fftn", (18,)), ("fftn", (18,)), ("ifftn", (18,))]
+    # two full tables: 129 product offsets, of which the 65 from 32 on are
+    # kept, so the aliases need a length >= 97 (padded to 100)
     D = random_toeplitz(trunc, rng)
     lengths.clear()
     op.compose(D, D)
-    assert lengths == [("fftn", (135,)), ("ifftn", (135,))]
+    assert lengths == [("fftn", (100,)), ("ifftn", (100,))]
+    # at nu = 2, n_phi = 4: 33 product offsets per axis, 17 kept from 8 on
+    D = random_toeplitz(Truncation(2, 4, 4), rng)
+    lengths.clear()
+    _check_against_direct(D, D)
+    assert lengths == [("fftn", (25, 25)), ("ifftn", (25, 25))]
     # a zero operand transforms nothing and gives exact zeros
     A = op.ToplitzOperator(trunc, A.blocks, dropped_mass=0.25)
     Z = op.ToplitzOperator(trunc, np.zeros(op._block_shape(trunc), dtype=complex), 0.5)
@@ -367,8 +401,10 @@ def test_compose_allocates_no_padded_spectrum():
              for a, b in zip(boxes, boxes[1:] + boxes[:1])]
     for A, B in pairs:
         op.compose(A, B)  # the workspace is made here
+    # the output table, and less than one padded spectrum of two full tables
+    # (100 offsets)
     table = A.blocks.nbytes
-    spectrum = 135 * 33 * 33 * 16
+    spectrum = 100 * 33 * 33 * 16
     tracemalloc.start()
     try:
         for A, B in pairs:
@@ -420,8 +456,7 @@ WORKSPACE_TRUNCS = [Truncation(1, 16, 16), Truncation(2, 4, 4)]
 
 def _workspace_of(trunc):
     """The buffers the last compose at ``trunc`` used (a cache hit, not new ones)."""
-    w = 4 * trunc.n_phi + 1
-    size = op._fft_length(2 * w - 1) ** trunc.nu * (2 * trunc.n_x + 1) ** 2
+    size = op._fft_length(6 * trunc.n_phi + 1) ** trunc.nu * (2 * trunc.n_x + 1) ** 2
     misses = op._workspace.cache_info().misses
     bufs = op._workspace(size, threading.get_ident())
     assert op._workspace.cache_info().misses == misses
@@ -554,14 +589,18 @@ def _apply_field(trunc, kind, rng):
     if kind == "random":
         return random_real_field(trunc, rng)
     c = np.zeros(trunc.shape, dtype=complex)
+    m = c.shape[-1]
     if kind == "few l":
-        m = c.shape[-1]
         for idx in rng.integers(0, 2 * trunc.n_phi + 1, size=(3, trunc.nu)):
             c[tuple(idx)] = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    if kind == "l = 0":
+        # against a full operator the product keeps only its middle half,
+        # so the transform length is set by the operator's box, not the window
+        c[(trunc.n_phi,) * trunc.nu] = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     return FourierField(trunc, c)
 
 
-@pytest.mark.parametrize("field_kind", ["random", "few l", "zero"])
+@pytest.mark.parametrize("field_kind", ["random", "few l", "l = 0", "zero"])
 @pytest.mark.parametrize("kind", ["random", "banded", "edge box", "single", "identity", "zero"])
 @pytest.mark.parametrize("trunc", [Truncation(1, 4, 4), Truncation(2, 3, 3), Truncation(3, 2, 2)])
 def test_apply_matches_offset_loop(trunc, kind, field_kind):
@@ -590,7 +629,8 @@ def test_apply_reuses_the_workspace_and_allocates_no_padded_spectrum(monkeypatch
     # apply is not a composition: the benchmark counts compose calls
     monkeypatch.setattr(op, "compose", refuse)
     # the output and two temporaries the size of the product's padded rows
-    # (100 offsets): a padded spectrum of the operator (1.7 MB) breaks it
+    # (72 offsets, bounded by 100): a padded spectrum of the operator
+    # (1.3 MB) breaks it
     bound = u.c.nbytes + 2 * 100 * 33 * 16
     info = op._workspace.cache_info()
     tracemalloc.start()
