@@ -2,8 +2,9 @@
 constant leading coefficients.
 
 Five successive transformations (space diffeomorphism, time reparametrization,
-multiplication, x-translation, pseudo-differential correction) reduce the
-variable-coefficient operator to
+multiplication by v = exp(e), written in e so that nothing is divided,
+x-translation, pseudo-differential correction) reduce the variable-coefficient
+operator to
 
     L5 = omega.d_phi + m3 d_xxx + m1 d_x + R
 
@@ -161,9 +162,16 @@ def step2_time_reparam(b3, b2, b1, b0, freq: Frequency):
 
 def step3_descent_zero(c2, c1, c0, m3: float, freq: Frequency):
     """Remove the d_yy coefficient by conjugation with the multiplication
-    operator v = exp(-(1/3m3) d_y^{-1} c2); requires c2 to have zero x-mean."""
+    operator v = exp(e), e = -(1/3m3) d_y^{-1} c2; requires c2 to have zero x-mean.
+
+    v^{-1} L2 v is written in e, with v_y/v = e_y, v_yy/v = e_yy + e_y^2 and
+    v_yyy/v = e_yyy + 3 e_y e_yy + e_y^3, so nothing is divided.  v - 1,
+    v^{-1} - 1, d1 - c1 and d0 - c0 vanish with e: at c2 = 0 the step returns
+    v = v^{-1} = 1, c1 and c0 exactly."""
     trunc = c2.trunc
-    g2, g1, g0, e = synthesize([c2, c1, c0, dx_pow(c2, -1) * (-1.0 / (3.0 * m3))])
+    e = dx_pow(c2, -1) * (-1.0 / (3.0 * m3))
+    g2, g1, ge, ey, eyy, eyyy, wde = synthesize(
+        [c2, c1, e] + [dx_pow(e, k) for k in (1, 2, 3)] + [omega_dphi(e, freq)])
     avg = np.mean(g2, axis=-1)  # the x-mean at each phi node
     worst = np.unravel_index(np.argmax(np.abs(avg)), avg.shape)
     if np.abs(avg[worst]) > ZERO_MEAN_TOL:
@@ -171,16 +179,16 @@ def step3_descent_zero(c2, c1, c0, m3: float, freq: Frequency):
             f"x-mean of the d_xx coefficient is {avg[worst]:.3e} at phi node "
             f"{tuple(int(i) for i in worst)}; expected 0")
 
-    v = analyze(trunc, np.exp(e))
-    g, vy, vyy, vyyy, wdv = synthesize([dx_pow(v, k) for k in range(4)] + [omega_dphi(v, freq)])
-    g_inv = _inverse(g, "descent multiplier")
-    # d_k: the coefficients of v^{-1} L2 v for L2 = ... + m3 d_yyy + c2 d_yy + c1 d_y + c0
-    v_inv, d1, d0 = analyze(trunc, np.stack([
-        g_inv,
-        (3.0 * m3 * vyy + 2.0 * g2 * vy + g1 * g) * g_inv,
-        (wdv + m3 * vyyy + g2 * vyy + g1 * vy + g0 * g) * g_inv,
+    # d_k - c_k: the coefficients of v^{-1} L2 v - L2 for
+    # L2 = omega.d_phi + m3 d_yyy + c2 d_yy + c1 d_y + c0
+    vyy = eyy + ey**2  # v_yy / v
+    v, v_inv, t1, t0 = analyze(trunc, np.stack([
+        np.expm1(ge),
+        np.expm1(-ge),
+        3.0 * m3 * vyy + 2.0 * g2 * ey,
+        wde + m3 * (eyyy + 3.0 * ey * eyy + ey**3) + g2 * vyy + g1 * ey,
     ]))
-    return {"v": v, "v_inv": v_inv, "d1": d1, "d0": d0}
+    return {"v": v.shift_mean(1.0), "v_inv": v_inv.shift_mean(1.0), "d1": c1 + t1, "d0": c0 + t0}
 
 
 # ----------------------------------------------------------------- step 4

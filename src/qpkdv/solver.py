@@ -6,7 +6,8 @@ divisors i lambda omega_bar.l + mu_j, and transports the result back through
 the transformation chains.  It reads the frequency from the regularization and
 the exponents, transformation and divisor constants from the reduction's final
 state; the mode (hamiltonian or generic) is decided once, by `regularize_at`,
-and the projection (reversible or total derivative) once, by `structure_mode`.
+and the projection (reversible or total derivative) once, by `structure_mode`;
+`right_inverse` projects onto the parity classes instead of testing them.
 The outer iteration is a projected Newton scheme with shrinking non-resonance
 constants gamma_n; values of the modulation parameter lambda that fail a
 divisor bound at some iterate are excluded, and the surviving fraction of a
@@ -31,7 +32,6 @@ from .spectral import (
     Truncation,
     index_weights,
     sobolev_norm,
-    structure_check,
 )
 
 __all__ = [
@@ -132,9 +132,10 @@ def project_ball(u: FourierField, N: int) -> FourierField:
     return FourierField(trunc, c)
 
 
-def _parity_project(u: FourierField) -> FourierField:
-    """Orthogonal projection onto X (coefficients even under (l, j) -> (-l, -j))."""
-    return FourierField(u.trunc, 0.5 * (u.c + np.flip(u.c)))
+def _parity_project(u: FourierField, sign: float = 1.0) -> FourierField:
+    """Orthogonal projection onto X (coefficients even under (l, j) -> (-l, -j)),
+    or onto Y (odd) with sign = -1."""
+    return FourierField(u.trunc, 0.5 * (u.c + sign * np.flip(u.c)))
 
 
 def diag_inverse(
@@ -185,8 +186,9 @@ def right_inverse(
     and the reducing transformation, divide by the exact divisors, and map
     back (h = Phi2 Phi_inf D_inf^{-1} Phi_inf^{-1} Phi1^{-1} f).  The divisors
     are screened at the frequency of `reg` and the gamma, tau of the
-    reduction's schedule.  `structure` is what `structure_mode` chose; h is
-    projected onto X in the reversible case, the solve's one parity projection.
+    reduction's schedule.  `structure` is what `structure_mode` chose; in the
+    reversible case f is projected onto Y and h onto X, so that L maps X into
+    Y, and no parity is tested.
     """
     trunc = f.trunc
     scale = 1.0 + sobolev_norm(f, trunc.s0)
@@ -198,8 +200,7 @@ def right_inverse(
                 "linearized operator excludes the constant mode"
             )
     elif structure == "reversible":
-        if not structure_check(f, tol=1e-8)["in_Y"]:
-            raise StructureError("right-hand side must be odd under (phi, x) -> (-phi, -x)")
+        f = _parity_project(f, -1.0)
     else:
         raise ValueError(f"unknown structure {structure!r}")
 

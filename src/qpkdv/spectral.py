@@ -6,7 +6,7 @@ conj(u_{l,j}) = u_{-l,-j}.  The module provides the spectral calculus the
 rest of the package is built on: transforms between coefficients and
 equispaced grids, Sobolev norms, powers of d/dx (including the zero-average
 antiderivative), inversion of omega . d/dphi, composition with torus
-diffeomorphisms, and parity/reality predicates.
+diffeomorphisms, and the reality check of the transforms.
 
 Grid transforms are real FFTs on the modes j >= 0, so fields must be real; the
 product grid has 4n + 2 points per axis.  A torus diffeomorphism is the transport
@@ -38,10 +38,10 @@ __all__ = [
     "compose",
     "invert_torus_diffeo",
     "NumericalFailure",
+    "DivisorUnderflowError",
     "DegenerateCoefficientError",
     "DiffeoConvergenceError",
     "LargeDisplacementError",
-    "structure_check",
     "pointwise",
     "multiply",
     "x_average",
@@ -167,10 +167,6 @@ class FourierField:
     def mean(self) -> float:
         """Total average over T^{nu+1} (the (0, 0) coefficient)."""
         return float(np.real(self.c[tuple(_centers(self.trunc))]))
-
-    def reality_defect(self) -> float:
-        """sup |conj(u_{l,j}) - u_{-l,-j}| over stored indices."""
-        return float(np.max(np.abs(np.conj(self.c) - np.flip(self.c))))
 
 
 def _centers(trunc: Truncation) -> tuple[int, ...]:
@@ -378,18 +374,22 @@ def omega_dphi(f: FourierField, freq: Frequency) -> FourierField:
 DIVISOR_FLOOR = 1e-10
 
 
+class DivisorUnderflowError(NumericalFailure, ZeroDivisionError):
+    """A divisor omega.l of (omega.d_phi)^-1 vanishes to rounding."""
+
+
 def omega_dphi_inv(f: FourierField, freq: Frequency) -> FourierField:
     """Invert omega . d/dphi on the l != 0 modes; the l = 0 modes are zeroed.
-    A divisor |omega.l| below DIVISOR_FLOOR |omega| raises ZeroDivisionError."""
+    A divisor |omega.l| below DIVISOR_FLOOR |omega| raises DivisorUnderflowError."""
     dots = freq.omega_dot_l(f.trunc)
     divisor_floor = DIVISOR_FLOOR * float(np.linalg.norm(freq.omega))
     nz = np.ones(dots.shape, dtype=bool)
     nz[(f.trunc.n_phi,) * f.trunc.nu] = False  # the l = 0 row, by position
     small = nz & (np.abs(dots) < divisor_floor)
     if np.any(small):
-        where = np.argwhere(small)[0]
-        raise ZeroDivisionError(
-            f"divisor underflow in (omega.d_phi)^-1 at l index {tuple(where)}: "
+        l = tuple(int(i) - f.trunc.n_phi for i in np.argwhere(small)[0])
+        raise DivisorUnderflowError(
+            f"divisor underflow in (omega.d_phi)^-1 at l = {l}: "
             f"|omega.l| < {divisor_floor:.2e}"
         )
     inv = np.zeros_like(dots, dtype=complex)
@@ -591,28 +591,6 @@ def invert_torus_diffeo(kind: str, displacement: FourierField, freq: Frequency |
             f"inverse {kind} diffeomorphism did not converge in {DIFFEO_MAX_ITER} "
             f"iterations (last delta {delta:.2e})")
     return analyze(displacement.trunc, np.broadcast_to(cur, plan.grid))
-
-
-# ---------------------------------------------------------------------------
-# structure predicates
-
-
-def structure_check(f: FourierField, tol: float = 1e-12) -> dict:
-    """Reality, parity class membership, and average flags.
-
-    in_X: u(phi, x) = u(-phi, -x); in_Y: u(phi, x) = -u(-phi, -x).
-    Tolerances are relative to the s0-norm of the field.
-    """
-    scale = max(sobolev_norm(f, f.trunc.s0), 1e-300)
-    rev = np.flip(f.c)
-    cen = _centers(f.trunc)
-    return {
-        "is_real": f.reality_defect() <= tol * max(scale, 1.0),
-        "in_X": float(np.max(np.abs(f.c - rev))) <= tol * scale,
-        "in_Y": float(np.max(np.abs(f.c + rev))) <= tol * scale,
-        "zero_space_average": float(np.max(np.abs(f.c[..., f.trunc.n_x]))) <= tol * scale,
-        "zero_total_average": abs(f.c[cen]) <= tol * scale,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -283,6 +283,13 @@ def test_criterion_10_right_inverse_oracle():
 
 
 if __name__ == "__main__":
+    # prints each record that moves (old -> new), then rewrites the pinned file
     CRITERION_08_RECORDS.parent.mkdir(exist_ok=True)
     rows = _criterion_08_rows(_criterion_08_scan())
+    pinned = json.loads(CRITERION_08_RECORDS.read_text()) if CRITERION_08_RECORDS.exists() else []
+    for old, new in zip(pinned, rows):
+        if old != new:
+            print(f"eps {new['epsilon']:g}, lambda {new['lambda']:.3f}: {old} -> {new}")
+    if len(pinned) != len(rows):
+        print(f"{len(pinned)} pinned records -> {len(rows)}")
     CRITERION_08_RECORDS.write_text("[\n" + ",\n".join(map(json.dumps, rows)) + "\n]\n")

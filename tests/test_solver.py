@@ -21,8 +21,8 @@ from qpkdv.spectral import (
     omega_dphi,
     random_real_field,
     sobolev_norm,
-    structure_check,
 )
+from test_spectral import structure_check
 
 T = Truncation(1, 8, 8)
 FREQ = Frequency.default(1, lam=1.25)
@@ -138,11 +138,16 @@ def test_right_inverse_residual_and_parity():
     assert sobolev_norm(rg.apply_L(h) - f, T.s0) < 1e-7
 
 
-def test_right_inverse_rejects_wrong_parity():
+def test_right_inverse_projects_rhs_onto_Y():
+    # in the reversible case f is projected onto Y, not tested for parity: f
+    # and P_Y f give the same h, and h lies in X
     spec = nonlin.parse_nonlinearity(FORCED, "raw_f", epsilon=1e-3)
-    f = random_real_field(T, np.random.default_rng(4), decay=4.0, parity="X")
-    with pytest.raises(sv.StructureError):
-        solve_pipeline(f, spec)
+    f = random_real_field(T, np.random.default_rng(4), decay=4.0)
+    f_Y = FourierField(T, 0.5 * (f.c - np.flip(f.c)))
+    _, h = solve_pipeline(f, spec)
+    _, h_Y = solve_pipeline(f_Y, spec)
+    assert np.array_equal(h.c, h_Y.c)
+    assert np.array_equal(h.c, np.flip(h.c))
 
 
 def test_right_inverse_matches_dense_restricted_solve():
@@ -317,13 +322,19 @@ def test_nash_moser_excluded_lambda_is_clean():
 
 
 def test_nash_moser_second_order_exclusion_names_divisor_and_bound():
-    spec = nonlin.parse_nonlinearity(FORCED, "raw_f", epsilon=1e-3)
-    freq = Frequency.default(1, lam=0.94)
-    rep = sv.nash_moser(spec, freq, sv.SolverConfig(trunc=T))
-    assert rep.excluded_lambda and not rep.converged
-    # the reduction fails at (l, j, k) = (-1, -1, 0); the reason carries the
+    # the z1 term gives a remainder R far above rounding at u = 0, and the
+    # reduction fails at (l, j, k) = (-1, -1, 0); the reason carries the
     # divisor, formed with the exponents of the failed step, and its bound
     # gamma_n |j^3 - k^3| <l>^-tau
+    spec = nonlin.parse_nonlinearity(
+        "cos(phi_1) * sin(x) + cos(phi_1) * cos(x) * z1 + z0^2 * z3", "raw_f", epsilon=1e-3)
+    freq = Frequency.default(1, lam=0.94)
+    config = sv.SolverConfig(trunc=T)
+    red = km.reduce(reg.regularize_at(spec, freq, FourierField.zeros(T)), freq,
+                    config.schedule(1e-3, 0))
+    assert red.trace[0]["R_s0"] > 1e-6
+    rep = sv.nash_moser(spec, freq, config)
+    assert rep.excluded_lambda and not rep.converged
     head, tail = rep.exclusion_reason.split(" at ")
     assert head.startswith("divisor |i omega.l + mu_j - mu_k| = ")
     assert tail == "l=(-1,), j=-1, k=0"
@@ -332,6 +343,13 @@ def test_nash_moser_second_order_exclusion_names_divisor_and_bound():
     delta = -1j * freq.omega[0] + rep.eigs[T.n_x - 1] - rep.eigs[T.n_x]
     assert value == pytest.approx(abs(delta), rel=1e-3)
     assert bound == pytest.approx(rep.iterates[-1]["gamma"], rel=1e-3)
+
+    # FORCED has R = 0 at u = 0: no KAM step runs, and the same divisor fails
+    # at first order
+    forced = sv.nash_moser(nonlin.parse_nonlinearity(FORCED, "raw_f", epsilon=1e-3), freq, config)
+    assert forced.excluded_lambda
+    assert forced.exclusion_reason.startswith("divisor |i omega.l + mu_j| = ")
+    assert forced.exclusion_reason.endswith(" at l=(-1,), j=-1")
 
 
 def test_solver_config_schedule():
@@ -434,16 +452,26 @@ def test_cantor_measure_records_diffeo_non_convergence(monkeypatch):
 
 
 def test_cantor_measure_records_structure_error():
-    # at epsilon = 0.2 the right-hand side at lambda = 0.55 loses its
-    # (phi, x)-parity beyond the right inverse's tolerance: the point fails
-    # with that cause instead of aborting the scan
+    # f is neither reversible nor a total derivative: the point fails with
+    # that cause instead of aborting the scan
+    rep = sv.cantor_measure(
+        "cos(phi_1) + z0^2 * z3", "raw_f", (1.0,), [0.2], np.array([0.55]),
+        trunc=Truncation(1, 6, 6), config_kw={"gamma": 0.01})
+    rec = rep.records[0.2][0]
+    assert not rec["accepted"] and not rec["excluded"]
+    assert rec["error"].startswith("StructureError: f is neither")
+
+
+def test_reversible_point_converges_at_the_rounding_floor():
+    # at epsilon = 0.2 the right-hand side at lambda = 0.55 keeps its parity
+    # only up to rounding; projected onto Y, the solve converges
     rep = sv.cantor_measure(
         "cos(phi_1) * sin(x) + cos(phi_1) * cos(x) * z3 + z0^2 * z3", "raw_f",
         (1.0,), [0.2], np.array([0.55]), trunc=Truncation(1, 6, 6),
         config_kw={"gamma": 0.01})
     rec = rep.records[0.2][0]
-    assert not rec["accepted"] and not rec["excluded"]
-    assert "must be odd" in rec["error"]
+    assert rec["accepted"] and rec["error"] is None
+    assert rec["residual"] < 1e-10
 
 
 def test_structure_mode_decides_projection():

@@ -6,8 +6,8 @@ test module that calls it.
 The check matches names, not owners: a method counts as read when any name
 or attribute of that spelling is read anywhere under src.  So a test-only
 method that shares its name with a used one passes unseen; the test-only
-`ToplitzOperator.reality_defect`, read as `FourierField.reality_defect` in
-`spectral`, was found by hand."""
+`ToplitzOperator.reality_defect`, read as the then `FourierField.reality_defect`
+in `spectral`, was found by hand."""
 
 import ast
 import importlib

@@ -25,7 +25,6 @@ from qpkdv.spectral import (
     pointwise,
     random_real_field,
     sobolev_norm,
-    structure_check,
     synthesize,
     x_average,
 )
@@ -56,9 +55,32 @@ def direct_sum(f, pts):
     return out.real
 
 
+def reality_defect(f):
+    """sup |conj(u_{l,j}) - u_{-l,-j}| over stored indices."""
+    return float(np.max(np.abs(np.conj(f.c) - np.flip(f.c))))
+
+
 def is_real(f, tol):
     """|conj(u_{l,j}) - u_{-l,-j}| <= tol max(1, max |u|) everywhere."""
-    return f.reality_defect() <= tol * max(1.0, float(np.max(np.abs(f.c))))
+    return reality_defect(f) <= tol * max(1.0, float(np.max(np.abs(f.c))))
+
+
+def structure_check(f, tol=1e-12):
+    """Reality, parity class membership, and average flags.
+
+    in_X: u(phi, x) = u(-phi, -x); in_Y: u(phi, x) = -u(-phi, -x).
+    Tolerances are relative to the s0-norm of the field.
+    """
+    scale = max(sobolev_norm(f, f.trunc.s0), 1e-300)
+    rev = np.flip(f.c)
+    cen = (f.trunc.n_phi,) * f.trunc.nu + (f.trunc.n_x,)
+    return {
+        "is_real": reality_defect(f) <= tol * max(scale, 1.0),
+        "in_X": float(np.max(np.abs(f.c - rev))) <= tol * scale,
+        "in_Y": float(np.max(np.abs(f.c + rev))) <= tol * scale,
+        "zero_space_average": float(np.max(np.abs(f.c[..., f.trunc.n_x]))) <= tol * scale,
+        "zero_total_average": abs(f.c[cen]) <= tol * scale,
+    }
 
 
 def embed_field(f, big):
@@ -253,6 +275,18 @@ def test_omega_dphi_inv_guards_every_l_but_zero():
     f = FourierField.from_modes(Truncation(2, 2, 2), {(1, -1, 1): 0.5})
     with pytest.raises(ZeroDivisionError, match="underflow"):
         omega_dphi_inv(f, freq)
+
+
+def test_omega_dphi_inv_underflow_is_a_numerical_failure_at_centered_l():
+    # omega_bar = (1, 21/34) passes the witness, which stops at |l| = 24, and
+    # resonates at l = (-21, 34): a solve records the failure, and the message
+    # names the centered l, not the array index (13, 68)
+    freq = Frequency((1.0, 21.0 / 34.0), lam=1.0)
+    f = FourierField.from_modes(Truncation(2, 34, 1), {(1, 0, 1): 0.5})
+    with pytest.raises(spectral.DivisorUnderflowError, match=r"at l = \(-21, 34\)") as info:
+        omega_dphi_inv(f, freq)
+    assert isinstance(info.value, spectral.NumericalFailure)
+    assert isinstance(info.value, ZeroDivisionError)
 
 
 # ---------------------------------------------------------------- compose
