@@ -435,7 +435,7 @@ def _verify_checks(config: ExperimentConfig, rng: np.random.Generator) -> list:
     # relative: one probe reads the rounding floor, which scales with |L Phi2 z|_s0
     add("regularization semi-conjugacy (relative)", regularize.conjugacy_residual(rg, probe)
         / sobolev_norm(rg.apply_L(rg.phi2(probe)), trunc.s0), 1e-8)
-    add("order-one remainder", float(np.max(np.abs(rg.chain["r1"].c))), 1e-10)
+    add("order-one remainder", rg.diagnostics["r1_sup"], 1e-10)
 
     sched = sv.SolverConfig(trunc=trunc, gamma=0.01).schedule(spec.epsilon)
     check = "reduction final remainder"

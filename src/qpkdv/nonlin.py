@@ -7,18 +7,21 @@ differentiated in z_k by the chain rule for the linearization coefficients,
 and probed for the structure that selects the solver's projection
 (reversible, total derivative, Hamiltonian).  The grammar is closed (numbers,
 variables, + - * /, integer powers, sin, cos, exp), so numpy alone evaluates
-it.  The paper's hypotheses (F) and (Q) are not probed: step 3 of the
-regularization needs only their consequence, a d_xx coefficient of zero
-x-mean, and checks it on the actual coefficient
-(`regularize.ZeroMeanViolation`).
+it.  It is read by Python's own parser with '^' as the power; a text may
+span lines, and every refusal is a ParseError at an offset in the text.  The
+paper's hypotheses (F) and (Q) are not probed: step 3 of the regularization
+needs only their consequence, a d_xx coefficient of zero x-mean, and checks
+it on the actual coefficient (`regularize.ZeroMeanViolation`).
 """
 
 from __future__ import annotations
 
+import ast
 import math
 import operator
+import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -30,7 +33,9 @@ from .spectral import (
     analyze,
     dx_pow,
     omega_dphi,
+    random_real_field,
     synthesize,
+    x_average,
 )
 
 _PHI_NAMES = tuple(f"phi_{k}" for k in range(1, 10))
@@ -247,143 +252,80 @@ def _func(name: str, arg: Expr) -> Expr:
 _ZERO, _ONE, _MINUS_ONE = _num(0.0), _num(1.0), _num(-1.0)
 _VARS = {name: Expr("var", (name,)) for name in ("x", *_PHI_NAMES, *_Z_NAMES)}
 _FUNCS = {name: partial(_func, name) for name in _MATH}
-_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-           "/": operator.truediv, "^": operator.pow}
+_UNARY = {ast.UAdd: lambda e: e, ast.USub: operator.neg}
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: operator.truediv, ast.Pow: operator.pow}
+# the grammar's alphabet, and a second '*' (the power is written '^')
+_OUTSIDE_GRAMMAR = re.compile(r"[^A-Za-z0-9_.+\-*/^()\s]|(?<=\*)\*")
+_DECIMAL = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
 
 
 # ------------------------------------------------------------------- parsing
 
 
-def _tokenize(text: str):
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*/^()":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit() or ch == ".":
-            j = i
-            while j < n and (text[j].isdigit() or text[j] in ".eE" or
-                             (text[j] in "+-" and j > i and text[j - 1] in "eE")):
-                j += 1
-            try:
-                value = float(text[i:j])
-            except ValueError:
-                value = math.inf
-            if not math.isfinite(value):
-                raise ParseError(f"bad number {text[i:j]!r}", i)
-            tokens.append(("num", value, i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("ident", text[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", None, n))
-    return tokens
+def _parse(text: str) -> Expr:
+    """The Expr read from text by Python's parser, with '^' as the power.
 
+    Characters outside the grammar, and '**', are refused first: Python would
+    drop a '#' comment, fold look-alike letters and count offsets in bytes.
+    `back` maps each offset of the parsed source to its character in text.
+    The tree is then walked over the grammar's nodes; a constant that folds to
+    a non-finite value is refused at its operator or function name."""
+    bad = _OUTSIDE_GRAMMAR.search(text)
+    if bad:
+        raise ParseError(f"unexpected character {bad.group()!r}", bad.start())
+    stripped = text.lstrip()  # a leading space is an indent to Python
+    pieces = ["**" if ch == "^" else " " if ch.isspace() else ch for ch in stripped]
+    back = [i for i, p in enumerate(pieces, len(text) - len(stripped)) for _ in p]
+    back.append(len(text))
+    source = "".join(pieces)
+    try:
+        tree = ast.parse(source, mode="eval").body
+    except SyntaxError as err:  # offset 0 or past the end: the end of the text
+        at = back[min((err.offset or 0) - 1, len(source))]
+        found = repr(text[at]) if at < len(text) else "the end of the text"
+        raise ParseError(f"{err.msg}, found {found}", at) from None
 
-class _Parser:
-    """Recursive descent over: expr = term (('+'|'-') term)*,
-    term = unary (('*'|'/') unary)*, unary = ('+'|'-') unary | factor,
-    factor = base ('^' integer)?, base = number | ident | '(' expr ')' |
-    func '(' expr ')'.  A sign binds looser than '^': -z0^2 is -(z0^2).
-    A constant that folds to a non-finite value is refused at its operator."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.advance()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        return tok
-
-    @staticmethod
-    def fold(tok, fn, *operands) -> Expr:
+    def fold(offset, fn, *operands) -> Expr:
         try:
             return fn(*operands)
         except ArithmeticError as err:
-            raise ParseError(str(err), tok[2]) from None
+            raise ParseError(str(err), back[offset]) from None
 
-    def parse(self) -> Expr:
-        e = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
-        return e
+    def walk(node) -> Expr:
+        start = node.col_offset
+        if isinstance(node, ast.Constant):
+            written = source[start:node.end_col_offset]
+            value = float(written) if _DECIMAL.fullmatch(written) else math.inf
+            if not math.isfinite(value):
+                raise ParseError(f"bad number {written!r}", back[start])
+            return _num(value)
+        if isinstance(node, ast.Name):
+            if node.id not in _VARS:
+                raise ParseError(f"unknown identifier {node.id!r}", back[start])
+            return _VARS[node.id]
+        if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
+            return _UNARY[type(node.op)](walk(node.operand))
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+            left, right = walk(node.left), node.right
+            if isinstance(node.op, ast.Pow):
+                literal = right.operand if isinstance(right, ast.UnaryOp) else right
+                n = _value(walk(right)) if isinstance(literal, ast.Constant) else None
+                if n is None or not n.is_integer():
+                    raise ParseError("exponent must be an integer", back[right.col_offset])
+                right = int(n)
+            else:
+                right = walk(right)
+            gap = source[node.left.end_col_offset:node.right.col_offset]
+            operator_at = node.left.end_col_offset + len(gap) - len(gap.lstrip(" )"))
+            return fold(operator_at, _BINARY[type(node.op)], left, right)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in _FUNCS and node.func.col_offset == start
+                and len(node.args) == 1 and not node.keywords):
+            return fold(start, _FUNCS[node.func.id], walk(node.args[0]))
+        raise ParseError(f"{type(node).__name__} is not in the grammar", back[start])
 
-    def expr(self) -> Expr:
-        e = self.term()
-        while self.peek()[0] in "+-":
-            op = self.advance()
-            e = self.fold(op, _BINARY[op[0]], e, self.term())
-        return e
-
-    def term(self) -> Expr:
-        e = self.unary()
-        while self.peek()[0] in "*/":
-            op = self.advance()
-            e = self.fold(op, _BINARY[op[0]], e, self.unary())
-        return e
-
-    def unary(self) -> Expr:
-        if self.peek()[0] in "+-":
-            return (-1 if self.advance()[0] == "-" else 1) * self.unary()
-        return self.factor()
-
-    def factor(self) -> Expr:
-        e = self.base()
-        if self.peek()[0] == "^":
-            op = self.advance()
-            sign = 1
-            if self.peek()[0] in "+-":
-                sign = -1 if self.advance()[0] == "-" else 1
-            tok = self.advance()
-            if tok[0] != "num" or tok[1] != int(tok[1]):
-                raise ParseError("exponent must be an integer", tok[2])
-            e = self.fold(op, _BINARY["^"], e, sign * int(tok[1]))
-        return e
-
-    def base(self) -> Expr:
-        tok = self.advance()
-        if tok[0] == "num":
-            return _num(tok[1])
-        if tok[0] == "(":
-            e = self.expr()
-            self.expect(")")
-            return e
-        if tok[0] == "ident":
-            name = tok[1]
-            if name in _FUNCS:
-                self.expect("(")
-                arg = self.expr()
-                self.expect(")")
-                return self.fold(tok, _FUNCS[name], arg)
-            if name in _VARS:
-                return _VARS[name]
-            raise ParseError(f"unknown identifier {name!r}", tok[2])
-        raise ParseError(f"expected a value, found {tok[1]!r}", tok[2])
+    return walk(tree)
 
 
 def _total_dx(expr: Expr) -> Expr:
@@ -427,10 +369,6 @@ class NonlinearitySpec:
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
 
-    @cached_property
-    def _z_derivative_callables(self):
-        return _z_partials(self.f)
-
 
 @lru_cache(maxsize=256)
 def _z_partials(f: Expr) -> tuple[Expr, ...]:
@@ -440,7 +378,7 @@ def _z_partials(f: Expr) -> tuple[Expr, ...]:
 
 def parse_nonlinearity(text: str, declared_form: str = "raw_f",
                        epsilon: float = 1e-3) -> NonlinearitySpec:
-    f = _synthesize(_Parser(text).parse(), declared_form)
+    f = _synthesize(_parse(text), declared_form)
     return NonlinearitySpec(f=f, declared_form=declared_form,
                             epsilon=epsilon, source=text)
 
@@ -494,7 +432,7 @@ def linearized_coefficients(spec: NonlinearitySpec, u: FourierField):
     """Fields a_i = epsilon * (d f / d z_i) along u, for i = 3, 2, 1, 0."""
     phis, xg = _grid_coords(u.trunc)
     z = _jet_on_grid(u)
-    partials = spec._z_derivative_callables
+    partials = _z_partials(spec.f)
     samples = np.stack([_finite(partials[k](xg, phis, z), f"d f/d z{k}")
                         for k in (3, 2, 1, 0)])
     return tuple(a * spec.epsilon for a in analyze(u.trunc, samples))
@@ -526,36 +464,37 @@ def structure_flags(spec: NonlinearitySpec) -> StructureFlags:
     return _structure_flags(spec.f, spec.declared_form)
 
 
+# both structure probes pass where f fails its identity by at most this
+# fraction of the largest sample of f at the probe points
+STRUCTURE_RTOL = 1e-10
+
+
 @lru_cache(maxsize=64)
 def _structure_flags(f: Expr, declared_form: str) -> StructureFlags:
     # reversibility: f(-phi, -x, z0, -z1, z2, -z3) = -f(phi, x, z0, z1, z2, z3)
     # at 64 fixed points, each drawn as (x, phi_1..phi_9, z0..z3)
     d = np.random.default_rng(0).random((64, 14)).T
     x, phi, z = 2 * np.pi * d[0], 2 * np.pi * d[1:10], 2 * d[10:] - 1
+    samples = f(x, phi, z)
     flipped = f(-x, -phi, [z[0], -z[1], z[2], -z[3]])
-    reversible = bool(np.all(np.abs(f(x, phi, z) + flipped) <= 1e-10))
+    tol = STRUCTURE_RTOL * np.max(np.abs(samples))
+    reversible = bool(np.all(np.abs(samples + flipped) <= tol))
     total_derivative = (declared_form in ("dx_of_g", "hamiltonian_F")
                         or _numeric_total_derivative(f))
     return StructureFlags(reversible=reversible, total_derivative=total_derivative)
-
-
-# an f is a total derivative if its x-average stays within this of zero
-TOTAL_DERIVATIVE_TOL = 1e-10
 
 
 def _numeric_total_derivative(f: Expr) -> bool:
     """Check that the x-average of f vanishes along random trigonometric u;
     an f that is not finite along them is not shown to be one."""
     trunc = Truncation(nu=1, n_phi=2, n_x=4)
-    spec = NonlinearitySpec(f=f, declared_form="raw_f", epsilon=1.0)
-    from .spectral import random_real_field, x_average
-
+    phis, xg = _grid_coords(trunc)
     for seed in range(3):
         u = random_real_field(trunc, np.random.default_rng(seed), decay=2.0, scale=0.3)
-        try:
-            avg = x_average(evaluate_f(spec, u))
-        except NonFiniteError:
+        samples = f(xg, phis, _jet_on_grid(u))
+        if not np.all(np.isfinite(samples)):
             return False
-        if np.max(np.abs(avg.c)) > TOTAL_DERIVATIVE_TOL:
+        avg = x_average(analyze(trunc, samples))
+        if np.max(np.abs(avg.c)) > STRUCTURE_RTOL * np.max(np.abs(samples)):
             return False
     return True

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import opalg
+from .nonlin import apply_L, linearized_coefficients
 from .spectral import (
     DegenerateCoefficientError,
     FourierField,
@@ -32,6 +33,7 @@ from .spectral import (
     multiply,
     omega_dphi,
     omega_dphi_inv,
+    sobolev_norm,
     synthesize,
     x_average,
 )
@@ -298,8 +300,6 @@ class RegularizationResult:
     # ---- operators
 
     def apply_L(self, z):
-        from .nonlin import apply_L
-
         return apply_L(self.coefficients, self.freq, z)
 
     def apply_L5(self, z):
@@ -343,8 +343,6 @@ def run_regularization(a3, a2, a1, a0, freq: Frequency, mode: str) -> Regulariza
 
 def regularize_at(spec, freq: Frequency, u: FourierField) -> RegularizationResult:
     """Linearize the residual map at u and run the full chain."""
-    from .nonlin import linearized_coefficients
-
     a3, a2, a1, a0 = linearized_coefficients(spec, u)
     mode = "hamiltonian" if spec.declared_form == "hamiltonian_F" else "generic"
     return run_regularization(a3, a2, a1, a0, freq, mode)
@@ -352,8 +350,6 @@ def regularize_at(spec, freq: Frequency, u: FourierField) -> RegularizationResul
 
 def conjugacy_residual(reg: RegularizationResult, z: FourierField) -> float:
     """|L(Phi2 z) - Phi1(L5 z)|_{s0} on a probe field z."""
-    from .spectral import sobolev_norm
-
     lhs = reg.apply_L(reg.phi2(z))
     rhs = reg.phi1(reg.apply_L5(z))
     return sobolev_norm(lhs - rhs, reg.trunc.s0)

@@ -389,6 +389,15 @@ def test_main_constant_division_by_zero_exits_1(tmp_path, capsys):
     assert err == [f"error: division by zero (at offset {text.index('/')})"]
 
 
+def test_main_deeply_nested_text_exits_1(tmp_path, capsys):
+    text = "(" * 300 + "z0" + ")" * 300
+    cfg = write_config(tmp_path, nonlinearity={"text": text, "declared_form": "raw_f"})
+    assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    # CPython refuses the parenthesis past its nesting limit of 200
+    assert err == ["error: too many nested parentheses, found '(' (at offset 200)"]
+
+
 def test_solve_non_finite_f_names_its_cause(tmp_path, capsys):
     # singular at u = 0, the first iterate
     text = "cos(phi_1) * sin(x) + z3/z0"

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 from test_cli import FORCING, NO_STRUCTURE, STEEP, TERMS, base_config, reversible_text
 from test_regularize import builtin
 from test_spectral import reality_defect, structure_check
@@ -44,9 +46,9 @@ def test_parse_quasilinear_cubic():
 
 def test_parse_unbalanced_paren_position():
     text = "cos(phi_1) * (1 + z1"
-    with pytest.raises(nonlin.ParseError) as e:
+    with pytest.raises(nonlin.ParseError, match="never closed") as e:
         nonlin.parse_nonlinearity(text)
-    assert e.value.position == len(text)
+    assert e.value.position == text.rindex("(")  # the parenthesis left open
 
 
 def test_parse_unknown_identifier():
@@ -85,7 +87,7 @@ def test_parse_sign_after_an_operator(text, expected):
 
 
 def test_parse_rejects_an_operator_without_operand():
-    with pytest.raises(nonlin.ParseError, match="expected a value") as e:
+    with pytest.raises(nonlin.ParseError, match="invalid syntax") as e:
         nonlin.parse_nonlinearity("z0*/z1")
     assert e.value.position == 3
 
@@ -107,6 +109,109 @@ def test_parse_refuses_a_number_that_is_not_finite():
     with pytest.raises(nonlin.ParseError, match="bad number") as e:
         nonlin.parse_nonlinearity("z3 * 1e400")
     assert e.value.position == 5
+
+
+@pytest.mark.parametrize("text, message, position", [
+    # checked before Python reads the text: a comment, the power written
+    # '**', and characters outside the grammar
+    ("z0 # c\n + z1", "unexpected character '#'", 3),
+    ("z0 ** 2", "unexpected character '*'", 4),
+    ("sin(x, z0)", "unexpected character ','", 5),
+    ("z0 % 2", "unexpected character '%'", 3),
+    ("z0 * 'a'", "unexpected character \"'\"", 5),
+    ("ｚ0 + z1", "unexpected character 'ｚ'", 0),
+    # numbers that are not written in decimal
+    ("z3 + 1_000*z0", "bad number '1_000'", 5),
+    ("z3 + 0x10*z0", "bad number '0x10'", 5),
+    ("z3 + 1j*z0", "bad number '1j'", 5),
+    # Python syntax outside the grammar
+    ("z0 and z1", "BoolOp is not in the grammar", 0),
+    ("z0 + (sin)(z1)", "Call is not in the grammar", 5),
+    ("z0^(1 + 1)", "exponent must be an integer", 4),
+    # syntax errors, at their offset in the text: '^' is read as '**'
+    ("z0 z1", "invalid syntax, found 'z'", 3),
+    ("z0^2 z1", "invalid syntax, found 'z'", 5),
+    ("", "invalid syntax, found the end of the text", 0),
+    ("z0 +\n", "invalid syntax, found the end of the text", 5),
+    ("cos(x) * (z0 + z1", "'(' was never closed, found '('", 9),
+    ("(" * 300 + "z0" + ")" * 300, "too many nested parentheses, found '('", 200),
+    # a non-finite fold, at its operator
+    ("z0^2 + 2^-1/0", "division by zero", 11),
+    ("z0 + 1e300 *\n 1e300", "a constant is not finite", 11),
+])
+def test_parse_refusals_name_their_offset(text, message, position):
+    with pytest.raises(nonlin.ParseError, match=f"^{re.escape(message)} ") as e:
+        nonlin.parse_nonlinearity(text)
+    assert e.value.position == position
+
+
+_SPACE = st.sampled_from(["", " ", "  ", "\n", "\t ", " \n  "])
+
+
+@st.composite
+def grammar_text(draw, depth=2):
+    """A text of expr = term (('+'|'-') term)*, term = unary (('*'|'/')
+    unary)*, unary = ('+'|'-')* base ('^' signed integer)?, base = number |
+    name | '(' expr ')' | func '(' expr ')', with random whitespace, newlines
+    and redundant parentheses.  A function is not nested in another, so that
+    no sine of a huge argument turns rounding into a disagreement."""
+    def ws():
+        return draw(_SPACE)
+
+    def sequence(item, operators, d):
+        out = item(d)
+        for _ in range(draw(st.integers(0, 2))):
+            out += ws() + draw(st.sampled_from(operators)) + ws() + item(d)
+        return out
+
+    def unary(d):
+        out = "".join(draw(st.sampled_from("+-")) + ws() for _ in range(draw(st.integers(0, 2))))
+        out += base(d)
+        if draw(st.booleans()):
+            sign = draw(st.sampled_from(["", "-", "+"]))
+            out += ws() + "^" + ws() + sign + ws() + str(draw(st.integers(0, 3)))
+        return out
+
+    def base(d):
+        kind = draw(st.integers(0, 3 if d > 0 else 1))
+        if kind == 0:
+            return draw(st.sampled_from(("x", "phi_1", "phi_2", "z0", "z1", "z2", "z3")))
+        if kind == 1:
+            return draw(st.sampled_from(("2", "0.5", ".25", "1.", "1.5e0", "2E-1")))
+        if kind == 2:
+            pairs = draw(st.integers(1, 2))
+            return "(" * pairs + ws() + expr(d - 1) + ws() + ")" * pairs
+        name = draw(st.sampled_from(("sin", "cos", "exp")))
+        return name + ws() + "(" + ws() + expr(0) + ws() + ")"
+
+    def term(d):
+        return sequence(unary, "*/", d)
+
+    def expr(d):
+        return sequence(term, "+-", d)
+
+    return ws() + expr(depth) + ws()
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(text=grammar_text())
+def test_parse_matches_sympy_on_drawn_grammar_texts(text):
+    d = np.random.default_rng(0).uniform(-1, 1, (14, 64))
+    x, phi, z = d[0], d[1:10], d[10:]
+    ref = _sympy(" ".join(text.split()))  # sympy reads one line
+    with np.errstate(all="ignore"):
+        want = np.broadcast_to(sp.lambdify(list(SYMBOLS.values()), ref, "numpy")(x, *phi, *z),
+                               x.shape)
+    try:
+        f = nonlin.parse_nonlinearity(text).f
+    except nonlin.ParseError as err:
+        # only a constant that folds to a non-finite value is refused
+        assert not np.all(np.isfinite(want)), (text, str(err))
+        return
+    finite = np.isfinite(want)
+    np.testing.assert_allclose(f(x, phi, z)[finite], want[finite], rtol=1e-9,
+                               atol=1e-9 * np.max(np.abs(want[finite]), initial=0.0),
+                               err_msg=repr(text))
 
 
 def test_dx_of_g_chain_rule():
@@ -138,7 +243,7 @@ def test_symbolic_derivative_matches_finite_difference():
         phi = rng.uniform(0, 2 * np.pi, size=9)
         z = rng.uniform(-0.5, 0.5, size=4)
         for k in range(4):
-            dfk = spec._z_derivative_callables[k](x, phi, z)
+            dfk = nonlin._z_partials(spec.f)[k](x, phi, z)
             h = 1e-6
             zp, zm = z.copy(), z.copy()
             zp[k] += h
@@ -172,7 +277,7 @@ def _assert_matches_sympy(text, declared_form="raw_f"):
     phi = rng.uniform(0, 2 * np.pi, (9, 200))
     z = rng.uniform(-1, 1, (4, 200))
     partials = [sp.diff(ref, SYMBOLS[f"z{k}"]) for k in range(4)]
-    for ours, theirs in zip((spec.f, *spec._z_derivative_callables), (ref, *partials)):
+    for ours, theirs in zip((spec.f, *nonlin._z_partials(spec.f)), (ref, *partials)):
         want = np.broadcast_to(sp.lambdify(list(SYMBOLS.values()), theirs, "numpy")(x, *phi, *z),
                                x.shape)
         got = ours(x, phi, z)
@@ -349,8 +454,7 @@ def test_specs_differing_in_epsilon_share_analysis():
     b = nonlin.parse_nonlinearity(text, epsilon=1e-5)
     assert nonlin.structure_flags(a) is nonlin.structure_flags(b)
     assert a.f == b.f
-    assert all(fa is fb for fa, fb in zip(a._z_derivative_callables,
-                                          b._z_derivative_callables))
+    assert nonlin._z_partials(a.f) is nonlin._z_partials(b.f)
     # the same f declared through its Hamiltonian density is analyzed apart
     ham = builtin("hamiltonian_cubic")
     raw = nonlin.NonlinearitySpec(f=ham.f, declared_form="raw_f", epsilon=1e-3)
@@ -358,6 +462,18 @@ def test_specs_differing_in_epsilon_share_analysis():
     assert nonlin.structure_flags(ham) == nonlin.structure_flags(raw)
     phis, xg = nonlin._grid_coords(T)
     assert not xg.flags.writeable and not any(p.flags.writeable for p in phis)
+
+
+@pytest.mark.parametrize("scale", ["1e-12", "1", "1e8"])
+@pytest.mark.parametrize("text, reversible, total_derivative", [
+    ("sin(phi_1)*z0*z1", False, True),  # sin(phi_1) d_x (z0^2 / 2)
+    ("z0^2*z3", True, False),
+    ("cos(phi_1) + z0^2", False, False),
+])
+def test_structure_flags_do_not_depend_on_the_scale_of_f(scale, text, reversible,
+                                                          total_derivative):
+    spec = nonlin.parse_nonlinearity(f"{scale}*({text})")
+    assert nonlin.structure_flags(spec) == nonlin.StructureFlags(reversible, total_derivative)
 
 
 def test_flags_total_derivative_detected_numerically():
