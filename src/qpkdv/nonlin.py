@@ -263,12 +263,20 @@ _DECIMAL = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
 # ------------------------------------------------------------------- parsing
 
 
+# the deepest tree a text may parse to.  Every walk of an Expr recurses once per
+# level, and the derivatives of a Hamiltonian density nest about 8 times deeper
+# than the density (a product of 120 factors z1 still runs at the default
+# recursion limit, 150 do not)
+MAX_DEPTH = 100
+
+
 def _parse(text: str) -> Expr:
     """The Expr read from text by Python's parser, with '^' as the power.
 
     Characters outside the grammar, and '**', are refused first: Python would
     drop a '#' comment, fold look-alike letters and count offsets in bytes.
     `back` maps each offset of the parsed source to its character in text.
+    A tree deeper than MAX_DEPTH is refused at its first node past that depth.
     The tree is then walked over the grammar's nodes; a constant that folds to
     a non-finite value is refused at its operator or function name."""
     bad = _OUTSIDE_GRAMMAR.search(text)
@@ -285,6 +293,14 @@ def _parse(text: str) -> Expr:
         at = back[min((err.offset or 0) - 1, len(source))]
         found = repr(text[at]) if at < len(text) else "the end of the text"
         raise ParseError(f"{err.msg}, found {found}", at) from None
+
+    stack = [(tree, 1)]
+    while stack:  # by hand: Python's own walks would recurse
+        node, depth = stack.pop()
+        if depth > MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", back[node.col_offset])
+        stack.extend((child, depth + 1) for child in ast.iter_child_nodes(node)
+                     if isinstance(child, ast.expr))
 
     def fold(offset, fn, *operands) -> Expr:
         try:

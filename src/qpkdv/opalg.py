@@ -20,9 +20,12 @@ the bounding box of each operand's nonzero offsets is transformed, and only
 as long as the kept window needs (overlap-discard): on a phi-axis where the
 boxes are a and b offsets wide and the product indices k0..k1 of
 0..a + b - 2 are kept, the cyclic length is the 2-3-5-smooth length
->= max(a, b, a + b - 1 - k0, k1 + 1), so every alias falls on a discarded
-index (>= 6 n_phi + 1 for two full tables, a + b - 1 when the box sum fits
-the rectangle).  A zero operand or an empty kept window runs no transform.
+(spectral's one table of them) >= max(a, b, a + b - 1 - k0, k1 + 1), so
+every alias falls on a discarded index (>= 6 n_phi + 1 for two full tables,
+a + b - 1 when the box sum fits the rectangle).  A zero operand or an empty
+kept window runs no transform, and neither does a left operand with one
+nonzero offset l0 (the identity, or S at u = 0): its product is one batched
+matmul of A(l0) against the right operand's kept window, shifted by l0.
 The transforms run in place over the leading offset axes of a reused
 workspace: three buffers of _fft_length(6 n_phi + 1)^nu m^2 elements, the
 most a call needs (5 MB in all at nu = 1, n = 16; 35 MB at nu = 2, n = 8),
@@ -43,14 +46,14 @@ Fourier multipliers, a single diagonal l = 0 block, are applied by
 
 from __future__ import annotations
 
-import bisect
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .spectral import FourierField, Frequency, NumericalFailure, Truncation, index_weights
+from .spectral import (FourierField, Frequency, NumericalFailure, Truncation, _fft_length,
+                       index_weights)
 
 __all__ = [
     "ToplitzOperator",
@@ -205,16 +208,6 @@ def _offset_support(table: np.ndarray) -> np.ndarray:
     return table.reshape(table.shape[:-2] + (-1,)).any(axis=-1)
 
 
-# the 2-3-5-smooth integers, ascending
-_SMOOTH = tuple(sorted(2**a * 3**b * 5**c for a in range(20) for b in range(13)
-                       for c in range(9)))
-
-
-def _fft_length(n: int) -> int:
-    """Smallest 2-3-5-smooth integer >= n."""
-    return _SMOOTH[bisect.bisect_left(_SMOOTH, n)]
-
-
 def _support_box(support: np.ndarray) -> tuple[slice, ...]:
     """Per offset axis, the slice from the first to the last index of a
     nonzero block (``support`` is an ``_offset_support`` with a nonzero entry)."""
@@ -271,6 +264,10 @@ def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     shift, wide, kept = _kept_window(boxA, boxB, w, b.shape)
     if any(k.stop <= k.start for k in kept):
         return out
+    into = tuple(slice(k.start + d, k.stop + d) for k, d in zip(kept, shift))
+    if all(p.stop - p.start == 1 for p in boxA):  # one block A(l0): b's window, shifted by l0
+        np.matmul(a[boxA], b[boxB][kept], out=out[into])
+        return out
     axes = tuple(range(nu))
     # overlap-discard: a cyclic length L >= wide - k0 and >= k1 folds every
     # alias of the linear product onto a discarded index, and L >= both box
@@ -293,7 +290,7 @@ def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # solver.cantor_measure.
     np.matmul(FA, FA if b is a else spectrum(b, boxB, FB), out=P)
     full = np.fft.ifftn(P, axes=axes, out=P)
-    out[tuple(slice(k.start + d, k.stop + d) for k, d in zip(kept, shift))] = full[kept]
+    out[into] = full[kept]
     return out
 
 

@@ -9,18 +9,24 @@ antiderivative), inversion of omega . d/dphi, composition with torus
 diffeomorphisms, and the reality check of the transforms.
 
 Grid transforms are real FFTs on the modes j >= 0, so fields must be real; the
-product grid has 4n + 2 points per axis.  A torus diffeomorphism is the transport
-series h o (id + d) = sum_k d^k/k! D^k h, K + 1 uniform syntheses summed in the
-samples of d, its mean an exact phase, on a grid that grows with K from the
-product grid; one planner makes every decision of a composition of either kind.
+product grid has the least even 2-3-5-smooth number >= 4n + 2 of points per axis,
+from the one table of smooth lengths that also sizes opalg's offset transforms.
+A torus diffeomorphism is the transport series h o (id + d) =
+sum_k s^k/k! D^k h(. + c) for the mean c of d and s = d - c.  Its k = 0 term is
+the exact phase e^{i m c} on the coefficients; the K terms k >= 1 are uniform
+syntheses summed in the samples of s, on a grid that grows with K from the
+product grid.  At K = 0 (a displacement of size x <= 1e-17) nothing is sampled,
+synthesized or analyzed.  One planner makes every decision of a composition of
+either kind.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -64,8 +70,9 @@ class NumericalFailure(Exception):
 class Truncation:
     """Rectangular Fourier truncation |l_i| <= n_phi, |j| <= n_x.
 
-    ``grid_shape`` is the product grid, 4n + 2 points per axis: it de-aliases
-    products of band-limited fields.  It is also the least grid a torus
+    ``grid_shape`` is the product grid, the least even 2-3-5-smooth length
+    >= 4n + 2 per axis: it de-aliases products of band-limited fields, and its
+    transforms have no large prime factor.  It is also the least grid a torus
     composition runs on: ``compose`` and ``invert_torus_diffeo`` grow it per
     call with the size of the displacement.
     """
@@ -86,7 +93,7 @@ class Truncation:
 
     @property
     def grid_shape(self) -> tuple[int, ...]:
-        return (4 * self.n_phi + 2,) * self.nu + (4 * self.n_x + 2,)
+        return (_even_length(4 * self.n_phi + 2),) * self.nu + (_even_length(4 * self.n_x + 2),)
 
     def mode_range(self, axis: int) -> np.ndarray:
         n = self.n_phi if axis < self.nu else self.n_x
@@ -245,15 +252,37 @@ class Frequency:
 
 
 def dot_l(w, n: int) -> np.ndarray:
-    """w . l over the rectangle |l_i| <= n, one axis per component of w."""
+    """w . l over the rectangle |l_i| <= n, one axis per component of w; cached
+    per (w, n), hence read-only."""
+    return _dot_l(tuple(float(wk) for wk in w), n)
+
+
+@lru_cache(maxsize=32)
+def _dot_l(w: tuple, n: int) -> np.ndarray:
     out = np.zeros((2 * n + 1,) * len(w))
     for wk, g in zip(w, np.ix_(*[np.arange(-n, n + 1)] * len(w))):
         out = out + wk * g
+    out.setflags(write=False)
     return out
 
 
 # ---------------------------------------------------------------------------
 # grid transforms
+
+
+# the 2-3-5-smooth integers, ascending
+_SMOOTH = tuple(sorted(2**a * 3**b * 5**c for a in range(20) for b in range(13)
+                       for c in range(9)))
+
+
+def _fft_length(n: int) -> int:
+    """Smallest 2-3-5-smooth integer >= n."""
+    return _SMOOTH[bisect.bisect_left(_SMOOTH, n)]
+
+
+def _even_length(n: int) -> int:
+    """Smallest even 2-3-5-smooth integer >= n: the length of every grid axis."""
+    return 2 * _fft_length(-(-n // 2))
 
 
 def check_real(fields) -> np.ndarray:
@@ -438,14 +467,21 @@ class DiffeoConvergenceError(NumericalFailure, RuntimeError):
 
 class LargeDisplacementError(NumericalFailure, ValueError):
     """A torus diffeomorphism's displacement is too large for its transport series:
-    x = max|m| max|d - mean d| > _X_MAX, where its rounding e^x eps passes 1e-12."""
+    x = max|m| max|d - mean d| > _X_MAX, where its rounding e^x eps passes 1e-12, or
+    its grid holds more than GRID_BUDGET points x series tables."""
 
 
 _X_MAX = math.log(1e-12 / np.finfo(float).eps)
+# a torus composition refuses, before it samples, a grid of more points x series
+# tables (K + 1 at order K) than this: 800 MB of real samples
+GRID_BUDGET = 10**8
 
 
 def _series_order(x: float) -> int:
-    """The least K >= 1 with x^K/K! <= 1e-17: the last order of a transport series of size x."""
+    """The last order K of a transport series of size x: 0 at or below the series cutoff
+    1e-17, where the series is its k = 0 term, else the least K >= 1 with x^K/K! <= 1e-17."""
+    if x <= 1e-17:
+        return 0
     order, term = 1, x
     while term > 1e-17:
         order += 1
@@ -455,14 +491,17 @@ def _series_order(x: float) -> int:
 
 class _Plan(NamedTuple):
     """A torus composition, decided: its grid; the samples of d on it (of alpha as (phi grid...,
-    1) for the time kind); the series order K; d's own x coefficients, which the series of its
-    inverse reads; tables(half, shift), the function k -> samples of D^k h(. + shift)/k! for the
-    x coefficients j >= 0 in half, (field, l..., J): (field, grid...) for the space kind,
-    (field, phi grid..., J) for the time kind; and project, from summed tables to fields."""
+    1) for the time kind), None at order 0; the series order K; phase, e^{i m c} over the
+    coefficient table for the mean c of d, the exact k = 0 term; d's own x coefficients moved by
+    -c, which the series of its inverse reads; tables(half), the function k -> samples of
+    D^k h/k! for the x coefficients j >= 0 in half, (field, l..., J): (field, grid...) for the
+    space kind, (field, phi grid..., J) for the time kind; and project, from summed tables to
+    fields."""
 
     grid: tuple
-    samples: np.ndarray
+    samples: np.ndarray | None
     order: int
+    phase: np.ndarray
     own_half: np.ndarray
     tables: Callable
     project: Callable
@@ -473,53 +512,67 @@ def _plan(kind: str, d: FourierField, freq: Frequency | None) -> _Plan:
     D = d_x of multiplier i m, m = j, or 'time', D = omega.d_phi, m = omega.l, which needs a
     Frequency and a d of phi only (x-modes within 1e-12 max|d_{l,j}|).
 
-    The grid is chosen before d is sampled.  The series term s^k D^k h, s = d - mean d, has
-    bandwidth (k + 1) n along each axis that s varies on (phi and, for the space kind, x), so it
-    projects onto |mode| <= n without aliasing on (k + 2) n + 1 points.  K, the series order of
-    x_bound = max|m| sum|d_{l,j}| over the non-mean modes, which bounds x = max|m| max|s| on every
-    grid (capped at _X_MAX), gives each such axis the least even length >= (K + 1) n + 1 and >=
-    the product grid's 4n + 2: orders k < K do not alias, and orders >= K are below the series
-    cutoff.  Then d is sampled, its slope beta_x or omega.d_phi alpha must stay within 1/2, and
-    the order is that of the sampled x, refused past _X_MAX."""
+    The order and the grid are chosen before d is sampled.  K is the series order of
+    x_bound = max|m| sum|d_{l,j}| over the non-mean modes, which bounds x = max|m| max|s|,
+    s = d - mean d, on every grid (capped at _X_MAX).  At K = 0 nothing is sampled, and no check
+    is lost: the slope is at most x_bound < 1/2, and x <= x_bound.  Otherwise, the series term
+    s^k D^k h has bandwidth (k + 1) n along each axis that s varies on (phi and, for the space
+    kind, x), so it projects onto |mode| <= n without aliasing on (k + 2) n + 1 points; each such
+    axis gets the least even 2-3-5-smooth length >= (K + 1) n + 1 and >= the product grid's:
+    orders k < K do not alias, and orders >= K are below the series cutoff.  A grid of more than
+    GRID_BUDGET points x (K + 1) tables is refused.  Then d is sampled, its slope beta_x or
+    omega.d_phi alpha must stay within 1/2, and the order is that of the sampled x, at least 1
+    (the samples are paid for), refused past _X_MAX."""
     trunc, n = d.trunc, d.trunc.n_x
     if kind == "space":  # m = j commutes with the phi synthesis: one for all k
-        m, modes, name = trunc.mode_range(trunc.nu)[n:], d.c, "beta_x"
+        m_all, modes, name, own = trunc.mode_range(trunc.nu), d.c, "beta_x", np.s_[..., n:]
+        m = m_all[n:]
 
         def sample(gs):
             return synthesize([d, dx_pow(d, 1)], gs)
 
-        def tables(half, shift):
-            moved = _phi_synth(trunc, half * np.exp(1j * m * shift), gs[:-1])
+        def tables(half):
+            moved = _phi_synth(trunc, half, gs[:-1])
             part = np.zeros(moved.shape[:-1] + (gs[-1] // 2 + 1,), dtype=complex)  # irfft's full input
 
             def table(k):
                 np.multiply(moved, (1j * m) ** k / math.factorial(k), out=part[..., : len(m)])
                 return np.fft.irfft(part, n=gs[-1], axis=-1, norm="forward")
             return table
-        own_half, project = d.c[None, ..., n:], lambda out: analyze(trunc, out)
+        project = partial(analyze, trunc)
     elif kind == "time" and freq is not None:
         if np.max(np.abs(np.delete(d.c, n, axis=-1))) > 1e-12 * np.max(np.abs(d.c)):
             raise ValueError("time displacement must depend on phi only")
-        m, modes, name = freq.omega_dot_l(trunc)[..., None], d.c[..., n], "omega.d_phi alpha"
+        m_all = m = freq.omega_dot_l(trunc)[..., None]
+        modes, name, own = d.c[..., n], "omega.d_phi alpha", np.s_[..., n:n + 1]
 
         def sample(gs):  # the j = 0 column along phi only
             return _phi_synth(trunc, np.stack([d.c, omega_dphi(d, freq).c])[..., n, None], gs[:-1]).real
 
-        def tables(half, shift):  # one phi synthesis per k
-            moved = half * np.exp(1j * m * shift)
-            return lambda k: _phi_synth(trunc, moved * ((1j * m) ** k / math.factorial(k)), gs[:-1])
-        own_half, project = d.c[None, ..., n, None], lambda out: _from_x_half(trunc, out)
+        def tables(half):  # one phi synthesis per k
+            return lambda k: _phi_synth(trunc, half * ((1j * m) ** k / math.factorial(k)), gs[:-1])
+        project = partial(_from_x_half, trunc)
     else:
         raise ValueError("the time kind needs a Frequency" if kind == "time"
                          else f"unknown diffeomorphism kind {kind!r}")
+    phase = np.exp(1j * m_all * d.mean)
+    own_half = (d.c * phase.conj())[own][None]
     max_m, modes = float(np.max(np.abs(m))), modes.ravel()  # the mean sits at the centre
-    order = _series_order(min(max_m * float(np.sum(np.abs(np.delete(modes, modes.size // 2)))), _X_MAX))
+    x_bound = max_m * float(np.sum(np.abs(np.delete(modes, modes.size // 2))))
+    order = _series_order(min(x_bound, _X_MAX))
+    if order == 0:
+        return _Plan(trunc.grid_shape, None, 0, phase, own_half, tables, project)
 
     def length(k: int, least: int) -> int:
-        g = (order + 1) * k + 1
-        return max(least, g + g % 2)
+        return max(least, _even_length((order + 1) * k + 1))
     *gphi, gx = trunc.grid_shape
     gs = tuple(length(trunc.n_phi, g) for g in gphi) + (length(n, gx) if kind == "space" else gx,)
+    size = math.prod(gs) * (order + 1)
+    if size > GRID_BUDGET:
+        raise LargeDisplacementError(
+            f"{kind} displacement too large for its transport series: x_bound = {x_bound:.3g} "
+            f"needs the grid {gs} for {order + 1} tables, {size:.3g} points x tables "
+            f"> {GRID_BUDGET:.0e}")
     samples, slope = sample(gs)
     if np.max(np.abs(slope)) > 0.5 + 1e-12:
         raise DegenerateCoefficientError(
@@ -528,17 +581,17 @@ def _plan(kind: str, d: FourierField, freq: Frequency | None) -> _Plan:
     if x > _X_MAX:
         raise LargeDisplacementError(f"{kind} displacement too large for its transport series: "
                                      f"x = max|m| max|d - mean d| = {x:.3g} > {_X_MAX:.2f}")
-    return _Plan(gs, samples, _series_order(x), own_half, tables, project)
+    return _Plan(gs, samples, max(1, _series_order(x)), phase, own_half, tables, project)
 
 
 def _transport_sum(table, order: int, s: np.ndarray) -> np.ndarray:
-    """sum_{k <= order} s^k table(k) for order >= 1, summed from k = order down in the
+    """sum_{1 <= k <= order} s^k table(k) for order >= 1, summed from k = order down in the
     samples s, so that only the running sum and one table are alive."""
     acc = table(order) * s  # a new array: a table may be kept
     for k in range(order - 1, 0, -1):
         acc += table(k)
         acc *= s
-    return np.add(acc, table(0), out=acc)
+    return acc
 
 
 def compose(kind: str, f, displacement: FourierField, freq: Frequency | None = None):
@@ -548,14 +601,20 @@ def compose(kind: str, f, displacement: FourierField, freq: Frequency | None = N
     kind = 'time':  returns h(phi + omega*alpha(phi), x) for a displacement
     alpha depending on phi only (freq required).  A sequence of fields, which
     share the displacement and the degeneracy check, gives a list.
-    The mean c of the displacement d is the exact phase e^{i m c} on the coefficients;
-    the rest is the transport series sum_k (d - c)^k/k! D^k h of D = d_x or omega.d_phi.
+    The mean c of the displacement d gives the k = 0 term, the exact phase e^{i m c} on the
+    coefficients; the rest is the transport series sum_{k >= 1} (d - c)^k/k! D^k h(. + c) of
+    D = d_x or omega.d_phi, synthesized, summed in the samples and analyzed, or nothing at
+    order 0.
     """
     trunc, c, batched = _stacked(f)
     _check_same(trunc, displacement.trunc)
     plan = _plan(kind, displacement, freq)
-    s = plan.samples - displacement.mean
-    out = plan.project(_transport_sum(plan.tables(c[..., trunc.n_x:], displacement.mean), plan.order, s))
+    moved = c * plan.phase
+    out = [FourierField(trunc, h) for h in moved]
+    if plan.order:
+        s = plan.samples - displacement.mean
+        series = plan.project(_transport_sum(plan.tables(moved[..., trunc.n_x:]), plan.order, s))
+        out = [h + g for h, g in zip(out, series)]
     return out if batched else out[0]
 
 
@@ -572,12 +631,15 @@ def invert_torus_diffeo(kind: str, displacement: FourierField, freq: Frequency |
     time:  solves alpha~(theta) = -alpha(theta + omega*alpha~(theta)).
     The displacement's series tables are synthesized once, and each iterate is a
     polynomial in them; it takes the values of -d, so max|d - mean d| bounds it.
+    At order 0 the inverse is the constant -mean d, with no iterate.
     Raises DegenerateCoefficientError if the slope of the displacement exceeds 1/2,
     and DiffeoConvergenceError if DIFFEO_MAX_ITER iterations do not reach DIFFEO_TOL.
     """
     plan = _plan(kind, displacement, freq)
     shift = -displacement.mean
-    table = plan.tables(plan.own_half, shift)
+    if plan.order == 0:
+        return FourierField.constant(displacement.trunc, shift)
+    table = plan.tables(plan.own_half)
     tables = [np.real(table(k)[0]) for k in range(plan.order + 1)]
     del table  # the moved spectrum
     cur, new = 0.0, -plan.samples  # the first iterate, from 0, is exact
@@ -585,7 +647,9 @@ def invert_torus_diffeo(kind: str, displacement: FourierField, freq: Frequency |
         delta, cur = np.max(np.abs(new - cur)), new
         if delta < DIFFEO_TOL:
             break
-        new = -_transport_sum(tables.__getitem__, plan.order, cur - shift)
+        new = _transport_sum(tables.__getitem__, plan.order, cur - shift)
+        new += tables[0]
+        np.negative(new, out=new)
     else:
         raise DiffeoConvergenceError(
             f"inverse {kind} diffeomorphism did not converge in {DIFFEO_MAX_ITER} "

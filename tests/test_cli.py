@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -381,6 +382,20 @@ def test_main_workers_reach_measure(tmp_path, monkeypatch):
     assert seen == {"subcommand": "solve", "workers": 1}
 
 
+@pytest.mark.parametrize("text", [
+    " + ".join(f"{i + 1}*z0^2*z3" for i in range(500)),  # 500 sums deep
+    "-" * 1000 + "z0",  # 1000 signs deep
+], ids=["long sum", "many signs"])
+def test_main_deep_expression_tree_exits_1(tmp_path, capsys, text):
+    # each walk of the tree recurses per level: past nonlin.MAX_DEPTH levels
+    # the text is refused at an offset instead of exhausting the stack
+    cfg = write_config(tmp_path, nonlinearity={"text": text, "declared_form": "raw_f"})
+    assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert re.fullmatch(r"error: expression nested deeper than 100 levels \(at offset \d+\)", err[0])
+
+
 def test_main_constant_division_by_zero_exits_1(tmp_path, capsys):
     text = "cos(phi_1) * sin(x) + z0/0"
     cfg = write_config(tmp_path, nonlinearity={"text": text, "declared_form": "raw_f"})
@@ -441,9 +456,12 @@ def test_main_failed_reduction_exits_1(tmp_path, capsys):
 
 
 def test_main_diffeo_non_convergence_exits_1(tmp_path, monkeypatch, capsys):
+    # the d_xxx coefficient eps cos(phi) cos(x) does not vanish at u = 0, so the
+    # first inversion iterates, and with tolerance 0 it does not converge
     monkeypatch.setattr(spectral, "DIFFEO_MAX_ITER", 1)
     monkeypatch.setattr(spectral, "DIFFEO_TOL", 0.0)
-    cfg = write_config(tmp_path)
+    cfg = write_config(tmp_path, nonlinearity={
+        "text": "cos(phi_1)*sin(x) + cos(phi_1)*cos(x)*z3 + z0^2*z3", "declared_form": "raw_f"})
     out = tmp_path / "diffeo_fail"
     assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_ERROR
     err = capsys.readouterr().err

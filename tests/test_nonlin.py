@@ -1,4 +1,5 @@
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -135,6 +136,8 @@ def test_parse_refuses_a_number_that_is_not_finite():
     ("z0 +\n", "invalid syntax, found the end of the text", 5),
     ("cos(x) * (z0 + z1", "'(' was never closed, found '('", 9),
     ("(" * 300 + "z0" + ")" * 300, "too many nested parentheses, found '('", 200),
+    # a tree past MAX_DEPTH levels, at its first node past them (here the 101st sign)
+    ("-" * 1000 + "z0", "expression nested deeper than 100 levels", 100),
     # a non-finite fold, at its operator
     ("z0^2 + 2^-1/0", "division by zero", 11),
     ("z0 + 1e300 *\n 1e300", "a constant is not finite", 11),
@@ -143,6 +146,35 @@ def test_parse_refusals_name_their_offset(text, message, position):
     with pytest.raises(nonlin.ParseError, match=f"^{re.escape(message)} ") as e:
         nonlin.parse_nonlinearity(text)
     assert e.value.position == position
+
+
+# texts of exactly MAX_DEPTH levels, one chain of each operator and of a function
+DEEPEST = {
+    "product": lambda d: "*".join(["z1"] * d),
+    "quotient": lambda d: "/".join(["cos(z1)"] * (d - 1)),
+    "sine": lambda d: "sin(" * (d - 1) + "z1" + ")" * (d - 1),
+    "power": lambda d: "(" * (d - 2) + "cos(z1)" + "^-1)" * (d - 2),
+    "sum": lambda d: " + ".join(["z1^3"] * (d - 1)),
+}
+
+
+@pytest.mark.parametrize("shape, form", [(shape, form) for shape in DEEPEST
+                                         for form in ("raw_f", "dx_of_g")]
+                         + [("sum", "hamiltonian_F")])
+def test_deepest_accepted_text_runs(shape, form):
+    # the structure probes, the z-derivatives and the residual of the deepest
+    # accepted trees run at the default recursion limit, under the test
+    # runner's own frames; one level more is refused.  (A Hamiltonian density
+    # of 100 factors z1 runs too, but its derivatives take about 20 s.)
+    assert sys.getrecursionlimit() == 1000
+    text = DEEPEST[shape](nonlin.MAX_DEPTH)
+    spec = nonlin.parse_nonlinearity(text, form)
+    u = random_real_field(T, np.random.default_rng(2), scale=0.1)
+    nonlin.structure_flags(spec)
+    nonlin.linearized_coefficients(spec, u)
+    nonlin.residual(spec, FREQ, u)
+    with pytest.raises(nonlin.ParseError, match="nested deeper than"):
+        nonlin.parse_nonlinearity(DEEPEST[shape](nonlin.MAX_DEPTH + 1), form)
 
 
 _SPACE = st.sampled_from(["", " ", "  ", "\n", "\t ", " \n  "])

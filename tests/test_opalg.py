@@ -392,6 +392,27 @@ def test_compose_transforms_only_the_support_boxes(monkeypatch):
     assert lengths == []
 
 
+def test_one_block_operand_runs_no_transform(monkeypatch):
+    # a left operand with one nonzero offset l0 is one batched matmul of A(l0)
+    # against the right operand's kept window, shifted by l0: the identity
+    # returns its operand bit for bit, and nothing is transformed
+    trunc = Truncation(2, 3, 3)
+    rng = np.random.default_rng(21)
+    u, D = random_real_field(trunc, rng), random_toeplitz(trunc, rng)
+    I = op.identity(trunc)
+    lengths = _spy_transforms(monkeypatch)
+    assert np.array_equal(op.apply(I, u).c, u.c)
+    C = op.compose(I, D)
+    assert np.array_equal(C.blocks, D.blocks) and C.dropped_mass == 0.0
+    # an off-centre block, against the offset-loop and direct-kernel oracles
+    w = 4 * trunc.n_phi + 1
+    E = _box_toeplitz(trunc, rng, (slice(w - 3, w - 2), slice(1, 2)))
+    got, ref = op.apply(E, u).c, _apply_by_offsets(E, u)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+    _check_against_direct(E, D)
+    assert lengths == []
+
+
 def test_compose_allocates_no_padded_spectrum():
     trunc = Truncation(1, 16, 16)
     rng = np.random.default_rng(14)

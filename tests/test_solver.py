@@ -441,14 +441,44 @@ def test_cantor_measure_completes_past_step_failures(text, cause):
 
 
 def test_cantor_measure_records_diffeo_non_convergence(monkeypatch):
-    # with tolerance 0 no inversion converges within its one iteration
+    # with tolerance 0 no inversion converges within its one iteration; the
+    # d_xxx coefficient eps cos(phi) cos(x) does not vanish at u = 0, so the
+    # first inversion iterates
     monkeypatch.setattr(spectral, "DIFFEO_MAX_ITER", 1)
     monkeypatch.setattr(spectral, "DIFFEO_TOL", 0.0)
-    rep = sv.cantor_measure(FORCED, "raw_f", (1.0,), [1e-3], np.array([1.1]),
+    text = "cos(phi_1)*sin(x) + cos(phi_1)*cos(x)*z3 + z0^2*z3"
+    rep = sv.cantor_measure(text, "raw_f", (1.0,), [1e-3], np.array([1.1]),
                             a=0.5, trunc=Truncation(1, 4, 4))
     rec = rep.records[1e-3][0]
     assert not rec["accepted"] and not rec["excluded"]
     assert "did not converge" in rec["error"]
+
+
+def test_iterate_0_composes_at_order_0(monkeypatch):
+    # at u = 0 the linearization of the criterion-8 problem is the Airy
+    # operator: every displacement of the chain is 0 up to rounding below the
+    # series cutoff, so every composition of iterate 0 (regularization and
+    # right inverse) is planned at order 0 and samples nothing
+    real_plan, real_regularize = spectral._plan, reg.regularize_at
+    orders = []  # one list per Newton iterate
+
+    def plan(*args):
+        p = real_plan(*args)
+        orders[-1].append(p.order)
+        return p
+
+    def regularize_at(*args):
+        orders.append([])
+        return real_regularize(*args)
+
+    monkeypatch.setattr(spectral, "_plan", plan)
+    monkeypatch.setattr(reg, "regularize_at", regularize_at)
+    rep = sv.cantor_measure(FORCED, "raw_f", (1.0,), [1e-3], np.array([1.25]), a=0.5,
+                            trunc=Truncation(1, 8, 8))
+    assert rep.records[1e-3][0]["accepted"]
+    # steps 1, 2 and 4 (two inverses, three compositions), then A, B and T
+    # in each direction of the right inverse
+    assert orders[0] == [0] * 11
 
 
 def test_cantor_measure_records_structure_error():

@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -513,6 +515,87 @@ def test_transport_series_refuses_large_displacement(kind):
         compose(kind, random_real_field(tr, RNG), disp, freq)
     with pytest.raises(LargeDisplacementError, match=r"= 10.8 > 8.41"):
         invert_torus_diffeo(kind, disp, freq)
+
+
+@pytest.mark.parametrize("kind", ["space", "time"])
+def test_oversized_grid_is_refused_before_sampling(kind):
+    # x_bound >= 16 caps the series order at K = 49 (x = _X_MAX), so each displaced axis
+    # of nu = 3, n = 4 would take 216 points: 216^4 x 50 tables for the space kind,
+    # 216^3 x 18 x 50 for the time kind, refused before d is sampled
+    tr = Truncation(3, 4, 4)
+    freq = Frequency.default(3, lam=1.0)
+    disp = FourierField.from_modes(tr, {(0, 0, 0, 1) if kind == "space" else (1, 0, 0, 0): 2.0})
+    grid = "(216, 216, 216, 216)" if kind == "space" else "(216, 216, 216, 18)"
+    for run in (lambda: compose(kind, random_real_field(tr, RNG), disp, freq),
+                lambda: invert_torus_diffeo(kind, disp, freq)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(LargeDisplacementError, match=re.escape(f"grid {grid} for 50 tables")):
+                run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+
+def _tiny_displacement(kind, tr, freq, mean):
+    """A displacement whose non-mean modes have x_bound = max|m| sum|d_{l,j}| = 5e-18."""
+    d = random_real_field(tr, np.random.default_rng(4), zero_total_average=True)
+    if kind == "time":
+        d = x_average(d)
+    m = tr.n_x if kind == "space" else np.max(np.abs(freq.omega_dot_l(tr)))
+    return (d * (5e-18 / (m * np.sum(np.abs(d.c))))).shift_mean(mean)
+
+
+@pytest.mark.parametrize("kind", ["space", "time"])
+def test_order_0_composition_is_the_exact_phase(kind, monkeypatch):
+    # at x_bound <= 1e-17 the series is its k = 0 term: the phase e^{i m c} of the
+    # mean c, taken exactly, and the inverse is the constant -c; nothing is sampled,
+    # synthesized or analyzed
+    tr = Truncation(2, 3, 4)
+    freq = Frequency.default(2, lam=0.9)
+    f = random_real_field(tr, np.random.default_rng(3))
+    disp = _tiny_displacement(kind, tr, freq, 0.7)
+    assert disp.mean == 0.7
+    plan = spectral._plan(kind, disp, freq)
+    assert plan.order == 0 and plan.samples is None
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a transform ran")
+
+    for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, name, refuse)
+    m = tr.mode_range(tr.nu) if kind == "space" else freq.omega_dot_l(tr)[..., None]
+    assert np.array_equal(compose(kind, f, disp, freq).c, f.c * np.exp(1j * m * 0.7))
+    assert np.array_equal(invert_torus_diffeo(kind, disp, freq).c,
+                          FourierField.constant(tr, -0.7).c)
+    # order 0 is the series cutoff, not an exact zero
+    assert spectral._series_order(1e-17) == 0
+    assert spectral._series_order(1e-16) == 2
+
+
+@pytest.mark.parametrize("n, length", [(1, 6), (2, 10), (3, 16), (4, 18), (5, 24), (6, 30),
+                                       (8, 36), (12, 50), (16, 72), (24, 100)])
+def test_grid_shape_is_the_least_even_smooth_length(n, length):
+    # the least even 2-3-5-smooth length >= 4n + 2 on every axis: pocketfft is slow
+    # on large prime factors (34 = 2 x 17, 66 = 2 x 3 x 11)
+    assert Truncation(2, n, n).grid_shape == (length,) * 3
+    assert Truncation(1, n, 1).grid_shape == (length, 6)
+    for g in range(4 * n + 2, length):  # no shorter even smooth length fits
+        rest = g
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        assert g % 2 or rest > 1
+
+
+def test_omega_dot_l_is_one_read_only_table():
+    freq = Frequency.default(2, lam=1.1)
+    dots = freq.omega_dot_l(T)
+    assert freq.omega_dot_l(T) is dots
+    assert Frequency.default(2, lam=1.1).omega_dot_l(T, double=True) is freq.omega_dot_l(T, double=True)
+    with pytest.raises(ValueError, match="read-only"):
+        dots[0, 0] = 1.0
 
 
 def test_non_hermitian_field_is_rejected():
