@@ -590,10 +590,10 @@ def test_grid_shape_is_the_least_even_smooth_length(n, length):
 
 
 def test_omega_dot_l_is_one_read_only_table():
-    freq = Frequency.default(2, lam=1.1)
-    dots = freq.omega_dot_l(T)
-    assert freq.omega_dot_l(T) is dots
-    assert Frequency.default(2, lam=1.1).omega_dot_l(T, double=True) is freq.omega_dot_l(T, double=True)
+    tr, freq = Truncation(2, 3, 3), Frequency.default(2, lam=1.1)
+    dots = freq.omega_dot_l(tr)
+    assert freq.omega_dot_l(tr) is dots
+    assert Frequency.default(2, lam=1.1).omega_dot_l(tr, double=True) is freq.omega_dot_l(tr, double=True)
     with pytest.raises(ValueError, match="read-only"):
         dots[0, 0] = 1.0
 
