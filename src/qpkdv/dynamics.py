@@ -133,7 +133,7 @@ def _chunk_freezer(table: np.ndarray, omega: np.ndarray, dt: float):
     made here, so a chunk costs one phase per offset, a row scaling and one
     product.  Real coefficients make D[-r, -c] = conj D[r, c], and the Airy
     conjugation keeps that, so only the rows j >= 0 are frozen and conjugated;
-    the rows j < 0 are their mirror.
+    the rows j < 0 are their ``opalg.mirror_rows``.
     """
     nu, m = len(omega), table.shape[-1]
     offsets, n_x = table.shape[:nu], m // 2
@@ -149,8 +149,7 @@ def _chunk_freezer(table: np.ndarray, omega: np.ndarray, dt: float):
         upper *= np.conj(ph[:, n_x:])[:, :, None]
         Dn = np.empty((len(t), m, m), dtype=complex)
         Dn[:, n_x:] = upper
-        Dn[:, :n_x] = np.conj(upper[:, :0:-1, ::-1])
-        return Dn
+        return opalg.mirror_rows(Dn, lead=1)
 
     return frozen
 

@@ -13,24 +13,40 @@ over |j| <= n_x, applied by ``scale_modes``.  Regularization step 5 and every
 KAM step are one conjugation, by the Phi of ``near_identity``, through
 ``conjugate``.
 
+Every operator the pipeline builds is real: it maps real functions to real
+ones, so its table has conj A^j_k(l) = A^{-j}_{-k}(-l), and half of it is
+the mirror of the other half.  ``compose``, ``apply`` and ``decay_norm``
+rely on that and read only the rows j >= 0 of the left operand (the
+operand itself for ``decay_norm``); the rows j < 0 of a product are the
+``mirror_rows`` of its rows j > 0.  Nothing checks the contract at run
+time (a Hermitian-defect pass costs about what the half saves).  For tables
+that are not real the result is still defined: the rows j >= 0 are the
+product of A's rows j >= 0 with B (or the field), the rows j < 0 their
+mirror, and the profile of ``decay_norm`` the larger of that of the rows
+j >= 0 and its mirror.
+
 ``apply`` and ``compose`` share one offset convolution: a zero-padded FFT
-over the offset axes, one batched matrix product, and a clip to the right
+over the offset axes, one batched matrix product of the rows j >= 0 of the
+left operand against all of the right one, and a clip to the right
 operand's rectangle (for ``apply`` the field's, an m x 1 block per l).  Only
-the bounding box of each operand's nonzero offsets is transformed, and only
+the bounding box of each operand's nonzero offsets (for the left operand,
+of its rows j >= 0) is transformed, and only
 as long as the kept window needs (overlap-discard): on a phi-axis where the
 boxes are a and b offsets wide and the product indices k0..k1 of
 0..a + b - 2 are kept, the cyclic length is the 2-3-5-smooth length
 (spectral's one table of them) >= max(a, b, a + b - 1 - k0, k1 + 1), so
 every alias falls on a discarded index (>= 6 n_phi + 1 for two full tables,
 a + b - 1 when the box sum fits the rectangle).  A zero operand or an empty
-kept window runs no transform, and neither does a left operand with one
-nonzero offset l0 (the identity, or S at u = 0): its product is one batched
-matmul of A(l0) against the right operand's kept window, shifted by l0.
+kept window runs no transform, and neither does a left operand whose rows
+j >= 0 have one nonzero offset l0 (the identity, or S at u = 0): its
+product is one batched matmul of those rows of A(l0) against the right
+operand's kept window, shifted by l0.
 The transforms run in place over the leading offset axes of a reused
-workspace: three buffers of _fft_length(6 n_phi + 1)^nu m^2 elements, the
-most a call needs (5 MB in all at nu = 1, n = 16; 35 MB at nu = 2, n = 8),
-held for the life of the process; a call views the head of each as its own
-padded shape.
+workspace: with L^nu = _fft_length(6 n_phi + 1)^nu, the most a call needs,
+two buffers of L^nu (n_x + 1) m elements for the left operand's spectrum
+and the product, and one of L^nu m^2 for the right operand's (3.5 MB in
+all at nu = 1, n = 16; 24 MB at nu = 2, n = 8), held for the life of the
+process; a call views the head of each as its own padded shape.
 Only the Minkowski sum of the operands' support boxes is copied out, so the
 offsets outside it are exact zeros; inside it every entry carries rounding
 of order eps |A| |B|, so an offset no pair of nonzero blocks reaches, an
@@ -38,8 +54,9 @@ entry that is zero by structure, or a block whose products cancel, is not an
 exact zero.
 The discarded part is aliased, so ``dropped_mass`` is an upper bound on the
 l2 norm of the product outside the kept rectangle: the l2 norm over those
-offsets of the Frobenius bound |C(l)|_F <= sum_l' |A(l')|_F |B(l - l')|_F,
-exactly 0 when the support boxes' sum fits the rectangle.
+offsets of the Frobenius bound |C(l)|_F <= sum_l' |A(l')|_F |B(l - l')|_F
+over the support boxes (A's is that of its rows j >= 0 and their mirror),
+exactly 0, with no norm taken, when the boxes' sum fits the rectangle.
 Fourier multipliers, a single diagonal l = 0 block, are applied by
 ``scale_modes`` as row/column scalings.
 """
@@ -59,6 +76,7 @@ __all__ = [
     "ToplitzOperator",
     "freeze",
     "offset_phases",
+    "mirror_rows",
     "identity",
     "from_multiplication",
     "from_multiplier",
@@ -205,7 +223,7 @@ def pi0_symbol(j: int) -> float:
 
 def _offset_support(table: np.ndarray) -> np.ndarray:
     """Boolean table of the offsets l whose block (the last two axes) is not all zero."""
-    return table.reshape(table.shape[:-2] + (-1,)).any(axis=-1)
+    return table.any(axis=(-2, -1))
 
 
 def _support_box(support: np.ndarray) -> tuple[slice, ...]:
@@ -217,6 +235,31 @@ def _support_box(support: np.ndarray) -> tuple[slice, ...]:
         hit = np.flatnonzero(support.any(axis=tuple(a for a in range(nu) if a != ax)))
         box.append(slice(int(hit[0]), int(hit[-1]) + 1))
     return tuple(box)
+
+
+def _upper(table: np.ndarray) -> np.ndarray:
+    """The rows j >= 0 of each block of a table."""
+    return table[..., table.shape[-2] // 2:, :]
+
+
+def mirror_rows(table: np.ndarray, lead: int = 0) -> np.ndarray:
+    """Fill the rows j < 0 of a table of real operator blocks (the last two
+    axes, 2 n_x + 1 rows) from its rows j > 0, in place, and return it:
+    table[..., :n_x, :] = conj(flip(table[..., n_x + 1:, :])), the flip
+    running over every axis after the first ``lead`` (the centered offsets,
+    the rows and the columns), which is conj A^{-j}_{-k}(-l) = A^j_k(l)."""
+    n_x = table.shape[-2] // 2
+    flip = (slice(None),) * lead + (slice(None, None, -1),) * (table.ndim - lead)
+    np.conjugate(table[..., n_x + 1:, :][flip], out=table[..., :n_x, :])
+    return table
+
+
+def _boxes(a: np.ndarray, b: np.ndarray):
+    """The support boxes of a's rows j >= 0 and of b, or None when either is zero."""
+    supA, supB = _offset_support(_upper(a)), _offset_support(b)
+    if not (supA.any() and supB.any()):
+        return None
+    return _support_box(supA), _support_box(supB)
 
 
 def _kept_window(boxA, boxB, w: int, out_shape):
@@ -234,40 +277,45 @@ def _kept_window(boxA, boxB, w: int, out_shape):
 
 
 @lru_cache(maxsize=1)
-def _workspace(size: int, thread: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The two operand spectra and the product of ``_convolve``: three flat
-    buffers of ``size`` elements, held for that size and thread.  A call
-    views the head of each as its own padded shape, which is never larger.
-    A thread that convolves while another does gets buffers of its own; the
-    other keeps its own until it returns.
+def _workspace(cells: int, m: int, thread: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The spectra of the left operand's rows j >= 0 and of the right operand,
+    and their product, for ``_convolve``: flat buffers of cells (n_x + 1) m,
+    cells m^2 and cells (n_x + 1) m elements, held for those sizes and thread.
+    A call views the head of each as its own padded shape, which is never
+    larger.  A thread that convolves while another does gets buffers of its
+    own; the other keeps its own until it returns.
 
-    ``size`` is _fft_length(6 n_phi + 1)^nu m^2: on each axis the boxes of a
+    ``cells`` is _fft_length(6 n_phi + 1)^nu: on each axis the boxes of a
     w = 4 n_phi + 1 wide table, a0 <= a1 and b0 <= b1, give a product of
     width a1 + b1 - a0 - b0 + 1 whose kept indices start at
     k0 = max(0, 2 n_phi - a0 - b0) and stop before
     k1 = c + 2 n_phi - a0 - b0 on the output width c <= w.  With a1, b1 <= 4 n_phi,
     wide - k0 <= a1 + b1 - 2 n_phi + 1 <= 6 n_phi + 1 and k1 <= 6 n_phi + 1,
     and both box widths are at most w."""
-    return tuple(np.empty(size, dtype=complex) for _ in range(3))
+    upper = cells * (m // 2 + 1) * m
+    return tuple(np.empty(size, dtype=complex) for size in (upper, cells * m * m, upper))
 
 
-def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _convolve(a: np.ndarray, b: np.ndarray, boxes) -> np.ndarray:
     """sum_{l'} a(l') @ b(l - l') over centered offsets, clipped to b's offset
-    rectangle: ``a`` is a full block table, ``b`` an m x k block per offset of
-    its own odd-width rectangle."""
+    rectangle, for real operands: ``a`` is a full block table, ``b`` an m x k
+    block per offset of its own odd-width rectangle, and ``boxes`` their
+    ``_boxes``.  The rows j >= 0 are a's rows j >= 0 times b; the rows j < 0
+    are their ``mirror_rows``."""
     nu, w = a.ndim - 2, a.shape[0]
     out = np.zeros(b.shape, dtype=complex)
-    supA, supB = _offset_support(a), _offset_support(b)
-    if not (supA.any() and supB.any()):
+    if boxes is None:
         return out
-    boxA, boxB = _support_box(supA), _support_box(supB)
+    boxA, boxB = boxes
     shift, wide, kept = _kept_window(boxA, boxB, w, b.shape)
     if any(k.stop <= k.start for k in kept):
         return out
-    into = tuple(slice(k.start + d, k.stop + d) for k, d in zip(kept, shift))
+    upper = _upper(a)
+    into = tuple(slice(k.start + d, k.stop + d) for k, d in zip(kept, shift)) + (
+        slice(a.shape[-2] // 2, None),)
     if all(p.stop - p.start == 1 for p in boxA):  # one block A(l0): b's window, shifted by l0
-        np.matmul(a[boxA], b[boxB][kept], out=out[into])
-        return out
+        np.matmul(upper[boxA], b[boxB][kept], out=out[into])
+        return mirror_rows(out)
     axes = tuple(range(nu))
     # overlap-discard: a cyclic length L >= wide - k0 and >= k1 folds every
     # alias of the linear product onto a discarded index, and L >= both box
@@ -280,18 +328,16 @@ def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         buf[tuple(slice(0, sl.stop - sl.start) for sl in box)] = x[box]
         return np.fft.fftn(buf, axes=axes, out=buf)
 
-    bufs = _workspace(_fft_length(3 * (w // 2) + 1) ** nu * a.shape[-1] ** 2,
-                      threading.get_ident())
-    FA, FB, P = (buf[:int(np.prod(s + x.shape[nu:]))].reshape(s + x.shape[nu:])
-                 for buf, x in zip(bufs, (a, b, b)))
-    FA = spectrum(a, boxA, FA)
+    bufs = _workspace(_fft_length(3 * (w // 2) + 1) ** nu, a.shape[-1], threading.get_ident())
+    FA, FB, P = (buf[:int(np.prod(s + shape))].reshape(s + shape) for buf, shape in
+                 zip(bufs, (upper.shape[nu:], b.shape[nu:], upper.shape[nu:-1] + b.shape[-1:])))
     # Up to m = 33 OpenBLAS runs each GEMM of the batch on the calling
     # thread, so no helper threads compete with the process pool of
     # solver.cantor_measure.
-    np.matmul(FA, FA if b is a else spectrum(b, boxB, FB), out=P)
+    np.matmul(spectrum(upper, boxA, FA), spectrum(b, boxB, FB), out=P)
     full = np.fft.ifftn(P, axes=axes, out=P)
     out[into] = full[kept]
-    return out
+    return mirror_rows(out)
 
 
 def _scalar_convolution(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
@@ -309,24 +355,27 @@ def _scalar_convolution(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dropped_bound(a: np.ndarray, b: np.ndarray) -> float:
+def _dropped_bound(a: np.ndarray, b: np.ndarray, boxes) -> float:
     """An upper bound on the l2 norm, over the offsets outside the doubled
-    rectangle, of the product of two full block tables: by
-    |XY|_F <= |X|_F |Y|_F its block there has
+    rectangle, of the product of two full block tables with the ``_boxes``
+    ``boxes``: by |XY|_F <= |X|_F |Y|_F its block there has
     |C(l)|_F <= sum_{l'} |a(l')|_F |b(l - l')|_F, a scalar convolution over
     the support boxes, which is exactly 0 when the boxes' sum fits."""
+    if boxes is None:
+        return 0.0
+    upper, boxB = boxes
+    w = a.shape[0]
+    # a real a has the support of its rows j >= 0 and their mirror at -l
+    boxA = tuple(slice(min(p.start, w - p.stop), max(p.stop, w - p.start)) for p in upper)
+    _, wide, kept = _kept_window(boxA, boxB, w, b.shape)
+    if all(k.start == 0 and k.stop == n for k, n in zip(kept, wide)):
+        return 0.0
     # |x(l)|_F by einsum over the real and imaginary views: no temporary
     # the size of a table
     sq = "...ij,...ij->..."
     fa, fb = (np.sqrt(np.einsum(sq, x.real, x.real) + np.einsum(sq, x.imag, x.imag))
-              for x in (a, b))
-    if not (fa.any() and fb.any()):
-        return 0.0
-    boxA, boxB = _support_box(fa > 0), _support_box(fb > 0)
-    _, wide, kept = _kept_window(boxA, boxB, a.shape[0], b.shape)
-    if all(k.start == 0 and k.stop == n for k, n in zip(kept, wide)):
-        return 0.0
-    spill = _scalar_convolution(fa[boxA], fb[boxB])
+              for x in (a[boxA], b[boxB]))
+    spill = _scalar_convolution(fa, fb)
     spill[kept] = 0.0
     # a sum, not np.linalg.norm: BLAS dot products start helper threads
     return float(np.sqrt(np.sum(spill * spill)))
@@ -336,7 +385,8 @@ def apply(A: ToplitzOperator, u: FourierField) -> FourierField:
     """(Au)_{l1,j1} = sum_{l2,j2} A^{j2}_{j1}(l1-l2) u_{l2,j2}, clipped to the rectangle."""
     if A.trunc != u.trunc:
         raise ValueError("truncation mismatch between operator and field")
-    return FourierField(A.trunc, _convolve(A.blocks, u.c[..., None])[..., 0])
+    b = u.c[..., None]
+    return FourierField(A.trunc, _convolve(A.blocks, b, _boxes(A.blocks, b))[..., 0])
 
 
 def compose(A: ToplitzOperator, B: ToplitzOperator) -> ToplitzOperator:
@@ -347,8 +397,9 @@ def compose(A: ToplitzOperator, B: ToplitzOperator) -> ToplitzOperator:
     """
     if A.trunc != B.trunc:
         raise ValueError("truncation mismatch")
-    dropped = _dropped_bound(A.blocks, B.blocks)
-    return ToplitzOperator(A.trunc, _convolve(A.blocks, B.blocks),
+    boxes = _boxes(A.blocks, B.blocks)
+    dropped = _dropped_bound(A.blocks, B.blocks, boxes)
+    return ToplitzOperator(A.trunc, _convolve(A.blocks, B.blocks, boxes),
                            dropped_mass=dropped + A.dropped_mass + B.dropped_mass)
 
 
@@ -381,15 +432,19 @@ def commutator(A: ToplitzOperator, freq, d) -> ToplitzOperator:
 
 
 def _offset_profile(A: ToplitzOperator) -> np.ndarray:
-    """sup over diagonals: P[l..., d] = sup_{j1-j2=d} |A^{j2}_{j1}(l)|."""
-    lead, m = A.blocks.shape[:-2], A.blocks.shape[-1]
-    # with the columns reversed and each row zero-padded to 2m, the flat
-    # buffer read in rows of 2m - 1 shifts row j1 right by j1, so the
-    # entries with j1 - j2 = d line up in column d + m - 1
-    buf = np.zeros(lead + (m, 2 * m))
-    np.abs(A.blocks[..., ::-1], out=buf[..., :m])
-    skew = buf.reshape(lead + (2 * m * m,))[..., : m * (2 * m - 1)]
-    return skew.reshape(lead + (m, 2 * m - 1)).max(axis=-2)
+    """sup over diagonals: P[l..., d] = sup_{j1-j2=d} |A^{j2}_{j1}(l)|, from
+    the rows j1 >= 0 of a real A: its entries at (l, d) with j1 < 0 are those
+    at (-l, -d) with j1 > 0."""
+    upper = _upper(A.blocks)
+    lead, (h1, m) = upper.shape[:-2], upper.shape[-2:]
+    # with the columns reversed and placed from column n_x = h1 - 1 on in rows
+    # of 2m zeros, the flat buffer read in rows of 2m - 1 shifts row j1 >= 0
+    # right by j1, so the entries with j1 - j2 = d line up in column d + m - 1
+    buf = np.zeros(lead + (h1, 2 * m))
+    np.abs(upper[..., ::-1], out=buf[..., h1 - 1:h1 - 1 + m])
+    skew = buf.reshape(lead + (2 * m * h1,))[..., : h1 * (2 * m - 1)]
+    half = skew.reshape(lead + (h1, 2 * m - 1)).max(axis=-2)
+    return np.maximum(half, np.flip(half))
 
 
 def decay_norm(A: ToplitzOperator, s: float, *more: float):

@@ -38,6 +38,12 @@ def smooth(A, N):
     return op.ToplitzOperator(A.trunc, blocks, A.dropped_mass)
 
 
+def real(blocks):
+    """The table of a real operator nearest ``blocks``: conj(A^j_k(l)) =
+    A^{-j}_{-k}(-l), which is the operator algebra's contract."""
+    return 0.5 * (blocks + np.conj(np.flip(blocks)))
+
+
 def random_toeplitz(trunc, rng, scale=1.0, decay=2.0):
     """Random real block-Toeplitz operator with coefficient decay."""
     blocks = np.zeros(op._block_shape(trunc), dtype=complex)
@@ -50,9 +56,7 @@ def random_toeplitz(trunc, rng, scale=1.0, decay=2.0):
                               np.abs(np.arange(-trunc.n_x, trunc.n_x + 1)))
         dw = np.maximum(w, np.abs(np.subtract.outer(np.arange(m), np.arange(m))))
         blocks[off] = scale * blk * dw ** (-decay)
-    A = op.ToplitzOperator(trunc, blocks)
-    # symmetrize to a real operator: conj(A^j_k(l)) = A^{-j}_{-k}(-l)
-    return op.ToplitzOperator(trunc, 0.5 * (blocks + np.conj(np.flip(blocks))))
+    return op.ToplitzOperator(trunc, real(blocks))
 
 
 # ------------------------------------------------------- multiplication ops
@@ -188,8 +192,8 @@ def _offset_support(blocks, nu):
 
 
 def _sparse_toeplitz(trunc, rng, band):
-    """Random operator with all-zero offsets, banded blocks and scattered
-    zero entries, so that its products have structural zeros."""
+    """Random real operator with all-zero offsets, banded blocks and
+    scattered zero entries, so that its products have structural zeros."""
     shape = op._block_shape(trunc)
     blocks = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     blocks[rng.random(shape[: trunc.nu]) < 0.6] = 0.0
@@ -197,7 +201,7 @@ def _sparse_toeplitz(trunc, rng, band):
     m = 2 * trunc.n_x + 1
     off = np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
     blocks[..., off > band] = 0.0
-    return op.ToplitzOperator(trunc, blocks)
+    return op.ToplitzOperator(trunc, real(blocks))
 
 
 def _box(support):
@@ -260,14 +264,16 @@ def test_compose_matches_direct_kernel(trunc):
     assert dropped > 0
     # operands with only the center block nonzero, with no nonzero block, with
     # dense blocks on a box of offsets touching the edges (its own width per
-    # axis at nu >= 2), and a full table against a single block on either
-    # corner |l_i| = 2 n_phi, whose kept window is one end of the product
+    # axis at nu >= 2) and its mirror, and a full table against rows j >= 0
+    # on a single corner |l_i| = 2 n_phi, whose kept window is one end of the
+    # product when it is the left operand
     M = op.from_multiplier(trunc, lambda j: 0.0 if j == 0 else 1.0 / (1.0 + j * j))
     Z = op.ToplitzOperator(trunc, np.zeros(op._block_shape(trunc), dtype=complex))
     w = 4 * trunc.n_phi + 1
     X = _box_toeplitz(trunc, rng, (slice(0, 3), slice(w - 5, w))[: trunc.nu])
     D = random_toeplitz(trunc, rng)
-    E, F = (_box_toeplitz(trunc, rng, (slice(c, c + 1),) * trunc.nu) for c in (0, w - 1))
+    E, F = (_box_toeplitz(trunc, rng, (slice(c, c + 1),) * trunc.nu, upper=True)
+            for c in (0, w - 1))
     for P, Q in [(A, M), (M, A), (M, M), (A, Z), (Z, A), (A, X), (X, A), (X, X), (X, M),
                  (D, E), (E, D), (D, F), (F, D)]:
         _check_against_direct(P, Q)
@@ -276,34 +282,38 @@ def test_compose_matches_direct_kernel(trunc):
     assert support.any() and not support.all()
 
 
-def _box_toeplitz(trunc, rng, box):
-    """Random dense blocks on the offset indices ``box`` (one slice per axis), zero elsewhere."""
+def _box_toeplitz(trunc, rng, box, upper=False):
+    """A random real operator with dense blocks on the offset indices ``box``
+    (one slice per axis) and on their mirror -box, zero elsewhere.  With
+    ``upper``, the blocks on ``box`` have only their rows j > 0, so the rows
+    j >= 0 that compose and apply multiply are nonzero on ``box`` alone."""
     shape = op._block_shape(trunc)
     blocks = np.zeros(shape, dtype=complex)
     sub = blocks[box].shape
     blocks[box] = rng.standard_normal(sub) + 1j * rng.standard_normal(sub)
-    return op.ToplitzOperator(trunc, blocks)
+    if upper:
+        blocks[..., : trunc.n_x + 1, :] = 0.0
+    return op.ToplitzOperator(trunc, real(blocks))
 
 
 def _operand(trunc, kind, rng):
-    """A compose operand of the given kind: a random sparse table, dense
+    """A real compose operand of the given kind: a random sparse table, dense
     blocks on a random box of offsets (its own width per axis, possibly
-    touching the edge), a single nonzero offset, no nonzero offset, or a
-    single offset on the edge |l|_inf = 2 n_phi, whose products mostly leave
-    the kept window."""
+    touching the edge) and its mirror, rows j >= 0 on a single offset, no
+    nonzero offset, or rows j >= 0 on a single offset on the edge
+    |l|_inf = 2 n_phi, whose products mostly leave the kept window."""
     shape = op._block_shape(trunc)
     if kind == "sparse":
         return _sparse_toeplitz(trunc, rng, band=int(rng.integers(0, shape[-1])))
     if kind == "box":
         ends = np.sort(rng.integers(0, shape[0], size=(trunc.nu, 2)), axis=1)
         return _box_toeplitz(trunc, rng, tuple(slice(a, b + 1) for a, b in ends))
-    blocks = np.zeros(shape, dtype=complex)
-    if kind != "zero":
-        off = rng.integers(0, shape[0], size=trunc.nu)
-        if kind == "edge":
-            off[rng.integers(trunc.nu)] = rng.choice([0, shape[0] - 1])
-        blocks[tuple(off)] = rng.standard_normal(shape[-2:]) + 1j * rng.standard_normal(shape[-2:])
-    return op.ToplitzOperator(trunc, blocks)
+    if kind == "zero":
+        return op.ToplitzOperator(trunc, np.zeros(shape, dtype=complex))
+    off = rng.integers(0, shape[0], size=trunc.nu)
+    if kind == "edge":
+        off[rng.integers(trunc.nu)] = rng.choice([0, shape[0] - 1])
+    return _box_toeplitz(trunc, rng, tuple(slice(o, o + 1) for o in off), upper=True)
 
 
 KINDS = st.sampled_from(["sparse", "box", "single", "zero", "edge"])
@@ -322,32 +332,35 @@ def test_property_compose_matches_direct_kernel(nu, n_phi, n_x, kind_a, kind_b, 
 
 
 def test_compose_of_blocks_whose_products_cancel():
-    # A on l = -4, -2 and B on l = 1, 4: the pairs reaching l = 0 and 2
-    # multiply e0 e0^T by e1 e1^T, exactly zero, so the direct kernel leaves
-    # those offsets empty where the FFT leaves rounding, as it does at the
-    # unreached l = -2 and 1; offsets outside the boxes' sum -3..2 stay
-    # exact zeros
+    # A is e1 e1^T on l = -2, -1 and its mirror e-1 e-1^T on l = 1, 2; B is
+    # e0 e0^T on l = +-3 and a full block on l = 0.  The pairs reaching
+    # l = +-4 and +-5 multiply e+-1 e+-1^T by e0 e0^T, exactly zero, so the
+    # direct kernel leaves those offsets empty where the FFT leaves rounding,
+    # as it does at the unreached l = 0 and +-3; offsets outside the boxes'
+    # sum -5..5 stay exact zeros
     trunc = Truncation(1, 4, 1)
     rng = np.random.default_rng(0)
     blocks = np.zeros((2,) + op._block_shape(trunc), dtype=complex)
-    blocks[0, 4, 0, 0], blocks[0, 6, 0, 0], blocks[1, 12, 1, 1] = 1.3 + 0.7j, -0.4 + 2j, 0.9 - 1.1j
-    blocks[1, 9] = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    A, B = (op.ToplitzOperator(trunc, b) for b in blocks)
+    blocks[0, 6, 2, 2], blocks[0, 7, 2, 2], blocks[1, 11, 1, 1] = 1.3 + 0.7j, -0.4 + 2j, 0.9 - 1.1j
+    blocks[1, 8] = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    A, B = (op.ToplitzOperator(trunc, real(b)) for b in blocks)
     support, _ = _check_against_direct(A, B)
-    assert np.array_equal(np.flatnonzero(support), [5, 7])
-    assert np.array_equal(np.flatnonzero(_reach(A, B)), [5, 6, 7, 8, 9, 10])
+    assert np.array_equal(np.flatnonzero(support), [6, 7, 9, 10])
+    assert np.array_equal(np.flatnonzero(_reach(A, B)), np.arange(3, 14))
 
 
 def _spy_transforms(monkeypatch):
-    """The list that each complex transform appends its name and the lengths
-    of its axes to; a real transform fails."""
+    """The list that each complex transform appends its name and the shape
+    it transforms to, the lengths of its axes and then the block shape; a
+    real transform fails."""
     lengths = []
 
     def spy(name):
         transform = getattr(np.fft, name)
 
         def run(a, *args, axes=None, **kwargs):
-            lengths.append((name, tuple(a.shape[ax] for ax in axes)))
+            lengths.append((name, tuple(a.shape[ax] for ax in axes),
+                            tuple(a.shape[len(axes):])))
             return transform(a, *args, axes=axes, **kwargs)
         return run
 
@@ -368,20 +381,24 @@ def test_compose_transforms_only_the_support_boxes(monkeypatch):
     A, B = _box_toeplitz(trunc, rng, near), _box_toeplitz(trunc, rng, near)
     lengths = _spy_transforms(monkeypatch)
     _check_against_direct(A, B)
-    # boxes 9 offsets wide: 17 product offsets, all kept, padded to 18; two
-    # forward transforms and one inverse
-    assert lengths == [("fftn", (18,)), ("fftn", (18,)), ("ifftn", (18,))]
+    # boxes 9 offsets wide: 17 product offsets, all kept, padded to 18; the
+    # rows j >= 0 of A (17 x 33 blocks) and all of B transformed forward, and
+    # the product's rows j >= 0 back
+    half, full = (17, 33), (33, 33)
+    assert lengths == [("fftn", (18,), half), ("fftn", (18,), full), ("ifftn", (18,), half)]
     # two full tables: 129 product offsets, of which the 65 from 32 on are
-    # kept, so the aliases need a length >= 97 (padded to 100)
+    # kept, so the aliases need a length >= 97 (padded to 100); a square
+    # transforms the half and the whole
     D = random_toeplitz(trunc, rng)
     lengths.clear()
     op.compose(D, D)
-    assert lengths == [("fftn", (100,)), ("ifftn", (100,))]
+    assert lengths == [("fftn", (100,), half), ("fftn", (100,), full), ("ifftn", (100,), half)]
     # at nu = 2, n_phi = 4: 33 product offsets per axis, 17 kept from 8 on
     D = random_toeplitz(Truncation(2, 4, 4), rng)
     lengths.clear()
     _check_against_direct(D, D)
-    assert lengths == [("fftn", (25, 25)), ("ifftn", (25, 25))]
+    assert lengths == [("fftn", (25, 25), (5, 9)), ("fftn", (25, 25), (9, 9)),
+                       ("ifftn", (25, 25), (5, 9))]
     # a zero operand transforms nothing and gives exact zeros
     A = op.ToplitzOperator(trunc, A.blocks, dropped_mass=0.25)
     Z = op.ToplitzOperator(trunc, np.zeros(op._block_shape(trunc), dtype=complex), 0.5)
@@ -393,9 +410,10 @@ def test_compose_transforms_only_the_support_boxes(monkeypatch):
 
 
 def test_one_block_operand_runs_no_transform(monkeypatch):
-    # a left operand with one nonzero offset l0 is one batched matmul of A(l0)
-    # against the right operand's kept window, shifted by l0: the identity
-    # returns its operand bit for bit, and nothing is transformed
+    # a left operand whose rows j >= 0 have one nonzero offset l0 is one
+    # batched matmul of those rows of A(l0) against the right operand's kept
+    # window, shifted by l0, and their mirror: the identity returns its real
+    # operand bit for bit, and nothing is transformed
     trunc = Truncation(2, 3, 3)
     rng = np.random.default_rng(21)
     u, D = random_real_field(trunc, rng), random_toeplitz(trunc, rng)
@@ -404,13 +422,73 @@ def test_one_block_operand_runs_no_transform(monkeypatch):
     assert np.array_equal(op.apply(I, u).c, u.c)
     C = op.compose(I, D)
     assert np.array_equal(C.blocks, D.blocks) and C.dropped_mass == 0.0
-    # an off-centre block, against the offset-loop and direct-kernel oracles
+    # rows j >= 0 on an off-centre block, against the offset-loop and
+    # direct-kernel oracles
     w = 4 * trunc.n_phi + 1
-    E = _box_toeplitz(trunc, rng, (slice(w - 3, w - 2), slice(1, 2)))
+    E = _box_toeplitz(trunc, rng, (slice(w - 3, w - 2), slice(1, 2)), upper=True)
     got, ref = op.apply(E, u).c, _apply_by_offsets(E, u)
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
     _check_against_direct(E, D)
     assert lengths == []
+
+
+def test_non_real_operands_give_the_mirror_of_their_rows_j_ge_0():
+    # compose and apply multiply only the rows j >= 0 of the left operand: on
+    # tables that are not real, the rows j >= 0 of the result are the exact
+    # product of A's rows j >= 0 with B (or u), and the rows j < 0 their mirror
+    trunc = Truncation(2, 3, 3)
+    rng = np.random.default_rng(23)
+    shape, h = op._block_shape(trunc), trunc.n_x
+    A, B = (op.ToplitzOperator(trunc, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            for _ in range(2))
+    u = FourierField(trunc, rng.standard_normal(trunc.shape) + 1j * rng.standard_normal(trunc.shape))
+    assert min(reality_defect(A), reality_defect(B)) > 1.0
+    C, (ref, _) = op.compose(A, B).blocks, _compose_direct(A, B)
+    v, want = op.apply(A, u).c[..., None], _apply_by_offsets(A, u)[..., None]
+    for got, ref in [(C, ref), (v, want)]:
+        assert np.max(np.abs(got[..., h:, :] - ref[..., h:, :])) <= 1e-13 * np.max(np.abs(ref))
+        assert np.array_equal(got[..., :h, :], np.conj(np.flip(got[..., h + 1:, :])))
+        assert np.max(np.abs(got[..., :h, :] - ref[..., :h, :])) > 1.0
+
+
+def _dropped_bound_by_all_norms(A, B):
+    """Reference: the Frobenius bound of ``_dropped_bound`` from the norms of
+    every block of both tables, with the boxes of their nonzero norms."""
+    sq = "...ij,...ij->..."
+    fa, fb = (np.sqrt(np.einsum(sq, x.real, x.real) + np.einsum(sq, x.imag, x.imag))
+              for x in (A.blocks, B.blocks))
+    if not (fa.any() and fb.any()):
+        return 0.0
+    boxA, boxB = op._support_box(fa > 0), op._support_box(fb > 0)
+    _, wide, kept = op._kept_window(boxA, boxB, A.blocks.shape[0], B.blocks.shape)
+    spill = op._scalar_convolution(fa[boxA], fb[boxB])
+    spill[kept] = 0.0
+    return float(np.sqrt(np.sum(spill * spill)))
+
+
+def test_dropped_bound_reads_the_boxes_before_any_norm(monkeypatch):
+    # the bound takes norms only inside the support boxes, and none when the
+    # boxes' sum fits the rectangle; it equals the bound from every block's
+    # norm bit for bit
+    rng = np.random.default_rng(24)
+    for trunc in [Truncation(1, 16, 16), Truncation(2, 4, 4)]:
+        w = 4 * trunc.n_phi + 1
+        wide = (slice(0, w // 3),) * trunc.nu  # and its mirror
+        for A, B in [(random_toeplitz(trunc, rng), _sparse_toeplitz(trunc, rng, band=2)),
+                     (_box_toeplitz(trunc, rng, wide), random_toeplitz(trunc, rng)),
+                     (_operand(trunc, "edge", rng), _box_toeplitz(trunc, rng, wide))]:
+            C = op.compose(A, B)
+            assert C.dropped_mass > 0
+            assert C.dropped_mass == _dropped_bound_by_all_norms(A, B)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a norm was taken")
+
+    trunc = Truncation(1, 16, 16)
+    near = _box_toeplitz(trunc, rng, (slice(28, 37),))
+    monkeypatch.setattr(np, "einsum", refuse)
+    for A, B in [(near, near), (op.identity(trunc), random_toeplitz(trunc, rng))]:
+        assert op.compose(A, B).dropped_mass == 0.0
 
 
 def test_compose_allocates_no_padded_spectrum():
@@ -477,9 +555,9 @@ WORKSPACE_TRUNCS = [Truncation(1, 16, 16), Truncation(2, 4, 4)]
 
 def _workspace_of(trunc):
     """The buffers the last compose at ``trunc`` used (a cache hit, not new ones)."""
-    size = op._fft_length(6 * trunc.n_phi + 1) ** trunc.nu * (2 * trunc.n_x + 1) ** 2
+    cells = op._fft_length(6 * trunc.n_phi + 1) ** trunc.nu
     misses = op._workspace.cache_info().misses
-    bufs = op._workspace(size, threading.get_ident())
+    bufs = op._workspace(cells, 2 * trunc.n_x + 1, threading.get_ident())
     assert op._workspace.cache_info().misses == misses
     return bufs
 
@@ -600,7 +678,10 @@ def _apply_operator(trunc, kind, rng):
     if kind == "banded":
         return _sparse_toeplitz(trunc, rng, band=1)
     if kind == "edge box":
-        return _box_toeplitz(trunc, rng, (slice(0, 3), slice(w - 5, w), slice(1, w))[: trunc.nu])
+        # rows j >= 0 on a box touching the edges: against the field at l = 0
+        # every product leaves the rectangle, which stays exact zeros
+        return _box_toeplitz(trunc, rng, (slice(0, 3), slice(w - 5, w), slice(1, w))[: trunc.nu],
+                             upper=True)
     if kind == "identity":
         return op.identity(trunc)
     return _operand(trunc, kind, rng)  # "single" or "zero"
@@ -618,7 +699,7 @@ def _apply_field(trunc, kind, rng):
         # against a full operator the product keeps only its middle half,
         # so the transform length is set by the operator's box, not the window
         c[(trunc.n_phi,) * trunc.nu] = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    return FourierField(trunc, c)
+    return FourierField(trunc, real(c))
 
 
 @pytest.mark.parametrize("field_kind", ["random", "few l", "l = 0", "zero"])
@@ -711,6 +792,29 @@ def test_linearity_of_apply():
 
 
 # ------------------------------------------------------- norms / smoothing
+
+
+def _profile_of_every_row(A):
+    """Reference: P[l..., d] = sup_{j1-j2=d} |A^{j2}_{j1}(l)| over every row j1."""
+    m = A.blocks.shape[-1]
+    P = np.zeros(A.blocks.shape[:-2] + (2 * m - 1,))
+    for j1, j2 in np.ndindex(m, m):
+        P[..., j1 - j2 + m - 1] = np.maximum(P[..., j1 - j2 + m - 1], np.abs(A.blocks[..., j1, j2]))
+    return P
+
+
+@pytest.mark.parametrize("trunc", [T, Truncation(2, 3, 3), Truncation(3, 2, 2)])
+def test_offset_profile_of_real_operators_reads_the_rows_j_ge_0(trunc):
+    # the profile is built from the rows j >= 0 and mirrored over the offsets
+    # and the diagonals: on a real table it is the profile of every row, exactly
+    rng = np.random.default_rng(25)
+    w = 4 * trunc.n_phi + 1
+    for A in [random_toeplitz(trunc, rng), _sparse_toeplitz(trunc, rng, band=1),
+              _box_toeplitz(trunc, rng, (slice(0, 2),) * trunc.nu, upper=True),
+              _box_toeplitz(trunc, rng, (slice(w - 3, w),) * trunc.nu),
+              op.identity(trunc), op.from_multiplication(random_real_field(trunc, rng))]:
+        assert reality_defect(A) == 0.0
+        assert np.array_equal(op._offset_profile(A), _profile_of_every_row(A))
 
 
 def test_decay_norm_identity():
@@ -872,7 +976,7 @@ def test_conjugate_matches_dense_on_interior_blocks(mode):
     V = smooth(random_toeplitz(trunc, rng, scale=0.05), 1)
     j = trunc.mode_range(1)
     d = -1j * j.astype(float) ** 3
-    r = 1j * 0.01 * rng.standard_normal(len(j))
+    r = real(1j * 0.01 * rng.standard_normal(len(j)))
     Phi, Phi_inv = op.near_identity(Psi, mode)
     got = op.materialize_matrix(op.conjugate(Phi, Phi_inv, freq, d, V, r))
 
@@ -894,7 +998,7 @@ def test_conjugate_by_the_identity_leaves_r_to_its_own_rounding():
     # rounding of r; rows(d) I - I cols(d + r) would leave that of |d| = 64
     rng = np.random.default_rng(8)
     d = -1j * T.mode_range(1).astype(float) ** 3
-    r = 1e-3j * rng.standard_normal(len(d))
+    r = real(1e-3j * rng.standard_normal(len(d)))
     I = op.identity(T)
     R = op.conjugate(I, I, Frequency.default(1, lam=1.1), d, I.scale(0.0), r)
     want = op.from_multiplier(T, lambda k: -r[k + T.n_x])
