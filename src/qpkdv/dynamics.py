@@ -20,7 +20,8 @@ row scaling and one product.  The coefficients are real, so
 D[-r, -c] = conj D[r, c], also after the Airy conjugation: only the rows
 j >= 0 are frozen, and the rows j < 0 are their mirror.  Each step is then
 one matrix-vector product.  The chain is frozen with ``opalg.freeze`` at all
-sample times of a report in one call, and inverted by one batched
+sample times of a report, one call per factor (the reduction's factors are
+multiplied frozen, never as tables), and inverted by one batched
 ``np.linalg.inv``.
 """
 
@@ -269,11 +270,14 @@ class FrozenChain:
         def mult(f, angles):
             return frz(opalg.from_multiplication(f).blocks, angles)
 
-        # forward = warp . v . e^{i j p} . S . Phi_inf
+        # forward = warp . v . e^{i j p} . S . Phi_0 ... Phi_k, the product of
+        # the frozen factors (exact, where a product of tables is clipped)
         shift = np.exp(1j * np.multiply.outer(_scalar(ch["p"], theta),
                                               np.arange(-n_x, n_x + 1)))
-        forward = shift[:, :, None] * (frz(ch["S"].blocks, theta)
-                                       @ frz(red.Phi_inf.blocks, theta))
+        forward = frz(ch["S"].blocks, theta)
+        for Phi, _ in red.factors:
+            forward = forward @ frz(Phi.blocks, theta)
+        forward = shift[:, :, None] * forward
         warp = _warp_matrix(frz(ch["beta"].c, phi), n_x)
         if reg.mode == "hamiltonian":
             warp = mult(ch["sigma"], phi) @ warp

@@ -9,9 +9,17 @@ quadratically smaller.  The exponents are a plain array, mu[j + n_x] for
 |j| <= n_x.
 
 `reduce` returns its final `ReducibilityState`: the exponents `eigs`, the
-reducing transformation `Phi_inf` and its inverse, the per-step `trace`, and
+steps' `factors` (Phi_k, Phi_k^{-1}) in step order, the per-step `trace`, and
 the `exclusion` of an excluded lambda beside the last accepted step's `eigs`
-and `Phi_inf`.  The state takes its mode from the regularization.
+and `factors`.  The reducing transformation Phi_0 ... Phi_k is kept as that
+list and never multiplied out (the paper's Phi_inf is the limit of the
+products, a device of the proof): `solver.right_inverse` applies the factors
+to a field in turn, and `dynamics.FrozenChain` multiplies them frozen at each
+angle.  The state takes its mode from the regularization.
+
+Each operator carries its support box (`opalg`): the homological Psi lives on
+R's box cut to |l| <= N, and a remainder with an empty box has norm 0, so
+`reduce` runs no step on it.
 
 `screen` is the one implementation of the paper's Melnikov divisor bounds,
 first order |i omega.l + mu_j| >= 2 gamma <j>^3 <l>^-tau and second order
@@ -123,11 +131,11 @@ class ReducibilityState:
     nu_step: int
     eigs: np.ndarray  # the exponents mu_j
     R: ToplitzOperator
-    # product of the steps' transformations, the identity at nu_step = 0
-    Phi_inf: ToplitzOperator
-    Phi_inf_inv: ToplitzOperator
     schedule: IterationSchedule
     mode: str  # the regularization's: "hamiltonian" conjugates by exp(Psi)
+    # the steps' transformations (Phi_k, Phi_k^{-1}) in step order; the
+    # reducing transformation is their product Phi_0 ... Phi_k, never formed
+    factors: tuple = ()
     # the divisor of a failed step; None while not excluded
     exclusion: Exclusion | None = None
     trace: list = field(default_factory=list)  # reduce's rows, one per step
@@ -208,34 +216,35 @@ def solve_homological(
     entries (l != 0) inherit the Diophantine floor of the frequency witness.
     On any violation no Psi is produced (ok = False) and the violation of
     smallest margin is reported as the exclusion; exclusion is data, not an
-    error.
+    error.  Psi is divided out on R's box cut to |l| <= N (`opalg.quotient`),
+    which is its box.
     """
     trunc = R.trunc
-    dots = freq.omega_dot_l(trunc, double=True)
-    linf = index_weights(trunc.nu, 2 * trunc.n_phi)
-    lsz = index_weights(trunc.nu, 2 * trunc.n_phi, floor=1.0)
-    within = np.broadcast_to((linf <= N)[(...,) + (None, None)], R.blocks.shape)
-    _, delta, bound = screen(dots, lsz, mu, gamma, tau, "second", within)
+    n2 = 2 * trunc.n_phi
+    N = min(N, n2)
+    # the index set |l|_inf <= N is a box of the table: screen on it alone
+    cut = (slice(n2 - N, n2 + N + 1),) * trunc.nu
+    lsz = index_weights(trunc.nu, N, floor=1.0)
+    _, delta, bound = screen(freq.omega_dot_l(trunc, double=True)[cut], lsz, mu, gamma, tau,
+                             "second", True)
     # the j = k divisor is i omega.l; there the bound is the Diophantine
     # floor of the frequency witness (none at l = 0, where [R] is absorbed)
     diag = np.arange(len(mu))
-    center = (2 * trunc.n_phi,) * trunc.nu
+    center = (N,) * trunc.nu
     bound[..., diag, diag] = (WITNESS_GAMMA0 * lsz ** -freq.nu)[..., None]
     bound[center + (diag, diag)] = 0.0
-    exclusion = smallest_margin("second", within & (np.abs(delta) < bound), delta, bound)
+    exclusion = smallest_margin("second", np.abs(delta) < bound, delta, bound)
 
-    diag_part = np.diagonal(R.blocks[center]).copy()
+    diag_part = np.diagonal(R.blocks[(n2,) * trunc.nu]).copy()
     if exclusion is not None:
         return HomologicalSolution(None, diag_part, exclusion)
 
-    # no violation, so every divisor on the kept set is nonzero
-    keep = within.copy()
-    keep[center + (diag, diag)] = False  # (j-k,l)=(0,0)
-    # with blocks indexed by offset l = (output - input), eq:homo reads
+    # no violation, so every divisor on the kept set is nonzero; with blocks
+    # indexed by offset l = (output - input), eq:homo reads
     # (i omega.l + mu_j - mu_k) Psi^k_j(l) = -R^k_j(l) off the (0,0) entries
-    blocks = np.zeros_like(R.blocks)
-    np.divide(-R.blocks, delta, out=blocks, where=keep)
-    return HomologicalSolution(ToplitzOperator(trunc, blocks), diag_part)
+    keep = np.ones(delta.shape, dtype=bool)
+    keep[center + (diag, diag)] = False
+    return HomologicalSolution(opalg.quotient(R, -delta, keep), diag_part)
 
 
 def kam_step(state: ReducibilityState, freq: Frequency) -> ReducibilityState:
@@ -256,16 +265,12 @@ def kam_step(state: ReducibilityState, freq: Frequency) -> ReducibilityState:
         )
 
     Phi, Phi_inv = opalg.near_identity(Psi, state.mode)
-    R_new = opalg.conjugate(Phi, Phi_inv, freq, state.eigs, state.R, sol.diag_part)
-
-    first = state.nu_step == 0  # Phi_inf is still the identity
     return replace(
         state,
         nu_step=state.nu_step + 1,
         eigs=state.eigs + sol.diag_part,
-        R=R_new,
-        Phi_inf=Phi if first else opalg.compose(state.Phi_inf, Phi),
-        Phi_inf_inv=Phi_inv if first else opalg.compose(Phi_inv, state.Phi_inf_inv),
+        R=opalg.conjugate(Phi, Phi_inv, freq, state.eigs, state.R, sol.diag_part),
+        factors=state.factors + ((Phi, Phi_inv),),
     )
 
 
@@ -276,8 +281,6 @@ def initial_state(reg, schedule: IterationSchedule) -> ReducibilityState:
         nu_step=0,
         eigs=airy_diagonal(trunc.n_x, reg.m3, reg.m1),
         R=reg.R,
-        Phi_inf=opalg.identity(trunc),
-        Phi_inf_inv=opalg.identity(trunc),
         schedule=schedule,
         mode=reg.mode,
     )
@@ -299,7 +302,7 @@ def _trace_row(state: ReducibilityState, mu0: np.ndarray, N: int) -> dict:
 def reduce(reg, freq: Frequency, schedule: IterationSchedule) -> ReducibilityState:
     """Iterate kam_step until |R_nu|_{s0} < target_decay (or exclusion), and
     return the final state with its trace.  An excluded step leaves the last
-    accepted step's exponents and transformation beside the exclusion.
+    accepted step's exponents and factors beside the exclusion.
 
     Raises SmallnessError when the initial remainder violates the operational
     smallness test |R0|_{s0} N0^(2 tau + 1) / gamma < threshold, and

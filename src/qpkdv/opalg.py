@@ -25,20 +25,39 @@ product of A's rows j >= 0 with B (or the field), the rows j < 0 their
 mirror, and the profile of ``decay_norm`` the larger of that of the rows
 j >= 0 and its mirror.
 
+Every operator carries its support box, set by the operation that builds
+it: per offset axis a slice outside which its rows j >= 0 vanish (its rows
+j < 0 vanish outside the mirror, so the hull of the box and its mirror, the
+full box, holds every nonzero block).  ``identity`` and ``from_multiplier``
+have the l = 0 block, ``from_multiplication`` the box of the field's nonzero
+offsets and its mirror, ``compose`` the clipped Minkowski sum its
+convolution writes, ``add`` the hull, ``scale``, ``scale_modes`` and
+``commutator`` the operand's, and ``quotient`` the operand's cut to the
+divisor's offsets; a table handed to the constructor is scanned once.  A
+declared box may be wider than the offsets that hold nonzero entries (a
+product whose blocks cancel exactly), never narrower.
+``compose`` and ``apply`` read the boxes instead of scanning tables, and
+``add``, ``scale_modes``, ``commutator``, ``decay_norm`` and the
+``dropped_mass`` bound touch only the full boxes.  The zero operator has
+the box None; every operation returns it, or its other operand, at once, so
+"this operator is zero" is decided by the boxes the operations set, never
+by comparing entries with 0.  The tables stay full
+(4 n_phi + 1)^nu x m x m arrays; a zero one is never written.
+
 ``apply`` and ``compose`` share one offset convolution: a zero-padded FFT
 over the offset axes, one batched matrix product of the rows j >= 0 of the
 left operand against all of the right one, and a clip to the right
 operand's rectangle (for ``apply`` the field's, an m x 1 block per l).  Only
-the bounding box of each operand's nonzero offsets (for the left operand,
-of its rows j >= 0) is transformed, and only
-as long as the kept window needs (overlap-discard): on a phi-axis where the
+the left operand's box, and the right operand's full box (for a field, the
+box of its nonzero offsets), are transformed, and only as long as the kept
+window needs (overlap-discard): on a phi-axis where the
 boxes are a and b offsets wide and the product indices k0..k1 of
 0..a + b - 2 are kept, the cyclic length is the 2-3-5-smooth length
 (spectral's one table of them) >= max(a, b, a + b - 1 - k0, k1 + 1), so
 every alias falls on a discarded index (>= 6 n_phi + 1 for two full tables,
 a + b - 1 when the box sum fits the rectangle).  A zero operand or an empty
 kept window runs no transform, and neither does a left operand whose rows
-j >= 0 have one nonzero offset l0 (the identity, or S at u = 0): its
+j >= 0 have a one-offset box l0 (the identity, or a multiplier): its
 product is one batched matmul of those rows of A(l0) against the right
 operand's kept window, shifted by l0.
 The transforms run in place over the leading offset axes of a reused
@@ -47,16 +66,16 @@ two buffers of L^nu (n_x + 1) m elements for the left operand's spectrum
 and the product, and one of L^nu m^2 for the right operand's (3.5 MB in
 all at nu = 1, n = 16; 24 MB at nu = 2, n = 8), held for the life of the
 process; a call views the head of each as its own padded shape.
-Only the Minkowski sum of the operands' support boxes is copied out, so the
-offsets outside it are exact zeros; inside it every entry carries rounding
-of order eps |A| |B|, so an offset no pair of nonzero blocks reaches, an
-entry that is zero by structure, or a block whose products cancel, is not an
-exact zero.
+Only the Minkowski sum of the operands' boxes is copied out, and it is the
+product's box, so the offsets outside it are exact zeros; inside it every
+entry carries rounding of order eps |A| |B|, so an offset no pair of nonzero
+blocks reaches, an entry that is zero by structure, or a block whose
+products cancel, is not an exact zero.
 The discarded part is aliased, so ``dropped_mass`` is an upper bound on the
 l2 norm of the product outside the kept rectangle: the l2 norm over those
 offsets of the Frobenius bound |C(l)|_F <= sum_l' |A(l')|_F |B(l - l')|_F
-over the support boxes (A's is that of its rows j >= 0 and their mirror),
-exactly 0, with no norm taken, when the boxes' sum fits the rectangle.
+over the operands' full boxes, exactly 0, with no norm taken, when the
+boxes' sum fits the rectangle.
 Fourier multipliers, a single diagonal l = 0 block, are applied by
 ``scale_modes`` as row/column scalings.
 """
@@ -87,6 +106,7 @@ __all__ = [
     "add",
     "decay_norm",
     "commutator",
+    "quotient",
     "neumann_inverse",
     "near_identity",
     "conjugate",
@@ -118,15 +138,25 @@ def _block_shape(trunc: Truncation) -> tuple[int, ...]:
     return (4 * trunc.n_phi + 1,) * trunc.nu + (m, m)
 
 
+_SCAN = object()  # the default box: scan the table handed in
+
+
 @dataclass(frozen=True)
 class ToplitzOperator:
-    """Operator A with blocks[l][j1, j2] = A^{j2}_{j1}(l), |l_i| <= 2 n_phi."""
+    """Operator A with blocks[l][j1, j2] = A^{j2}_{j1}(l), |l_i| <= 2 n_phi.
+
+    ``box`` is the support box, one slice of offset indices per axis: the
+    rows j >= 0 vanish outside it and the rows j < 0 outside its mirror, so
+    that its hull with the mirror (``_full``) holds every nonzero block.
+    None is the zero operator.  The operations set it; a table handed in
+    without one is scanned once (``_scan_box``)."""
 
     trunc: Truncation
     blocks: np.ndarray = field(repr=False)
     #: bound on the Frobenius mass of blocks dropped at the |l| <= 2 n_phi
     #: boundary by the producing operations (composition leakage diagnostic).
     dropped_mass: float = 0.0
+    box: tuple | None = field(default=_SCAN, repr=False)
 
     def __post_init__(self):
         if self.blocks.shape != _block_shape(self.trunc):
@@ -134,9 +164,11 @@ class ToplitzOperator:
                 f"block table shape {self.blocks.shape} does not match {_block_shape(self.trunc)}"
             )
         self.blocks.setflags(write=False)
+        if self.box is _SCAN:
+            object.__setattr__(self, "box", _scan_box(self.blocks))
 
     def scale(self, a: complex) -> "ToplitzOperator":
-        return ToplitzOperator(self.trunc, self.blocks * a, abs(a) * self.dropped_mass)
+        return _on_box(self, lambda blocks, _: blocks * a, abs(a) * self.dropped_mass)
 
     def __add__(self, other: "ToplitzOperator") -> "ToplitzOperator":
         return add(self, other)
@@ -173,25 +205,92 @@ def freeze(table: np.ndarray, theta) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# support boxes
+
+
+def _support_box(support: np.ndarray) -> tuple[slice, ...] | None:
+    """Per axis, the slice from the first to the last index of a True entry
+    of ``support``, or None when it has none."""
+    if not support.any():
+        return None
+    nu = support.ndim
+    box = []
+    for ax in range(nu):
+        hit = np.flatnonzero(support.any(axis=tuple(a for a in range(nu) if a != ax)))
+        box.append(slice(int(hit[0]), int(hit[-1]) + 1))
+    return tuple(box)
+
+
+def _scan_box(blocks: np.ndarray) -> tuple[slice, ...] | None:
+    """The box of a table handed in: that of the offsets l whose rows j >= 0
+    are not all zero, or whose rows j < 0 at -l are not."""
+    n_x = blocks.shape[-2] // 2
+    rows = blocks.any(axis=-1)
+    return _support_box(rows[..., n_x:].any(axis=-1) | np.flip(rows[..., :n_x].any(axis=-1)))
+
+
+def _hull(p, q):
+    """The smallest box holding the boxes p and q (None is empty)."""
+    if p is None or q is None:
+        return q if p is None else p
+    return tuple(slice(min(a.start, b.start), max(a.stop, b.stop)) for a, b in zip(p, q))
+
+
+def _meet(p, q):
+    """The intersection of the boxes p and q, None when it is empty."""
+    if p is None or q is None:
+        return None
+    box = tuple(slice(max(a.start, b.start), min(a.stop, b.stop)) for a, b in zip(p, q))
+    return None if any(s.stop <= s.start for s in box) else box
+
+
+def _mirror(box, w: int):
+    """The box l -> -l of ``box`` on w offsets per axis."""
+    return tuple(slice(w - s.stop, w - s.start) for s in box)
+
+
+def _full(box, w: int):
+    """The box of every row of a table on w offsets per axis whose rows
+    j >= 0 lie in ``box``: its hull with the mirror l -> -l."""
+    if box is None:
+        return None
+    return _hull(box, _mirror(box, w))
+
+
+def _on_box(A: ToplitzOperator, values, dropped: float) -> ToplitzOperator:
+    """The operator with A's box whose table is values(A's blocks on F, F)
+    on the full box F and zero elsewhere; a zero A returns at once."""
+    if A.box is None:
+        return ToplitzOperator(A.trunc, A.blocks, dropped, None)
+    full = _full(A.box, A.blocks.shape[0])
+    blocks = np.zeros(A.blocks.shape, dtype=complex)
+    blocks[full] = values(A.blocks[full], full)
+    return ToplitzOperator(A.trunc, blocks, dropped, A.box)
+
+
+# ---------------------------------------------------------------------------
 # constructors
 
 
 def identity(trunc: Truncation) -> ToplitzOperator:
-    blocks = np.zeros(_block_shape(trunc), dtype=complex)
-    center = (2 * trunc.n_phi,) * trunc.nu
-    blocks[center] = np.eye(2 * trunc.n_x + 1)
-    return ToplitzOperator(trunc, blocks)
+    return from_multiplier(trunc, lambda j: 1.0)
 
 
 def from_multiplication(p: FourierField) -> ToplitzOperator:
-    """Multiplication operator h -> p h as a block-Toeplitz table."""
-    trunc, n_x = p.trunc, p.trunc.n_x
-    off = np.subtract.outer(np.arange(2 * n_x + 1), np.arange(2 * n_x + 1))  # j1 - j2
+    """Multiplication operator h -> p h as a block-Toeplitz table, on the box
+    of p's nonzero offsets and its mirror."""
+    trunc, n_x, n_phi = p.trunc, p.trunc.n_x, p.trunc.n_phi
     blocks = np.zeros(_block_shape(trunc), dtype=complex)
+    # the field's offset l sits at index l + n_phi of its table, l + 2 n_phi of blocks
+    box = _full(_support_box(p.c.any(axis=-1)), 2 * n_phi + 1)
+    if box is None:
+        return ToplitzOperator(trunc, blocks, box=None)
+    off = np.subtract.outer(np.arange(2 * n_x + 1), np.arange(2 * n_x + 1))  # j1 - j2
     # the block at offset l holds the modes p_{l, j1 - j2} of p
-    inner = (slice(trunc.n_phi, 3 * trunc.n_phi + 1),) * trunc.nu
-    blocks[inner] = np.where(np.abs(off) <= n_x, p.c[..., np.clip(off + n_x, 0, 2 * n_x)], 0.0)
-    return ToplitzOperator(trunc, blocks)
+    inner = tuple(slice(s.start + n_phi, s.stop + n_phi) for s in box)
+    modes = p.c[box][..., np.clip(off + n_x, 0, 2 * n_x)]
+    blocks[inner] = np.where(np.abs(off) <= n_x, modes, 0.0)
+    return ToplitzOperator(trunc, blocks, box=inner)
 
 
 def symbol(trunc: Truncation, m_func) -> np.ndarray:
@@ -202,9 +301,9 @@ def symbol(trunc: Truncation, m_func) -> np.ndarray:
 def from_multiplier(trunc: Truncation, m_func) -> ToplitzOperator:
     """Fourier multiplier h_{l,j} -> m(j) h_{l,j} (only the l = 0 block)."""
     blocks = np.zeros(_block_shape(trunc), dtype=complex)
-    center = (2 * trunc.n_phi,) * trunc.nu
-    blocks[center] = np.diag(symbol(trunc, m_func))
-    return ToplitzOperator(trunc, blocks)
+    box = (slice(2 * trunc.n_phi, 2 * trunc.n_phi + 1),) * trunc.nu
+    blocks[box] = np.diag(symbol(trunc, m_func))
+    return ToplitzOperator(trunc, blocks, box=box)
 
 
 def dx_inv_symbol(j: int) -> complex:
@@ -221,45 +320,27 @@ def pi0_symbol(j: int) -> float:
 # action and composition
 
 
-def _offset_support(table: np.ndarray) -> np.ndarray:
-    """Boolean table of the offsets l whose block (the last two axes) is not all zero."""
-    return table.any(axis=(-2, -1))
-
-
-def _support_box(support: np.ndarray) -> tuple[slice, ...]:
-    """Per offset axis, the slice from the first to the last index of a
-    nonzero block (``support`` is an ``_offset_support`` with a nonzero entry)."""
-    nu = support.ndim
-    box = []
-    for ax in range(nu):
-        hit = np.flatnonzero(support.any(axis=tuple(a for a in range(nu) if a != ax)))
-        box.append(slice(int(hit[0]), int(hit[-1]) + 1))
-    return tuple(box)
-
-
 def _upper(table: np.ndarray) -> np.ndarray:
     """The rows j >= 0 of each block of a table."""
     return table[..., table.shape[-2] // 2:, :]
 
 
-def mirror_rows(table: np.ndarray, lead: int = 0) -> np.ndarray:
+def mirror_rows(table: np.ndarray, lead: int = 0, box=None) -> np.ndarray:
     """Fill the rows j < 0 of a table of real operator blocks (the last two
     axes, 2 n_x + 1 rows) from its rows j > 0, in place, and return it:
     table[..., :n_x, :] = conj(flip(table[..., n_x + 1:, :])), the flip
     running over every axis after the first ``lead`` (the centered offsets,
-    the rows and the columns), which is conj A^{-j}_{-k}(-l) = A^j_k(l)."""
+    the rows and the columns), which is conj A^{-j}_{-k}(-l) = A^j_k(l).
+    Given the ``box`` of offsets (lead = 0) outside which the rows j > 0
+    vanish, only the rows j < 0 on its mirror are written."""
     n_x = table.shape[-2] // 2
     flip = (slice(None),) * lead + (slice(None, None, -1),) * (table.ndim - lead)
-    np.conjugate(table[..., n_x + 1:, :][flip], out=table[..., :n_x, :])
+    src, dst = (Ellipsis,), (Ellipsis,)
+    if box is not None:
+        src, dst = box, _mirror(box, table.shape[0])
+    np.conjugate(table[src + (slice(n_x + 1, None), slice(None))][flip],
+                 out=table[dst + (slice(None, n_x), slice(None))])
     return table
-
-
-def _boxes(a: np.ndarray, b: np.ndarray):
-    """The support boxes of a's rows j >= 0 and of b, or None when either is zero."""
-    supA, supB = _offset_support(_upper(a)), _offset_support(b)
-    if not (supA.any() and supB.any()):
-        return None
-    return _support_box(supA), _support_box(supB)
 
 
 def _kept_window(boxA, boxB, w: int, out_shape):
@@ -296,26 +377,26 @@ def _workspace(cells: int, m: int, thread: int) -> tuple[np.ndarray, np.ndarray,
     return tuple(np.empty(size, dtype=complex) for size in (upper, cells * m * m, upper))
 
 
-def _convolve(a: np.ndarray, b: np.ndarray, boxes) -> np.ndarray:
+def _convolve(a: np.ndarray, b: np.ndarray, boxA, boxB):
     """sum_{l'} a(l') @ b(l - l') over centered offsets, clipped to b's offset
-    rectangle, for real operands: ``a`` is a full block table, ``b`` an m x k
-    block per offset of its own odd-width rectangle, and ``boxes`` their
-    ``_boxes``.  The rows j >= 0 are a's rows j >= 0 times b; the rows j < 0
-    are their ``mirror_rows``."""
+    rectangle, for real operands: ``a`` is a full block table whose rows
+    j >= 0 lie in the offsets ``boxA``, ``b`` an m x k block per offset of its
+    own odd-width rectangle, nonzero only in ``boxB`` (None: a zero operand).
+    The rows j >= 0 are a's rows j >= 0 times b, written on the returned box
+    (None when nothing is); the rows j < 0 are their ``mirror_rows``."""
     nu, w = a.ndim - 2, a.shape[0]
     out = np.zeros(b.shape, dtype=complex)
-    if boxes is None:
-        return out
-    boxA, boxB = boxes
+    if boxA is None or boxB is None:
+        return out, None
     shift, wide, kept = _kept_window(boxA, boxB, w, b.shape)
     if any(k.stop <= k.start for k in kept):
-        return out
+        return out, None
     upper = _upper(a)
-    into = tuple(slice(k.start + d, k.stop + d) for k, d in zip(kept, shift)) + (
-        slice(a.shape[-2] // 2, None),)
+    box = tuple(slice(k.start + d, k.stop + d) for k, d in zip(kept, shift))
+    into = box + (slice(a.shape[-2] // 2, None),)
     if all(p.stop - p.start == 1 for p in boxA):  # one block A(l0): b's window, shifted by l0
         np.matmul(upper[boxA], b[boxB][kept], out=out[into])
-        return mirror_rows(out)
+        return mirror_rows(out, box=box), box
     axes = tuple(range(nu))
     # overlap-discard: a cyclic length L >= wide - k0 and >= k1 folds every
     # alias of the linear product onto a discarded index, and L >= both box
@@ -337,7 +418,7 @@ def _convolve(a: np.ndarray, b: np.ndarray, boxes) -> np.ndarray:
     np.matmul(spectrum(upper, boxA, FA), spectrum(b, boxB, FB), out=P)
     full = np.fft.ifftn(P, axes=axes, out=P)
     out[into] = full[kept]
-    return mirror_rows(out)
+    return mirror_rows(out, box=box), box
 
 
 def _scalar_convolution(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
@@ -355,19 +436,16 @@ def _scalar_convolution(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dropped_bound(a: np.ndarray, b: np.ndarray, boxes) -> float:
+def _dropped_bound(a: np.ndarray, b: np.ndarray, boxA, boxB) -> float:
     """An upper bound on the l2 norm, over the offsets outside the doubled
-    rectangle, of the product of two full block tables with the ``_boxes``
-    ``boxes``: by |XY|_F <= |X|_F |Y|_F its block there has
+    rectangle, of the product of two full block tables nonzero only in the
+    offsets ``boxA`` and ``boxB`` (their ``_full`` boxes; None: zero): by
+    |XY|_F <= |X|_F |Y|_F its block there has
     |C(l)|_F <= sum_{l'} |a(l')|_F |b(l - l')|_F, a scalar convolution over
-    the support boxes, which is exactly 0 when the boxes' sum fits."""
-    if boxes is None:
+    the boxes, which is exactly 0 when the boxes' sum fits."""
+    if boxA is None or boxB is None:
         return 0.0
-    upper, boxB = boxes
-    w = a.shape[0]
-    # a real a has the support of its rows j >= 0 and their mirror at -l
-    boxA = tuple(slice(min(p.start, w - p.stop), max(p.stop, w - p.start)) for p in upper)
-    _, wide, kept = _kept_window(boxA, boxB, w, b.shape)
+    _, wide, kept = _kept_window(boxA, boxB, a.shape[0], b.shape)
     if all(k.start == 0 and k.stop == n for k, n in zip(kept, wide)):
         return 0.0
     # |x(l)|_F by einsum over the real and imaginary views: no temporary
@@ -386,56 +464,88 @@ def apply(A: ToplitzOperator, u: FourierField) -> FourierField:
     if A.trunc != u.trunc:
         raise ValueError("truncation mismatch between operator and field")
     b = u.c[..., None]
-    return FourierField(A.trunc, _convolve(A.blocks, b, _boxes(A.blocks, b))[..., 0])
+    out, _ = _convolve(A.blocks, b, A.box, _support_box(u.c.any(axis=-1)))
+    return FourierField(A.trunc, out[..., 0])
 
 
 def compose(A: ToplitzOperator, B: ToplitzOperator) -> ToplitzOperator:
     """(AB)(l) = sum_{l'} A(l') B(l - l'), offsets clipped at |l| <= 2 n_phi.
 
-    A Frobenius bound on the l2 norm of the product beyond the doubled
+    The product's box is the clipped Minkowski sum of A's box and B's full
+    box.  A Frobenius bound on the l2 norm of the product beyond the doubled
     rectangle (``_dropped_bound``) is added to the operands' dropped_mass.
     """
     if A.trunc != B.trunc:
         raise ValueError("truncation mismatch")
-    boxes = _boxes(A.blocks, B.blocks)
-    dropped = _dropped_bound(A.blocks, B.blocks, boxes)
-    return ToplitzOperator(A.trunc, _convolve(A.blocks, B.blocks, boxes),
-                           dropped_mass=dropped + A.dropped_mass + B.dropped_mass)
+    w = A.blocks.shape[0]
+    fullB = _full(B.box, w)
+    dropped = _dropped_bound(A.blocks, B.blocks, _full(A.box, w), fullB)
+    blocks, box = _convolve(A.blocks, B.blocks, A.box, fullB)
+    return ToplitzOperator(A.trunc, blocks, dropped + A.dropped_mass + B.dropped_mass, box)
 
 
 def scale_modes(A: ToplitzOperator, rows=None, cols=None) -> ToplitzOperator:
     """diag(rows) A diag(cols) for multipliers given by their ``symbol``: the
     composition with ``from_multiplier`` on either side, as a row/column scaling."""
-    blocks = A.blocks
-    if rows is not None:
-        blocks = np.asarray(rows)[:, None] * blocks
-    if cols is not None:
-        blocks = blocks * np.asarray(cols)[None, :]
-    return ToplitzOperator(A.trunc, blocks, A.dropped_mass)
+    def scaled(blocks, _):
+        if rows is not None:
+            blocks = np.asarray(rows)[:, None] * blocks
+        if cols is not None:
+            blocks = blocks * np.asarray(cols)[None, :]
+        return blocks
+    return _on_box(A, scaled, A.dropped_mass)
 
 
 def add(A: ToplitzOperator, B: ToplitzOperator) -> ToplitzOperator:
+    """A + B on the hull of their boxes; with a zero operand, the other's table."""
     if A.trunc != B.trunc:
         raise ValueError("truncation mismatch")
-    return ToplitzOperator(A.trunc, A.blocks + B.blocks, A.dropped_mass + B.dropped_mass)
+    dropped = A.dropped_mass + B.dropped_mass
+    if A.box is None or B.box is None:
+        kept = A if B.box is None else B
+        return ToplitzOperator(A.trunc, kept.blocks, dropped, kept.box)
+    w = A.blocks.shape[0]
+    fullA, fullB = _full(A.box, w), _full(B.box, w)
+    blocks = np.zeros(A.blocks.shape, dtype=complex)
+    blocks[fullA] = A.blocks[fullA]
+    blocks[fullB] += B.blocks[fullB]
+    return ToplitzOperator(A.trunc, blocks, dropped, _hull(A.box, B.box))
 
 
 def commutator(A: ToplitzOperator, freq, d) -> ToplitzOperator:
     """[omega.d_phi + diag d, A]: each entry A^k_j(l) picks up i omega.l + d_j - d_k."""
     dots = freq.omega_dot_l(A.trunc, double=True)
-    factor = 1j * dots[..., None, None] + (d[:, None] - d[None, :])
-    return ToplitzOperator(A.trunc, factor * A.blocks, A.dropped_mass)
+    return _on_box(A, lambda blocks, full: (1j * dots[full][..., None, None]
+                                            + (d[:, None] - d[None, :])) * blocks,
+                   A.dropped_mass)
+
+
+def quotient(A: ToplitzOperator, divisor: np.ndarray, keep: np.ndarray) -> ToplitzOperator:
+    """The operator whose blocks are A / divisor where ``keep`` and zero
+    elsewhere, for a divisor and mask given on the centered offsets
+    |l_i| <= N (their leading axes, 2 N + 1 wide, N <= 2 n_phi): divided on
+    A's full box cut to |l_i| <= N only, and that cut is its box."""
+    w, c = A.blocks.shape[0], divisor.shape[0]
+    cut = (slice((w - c) // 2, (w + c) // 2),) * A.trunc.nu
+    box = _meet(A.box, cut)
+    blocks = np.zeros(A.blocks.shape, dtype=complex)
+    if box is not None:
+        full = _full(box, w)
+        at = tuple(slice(s.start - k.start, s.stop - k.start) for s, k in zip(full, cut))
+        np.divide(A.blocks[full], divisor[at], out=blocks[full], where=keep[at])
+    return ToplitzOperator(A.trunc, blocks, box=box)
 
 
 # ---------------------------------------------------------------------------
 # norms and smoothing
 
 
-def _offset_profile(A: ToplitzOperator) -> np.ndarray:
-    """sup over diagonals: P[l..., d] = sup_{j1-j2=d} |A^{j2}_{j1}(l)|, from
-    the rows j1 >= 0 of a real A: its entries at (l, d) with j1 < 0 are those
-    at (-l, -d) with j1 > 0."""
-    upper = _upper(A.blocks)
+def _profile(blocks: np.ndarray) -> np.ndarray:
+    """sup over diagonals: P[l..., d] = sup_{j1-j2=d} |A^{j2}_{j1}(l)| on a
+    table of real blocks whose offsets are symmetric about their center, from
+    the rows j1 >= 0: its entries at (l, d) with j1 < 0 are those at (-l, -d)
+    with j1 > 0."""
+    upper = _upper(blocks)
     lead, (h1, m) = upper.shape[:-2], upper.shape[-2:]
     # with the columns reversed and placed from column n_x = h1 - 1 on in rows
     # of 2m zeros, the flat buffer read in rows of 2m - 1 shifts row j1 >= 0
@@ -447,14 +557,28 @@ def _offset_profile(A: ToplitzOperator) -> np.ndarray:
     return np.maximum(half, np.flip(half))
 
 
+def _offset_profile(A: ToplitzOperator) -> np.ndarray:
+    """The ``_profile`` of A over every offset, computed on its full box."""
+    m = A.blocks.shape[-1]
+    out = np.zeros(A.blocks.shape[:-2] + (2 * m - 1,))
+    full = _full(A.box, A.blocks.shape[0])
+    if full is not None:
+        out[full] = _profile(A.blocks[full])
+    return out
+
+
 def decay_norm(A: ToplitzOperator, s: float, *more: float):
     """|A|_s^2 = sum_{l,d} <l,d>^{2s} sup_{j1-j2=d} |A^{j2}_{j1}(l)|^2; given
     further exponents, the tuple of the norms at s and at each of them, from
-    one offset profile."""
-    trunc = A.trunc
-    w = index_weights(trunc.nu, 2 * trunc.n_phi, 2 * trunc.n_x, 1.0)
-    profile2 = _offset_profile(A) ** 2
-    norms = tuple(float(np.sqrt(np.sum(w ** (2.0 * x) * profile2))) for x in (s,) + more)
+    one offset profile on A's full box (0 for a zero A)."""
+    full = _full(A.box, A.blocks.shape[0])
+    if full is None:
+        norms = (0.0,) * (1 + len(more))
+    else:
+        trunc = A.trunc
+        w = index_weights(trunc.nu, 2 * trunc.n_phi, 2 * trunc.n_x, 1.0)[full]
+        profile2 = _profile(A.blocks[full]) ** 2
+        norms = tuple(float(np.sqrt(np.sum(w ** (2.0 * x) * profile2))) for x in (s,) + more)
     return norms if more else norms[0]
 
 
@@ -511,11 +635,14 @@ def near_identity(Psi: ToplitzOperator, mode: str) -> tuple[ToplitzOperator, Top
 
 
 def conjugate(Phi: ToplitzOperator, Phi_inv: ToplitzOperator, freq, d, V: ToplitzOperator,
-              r) -> ToplitzOperator:
+              r=None) -> ToplitzOperator:
     """Phi^{-1}(omega.d_phi + diag d + V)Phi - (omega.d_phi + diag(d + r)) for
-    symbols d, r, as Phi^{-1}([omega.d_phi + diag d, Phi] + V Phi - Phi diag r):
-    apart from r, d gives exact zeros on the identity part of Phi."""
-    q = add(add(commutator(Phi, freq, d), compose(V, Phi)), scale_modes(Phi, cols=-r))
+    symbols d, r (None: r = 0), as
+    Phi^{-1}([omega.d_phi + diag d, Phi] + V Phi - Phi diag r): apart from r,
+    d gives exact zeros on the identity part of Phi."""
+    q = add(commutator(Phi, freq, d), compose(V, Phi))
+    if r is not None:
+        q = add(q, scale_modes(Phi, cols=-r))
     return compose(Phi_inv, q)
 
 

@@ -217,20 +217,25 @@ def step5_pseudo_diff(e1, e0, m3: float, m1: float, freq: Frequency, mode: str):
     """Trade the remaining variable d_x coefficient for an order-zero remainder
     via S = I + w d_x^{-1} (exp(Pi_0 w d_x^{-1}) in hamiltonian mode)."""
     trunc = e1.trunc
-    w = dx_pow(e1.shift_mean(-m1) * (-1.0), -1) * (1.0 / (3.0 * m3))
-    r1 = dx_pow(w, 1) * (3.0 * m3) + e1.shift_mean(-m1)
+    e1_var = e1.shift_mean(-m1)  # e1 - m1
+    w = dx_pow(e1_var * (-1.0), -1) * (1.0 / (3.0 * m3))
+    r1 = dx_pow(w, 1) * (3.0 * m3) + e1_var
 
     rows = opalg.symbol(trunc, opalg.pi0_symbol) if mode == "hamiltonian" else None
     psi = opalg.scale_modes(opalg.from_multiplication(w), rows=rows,
                             cols=opalg.symbol(trunc, opalg.dx_inv_symbol))
-    S, S_inv = opalg.near_identity(psi, mode)
 
-    # R = S^{-1}(L4 S - S D) for L4 = omega.d_phi + m3 d_xxx + V with
-    # V = e1 d_x + e0, and D = omega.d_phi + m3 d_xxx + m1 d_x
+    # R = S^{-1}(L4 S - S D) = S^{-1}([D, S] + V S) for L4 = D + V with
+    # D = omega.d_phi + m3 d_xxx + m1 d_x and V = (e1 - m1) d_x + e0
     dx = 1j * trunc.mode_range(trunc.nu)
-    V = opalg.add(opalg.scale_modes(opalg.from_multiplication(e1), cols=dx),
+    V = opalg.add(opalg.scale_modes(opalg.from_multiplication(e1_var), cols=dx),
                   opalg.from_multiplication(e0))
-    R = opalg.conjugate(S, S_inv, freq, m3 * dx**3, V, m1 * dx)
+    if psi.box is None:  # S = I, so R = V: at u = 0 both are zero
+        S = S_inv = opalg.identity(trunc)
+        R = V
+    else:
+        S, S_inv = opalg.near_identity(psi, mode)
+        R = opalg.conjugate(S, S_inv, freq, m3 * dx**3 + m1 * dx, V)
     return {"w": w, "r1": r1, "S": S, "S_inv": S_inv, "R": R}
 
 

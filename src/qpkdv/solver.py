@@ -4,10 +4,11 @@ The linear solve conjugates the linearized operator to constant diagonal form
 (regularization followed by the quadratic reduction), divides by the exact
 divisors i lambda omega_bar.l + mu_j, and transports the result back through
 the transformation chains.  It reads the frequency from the regularization and
-the exponents, transformation and divisor constants from the reduction's final
-state; the mode (hamiltonian or generic) is decided once, by `regularize_at`,
-and the projection (reversible or total derivative) once, by `structure_mode`;
-`right_inverse` projects onto the parity classes instead of testing them.
+the exponents, the transformation's factors and the divisor constants from the
+reduction's final state; the mode (hamiltonian or generic) is decided once, by
+`regularize_at`, and the projection (reversible or total derivative) once, by
+`structure_mode`; `right_inverse` projects onto the parity classes instead of
+testing them.
 The outer iteration is a projected Newton scheme with shrinking non-resonance
 constants gamma_n; values of the modulation parameter lambda that fail a
 divisor bound at some iterate are excluded, and the surviving fraction of a
@@ -184,7 +185,8 @@ def right_inverse(
 
     h is transported through both transformation chains: undo the outer chain
     and the reducing transformation, divide by the exact divisors, and map
-    back (h = Phi2 Phi_inf D_inf^{-1} Phi_inf^{-1} Phi1^{-1} f).  The divisors
+    back, h = Phi2 Phi_0 ... Phi_k D^{-1} Phi_k^{-1} ... Phi_0^{-1} Phi1^{-1} f,
+    applying the reduction's factors to the field one at a time.  The divisors
     are screened at the frequency of `reg` and the gamma, tau of the
     reduction's schedule.  `structure` is what `structure_mode` chose; in the
     reversible case f is projected onto Y and h onto X, so that L maps X into
@@ -205,10 +207,12 @@ def right_inverse(
         raise ValueError(f"unknown structure {structure!r}")
 
     g = reg.phi1(f, inverse=True)
-    g = opalg.apply(red.Phi_inf_inv, g)
+    for _, Phi_inv in red.factors:
+        g = opalg.apply(Phi_inv, g)
     g = g.shift_mean(-g.mean)  # drop round-off mass on the excluded mode
-    w = diag_inverse(red.eigs, reg.freq, g, red.schedule.gamma, red.schedule.tau)
-    h = opalg.apply(red.Phi_inf, w)
+    h = diag_inverse(red.eigs, reg.freq, g, red.schedule.gamma, red.schedule.tau)
+    for Phi, _ in reversed(red.factors):
+        h = opalg.apply(Phi, h)
     h = reg.phi2(h)
     if structure == "reversible":
         h = _parity_project(h)
@@ -291,6 +295,7 @@ def _iterate(spec: nonlin.NonlinearitySpec, freq: Frequency, config: SolverConfi
                 h = right_inverse(rg, red, project_ball(Fu, N_next), structure)
             except DivisorViolation as exc:
                 exclusion = exc.exclusion
+        del rg, red  # one chain alive at a time: the next iterate builds its own
         if exclusion is not None:
             report.excluded_lambda = True
             report.exclusion_reason = str(exclusion)

@@ -3,6 +3,7 @@ import resource
 import sys
 import time
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,7 +16,8 @@ from qpkdv import nonlin
 from qpkdv import opalg
 from qpkdv import regularize as reg
 from qpkdv import solver as sv
-from qpkdv.spectral import FourierField, Frequency, Truncation, omega_dphi, random_real_field
+from qpkdv.spectral import (FourierField, Frequency, Truncation, omega_dphi, random_real_field,
+                            sobolev_norm)
 
 T = Truncation(1, 8, 8)
 FREQ = Frequency.default(1, lam=1.25)
@@ -463,8 +465,8 @@ def test_psi_inverse_roundtrip():
 
 def _frozen_inverse_chain(rg, red, t):
     """The chain's inverse frozen factor by factor from the inverse maps:
-    Phi_inf^-1 . S^-1 . e^{-i j p} . v^-1 . warp^-1, with warp^-1 the
-    composition with beta_tilde (after sigma_tilde in hamiltonian mode)."""
+    Phi_k^-1 ... Phi_0^-1 . S^-1 . e^{-i j p} . v^-1 . warp^-1, with warp^-1
+    the composition with beta_tilde (after sigma_tilde in hamiltonian mode)."""
     freq, ch, n_x = rg.freq, rg.chain, rg.trunc.n_x
     phi = np.multiply.outer(t, freq.omega)
     theta = np.multiply.outer(dyn.psi_map(rg, t), freq.omega)
@@ -481,7 +483,9 @@ def _frozen_inverse_chain(rg, red, t):
     if ch.get("v") is not None:
         inverse = np.linalg.inv(mult(ch["v"], theta)) @ inverse
     inverse = frz(ch["S_inv"].blocks, theta) @ (np.conj(shift)[:, :, None] * inverse)
-    return frz(red.Phi_inf_inv.blocks, theta) @ inverse
+    for _, Phi_inv in red.factors:
+        inverse = frz(Phi_inv.blocks, theta) @ inverse
+    return inverse
 
 
 def hamiltonian_pipeline():
@@ -502,6 +506,57 @@ def test_frozen_chain_inverse_matches_factorwise_inverse(mode):
     times = np.array([0.0, 2.4, 42.3, 100.0])
     chain = dyn.FrozenChain.at_time(rg, red, times)
     assert np.max(np.abs(chain.inverse - _frozen_inverse_chain(rg, red, times))) < 1e-12
+
+
+def _multiplied(red):
+    """red with its factors replaced by their product as tables, the pair
+    (Phi_0 ... Phi_k, Phi_k^-1 ... Phi_0^-1), each product clipped at
+    |l| <= 2 n_phi."""
+    Phi, Phi_inv = red.factors[0]
+    for P, P_inv in red.factors[1:]:
+        Phi, Phi_inv = opalg.compose(Phi, P), opalg.compose(P_inv, Phi_inv)
+    return replace(red, factors=((Phi, Phi_inv),))
+
+
+@pytest.mark.parametrize("nu, n, lam, text, form, scale", [
+    (1, 8, 1.25, "30 * cos(phi_1) * sin(x) + z0^2 * z3", "raw_f", 10.0),
+    (1, 8, 1.25, "10 * sin(phi_1) * cos(x) * z0 + z0^2 * z1^2", "hamiltonian_F", 10.0),
+    (2, 4, 0.8, "10 * cos(phi_1) * sin(x) + 10 * cos(phi_2) * sin(x) + z0^2 * z3", "raw_f", 10.0),
+    (2, 4, 0.8, "10 * sin(phi_1) * cos(x) * z0 + 10 * sin(phi_2) * cos(x) * z0 + z0^2 * z1^2",
+     "hamiltonian_F", 5.0),
+], ids=["nu1-n8-generic", "nu1-n8-hamiltonian", "nu2-n4-generic", "nu2-n4-hamiltonian"])
+def test_factored_chain_matches_the_product_of_its_factors(nu, n, lam, text, form, scale):
+    # the reduction keeps its steps' factors and never multiplies them: the
+    # right inverse applies them in turn, and FrozenChain multiplies them
+    # frozen.  Linearized at `scale` times the solution, the three factors do
+    # not commute to rounding: taken in the wrong order they move h by
+    # 1.0e-13 to 3.5e-12 of its size, and the chain by 3.3e-14 to 9.5e-13.
+    # Against their product as tables, the right inverse agrees to rounding
+    # and the tails the products clip (measured up to 8.2e-15 of |h|_s0),
+    # and the frozen chain up to that tail (the products' dropped-mass
+    # bound, 1.7e-25 to 4.6e-22) and rounding (up to 1.2e-15 on entries of
+    # size 1)
+    trunc, freq = Truncation(nu, n, n), Frequency.default(nu, lam=lam)
+    spec = nonlin.parse_nonlinearity(text, form, epsilon=1e-3)
+    rep = sv.nash_moser(spec, freq, sv.SolverConfig(trunc=trunc))
+    assert rep.converged
+    rg = reg.regularize_at(spec, freq, rep.solution * scale)
+    red = km.reduce(rg, freq, km.IterationSchedule(gamma=0.01, smallness_threshold=1e6,
+                                                   target_decay=1e-20))
+    assert red.mode == ("hamiltonian" if form == "hamiltonian_F" else "generic")
+    assert red.mask and len(red.factors) == 3
+    once = _multiplied(red)
+    structure = sv.structure_mode(nonlin.structure_flags(spec))
+    f = sv.project_ball(nonlin.residual(spec, freq, rep.solution * 0.5), n)
+    h = sv.right_inverse(rg, red, f, structure)
+    gap = sobolev_norm(h - sv.right_inverse(rg, once, f, structure), trunc.s0)
+    assert gap <= 2e-14 * sobolev_norm(h, trunc.s0)
+    tail = sum(P.dropped_mass for P in once.factors[0])
+    assert tail < 1e-20
+    times = np.array([0.0, 2.4, 42.3, 100.0])
+    chain, ref = (dyn.FrozenChain.at_time(rg, r, times) for r in (red, once))
+    assert np.max(np.abs(chain.forward - ref.forward)) <= 1e-14 + tail
+    assert np.max(np.abs(chain.inverse - ref.inverse)) <= 1e-14 + tail
 
 
 def test_frozen_chain_inverts():

@@ -111,6 +111,20 @@ def test_homological_support_and_reality():
     assert np.allclose(sol.diag_part, np.diagonal(block(R, (0,))))
 
 
+def test_homological_psi_lives_on_the_box_of_r_cut_to_n():
+    # Psi is divided out on R's box cut to |l| <= N, which is its declared
+    # box; a zero R gives a zero Psi
+    c, N = 2 * T.n_phi, 4
+    R = random_remainder(seed=3, scale=1e-3)
+    for A, width in [(R, N), (smooth(R, 2), 2)]:
+        sol = km.solve_homological(airy_D(), A, FREQ, N, 1e-9, 3.0)
+        assert sol.Psi.box == (slice(c - width, c + width + 1),)
+        assert homological_residual(sol.Psi, airy_D(), A, FREQ, N) < 1e-12
+    zero = op.ToplitzOperator(T, np.zeros(op._block_shape(T), dtype=complex))
+    sol = km.solve_homological(airy_D(), zero, FREQ, N, 1e-9, 3.0)
+    assert sol.ok and sol.Psi.box is None and not sol.Psi.blocks.any()
+
+
 def test_homological_divisor_violation_reports_indices():
     # craft a near-resonant pair: mu_j - mu_k cancels i omega.l at l = 1
     mu = np.zeros(17, dtype=complex)
@@ -193,9 +207,7 @@ def make_state(R, **sched_kw):
     kw.update(sched_kw)
     sched = km.IterationSchedule(**kw)
     return km.ReducibilityState(
-        nu_step=0, eigs=airy_D(), R=R,
-        Phi_inf=op.identity(T), Phi_inf_inv=op.identity(T), schedule=sched,
-        mode="generic",
+        nu_step=0, eigs=airy_D(), R=R, schedule=sched, mode="generic",
     )
 
 
@@ -344,11 +356,11 @@ def test_excluded_reduce_screens_each_step_once(monkeypatch):
     red = km.reduce(rg, freq, km.IterationSchedule(gamma=0.01))
     assert not red.mask
     assert len(steps) == 2 and len(calls) == len(steps)
-    # the last accepted step's exponents and transformation, with the exclusion
+    # the last accepted step's exponents and factors, with the exclusion
     accepted = steps[0]
     assert accepted.mask and red.nu_step == accepted.nu_step == 1
     assert red.eigs is accepted.eigs and red.R is accepted.R
-    assert red.Phi_inf is accepted.Phi_inf and red.Phi_inf_inv is accepted.Phi_inf_inv
+    assert red.factors is accepted.factors and len(red.factors) == 1
     assert not calls[-1].ok
     assert red.exclusion == calls[-1].exclusion
     assert (red.exclusion.l, red.exclusion.j, red.exclusion.k) == ((-6,), -2, -1)
@@ -361,14 +373,22 @@ def test_reduce_smallness_guard():
         km.reduce(rg, FREQ, km.IterationSchedule(gamma=0.01, smallness_threshold=0.1))
 
 
+def apply_factors(red, z):
+    """Phi_0 ... Phi_k z: the reduction's factors applied in turn."""
+    for Phi, _ in reversed(red.factors):
+        z = op.apply(Phi, z)
+    return z
+
+
 def _conjugation_residual(rg, red, z):
-    """|L5(Phi_inf z) - Phi_inf (omega.d_phi + D_inf) z|_{s0} on a probe field."""
+    """|L5(Phi z) - Phi (omega.d_phi + D_inf) z|_{s0} on a probe field, for
+    Phi = Phi_0 ... Phi_k."""
     trunc = rg.trunc
-    lhs = rg.apply_L5(op.apply(red.Phi_inf, z))
+    lhs = rg.apply_L5(apply_factors(red, z))
     dz = omega_dphi(z, rg.freq)
     mu = red.eigs
     dz = FourierField(trunc, dz.c + z.c * mu.reshape((1,) * trunc.nu + (-1,)))
-    rhs = op.apply(red.Phi_inf, dz)
+    rhs = apply_factors(red, dz)
     return sobolev_norm(lhs - rhs, trunc.s0)
 
 
@@ -423,8 +443,9 @@ def test_reduce_takes_the_mode_of_its_regularization():
     state = km.initial_state(rg, sched)
     Psi = km.solve_homological(state.eigs, state.R, FREQ, sched.cutoff(0, T.n_phi),
                                sched.gamma, sched.tau).Psi
-    assert np.array_equal(red.Phi_inf.blocks, matrix_exponential(Psi).blocks)
-    assert not np.array_equal(red.Phi_inf.blocks, op.add(op.identity(T), Psi).blocks)
+    (Phi, _), = red.factors
+    assert np.array_equal(Phi.blocks, matrix_exponential(Psi).blocks)
+    assert not np.array_equal(Phi.blocks, op.add(op.identity(T), Psi).blocks)
 
 
 def test_eigenvalue_report_reversible_defects():

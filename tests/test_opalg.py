@@ -331,6 +331,54 @@ def test_property_compose_matches_direct_kernel(nu, n_phi, n_x, kind_a, kind_b, 
     _check_against_direct(_operand(trunc, kind_a, rng), _operand(trunc, kind_b, rng))
 
 
+def _covered(A):
+    """Whether A's declared box holds every nonzero block: the rows j >= 0
+    inside the box, the rows j < 0 inside its mirror, nothing for None."""
+    n_x = A.trunc.n_x
+    rows = A.blocks.any(axis=-1)
+    upper, lower = rows[..., n_x:].any(axis=-1), rows[..., :n_x].any(axis=-1)
+    inside = np.zeros(upper.shape, dtype=bool)
+    if A.box is not None:
+        inside[A.box] = True
+    return not ((upper & ~inside).any() or (lower & ~np.flip(inside)).any())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 2]), st.integers(1, 4), st.integers(1, 4), KINDS, KINDS,
+       st.integers(0, 10_000))
+def test_property_every_operation_declares_a_box_that_covers_its_result(
+        nu, n_phi, n_x, kind_a, kind_b, seed):
+    # the box each operation sets, never a scan of its result, holds every
+    # nonzero block; a zero operand has the box None and so has every
+    # product with it
+    trunc = Truncation(nu, n_phi, n_x)
+    rng = np.random.default_rng(seed)
+    A, B = _operand(trunc, kind_a, rng), _operand(trunc, kind_b, rng)
+    freq = Frequency.default(nu, lam=1.1)
+    m = 2 * n_x + 1
+    d = 1j * rng.standard_normal(m)
+    rows, cols = rng.standard_normal(m), rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    # a generator small enough for both series
+    small = A.scale(0.2 / max(op.decay_norm(A, trunc.s0), 1.0))
+    results = [A, B, op.compose(A, B), op.compose(B, A), op.add(A, B), A - B,
+               A.scale(0.5 - 2j), op.scale_modes(A, rows=rows, cols=cols),
+               op.commutator(A, freq, d), op.identity(trunc),
+               op.from_multiplier(trunc, lambda j: 1j * j),
+               op.from_multiplication(random_real_field(trunc, rng)),
+               op.from_multiplication(FourierField.zeros(trunc))]
+    for mode in ("generic", "hamiltonian"):
+        Phi, Phi_inv = op.near_identity(small, mode)
+        results += [Phi, Phi_inv, op.conjugate(Phi, Phi_inv, freq, d, B, d)]
+    for C in results:
+        assert _covered(C)
+    assert (A.box is None) == (not A.blocks.any())  # a raw table is scanned
+    assert op.from_multiplication(FourierField.zeros(trunc)).box is None
+    if A.box is None:
+        for C in results[2:4] + results[6:9]:
+            assert C.box is None and not C.blocks.any()
+        assert op.add(A, B).box == B.box
+
+
 def test_compose_of_blocks_whose_products_cancel():
     # A is e1 e1^T on l = -2, -1 and its mirror e-1 e-1^T on l = 1, 2; B is
     # e0 e0^T on l = +-3 and a full block on l = 0.  The pairs reaching
@@ -399,13 +447,20 @@ def test_compose_transforms_only_the_support_boxes(monkeypatch):
     _check_against_direct(D, D)
     assert lengths == [("fftn", (25, 25), (5, 9)), ("fftn", (25, 25), (9, 9)),
                        ("ifftn", (25, 25), (5, 9))]
-    # a zero operand transforms nothing and gives exact zeros
+    # a zero operand (or field) transforms nothing and gives exact zeros with
+    # the box None, and so do the operations on it
     A = op.ToplitzOperator(trunc, A.blocks, dropped_mass=0.25)
     Z = op.ToplitzOperator(trunc, np.zeros(op._block_shape(trunc), dtype=complex), 0.5)
+    assert Z.box is None
     lengths.clear()
     for C in (op.compose(A, Z), op.compose(Z, A)):
-        assert not C.blocks.any()
+        assert not C.blocks.any() and C.box is None
         assert C.dropped_mass == 0.75
+    u = random_real_field(trunc, rng)
+    assert not op.apply(Z, u).c.any() and not op.apply(A, FourierField.zeros(trunc)).c.any()
+    for C in (op.neumann_inverse(Z), *op.near_identity(Z, "hamiltonian")):
+        assert np.array_equal(C.blocks, op.identity(trunc).blocks)
+    assert op.decay_norm(Z, trunc.s0, 2.0) == (0.0, 0.0)
     assert lengths == []
 
 

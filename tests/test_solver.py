@@ -22,6 +22,7 @@ from qpkdv.spectral import (
     random_real_field,
     sobolev_norm,
 )
+from test_opalg import _spy_transforms
 from test_spectral import structure_check
 
 T = Truncation(1, 8, 8)
@@ -263,26 +264,31 @@ def test_nu3_solve_matches_dense_newton():
     assert sobolev_norm(rep.solution - oracle, trunc.s0) < 1e-8
 
 
-# the nu = 3 solve above at n_phi = n_x = n, in a process of its own so that its
-# peak RSS is the solve's; it prints converged, the last residual and the MB
+# the nu = 3 solve above at n_phi = n_x = n, epsilon and lambda, in a process of
+# its own so that its peak RSS is the solve's; it prints converged, the last
+# residual and the MB
 NU3_SOLVE = """
 import resource, sys
 from qpkdv import nonlin, solver as sv
 from qpkdv.spectral import Frequency, Truncation
-n = int(sys.argv[1])
+n, eps, lam = int(sys.argv[1]), float(sys.argv[2]), float(sys.argv[3])
 text = " + ".join(f"10 * cos(phi_{i}) * sin(x)" for i in (1, 2, 3)) + " + z0^2 * z3"
-spec = nonlin.parse_nonlinearity(text, "raw_f", epsilon=1e-6)
-rep = sv.nash_moser(spec, Frequency.default(3, lam=1.25), sv.SolverConfig(trunc=Truncation(3, n, n)))
+spec = nonlin.parse_nonlinearity(text, "raw_f", epsilon=eps)
+rep = sv.nash_moser(spec, Frequency.default(3, lam=lam), sv.SolverConfig(trunc=Truncation(3, n, n)))
 print(rep.converged, rep.iterates[-1]["res"], resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 """
 
 
-def nu3_solve(n):
-    """(converged, last residual, peak RSS in MB) of the nu = 3 solve at n."""
+def nu3_solve(n, eps=1e-6, lam=1.25):
+    """(converged, last residual, peak RSS in MB) of the nu = 3 solve at n.
+
+    At the default epsilon = 1e-6 the solve converges in one Newton step from
+    u = 0, where the operator is zero and no KAM step runs; epsilon = 1e-4,
+    lambda = 1.05 is the chain problem, which relinearizes twice and reduces."""
     src = str(Path(sv.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", NU3_SOLVE, str(n)], env=env, capture_output=True,
-                          text=True, timeout=600)
+    done = subprocess.run([sys.executable, "-c", NU3_SOLVE, str(n), repr(eps), repr(lam)], env=env,
+                          capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr
     converged, res, mb = done.stdout.split()
     return converged == "True", float(res), float(mb)
@@ -481,17 +487,51 @@ def test_iterate_0_composes_at_order_0(monkeypatch):
     assert orders[0] == [0] * 11
 
 
+def test_iterate_0_does_no_operator_work(monkeypatch):
+    # at u = 0 the criterion-8 linearization is the Airy operator: step 5's
+    # fields are zero, so R has an empty box (no entry of it is compared with
+    # 0), reduce runs no KAM step, and neither the regularization nor the
+    # right inverse transforms an operator table
+    lengths = _spy_transforms(monkeypatch)
+    steps = []
+    monkeypatch.setattr(km, "kam_step", lambda *a, _f=km.kam_step: steps.append(1) or _f(*a))
+    spec = nonlin.parse_nonlinearity(FORCED, "raw_f", epsilon=1e-3)
+    zero = FourierField.zeros(T)
+    rg = reg.regularize_at(spec, FREQ, zero)
+    assert rg.R.box is None and op.decay_norm(rg.R, T.s0) == 0.0
+    center = (slice(2 * T.n_phi, 2 * T.n_phi + 1),)
+    assert rg.chain["S"].box == rg.chain["S_inv"].box == center
+    config = sv.SolverConfig(trunc=T)
+    red = km.reduce(rg, FREQ, config.schedule(spec.epsilon, 0))
+    assert steps == [] and red.factors == () and len(red.trace) == 1
+    f = sv.project_ball(nonlin.residual(spec, FREQ, zero), 8)
+    h = sv.right_inverse(rg, red, f, "reversible")
+    assert sobolev_norm(h, T.s0) > 0.0
+    assert lengths == []
+
+
 def _hermitian_defect(table):
     """(largest entry, sup |x - conj(flip(x))|) of a table of offsets (and
     blocks or modes): the defect is 0 for a real operator or field."""
     return np.max(np.abs(table)), float(np.max(np.abs(table - np.conj(np.flip(table)))))
 
 
+def _scanned_box(table):
+    """The box of the offsets whose block is not all zero."""
+    return op._support_box(table.any(axis=(-2, -1)))
+
+
+# the forcing of the nu = 1 bench solve: the criterion-8 problem converges in
+# one Newton step from u = 0, where nothing is composed
+BENCH_NU1 = "30 * cos(phi_1) * sin(x) + z0^2 * z3"
+
+
 @pytest.mark.parametrize("text, form, nu, n, lam", [
-    (FORCED, "raw_f", 1, 8, 1.25),
+    (BENCH_NU1, "raw_f", 1, 8, 1.25),
     ("10 * cos(phi_1) * sin(x) + 10 * cos(phi_2) * sin(x) + z0^2 * z3", "raw_f", 2, 4, 0.8),
     ("10 * sin(phi_1) * cos(x) * z0 + z0^2 * z1^2", "hamiltonian_F", 1, 8, 1.25),
-], ids=["nu1-n8", "nu2-n4", "hamiltonian"])
+    (BENCH_NU1, "raw_f", 1, 16, 1.25),
+], ids=["nu1-n8", "nu2-n4", "hamiltonian", "nu1-n16"])
 def test_solve_feeds_the_operator_algebra_only_real_operands(monkeypatch, text, form, nu, n, lam):
     # compose and apply multiply the rows j >= 0 of the left operand and
     # mirror the rest, which is the product only when every operand is real.
@@ -500,9 +540,13 @@ def test_solve_feeds_the_operator_algebra_only_real_operands(monkeypatch, text, 
     # smaller: the remainders and generators of the last KAM steps are
     # cancellations far below epsilon, whose rounding (and Hermitian defect)
     # is that of the larger tables they are computed from, up to 4e-2 of a
-    # 6e-21 table at nu = 1, n = 16
+    # 6e-21 table at nu = 1, n = 16.  The boxes the operations declare are
+    # the ones a scan of the tables finds (that of the left operand's rows
+    # j >= 0, and of the whole right operand), so the convolutions run as
+    # they did when they scanned; the last two cases are the bench solves.
     spec = nonlin.parse_nonlinearity(text, form, epsilon=1e-3)
     defects = {"compose": [], "apply": []}
+    wider = []
     compose, apply = op.compose, op.apply
 
     def checked(name, run):
@@ -510,6 +554,10 @@ def test_solve_feeds_the_operator_algebra_only_real_operands(monkeypatch, text, 
             for table in (A.blocks, x.blocks if name == "compose" else x.c):
                 top, defect = _hermitian_defect(table)
                 defects[name].append(defect / max(top, spec.epsilon))
+            if A.box != _scanned_box(op._upper(A.blocks)):
+                wider.append((name, "left", A.box))
+            if name == "compose" and op._full(x.box, 4 * n + 1) != _scanned_box(x.blocks):
+                wider.append((name, "right", x.box))
             return run(A, x)
         return call
 
@@ -520,6 +568,7 @@ def test_solve_feeds_the_operator_algebra_only_real_operands(monkeypatch, text, 
     assert rep.converged, rep.failure
     assert defects["compose"] and defects["apply"]
     assert max(defects["compose"] + defects["apply"]) <= 1e-12
+    assert wider == []
 
 
 def test_cantor_measure_records_structure_error():
@@ -555,8 +604,11 @@ def test_structure_mode_decides_projection():
 
 
 if __name__ == "__main__":
-    # the memory step of CI: PYTHONPATH=src python tests/test_solver.py <n> <peak MB>
+    # the memory steps of CI:
+    # PYTHONPATH=src python tests/test_solver.py <n> <peak MB> [<epsilon> <lambda>]
     n, limit = int(sys.argv[1]), float(sys.argv[2])
-    converged, res, mb = nu3_solve(n)
-    print(f"nu = 3, n = {n}: converged {converged}, residual {res:.2e}, peak RSS {mb:.0f} MB (limit {limit:.0f})")
+    eps, lam = (float(a) for a in sys.argv[3:5]) if len(sys.argv) > 3 else (1e-6, 1.25)
+    converged, res, mb = nu3_solve(n, eps, lam)
+    print(f"nu = 3, n = {n}, epsilon = {eps:g}, lambda = {lam:g}: converged {converged}, "
+          f"residual {res:.2e}, peak RSS {mb:.0f} MB (limit {limit:.0f})")
     sys.exit(0 if converged and res < 1e-15 and mb <= limit else 1)
