@@ -474,9 +474,13 @@ def compose(A: ToplitzOperator, B: ToplitzOperator) -> ToplitzOperator:
     The product's box is the clipped Minkowski sum of A's box and B's full
     box.  A Frobenius bound on the l2 norm of the product beyond the doubled
     rectangle (``_dropped_bound``) is added to the operands' dropped_mass.
+    With a zero operand the product is zero, on that operand's table.
     """
     if A.trunc != B.trunc:
         raise ValueError("truncation mismatch")
+    if A.box is None or B.box is None:
+        zero = A if A.box is None else B
+        return ToplitzOperator(A.trunc, zero.blocks, A.dropped_mass + B.dropped_mass, None)
     w = A.blocks.shape[0]
     fullB = _full(B.box, w)
     dropped = _dropped_bound(A.blocks, B.blocks, _full(A.box, w), fullB)
@@ -557,16 +561,6 @@ def _profile(blocks: np.ndarray) -> np.ndarray:
     return np.maximum(half, np.flip(half))
 
 
-def _offset_profile(A: ToplitzOperator) -> np.ndarray:
-    """The ``_profile`` of A over every offset, computed on its full box."""
-    m = A.blocks.shape[-1]
-    out = np.zeros(A.blocks.shape[:-2] + (2 * m - 1,))
-    full = _full(A.box, A.blocks.shape[0])
-    if full is not None:
-        out[full] = _profile(A.blocks[full])
-    return out
-
-
 def decay_norm(A: ToplitzOperator, s: float, *more: float):
     """|A|_s^2 = sum_{l,d} <l,d>^{2s} sup_{j1-j2=d} |A^{j2}_{j1}(l)|^2; given
     further exponents, the tuple of the norms at s and at each of them, from
@@ -635,12 +629,16 @@ def near_identity(Psi: ToplitzOperator, mode: str) -> tuple[ToplitzOperator, Top
 
 
 def conjugate(Phi: ToplitzOperator, Phi_inv: ToplitzOperator, freq, d, V: ToplitzOperator,
-              r=None) -> ToplitzOperator:
+              r=None, commutes: bool = False) -> ToplitzOperator:
     """Phi^{-1}(omega.d_phi + diag d + V)Phi - (omega.d_phi + diag(d + r)) for
     symbols d, r (None: r = 0), as
     Phi^{-1}([omega.d_phi + diag d, Phi] + V Phi - Phi diag r): apart from r,
-    d gives exact zeros on the identity part of Phi."""
-    q = add(commutator(Phi, freq, d), compose(V, Phi))
+    d gives exact zeros on the identity part of Phi.  ``commutes`` states that
+    Phi commutes with omega.d_phi + diag d (Phi = I, from a zero generator):
+    the commutator is then the zero operator and is not formed."""
+    q = compose(V, Phi)
+    if not commutes:
+        q = add(commutator(Phi, freq, d), q)
     if r is not None:
         q = add(q, scale_modes(Phi, cols=-r))
     return compose(Phi_inv, q)

@@ -230,12 +230,10 @@ def step5_pseudo_diff(e1, e0, m3: float, m1: float, freq: Frequency, mode: str):
     dx = 1j * trunc.mode_range(trunc.nu)
     V = opalg.add(opalg.scale_modes(opalg.from_multiplication(e1_var), cols=dx),
                   opalg.from_multiplication(e0))
-    if psi.box is None:  # S = I, so R = V: at u = 0 both are zero
-        S = S_inv = opalg.identity(trunc)
-        R = V
-    else:
-        S, S_inv = opalg.near_identity(psi, mode)
-        R = opalg.conjugate(S, S_inv, freq, m3 * dx**3 + m1 * dx, V)
+    S, S_inv = opalg.near_identity(psi, mode)
+    # a zero psi gives S = I, which commutes with D; at u = 0 V is zero too,
+    # so both products return the zero operator at once
+    R = opalg.conjugate(S, S_inv, freq, m3 * dx**3 + m1 * dx, V, commutes=psi.box is None)
     return {"w": w, "r1": r1, "S": S, "S_inv": S_inv, "R": R}
 
 

@@ -861,7 +861,8 @@ def _profile_of_every_row(A):
 @pytest.mark.parametrize("trunc", [T, Truncation(2, 3, 3), Truncation(3, 2, 2)])
 def test_offset_profile_of_real_operators_reads_the_rows_j_ge_0(trunc):
     # the profile is built from the rows j >= 0 and mirrored over the offsets
-    # and the diagonals: on a real table it is the profile of every row, exactly
+    # and the diagonals: on a real table it is the profile of every row,
+    # exactly, on the full box, and that of every row is zero outside it
     rng = np.random.default_rng(25)
     w = 4 * trunc.n_phi + 1
     for A in [random_toeplitz(trunc, rng), _sparse_toeplitz(trunc, rng, band=1),
@@ -869,7 +870,10 @@ def test_offset_profile_of_real_operators_reads_the_rows_j_ge_0(trunc):
               _box_toeplitz(trunc, rng, (slice(w - 3, w),) * trunc.nu),
               op.identity(trunc), op.from_multiplication(random_real_field(trunc, rng))]:
         assert reality_defect(A) == 0.0
-        assert np.array_equal(op._offset_profile(A), _profile_of_every_row(A))
+        full, ref = op._full(A.box, w), _profile_of_every_row(A)
+        assert np.array_equal(op._profile(A.blocks[full]), ref[full])
+        ref[full] = 0.0
+        assert not ref.any()
 
 
 def test_decay_norm_identity():
@@ -1058,6 +1062,20 @@ def test_conjugate_by_the_identity_leaves_r_to_its_own_rounding():
     R = op.conjugate(I, I, Frequency.default(1, lam=1.1), d, I.scale(0.0), r)
     want = op.from_multiplier(T, lambda k: -r[k + T.n_x])
     assert np.max(np.abs(R.blocks - want.blocks)) < 1e-15 * np.max(np.abs(r))
+
+
+def test_conjugate_by_a_commuting_identity_forms_no_commutator():
+    # [omega.d_phi + diag d, I] is exact zeros on the l = 0 block, so leaving
+    # it out changes no entry; with V = 0 the box of the result is then empty
+    rng = np.random.default_rng(9)
+    freq = Frequency.default(1, lam=1.1)
+    d = -1j * T.mode_range(1).astype(float) ** 3
+    I, V = op.identity(T), smooth(random_toeplitz(T, rng, scale=0.05), 1)
+    got = op.conjugate(I, I, freq, d, V, commutes=True)
+    assert np.array_equal(got.blocks, op.conjugate(I, I, freq, d, V).blocks)
+    zero = op.from_multiplication(FourierField.zeros(T))
+    assert op.conjugate(I, I, freq, d, zero, commutes=True).box is None
+    assert op.conjugate(I, I, freq, d, zero).box == (slice(2 * T.n_phi, 2 * T.n_phi + 1),)
 
 
 def test_near_identity_picks_the_pair_by_mode():

@@ -521,17 +521,19 @@ def _scanned_box(table):
     return op._support_box(table.any(axis=(-2, -1)))
 
 
-# the forcing of the nu = 1 bench solve: the criterion-8 problem converges in
-# one Newton step from u = 0, where nothing is composed
+# the forcing of the nu = 1 bench solve, which relinearizes and reduces; the
+# criterion-8 problem converges in one Newton step from u = 0, where every
+# operand of step 5 is zero
 BENCH_NU1 = "30 * cos(phi_1) * sin(x) + z0^2 * z3"
 
 
 @pytest.mark.parametrize("text, form, nu, n, lam", [
-    (BENCH_NU1, "raw_f", 1, 8, 1.25),
+    (FORCED, "raw_f", 1, 8, 1.25),
     ("10 * cos(phi_1) * sin(x) + 10 * cos(phi_2) * sin(x) + z0^2 * z3", "raw_f", 2, 4, 0.8),
     ("10 * sin(phi_1) * cos(x) * z0 + z0^2 * z1^2", "hamiltonian_F", 1, 8, 1.25),
+    (BENCH_NU1, "raw_f", 1, 8, 1.25),
     (BENCH_NU1, "raw_f", 1, 16, 1.25),
-], ids=["nu1-n8", "nu2-n4", "hamiltonian", "nu1-n16"])
+], ids=["nu1-n8", "nu2-n4", "hamiltonian", "bench-nu1-n8", "nu1-n16"])
 def test_solve_feeds_the_operator_algebra_only_real_operands(monkeypatch, text, form, nu, n, lam):
     # compose and apply multiply the rows j >= 0 of the left operand and
     # mirror the rest, which is the product only when every operand is real.
@@ -543,7 +545,7 @@ def test_solve_feeds_the_operator_algebra_only_real_operands(monkeypatch, text, 
     # 6e-21 table at nu = 1, n = 16.  The boxes the operations declare are
     # the ones a scan of the tables finds (that of the left operand's rows
     # j >= 0, and of the whole right operand), so the convolutions run as
-    # they did when they scanned; the last two cases are the bench solves.
+    # they did when they scanned; nu2-n4 and nu1-n16 are the bench solves.
     spec = nonlin.parse_nonlinearity(text, form, epsilon=1e-3)
     defects = {"compose": [], "apply": []}
     wider = []
