@@ -170,6 +170,12 @@ class ExperimentConfig:
         trunc = Truncation(len(omega_bar), int(take(tr, "n_phi", "truncation.n_phi", 8)),
                            int(take(tr, "n_x", "truncation.n_x", 8)))
 
+        dynamics = _section(raw, "dynamics", ("T", "s", "dt", "seed"), {})
+        for key in ("T", "dt"):
+            value = dynamics.get(key, 1.0)
+            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+                raise ConfigError(f"dynamics.{key}: must be finite and > 0, got {value!r}")
+
         kam = _section(raw, "kam", SOLVER_FIELDS["kam"], {})
         nu = len(omega_bar)
         tau = kam.get("tau")
@@ -189,7 +195,7 @@ class ExperimentConfig:
             truncation=trunc,
             kam=kam,
             nash_moser=_section(raw, "nash_moser", SOLVER_FIELDS["nash_moser"], {}),
-            dynamics=_section(raw, "dynamics", ("T", "s", "dt", "seed"), {}),
+            dynamics=dynamics,
             output_dir=str(take(raw, "output_dir", "output_dir", "out")),
             seed=int(take(raw, "seed", "seed", 0)),
         )
@@ -310,8 +316,8 @@ def _run_reduce(config: ExperimentConfig, out: Path) -> int:
         "epsilon": eps,
         "m3": rg.m3,
         "m1": rg.m1,
-        "excluded": not red.mask,
-        "reason": None if red.mask else str(red.exclusion),
+        "excluded": red.exclusion is not None,
+        "reason": None if red.exclusion is None else str(red.exclusion),
         "eigenvalues": km.eigenvalue_report(red.eigs, rg.m3, rg.m1, eps, mode),
         "steps": len(red.trace),
         "seed": config.seed,
@@ -320,7 +326,7 @@ def _run_reduce(config: ExperimentConfig, out: Path) -> int:
     _write_trace(out / "trace.csv",
                  ["step", "N", "R_s0", "R_s0p2", "sup_r", "mask_fraction"], red.trace)
     _write_json(out / "fields" / "eigenvalues.json", {"mu": red.eigs})
-    return EXIT_OK if red.mask else EXIT_EXCLUDED
+    return EXIT_OK if red.exclusion is None else EXIT_EXCLUDED
 
 
 def _run_measure(config: ExperimentConfig, out: Path, workers: int) -> int:
@@ -442,7 +448,7 @@ def _verify_checks(config: ExperimentConfig, rng: np.random.Generator) -> list:
     try:
         red = km.reduce(rg, freq, sched)
         # an excluded lambda fails the reduction and leaves no right inverse
-        excluded = None if red.mask else str(red.exclusion)
+        excluded = None if red.exclusion is None else str(red.exclusion)
         add(check, red.trace[-1]["R_s0"], 1e-9, excluded)
         check = "right-inverse residual"
         # drawn in either case, so the later checks see the same random stream
@@ -455,8 +461,8 @@ def _verify_checks(config: ExperimentConfig, rng: np.random.Generator) -> list:
                 f = f.shift_mean(-f.mean)
             h = sv.right_inverse(rg, red, f, structure)
             add(check, sobolev_norm(rg.apply_L(h) - f, trunc.s0), 1e-6)
-    # a stage that failed, or a lambda a divisor excludes: the check cannot run
-    except (NumericalFailure, sv.DivisorViolation) as err:
+    # a stage that failed: the check cannot run
+    except NumericalFailure as err:
         add(check, None, None, str(err))
 
     h0 = dyn.random_phase_state(trunc.n_x, rng, decay=3.0)

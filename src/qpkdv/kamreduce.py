@@ -23,13 +23,16 @@ R's box cut to |l| <= N, and a remainder with an empty box has norm 0, so
 
 `screen` is the one implementation of the paper's Melnikov divisor bounds,
 first order |i omega.l + mu_j| >= 2 gamma <j>^3 <l>^-tau and second order
-|i omega.l + mu_j - mu_k| >= gamma |j^3 - k^3| <l>^-tau.  It checks an explicit
-support: `solve_homological` passes the paper's index set, every |l| <= N and
-every (j, k), whatever the remainder holds, `solver.diag_inverse` every
-(l, j) != (0, 0), and `melnikov_mask` a whole l-rectangle per value of the
-modulation parameter.  `smallest_margin` turns a failed screen into the one
-`Exclusion` record, the violation of smallest margin |delta| / bound with its
-divisor and bound, which both the reduction and `solver.diag_inverse` report.
+|i omega.l + mu_j - mu_k| >= gamma |j^3 - k^3| <l>^-tau, on a whole table.  The
+bound is 0, so never violated, at the kernel (l, j) = (0, 0) of the first order
+and on j = k at second order.  `reduce` is the one place that decides an
+exclusion: each step screens the second order on the paper's index set, every
+|l| <= N and every (j, k), whatever the remainder holds, and the final
+exponents are screened at first order on every |l| <= n_phi before any right
+inverse divides by them.  `smallest_margin` turns a failed screen into the
+one `Exclusion` record, the violation of smallest margin |delta| / bound with
+its divisor and bound; `melnikov_mask` screens a whole l-rectangle per value
+of the modulation parameter.
 """
 
 from __future__ import annotations
@@ -136,13 +139,9 @@ class ReducibilityState:
     # the steps' transformations (Phi_k, Phi_k^{-1}) in step order; the
     # reducing transformation is their product Phi_0 ... Phi_k, never formed
     factors: tuple = ()
-    # the divisor of a failed step; None while not excluded
+    # the divisor that excludes lambda, of either order; None while not excluded
     exclusion: Exclusion | None = None
     trace: list = field(default_factory=list)  # reduce's rows, one per step
-
-    @property
-    def mask(self) -> bool:
-        return self.exclusion is None
 
 
 class HomologicalSolution(NamedTuple):
@@ -161,16 +160,16 @@ def airy_diagonal(n_x: int, m3: float, m1: float) -> np.ndarray:
     return -1j * (m3 * j.astype(float) ** 3 - m1 * j)
 
 
-def screen(dots, lsz, mu, gamma: float, tau: float, order: str, where):
+def screen(dots, lsz, mu, gamma: float, tau: float, order: str):
     """The Melnikov divisor screen on an l-table; returns (violations, delta, bound).
 
     dots holds omega.l and lsz the weights <l> = max(1, |l|_inf), both over the
-    same l-shape; mu holds the exponents mu_j, |j| <= n_x.  order "first":
-    delta(l, j) = i omega.l + mu_j against 2 gamma <j>^3 <l>^-tau; order
+    same centered l-shape; mu holds the exponents mu_j, |j| <= n_x.  order
+    "first": delta(l, j) = i omega.l + mu_j against 2 gamma <j>^3 <l>^-tau,
+    except the bound 0 at the center (l, j) = (0, 0), the kernel; order
     "second": delta(l, j, k) = i omega.l + mu_j - mu_k against
-    gamma |j^3 - k^3| <l>^-tau (zero, so never violated, at j = k).  The
-    boolean violations are where & (|delta| < bound); `where` (broadcastable to
-    delta) is the support to check, chosen by the caller.
+    gamma |j^3 - k^3| <l>^-tau (zero at j = k).  The boolean violations are
+    |delta| < bound, so a zero bound is never violated.
     """
     n_x = (len(mu) - 1) // 2
     j = np.arange(-n_x, n_x + 1, dtype=float)
@@ -178,12 +177,13 @@ def screen(dots, lsz, mu, gamma: float, tau: float, order: str, where):
     if order == "first":
         delta = 1j * dots[..., None] + mu
         bound = 2.0 * gamma * index_weights(0, 0, n_x, 1.0) ** 3 * decay[..., None]
+        bound[tuple(n // 2 for n in bound.shape)] = 0.0
     elif order == "second":
         delta = 1j * dots[..., None, None] + (mu[:, None] - mu[None, :])
         bound = gamma * np.abs(j[:, None] ** 3 - j[None, :] ** 3) * decay[..., None, None]
     else:
         raise ValueError(f"unknown order {order!r}")
-    return where & (np.abs(delta) < bound), delta, bound
+    return np.abs(delta) < bound, delta, bound
 
 
 def smallest_margin(order: str, bad, delta, bound) -> Exclusion | None:
@@ -226,7 +226,7 @@ def solve_homological(
     cut = (slice(n2 - N, n2 + N + 1),) * trunc.nu
     lsz = index_weights(trunc.nu, N, floor=1.0)
     _, delta, bound = screen(freq.omega_dot_l(trunc, double=True)[cut], lsz, mu, gamma, tau,
-                             "second", True)
+                             "second")
     # the j = k divisor is i omega.l; there the bound is the Diophantine
     # floor of the frequency witness (none at l = 0, where [R] is absorbed)
     diag = np.arange(len(mu))
@@ -295,14 +295,17 @@ def _trace_row(state: ReducibilityState, mu0: np.ndarray, N: int) -> dict:
         "R_s0": R_s0,
         "R_s0p2": R_s0p2,
         "sup_r": float(np.max(np.abs(state.eigs - mu0))),
-        "mask_fraction": 1.0 if state.mask else 0.0,
+        "mask_fraction": 1.0 if state.exclusion is None else 0.0,
     }
 
 
 def reduce(reg, freq: Frequency, schedule: IterationSchedule) -> ReducibilityState:
     """Iterate kam_step until |R_nu|_{s0} < target_decay (or exclusion), and
     return the final state with its trace.  An excluded step leaves the last
-    accepted step's exponents and factors beside the exclusion.
+    accepted step's exponents and factors beside the exclusion.  Otherwise
+    the final exponents are screened at first order, every |l| <= n_phi and
+    every j, so the state's `exclusion` is the one record for both orders
+    (a first-order exclusion adds no trace row).
 
     Raises SmallnessError when the initial remainder violates the operational
     smallness test |R0|_{s0} N0^(2 tau + 1) / gamma < threshold, and
@@ -325,9 +328,9 @@ def reduce(reg, freq: Frequency, schedule: IterationSchedule) -> ReducibilitySta
     norm = r0
     while norm > schedule.target_decay and state.nu_step < schedule.max_steps:
         state = kam_step(state, freq)
-        if not state.mask:  # the last accepted step's state, with the exclusion
+        if state.exclusion is not None:  # the last accepted step's state
             trace.append(_trace_row(state, mu0, 0))
-            break
+            return replace(state, trace=trace)
         trace.append(_trace_row(state, mu0, schedule.cutoff(state.nu_step, trunc.n_phi)))
         new_norm = trace[-1]["R_s0"]
         flat = flat + 1 if new_norm >= norm else 0
@@ -336,7 +339,9 @@ def reduce(reg, freq: Frequency, schedule: IterationSchedule) -> ReducibilitySta
                 f"|R|_s0 stalled at {new_norm:.3e} for 3 consecutive steps"
             )
         norm = new_norm
-    return replace(state, trace=trace)
+    first = screen(freq.omega_dot_l(trunc), index_weights(trunc.nu, trunc.n_phi, floor=1.0),
+                   state.eigs, schedule.gamma, schedule.tau, "first")
+    return replace(state, exclusion=smallest_margin("first", *first), trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +357,8 @@ def melnikov_mask(
     N: int,
     order: str = "second",
 ) -> np.ndarray:
-    """Per-lambda acceptance under the first or second order divisor `screen`,
-    over |l|_inf <= N: every (l, j, k) at second order, every
-    (l, j) != (0, 0) at first order."""
+    """Per-lambda acceptance under the first or second order divisor `screen`
+    over |l|_inf <= N."""
     lambdas = np.asarray(lambdas, dtype=float)
     ob = np.atleast_1d(np.asarray(omega_bar, dtype=float))
     obl = dot_l(ob, N).ravel()
@@ -362,11 +366,7 @@ def melnikov_mask(
 
     out = np.zeros(len(lambdas), dtype=bool)
     for i, (lam, mu) in enumerate(zip(lambdas, mu_by_lambda)):
-        where = True
-        if order == "first":
-            where = np.ones((len(obl), len(mu)), dtype=bool)
-            where[len(obl) // 2, len(mu) // 2] = False  # (l, j) = (0, 0)
-        bad, _, _ = screen(lam * obl, lsz, mu, gamma, tau, order, where)
+        bad, _, _ = screen(lam * obl, lsz, mu, gamma, tau, order)
         out[i] = not bad.any()
     return out
 

@@ -4,15 +4,15 @@ The linear solve conjugates the linearized operator to constant diagonal form
 (regularization followed by the quadratic reduction), divides by the exact
 divisors i lambda omega_bar.l + mu_j, and transports the result back through
 the transformation chains.  It reads the frequency from the regularization and
-the exponents, the transformation's factors and the divisor constants from the
-reduction's final state; the mode (hamiltonian or generic) is decided once, by
-`regularize_at`, and the projection (reversible or total derivative) once, by
-`structure_mode`; `right_inverse` projects onto the parity classes instead of
-testing them.
+the exponents and the transformation's factors from the reduction's final
+state; the reduction alone screens the divisors, of both orders.  The mode
+(hamiltonian or generic) is decided once, by `regularize_at`, and the
+projection (reversible or total derivative) once, by `structure_mode`;
+`right_inverse` projects onto the parity classes instead of testing them.
 The outer iteration is a projected Newton scheme with shrinking non-resonance
-constants gamma_n; values of the modulation parameter lambda that fail a
-divisor bound at some iterate are excluded, and the surviving fraction of a
-lambda grid estimates the measure of the admissible set as epsilon varies.
+constants gamma_n; values of the modulation parameter lambda whose reduction
+fails a divisor bound at some iterate are excluded, and the surviving fraction
+of a lambda grid estimates the measure of the admissible set as epsilon varies.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "SolveReport",
     "MeasureReport",
     "NonzeroAverageError",
-    "DivisorViolation",
     "StructureError",
     "DivergenceError",
     "project_ball",
@@ -55,14 +54,6 @@ __all__ = [
 
 class NonzeroAverageError(ValueError):
     """Right-hand side has a nonzero component on the excluded constant mode."""
-
-
-class DivisorViolation(ValueError):
-    """A first-order divisor fails its bound; `exclusion` names it."""
-
-    def __init__(self, exclusion: km.Exclusion):
-        self.exclusion = exclusion
-        super().__init__(str(exclusion))
 
 
 class StructureError(NumericalFailure, ValueError):
@@ -85,15 +76,15 @@ class SolverConfig:
     kam_target: float = 1e-12
     kam_max_steps: int = 12
 
-    def resolved(self, nu: int, epsilon: float) -> tuple[float, float]:
+    def resolved(self, epsilon: float) -> tuple[float, float]:
         gamma = self.gamma if self.gamma is not None else float(epsilon) ** self.a
-        tau = self.tau if self.tau is not None else nu + 2.0
+        tau = self.tau if self.tau is not None else self.trunc.nu + 2.0
         return gamma, tau
 
     def schedule(self, epsilon: float, n: int | None = None) -> km.IterationSchedule:
         """The KAM schedule of this config: gamma, or gamma_n = gamma (1 + 2^-n)
         at Newton iterate n."""
-        gamma, tau = self.resolved(self.trunc.nu, epsilon)
+        gamma, tau = self.resolved(epsilon)
         if n is not None:
             gamma *= 1.0 + 0.5**n
         return km.IterationSchedule(
@@ -139,18 +130,12 @@ def _parity_project(u: FourierField, sign: float = 1.0) -> FourierField:
     return FourierField(u.trunc, 0.5 * (u.c + sign * np.flip(u.c)))
 
 
-def diag_inverse(
-    mu: np.ndarray,
-    freq: Frequency,
-    g: FourierField,
-    gamma: float,
-    tau: float,
-) -> FourierField:
+def diag_inverse(mu: np.ndarray, freq: Frequency, g: FourierField) -> FourierField:
     """Solve (omega.d_phi + diag mu) w = g by exact mode division.
 
     The constant (l, j) = (0, 0) mode is excluded (it spans the kernel), so g
-    must carry no component there; every other divisor passes the first-order
-    `kamreduce.screen` before dividing.
+    must carry no component there.  The divisors i omega.l + mu_j are not
+    screened here: `kamreduce.reduce` has screened them.
     """
     trunc = g.trunc
     scale = 1.0 + sobolev_norm(g, trunc.s0)
@@ -160,17 +145,9 @@ def diag_inverse(
             f"constant-mode component {abs(g.c[center]):.3e} exceeds tolerance"
         )
 
-    check = np.ones(trunc.shape, dtype=bool)
-    check[center] = False
-    bad, delta, bound = km.screen(freq.omega_dot_l(trunc),
-                                  index_weights(trunc.nu, trunc.n_phi, floor=1.0),
-                                  mu, gamma, tau, "first", check)
-    exclusion = km.smallest_margin("first", bad, delta, bound)
-    if exclusion is not None:
-        raise DivisorViolation(exclusion)
-
-    c = np.zeros(trunc.shape, dtype=complex)
-    np.divide(g.c, delta, out=c, where=check)
+    delta = 1j * freq.omega_dot_l(trunc)[..., None] + mu
+    delta[center] = 1.0  # the kernel: w carries nothing there
+    c = g.c / delta
     c[center] = 0.0
     return FourierField(trunc, c)
 
@@ -186,11 +163,11 @@ def right_inverse(
     h is transported through both transformation chains: undo the outer chain
     and the reducing transformation, divide by the exact divisors, and map
     back, h = Phi2 Phi_0 ... Phi_k D^{-1} Phi_k^{-1} ... Phi_0^{-1} Phi1^{-1} f,
-    applying the reduction's factors to the field one at a time.  The divisors
-    are screened at the frequency of `reg` and the gamma, tau of the
-    reduction's schedule.  `structure` is what `structure_mode` chose; in the
-    reversible case f is projected onto Y and h onto X, so that L maps X into
-    Y, and no parity is tested.
+    applying the reduction's factors to the field one at a time, at the
+    frequency of `reg`.  `red` is a state `kamreduce.reduce` did not exclude,
+    so no divisor is screened here.  `structure` is what `structure_mode`
+    chose; in the reversible case f is projected onto Y and h onto X, so that
+    L maps X into Y, and no parity is tested.
     """
     trunc = f.trunc
     scale = 1.0 + sobolev_norm(f, trunc.s0)
@@ -210,7 +187,7 @@ def right_inverse(
     for _, Phi_inv in red.factors:
         g = opalg.apply(Phi_inv, g)
     g = g.shift_mean(-g.mean)  # drop round-off mass on the excluded mode
-    h = diag_inverse(red.eigs, reg.freq, g, red.schedule.gamma, red.schedule.tau)
+    h = diag_inverse(red.eigs, reg.freq, g)
     for Phi, _ in reversed(red.factors):
         h = opalg.apply(Phi, h)
     h = reg.phi2(h)
@@ -240,11 +217,11 @@ def nash_moser(
     """Projected Newton iteration u_{n+1} = u_n - P_{n+1} L_n^{-1} P_{n+1} F(u_n).
 
     Each step re-linearizes at the current iterate, reruns the full
-    regularization and reduction, and screens the divisors with the shrinking
-    constants gamma_n = gamma (1 + 2^-n): the second order inside the
-    reduction, the first order in `diag_inverse`.  Every call ends in one
-    report: converged; excluded, with the divisor of smallest margin as the
-    reason; or failed, with the `NumericalFailure` that stopped it.  The
+    regularization and reduction; the reduction screens the divisors of both
+    orders with the shrinking constants gamma_n = gamma (1 + 2^-n).  Every
+    call ends in one report: converged; excluded, with the divisor of smallest
+    margin as the reason; or failed, with the `NumericalFailure` that stopped
+    it.  The
     residual must decrease: two consecutive growths, like running out of
     max_iters, are a DivergenceError.
     """
@@ -289,17 +266,12 @@ def _iterate(spec: nonlin.NonlinearitySpec, freq: Frequency, config: SolverConfi
         rg = regularize.regularize_at(spec, freq, u)
         red = km.reduce(rg, freq, sched)
         report.eigs = red.eigs
-        exclusion = red.exclusion
-        if exclusion is None:
-            try:
-                h = right_inverse(rg, red, project_ball(Fu, N_next), structure)
-            except DivisorViolation as exc:
-                exclusion = exc.exclusion
-        del rg, red  # one chain alive at a time: the next iterate builds its own
-        if exclusion is not None:
+        if red.exclusion is not None:
             report.excluded_lambda = True
-            report.exclusion_reason = str(exclusion)
+            report.exclusion_reason = str(red.exclusion)
             return
+        h = right_inverse(rg, red, project_ball(Fu, N_next), structure)
+        del rg, red  # one chain alive at a time: the next iterate builds its own
 
         u = u - project_ball(h, N_next)
         report.solution = u
@@ -395,7 +367,7 @@ def cantor_measure(
     baselines = {}
     records = {}
     for eps in epsilons:
-        gamma, tau = config.resolved(trunc.nu, eps)
+        gamma, tau = config.resolved(eps)
         args = [(text, declared_form, eps, float(lam), tuple(omega_bar), config)
                 for lam in lambda_grid]
         if workers > 1:

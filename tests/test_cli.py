@@ -119,6 +119,19 @@ def test_config_unknown_field_names_path(tmp_path, overrides, path):
     assert not (tmp_path / "solve").exists()
 
 
+@pytest.mark.parametrize("dynamics,path", [
+    ({"dt": 0}, "dynamics.dt"),
+    ({"dt": -0.01}, "dynamics.dt"),
+    ({"T": float("nan")}, "dynamics.T"),
+])
+def test_config_refuses_a_step_or_horizon_not_positive(tmp_path, capsys, dynamics, path):
+    cfg = write_config(tmp_path, dynamics=dynamics)
+    out = tmp_path / "stab"
+    assert cli.main(["stability", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_ERROR
+    assert capsys.readouterr().err.startswith(f"error: {path}: must be finite and > 0")
+    assert not out.exists()
+
+
 def test_solver_config_reads_every_kam_and_nash_moser_key():
     kam = {"gamma": 0.02, "a": 0.4, "tau": 3.5, "N0": 3, "target_decay": 1e-11, "max_steps": 5}
     nm = {"tol_res": 1e-9, "max_iters": 7}
@@ -210,6 +223,21 @@ def test_reduce_reports_antisymmetry_of_reversible_f(tmp_path):
     eig = json.loads((out / "report.json").read_text())["eigenvalues"]
     assert eig["mode"] == "reversible"
     assert eig["antisym_defect"] < 1e-10
+
+
+def test_reduce_reports_a_first_order_exclusion(tmp_path):
+    # the criterion-8 problem at lambda = 1: R = 0 at u = 0, so no KAM step
+    # runs, and the final exponents meet the exact resonance
+    # i omega.l + mu_j = i (-8) + i 2^3 = 0
+    cfg = write_config(tmp_path, truncation={"n_phi": 8, "n_x": 8}, **{"lambda": 1.0})
+    out = tmp_path / "reduce"
+    assert cli.main(["reduce", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_EXCLUDED
+    report = json.loads((out / "report.json").read_text())
+    assert report["excluded"] is True
+    assert report["reason"].startswith("divisor |i omega.l + mu_j| = 0.000e+00 < ")
+    assert report["reason"].endswith("at l=(-8,), j=-2")
+    lines = (out / "trace.csv").read_text().splitlines()
+    assert len(lines) == report["steps"] + 1 == 2  # the exclusion adds no row
 
 
 def test_measure_reports_fractions(tmp_path):

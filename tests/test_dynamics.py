@@ -544,7 +544,7 @@ def test_factored_chain_matches_the_product_of_its_factors(nu, n, lam, text, for
     red = km.reduce(rg, freq, km.IterationSchedule(gamma=0.01, smallness_threshold=1e6,
                                                    target_decay=1e-20))
     assert red.mode == ("hamiltonian" if form == "hamiltonian_F" else "generic")
-    assert red.mask and len(red.factors) == 3
+    assert red.exclusion is None and len(red.factors) == 3
     once = _multiplied(red)
     structure = sv.structure_mode(nonlin.structure_flags(spec))
     f = sv.project_ball(nonlin.residual(spec, freq, rep.solution * 0.5), n)

@@ -152,7 +152,8 @@ def test_homological_screens_index_set_where_remainder_vanishes():
     within = (index_weights(1, 2 * T.n_phi) <= 4)[:, None, None]
     bad, _, _ = km.screen(FREQ.omega_dot_l(T, double=True),
                           index_weights(1, 2 * T.n_phi, floor=1.0), mu, gamma, 3.0,
-                          "second", within)
+                          "second")
+    bad &= within
     assert not sol.ok and np.count_nonzero(bad) > 2
     ex = sol.exclusion
     assert (ex.l, ex.j, ex.k) in [((1,), 1, 0), ((-1,), 0, 1)]
@@ -161,7 +162,8 @@ def test_homological_screens_index_set_where_remainder_vanishes():
 
 @pytest.mark.parametrize("order", ["first", "second"])
 def test_screen_matches_brute_force_loop(order):
-    # nu = 2, perturbed Airy exponents, a random support to check
+    # nu = 2, perturbed Airy exponents, the whole table; at first order the
+    # kernel (l, j) = (0, 0) has bound 0
     T2 = Truncation(2, 3, 3)
     freq = Frequency.default(2, lam=1.1)
     rng = np.random.default_rng(4)
@@ -170,8 +172,7 @@ def test_screen_matches_brute_force_loop(order):
     lsz = index_weights(2, 3, floor=1.0)
     gamma, tau = (0.2, 2.5) if order == "first" else (0.5, 2.5)
     shape = (7, 7, 7) if order == "first" else (7, 7, 7, 7)
-    where = rng.random(shape) < 0.8
-    bad, delta, bound = km.screen(dots, lsz, mu, gamma, tau, order, where)
+    bad, delta, bound = km.screen(dots, lsz, mu, gamma, tau, order)
 
     expect = np.zeros(shape, dtype=bool)
     for idx in np.ndindex(*shape):
@@ -180,7 +181,7 @@ def test_screen_matches_brute_force_loop(order):
         j = idx[2] - 3
         if order == "first":
             d = 1j * (freq.omega[0] * l[0] + freq.omega[1] * l[1]) + mu[idx[2]]
-            b = 2.0 * gamma * max(1, abs(j)) ** 3 * w
+            b = 0.0 if (l, j) == ((0, 0), 0) else 2.0 * gamma * max(1, abs(j)) ** 3 * w
         else:
             k = idx[3] - 3
             d = (1j * (freq.omega[0] * l[0] + freq.omega[1] * l[1])
@@ -188,15 +189,54 @@ def test_screen_matches_brute_force_loop(order):
             b = gamma * abs(j**3 - k**3) * w
         assert abs(delta[idx] - d) < 1e-13 and abs(bound[idx] - b) < 1e-13 * (1 + b)
         assert b == 0 or abs(abs(d) - b) > 1e-9  # no decision sits on round-off
-        expect[idx] = where[idx] and abs(d) < b
+        expect[idx] = abs(d) < b
     assert np.array_equal(bad, expect)
-    assert 0 < bad.sum() < where.sum()
+    assert 0 < bad.sum() < bad.size
 
 
 def test_screen_unknown_order():
     with pytest.raises(ValueError, match="order"):
         km.screen(np.zeros(3), np.ones(3), np.zeros(3, dtype=complex),
-                  0.1, 3.0, "third", True)
+                  0.1, 3.0, "third")
+
+
+def first_order_screen(mu, gamma=1e-3, tau=3.0):
+    """`screen` at first order on T's l-table at FREQ."""
+    return km.screen(FREQ.omega_dot_l(T), index_weights(1, T.n_phi, floor=1.0),
+                     mu, gamma, tau, "first")
+
+
+@pytest.mark.parametrize("mu0", [0.0, 5j])
+def test_first_order_screen_exempts_the_kernel(mu0):
+    # the bound 2 gamma <0>^3 <0>^-tau = 20 exceeds |delta(0, 0)| = |mu_0|
+    # either way; (l, j) = (0, 0) spans the kernel and is never a violation
+    mu = airy_D()
+    mu[T.n_x] = mu0
+    bad, delta, bound = first_order_screen(mu, gamma=10.0)
+    center = (T.n_phi, T.n_x)
+    assert delta[center] == mu0 and bound[center] == 0.0 and not bad[center]
+
+
+def test_first_order_screen_names_indices():
+    mu = airy_D()
+    mu[T.n_x + 1] = -1j * FREQ.omega[0] * 3  # resonates with l = 3 exactly
+    ex = km.smallest_margin("first", *first_order_screen(mu))
+    assert ex.j == 1 and ex.l == (3,)
+
+
+def test_first_order_screen_names_smallest_margin_not_first_violation():
+    # (l, j) = (-2, 2) fails with margin 1/2 and comes first in C order;
+    # (l, j) = (3, 1) is an exact resonance, the smaller margin
+    mu = airy_D()
+    mu[T.n_x + 2] = 2j * FREQ.omega[0] + 1e-3j
+    mu[T.n_x + 1] = -3j * FREQ.omega[0]
+    bad, delta, bound = first_order_screen(mu)
+    first = np.argwhere(bad)[0]
+    assert (first[0] - T.n_phi, first[1] - T.n_x) == (-2, 2)
+    ex = km.smallest_margin("first", bad, delta, bound)
+    assert (ex.order, ex.l, ex.j, ex.k) == ("first", (3,), 1, None)
+    assert ex.value < 1e-12
+    assert str(ex) == f"divisor |i omega.l + mu_j| = {ex.value:.3e} < 7.407e-05 at l=(3,), j=1"
 
 
 # ---------------------------------------------------------------- kam steps
@@ -324,7 +364,7 @@ def test_reduce_zero_remainder_takes_zero_steps():
 def test_reduce_pipeline_converges_monotonically():
     rg = pipeline()
     red = km.reduce(rg, FREQ, km.IterationSchedule(gamma=0.01))
-    assert red.mask
+    assert red.exclusion is None
     norms = [row["R_s0"] for row in red.trace]
     assert all(b < a for a, b in zip(norms, norms[1:]))
     assert norms[-1] < 1e-10
@@ -354,11 +394,11 @@ def test_excluded_reduce_screens_each_step_once(monkeypatch):
     monkeypatch.setattr(km, "solve_homological", counted_solve)
     monkeypatch.setattr(km, "kam_step", counted_step)
     red = km.reduce(rg, freq, km.IterationSchedule(gamma=0.01))
-    assert not red.mask
+    assert red.exclusion is not None
     assert len(steps) == 2 and len(calls) == len(steps)
     # the last accepted step's exponents and factors, with the exclusion
     accepted = steps[0]
-    assert accepted.mask and red.nu_step == accepted.nu_step == 1
+    assert accepted.exclusion is None and red.nu_step == accepted.nu_step == 1
     assert red.eigs is accepted.eigs and red.R is accepted.R
     assert red.factors is accepted.factors and len(red.factors) == 1
     assert not calls[-1].ok
@@ -422,7 +462,7 @@ def test_reduce_hamiltonian_mode():
     rg = reg.regularize_at(spec, FREQ, u)
     sched = km.IterationSchedule(gamma=0.01, smallness_threshold=1e3)
     red = km.reduce(rg, FREQ, sched)
-    assert red.mask
+    assert red.exclusion is None
     assert red.trace[-1]["R_s0"] < 1e-10
     rep = km.eigenvalue_report(red.eigs, rg.m3, rg.m1, 1e-3, mode="hamiltonian")
     assert rep["re_mu_max"] < 1e-10
