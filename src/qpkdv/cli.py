@@ -67,6 +67,23 @@ def _take(d, key, path, default=_MISSING):
     return default
 
 
+def _number(value, path: str, cast=float):
+    """A config number as float or int; null, a string, a boolean or a
+    fractional value where an int is read is refused, naming its path."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+            cast is int and not float(value).is_integer()):
+        kind = "an integer" if cast is int else "a number"
+        raise ConfigError(f"{path}: expected {kind}, got {json.dumps(value)}")
+    return cast(value)
+
+
+def _string(value, path: str) -> str:
+    """A config text; any other JSON value is refused, naming its path."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{path}: expected a string, got {json.dumps(value)}")
+    return value
+
+
 def _check_keys(d: dict, allowed, prefix: str = "") -> None:
     """Refuse a key that no field reads, naming its path."""
     for key in d:
@@ -130,11 +147,12 @@ class ExperimentConfig:
                 )
             text, form = nonlin.BUILTINS[name]
         else:
-            text = take(nl, "text", "nonlinearity.text")
-            form = take(nl, "declared_form", "nonlinearity.declared_form", "raw_f")
+            text = _string(take(nl, "text", "nonlinearity.text"), "nonlinearity.text")
+            form = _string(take(nl, "declared_form", "nonlinearity.declared_form", "raw_f"),
+                           "nonlinearity.declared_form")
 
         eps = take(raw, "epsilon", "epsilon")
-        epsilons = [float(e) for e in (eps if isinstance(eps, list) else [eps])]
+        epsilons = [_number(e, "epsilon") for e in (eps if isinstance(eps, list) else [eps])]
         if any(e < 0 for e in epsilons):
             raise ConfigError("epsilon: values must be >= 0")
 
@@ -148,35 +166,47 @@ class ExperimentConfig:
                 )
             omega_bar = FREQUENCY_PRESETS[preset]
         else:
-            omega_bar = tuple(float(w) for w in take(fr, "omega_bar", "frequency.omega_bar"))
+            omega_bar = take(fr, "omega_bar", "frequency.omega_bar")
+            if not isinstance(omega_bar, list):
+                raise ConfigError("frequency.omega_bar: expected a list of numbers")
+            omega_bar = tuple(_number(w, "frequency.omega_bar") for w in omega_bar)
         if not omega_bar:
             raise ConfigError("frequency.omega_bar: must be non-empty")
 
         lam = take(raw, "lambda", "lambda", 1.25)
         if isinstance(lam, dict):
             _check_keys(lam, ("min", "max", "count"), "lambda.")
-            lo = float(take(lam, "min", "lambda.min"))
-            hi = float(take(lam, "max", "lambda.max"))
-            count = int(take(lam, "count", "lambda.count"))
+            lo = _number(take(lam, "min", "lambda.min"), "lambda.min")
+            hi = _number(take(lam, "max", "lambda.max"), "lambda.max")
+            count = _number(take(lam, "count", "lambda.count"), "lambda.count", int)
             if count < 1:
                 raise ConfigError("lambda.count: must be >= 1")
             lambdas = [float(v) for v in np.linspace(lo, hi, count)]
         else:
-            lambdas = [float(v) for v in (lam if isinstance(lam, list) else [lam])]
+            lambdas = [_number(v, "lambda") for v in (lam if isinstance(lam, list) else [lam])]
         if any(not (0.5 <= v <= 1.5) for v in lambdas):
             raise ConfigError("lambda: values must lie in [1/2, 3/2]")
 
         tr = _section(raw, "truncation", ("n_phi", "n_x"), {})
-        trunc = Truncation(len(omega_bar), int(take(tr, "n_phi", "truncation.n_phi", 8)),
-                           int(take(tr, "n_x", "truncation.n_x", 8)))
+        trunc = Truncation(len(omega_bar), *(
+            _number(take(tr, key, f"truncation.{key}", 8), f"truncation.{key}", int)
+            for key in ("n_phi", "n_x")))
 
         dynamics = _section(raw, "dynamics", ("T", "s", "dt", "seed"), {})
+        for key, cast in (("T", float), ("dt", float), ("s", float), ("seed", int)):
+            if key in dynamics:
+                dynamics[key] = _number(dynamics[key], f"dynamics.{key}", cast)
         for key in ("T", "dt"):
             value = dynamics.get(key, 1.0)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+            if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"dynamics.{key}: must be finite and > 0, got {value!r}")
 
-        kam = _section(raw, "kam", SOLVER_FIELDS["kam"], {})
+        solver = {name: _section(raw, name, fields, {}) for name, fields in SOLVER_FIELDS.items()}
+        for name, fields in SOLVER_FIELDS.items():
+            for key, (_, cast) in fields.items():
+                if solver[name].get(key) is not None:
+                    solver[name][key] = _number(solver[name][key], f"{name}.{key}", cast)
+        kam = solver["kam"]
         nu = len(omega_bar)
         tau = kam.get("tau")
         if tau is not None and tau <= nu + 1:
@@ -194,19 +224,19 @@ class ExperimentConfig:
             lambdas=lambdas,
             truncation=trunc,
             kam=kam,
-            nash_moser=_section(raw, "nash_moser", SOLVER_FIELDS["nash_moser"], {}),
+            nash_moser=solver["nash_moser"],
             dynamics=dynamics,
-            output_dir=str(take(raw, "output_dir", "output_dir", "out")),
-            seed=int(take(raw, "seed", "seed", 0)),
+            output_dir=_string(take(raw, "output_dir", "output_dir", "out"), "output_dir"),
+            seed=_number(take(raw, "seed", "seed", 0), "seed", int),
         )
 
     def solver_config(self) -> sv.SolverConfig:
         kw = {}
         for name, table in SOLVER_FIELDS.items():
             section = getattr(self, name)
-            for key, (target, cast) in table.items():
+            for key, (target, _) in table.items():
                 if section.get(key) is not None:
-                    kw[target] = cast(section[key])
+                    kw[target] = section[key]  # typed by from_dict
         return sv.SolverConfig(trunc=self.truncation, **kw)
 
     def spec(self, epsilon: float) -> nonlin.NonlinearitySpec:
@@ -324,7 +354,7 @@ def _run_reduce(config: ExperimentConfig, out: Path) -> int:
     }
     _write_json(out / "report.json", report)
     _write_trace(out / "trace.csv",
-                 ["step", "N", "R_s0", "R_s0p2", "sup_r", "mask_fraction"], red.trace)
+                 ["step", "N", "R_s0", "R_s0p2", "sup_r"], red.trace)
     _write_json(out / "fields" / "eigenvalues.json", {"mu": red.eigs})
     return EXIT_OK if red.exclusion is None else EXIT_EXCLUDED
 

@@ -12,17 +12,21 @@ artifacts.  A state is a plain array of centered x-coefficients h_j,
 Along phi = omega t the frozen operator -(a3 d^3 + a2 d^2 + a1 d + a0) is
 sum_l e^{i omega.l t} N_l with fixed blocks N_l.  The equation is linear, so
 a whole RK4 step is one matrix, the identity plus an increment D(omega t)
-conjugated by the Airy phases.  The integrator tabulates D once per call
-and freezes it a chunk of steps at a time.  Along t = t_n0 + k dt the offset
-phases factor as e^{i omega.l t_n0} e^{i omega.l k dt}, so one table of the
-second factor serves every chunk, and a chunk costs one phase per offset, a
-row scaling and one product.  The coefficients are real, so
-D[-r, -c] = conj D[r, c], also after the Airy conjugation: only the rows
-j >= 0 are frozen, and the rows j < 0 are their mirror.  Each step is then
-one matrix-vector product.  The chain is frozen with ``opalg.freeze`` at all
-sample times of a report, one call per factor (the reduction's factors are
-multiplied frozen, never as tables), and inverted by one batched
-``np.linalg.inv``.
+conjugated by the Airy phases.  The integrator tabulates D once per call,
+on the offsets whose blocks lie above the rounding floor of the FFT that
+made the table (9 of 65 on the criterion-9 problem at n = 8), and freezes
+it a chunk of steps at a time.  Along t = t_n0 + k dt the offset phases
+factor as e^{i omega.l t_n0} e^{i omega.l k dt}, so one table of the second
+factor serves every chunk, and a chunk costs one phase per offset, a row
+scaling and one product.  The Airy phases are exponentials at each step's
+own time t: split at t_n0, their arguments would round differently, by up
+to an ulp of t times j^3, and the oracle tests resolve that.  The
+coefficients are real, so D[-r, -c] = conj D[r, c], also after the Airy
+conjugation: only the rows j >= 0 are frozen, and the rows j < 0 are their
+mirror.  Each step is then one matrix-vector product.  The chain is frozen
+with ``opalg.freeze`` at all sample times of a report, one call per factor
+(the reduction's factors are multiplied frozen, never as tables), and
+inverted by one batched ``np.linalg.inv``.
 """
 
 from __future__ import annotations
@@ -70,10 +74,16 @@ def random_phase_state(n_x: int, rng: np.random.Generator, decay: float = 2.0) -
 # ---------------------------------------------------------- direct scheme
 
 # RK4 steps per chunk of frozen step matrices (one product per chunk); at
-# n_x = 8 and T = 100, 32 steps take 1.15-1.3x the time of 64, and 128 save
-# 2-9% but raise the peak memory over the trajectory from 1.4 to 2.4 MB
+# n_x = 8 and T = 100 on the cut step table, 32 steps take 1.15-1.2x the time
+# of 64, and 128 save 4-9% but raise the peak memory over the trajectory
+# from 1.1 to 1.9 MB
 _CHUNK = 64
 RUNAWAY = 1e6
+# the step table keeps the offsets whose blocks exceed STEP_FLOOR rounding
+# units of its largest sample |D(phi)|: the FFT's noise reads at most 0.6 of
+# them, and a block below 64 moves a step g + D g by far less than the
+# rounding of that sum while |D| << 1
+STEP_FLOOR = 64
 
 
 def _scalar(f: FourierField, phi: np.ndarray):
@@ -95,6 +105,13 @@ def _step_table(coeffs, freq: Frequency, dt: float) -> np.ndarray:
     (8 n_phi + 1)^nu grid gives exactly.  The table holds D, not P: a fixed
     near-identity matrix rounds the same way at every step, and over a long
     run that error adds up coherently.
+
+    The table is returned on the box of the offsets whose blocks exceed
+    STEP_FLOOR rounding units of the largest sample |D(phi)|, widened to its
+    mirror l -> -l so that its offsets stay centered; l = 0 is always kept.
+    The offsets cut hold the FFT's rounding noise, or content no step
+    resolves: the criterion-9 problem keeps |l| <= 4 of |l| <= 32, and a
+    coefficient field with algebraic decay keeps every offset.
     """
     n_x, n_phi, nu = coeffs[0].trunc.n_x, coeffs[0].trunc.n_phi, freq.nu
     j = np.arange(-n_x, n_x + 1).astype(float)
@@ -120,9 +137,13 @@ def _step_table(coeffs, freq: Frequency, dt: float) -> np.ndarray:
         k += X
         D += w * k
     D *= dt / 6.0
+    floor = STEP_FLOOR * np.finfo(float).eps * np.max(np.abs(D))
     axes = tuple(range(nu))
     D = np.fft.fftn(D.reshape((size,) * nu + D.shape[1:]), axes=axes, norm="forward")
-    return np.fft.fftshift(D, axes=axes)
+    D = np.fft.fftshift(D, axes=axes)
+    above = np.abs(D).max(axis=(-2, -1)) > floor
+    above[(size // 2,) * nu] = True  # l = 0 stays, also in an all-zero table
+    return D[opalg._full(opalg._support_box(above), size)]
 
 
 def _chunk_freezer(table: np.ndarray, omega: np.ndarray, dt: float):
@@ -132,9 +153,11 @@ def _chunk_freezer(table: np.ndarray, omega: np.ndarray, dt: float):
     The offset phases factor as e^{i omega.l t} = e^{i omega.l t[0]}
     e^{i omega.l k dt}: the second factor is one (_CHUNK x offsets) table,
     made here, so a chunk costs one phase per offset, a row scaling and one
-    product.  Real coefficients make D[-r, -c] = conj D[r, c], and the Airy
-    conjugation keeps that, so only the rows j >= 0 are frozen and conjugated;
-    the rows j < 0 are their ``opalg.mirror_rows``.
+    product over the offsets of the (cut) table.  The Airy phases E(t) are
+    exponentials at the times t themselves, not split at t[0] like the
+    offset phases.  Real coefficients make D[-r, -c] = conj D[r, c], and the
+    Airy conjugation keeps that, so only the rows j >= 0 are frozen and
+    conjugated; the rows j < 0 are their ``opalg.mirror_rows``.
     """
     nu, m = len(omega), table.shape[-1]
     offsets, n_x = table.shape[:nu], m // 2
@@ -165,14 +188,14 @@ def integrate_linear(coeffs, freq: Frequency, h0: np.ndarray, T: float, dt: floa
     the filtered variable g = E(-t) h, giving 4th-order accuracy without a
     stiff CFL restriction.  The equation is linear, so one RK4 step is one
     matrix: g_{n+1} = g_n + E(-t_n) D(omega t_n) E(t_n) g_n with D the
-    tabulated increment of ``_step_table``, frozen a chunk of steps at a time
-    by ``_chunk_freezer`` from one table of step phases and the mirror of its
-    rows j >= 0.  The mirror needs real coefficients: a field with a
-    Hermitian defect is refused with a ValueError, by the rule of
-    ``spectral.check_real``.  Returns (times, states) with one row per step
-    and h0 as row 0.  A state that is not finite, or whose H^1 norm exceeds
-    RUNAWAY x (1 + |h0|_H1), raises InstabilityError with the time of the
-    first such step.
+    tabulated increment of ``_step_table`` on its offsets above rounding,
+    frozen a chunk of steps at a time by ``_chunk_freezer`` from one table of
+    step phases and the mirror of its rows j >= 0.  The mirror needs real
+    coefficients: a field with a Hermitian defect is refused with a
+    ValueError, by the rule of ``spectral.check_real``.  Returns (times,
+    states) with one row per step and h0 as row 0.  A state that is not
+    finite, or whose H^1 norm exceeds RUNAWAY x (1 + |h0|_H1), raises
+    InstabilityError with the time of the first such step.
     """
     h0 = np.asarray(h0, dtype=complex)
     if h0.ndim != 1 or h0.size % 2 == 0:
@@ -197,11 +220,12 @@ def integrate_linear(coeffs, freq: Frequency, h0: np.ndarray, T: float, dt: floa
         n = np.arange(n0, min(n0 + _CHUNK, steps))
         t = t0 + n * dt
         for i, D in enumerate(frozen(t), n0 + 1):
-            g = g + D @ g
+            g = g + D.dot(g)  # bit for bit D @ g, at about half its call overhead
             states[i] = g
-        times[n + 1] = t + dt
-        states[n + 1] *= np.exp(airy * times[n + 1, None])
-        bad = np.flatnonzero(~(profile_norm(states[n + 1], 1.0) <= floor))
+        ends = slice(n0 + 1, n0 + 1 + len(n))  # views, where states[n + 1] copies
+        times[ends] = t + dt
+        states[ends] *= np.exp(airy * times[ends, None])
+        bad = np.flatnonzero(~(profile_norm(states[ends], 1.0) <= floor))
         if bad.size:
             first = n0 + 1 + bad[0]
             what = ("state is not finite" if not np.isfinite(states[first]).all()

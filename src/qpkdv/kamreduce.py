@@ -295,7 +295,6 @@ def _trace_row(state: ReducibilityState, mu0: np.ndarray, N: int) -> dict:
         "R_s0": R_s0,
         "R_s0p2": R_s0p2,
         "sup_r": float(np.max(np.abs(state.eigs - mu0))),
-        "mask_fraction": 1.0 if state.exclusion is None else 0.0,
     }
 
 

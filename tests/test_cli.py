@@ -132,6 +132,33 @@ def test_config_refuses_a_step_or_horizon_not_positive(tmp_path, capsys, dynamic
     assert not out.exists()
 
 
+@pytest.mark.parametrize("overrides,message", [
+    ({"dynamics": {"s": None}}, "dynamics.s: expected a number, got null"),
+    ({"dynamics": {"seed": None}}, "dynamics.seed: expected an integer, got null"),
+    ({"truncation": {"n_phi": None}}, "truncation.n_phi: expected an integer, got null"),
+    ({"epsilon": None}, "epsilon: expected a number, got null"),
+    ({"epsilon": [1e-3, "1e-4"]}, 'epsilon: expected a number, got "1e-4"'),
+    ({"kam": {"tau": "3.5"}}, 'kam.tau: expected a number, got "3.5"'),
+    ({"nash_moser": {"max_iters": 2.5}}, "nash_moser.max_iters: expected an integer, got 2.5"),
+    ({"seed": True}, "seed: expected an integer, got true"),
+    ({"frequency": {"omega_bar": 1.0}}, "frequency.omega_bar: expected a list of numbers"),
+    ({"nonlinearity": {"text": None}}, "nonlinearity.text: expected a string, got null"),
+    ({"nonlinearity": {"text": "z0^2 * z3", "declared_form": None}},
+     "nonlinearity.declared_form: expected a string, got null"),
+    ({"output_dir": None}, "output_dir: expected a string, got null"),
+], ids=["dynamics.s", "dynamics.seed", "truncation.n_phi", "epsilon", "epsilon-list", "kam.tau",
+        "nash_moser.max_iters", "seed", "frequency.omega_bar", "nonlinearity.text",
+        "nonlinearity.declared_form", "output_dir"])
+def test_config_value_of_the_wrong_type_names_its_path(tmp_path, capsys, overrides, message):
+    # each of these ended in a TypeError and a traceback, or was read as
+    # something else (the directory "None")
+    cfg = write_config(tmp_path, **overrides)
+    out = tmp_path / "stab"
+    assert cli.main(["stability", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_solver_config_reads_every_kam_and_nash_moser_key():
     kam = {"gamma": 0.02, "a": 0.4, "tau": 3.5, "N0": 3, "target_decay": 1e-11, "max_steps": 5}
     nm = {"tol_res": 1e-9, "max_iters": 7}
@@ -209,7 +236,7 @@ def test_reduce_writes_eigenvalues(tmp_path):
     assert abs(report["m3"] - 1.0) < 0.1
     assert report["excluded"] is False and report["reason"] is None
     lines = (out / "trace.csv").read_text().splitlines()
-    assert lines[0] == "step,N,R_s0,R_s0p2,sup_r,mask_fraction"
+    assert lines[0] == "step,N,R_s0,R_s0p2,sup_r"
     assert len(lines) == report["steps"] + 1
     assert b"\r" not in (out / "trace.csv").read_bytes()
     eig = json.loads((out / "fields" / "eigenvalues.json").read_text())

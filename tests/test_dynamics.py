@@ -28,8 +28,8 @@ def zero_field(trunc):
     return FourierField(trunc, np.zeros(trunc.shape, dtype=complex))
 
 
-def pipeline(eps, gamma=None):
-    spec = nonlin.parse_nonlinearity(FORCED, "raw_f", epsilon=eps)
+def pipeline(eps, gamma=None, text=FORCED, form="raw_f"):
+    spec = nonlin.parse_nonlinearity(text, form, epsilon=eps)
     rep = sv.nash_moser(spec, FREQ, sv.SolverConfig(trunc=T))
     assert rep.converged
     rg = reg.regularize_at(spec, FREQ, rep.solution)
@@ -89,6 +89,8 @@ def test_phase_state_validation_and_reality():
 def test_integrate_airy_exactly():
     trunc = Truncation(1, 2, 4)
     z = zero_field(trunc)
+    # an all-zero step table keeps its l = 0 offset and nothing else
+    assert dyn._step_table((z, z, z, z), FREQ, 0.05).shape == (1, 9, 9)
     h0 = dyn.random_phase_state(trunc.n_x, np.random.default_rng(4))
     times, states = dyn.integrate_linear((z, z, z, z), FREQ, h0, 3.0, 0.05)
     j = np.arange(-trunc.n_x, trunc.n_x + 1)
@@ -382,6 +384,48 @@ def test_step_table_is_exact_off_grid(nu):
         assert np.max(np.abs(opalg.freeze(table, phi) - D)) <= 1e-14 * np.max(np.abs(D))
 
 
+def _bench_nu2():
+    """The solve-nu2-n4 benchmark problem, solved and regularized."""
+    freq = Frequency.default(2, lam=0.8)
+    spec = nonlin.parse_nonlinearity(
+        "10 * cos(phi_1) * sin(x) + 10 * cos(phi_2) * sin(x) + z0^2 * z3", "raw_f", epsilon=1e-3)
+    rep = sv.nash_moser(spec, freq, sv.SolverConfig(trunc=Truncation(2, 4, 4)))
+    assert rep.converged
+    return freq, reg.regularize_at(spec, freq, rep.solution)
+
+
+@pytest.mark.parametrize("case, kept", [("criterion9", (9,)), ("nu2", (9, 9))])
+def test_step_table_is_cut_to_the_offsets_above_rounding(case, kept, monkeypatch):
+    # the criterion-9 table has content at l in {0, +-2, +-4} (down to
+    # 3.4e-18) and FFT rounding (1e-25 to 1.4e-24) at the other 56 offsets;
+    # the nu = 2 one keeps 9 x 9 of 33 x 33.  Frozen at any angle, the cut
+    # table matches the full one to rounding (measured 4e-16 and 5e-15 of
+    # the largest entry)
+    if case == "criterion9":
+        coeffs, freq = pipeline(1e-3)[0].coefficients, FREQ
+    else:
+        freq, rg = _bench_nu2()
+        coeffs = rg.coefficients
+    cut = dyn._step_table(coeffs, freq, 0.01)
+    monkeypatch.setattr(dyn, "STEP_FLOOR", 0.0)
+    full = dyn._step_table(coeffs, freq, 0.01)
+    nu = freq.nu
+    assert full.shape[:nu] == (8 * coeffs[0].trunc.n_phi + 1,) * nu
+    assert cut.shape[:nu] == kept
+    phi = np.random.default_rng(nu).uniform(0.0, 2.0 * np.pi, (20, nu))
+    ref = opalg.freeze(full, phi)
+    assert np.max(np.abs(opalg.freeze(cut, phi) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("nu", [1, 2])
+def test_step_table_of_decaying_coefficients_is_not_cut(nu):
+    # coefficients that decay algebraically put content above the floor at
+    # every offset up to 4 n_phi (the least of it about 1e7 rounding units)
+    coeffs, _ = _random_problem(nu, 3, 20 + nu)
+    table = dyn._step_table(coeffs, Frequency.default(nu, lam=0.8), 0.01)
+    assert table.shape[:nu] == (8 * 3 + 1,) * nu
+
+
 @pytest.mark.parametrize("nu", [1, 2])
 @pytest.mark.parametrize("t0", [0.0, 2.7])
 def test_chunk_matrices_match_direct_freeze(nu, t0):
@@ -594,12 +638,8 @@ def test_stability_report_pipeline():
 def test_stability_report_at_nu2():
     # the solve-nu2-n4 benchmark problem, reduced at gamma = 0.01, under the
     # benchmark's stability gates
-    trunc, freq = Truncation(2, 4, 4), Frequency.default(2, lam=0.8)
-    spec = nonlin.parse_nonlinearity(
-        "10 * cos(phi_1) * sin(x) + 10 * cos(phi_2) * sin(x) + z0^2 * z3", "raw_f", epsilon=1e-3)
-    rep = sv.nash_moser(spec, freq, sv.SolverConfig(trunc=trunc))
-    assert rep.converged
-    rg = reg.regularize_at(spec, freq, rep.solution)
+    freq, rg = _bench_nu2()
+    trunc = rg.trunc
     red = km.reduce(rg, freq, km.IterationSchedule(gamma=0.01))
     assert red.exclusion is None
     chain = dyn.FrozenChain.at_time(rg, red, np.array([0.0, 2.4, 42.3]))
@@ -629,10 +669,13 @@ def test_trajectory_csv_roundtrip(tmp_path):
 
 
 if __name__ == "__main__":
-    # the long-time stability step of CI: PYTHONPATH=src python tests/test_dynamics.py <T> <seconds>
-    # criterion 9's problem and gates, as in the acceptance test and the stability benchmark
+    # the long-time stability steps of CI:
+    #   PYTHONPATH=src python tests/test_dynamics.py <T> <seconds> [<text> <declared_form>]
+    # criterion 9's problem (or the nonlinearity given) under criterion 9's
+    # gates, as in the acceptance test and the stability benchmark
     span, limit = float(sys.argv[1]), float(sys.argv[2])
-    rg, red = pipeline(1e-3, gamma=0.01)
+    text, form = sys.argv[3:5] if len(sys.argv) > 3 else (FORCED, "raw_f")
+    rg, red = pipeline(1e-3, gamma=0.01, text=text, form=form)
     h0 = dyn.random_phase_state(T.n_x, np.random.default_rng(9), decay=3.0)
     start = time.perf_counter()
     rep = dyn.stability_report(rg, red, FREQ, h0, T=span, s=2.0, dt=0.01)
@@ -640,6 +683,7 @@ if __name__ == "__main__":
     mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     ok = (rep["v_drift"] < 1e-8 and 0.9 <= rep["ratio_max"] <= 1.1
           and rep["endpoint_discrepancy"] < 1e-4)
+    print(f"{text} ({form}, {rg.mode} mode)")
     print(f"stability_report at T = {span:g}: {wall:.2f} s (limit {limit:g}), peak RSS {mb:.0f} MB, "
           f"v_drift {rep['v_drift']:.2e}, ratio_max {rep['ratio_max']:.9f}, "
           f"endpoint discrepancy {rep['endpoint_discrepancy']:.2e}")

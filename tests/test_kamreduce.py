@@ -404,7 +404,8 @@ def test_excluded_reduce_screens_each_step_once(monkeypatch):
     assert not calls[-1].ok
     assert red.exclusion == calls[-1].exclusion
     assert (red.exclusion.l, red.exclusion.j, red.exclusion.k) == ((-6,), -2, -1)
-    assert red.trace[-1]["mask_fraction"] == 0.0
+    # the excluded step still adds its trace row, at N = 0
+    assert red.exclusion.order == "second" and red.trace[-1]["N"] == 0
 
 
 def test_reduce_smallness_guard():
@@ -552,10 +553,11 @@ def test_melnikov_mask_first_order():
 def test_trace_csv_roundtrip(tmp_path):
     rg = pipeline()
     red = km.reduce(rg, FREQ, km.IterationSchedule(gamma=0.01))
-    header = ["step", "N", "R_s0", "R_s0p2", "sup_r", "mask_fraction"]
+    assert red.exclusion is None
+    header = ["step", "N", "R_s0", "R_s0p2", "sup_r"]
     assert all(list(row) == header for row in red.trace)
     path = tmp_path / "trace.csv"
     cli._write_trace(path, header, red.trace)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "step,N,R_s0,R_s0p2,sup_r,mask_fraction"
+    assert lines[0] == "step,N,R_s0,R_s0p2,sup_r"
     assert len(lines) == len(red.trace) + 1
