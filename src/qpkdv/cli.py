@@ -322,7 +322,8 @@ def _run_solve(config: ExperimentConfig, out: Path) -> int:
                 trace_rows.append({"tag": tag, **it})
     _write_json(out / "report.json", {"subcommand": "solve", "runs": results,
                                       "seed": config.seed})
-    _write_trace(out / "trace.csv", ["tag", "n", "u_norm", "res", "N", "gamma"],
+    _write_trace(out / "trace.csv",
+                 ["tag", "n", "u_norm", "res", "N", "gamma", *sv.REGULARIZATION_HEALTH],
                  trace_rows)
     if any(r["failure"] for r in results):
         return EXIT_ERROR

@@ -303,9 +303,9 @@ class FrozenChain:
             forward = forward @ frz(Phi.blocks, theta)
         forward = shift[:, :, None] * forward
         warp = _warp_matrix(frz(ch["beta"].c, phi), n_x)
-        if reg.mode == "hamiltonian":
+        if ch["sigma"] is not None:  # None in generic mode and at zero coefficients
             warp = mult(ch["sigma"], phi) @ warp
-        if ch.get("v") is not None:
+        if ch["v"] is not None:
             forward = mult(ch["v"], theta) @ forward
         forward = warp @ forward
         return cls(forward=forward, inverse=np.linalg.inv(forward), t=t, tau=tau)

@@ -10,6 +10,12 @@ operator to
 
 with constants m3 = 1 + O(eps), m1 = O(eps) and a bounded remainder R of
 order d_x^0, returned as a Toplitz operator ready for the reducibility scheme.
+
+Where a3 = a2 = a1 = a0 = 0 (as at u = 0 for an f with no term linear in u),
+L already is omega.d_phi + d_xxx: steps 1-4 compute nothing and write their
+identity (zero displacements, m3 = 1, m1 = 0, no multipliers), and step 5
+builds S = I and R = 0.  Zero is decided structurally, on the coefficient
+tables, never with a tolerance.
 """
 
 from __future__ import annotations
@@ -252,30 +258,27 @@ class RegularizationResult:
     coefficients: tuple  # (a3, a2, a1, a0)
     diagnostics: dict = dc_field(default_factory=dict)
 
-    # ---- elementary transforms as field actions
+    # ---- elementary transforms as field actions; a multiplier the chain
+    # holds as None is the identity
+
+    def _times(self, name: str, z):
+        g = self.chain[name]
+        return z if g is None else multiply(g, z)
 
     def A(self, z, inverse: bool = False):
-        ch = self.chain
         if inverse:
-            out = compose("space", z, ch["beta_tilde"])
-            if self.mode == "hamiltonian":
-                out = multiply(ch["sigma_tilde"], out)
-            return out
-        out = compose("space", z, ch["beta"])
-        if self.mode == "hamiltonian":
-            out = multiply(ch["sigma"], out)
-        return out
+            return self._times("sigma_tilde", compose("space", z, self.chain["beta_tilde"]))
+        return self._times("sigma", compose("space", z, self.chain["beta"]))
 
     def B(self, z, inverse: bool = False):
         disp = self.chain["alpha_tilde"] if inverse else self.chain["alpha"]
         return compose("time", z, disp, self.freq)
 
     def rho_mult(self, z, inverse: bool = False):
-        return multiply(self.chain["rho_inv" if inverse else "rho"], z)
+        return self._times("rho_inv" if inverse else "rho", z)
 
     def M(self, z, inverse: bool = False):
-        v = self.chain["v_inv" if inverse else "v"]
-        return z if v is None else multiply(v, z)
+        return self._times("v_inv" if inverse else "v", z)
 
     def T(self, z, inverse: bool = False):
         p = self.chain["p"]
@@ -310,26 +313,52 @@ class RegularizationResult:
         return out + dx_pow(z, 1) * self.m1 + opalg.apply(self.R, z)
 
 
-def run_regularization(a3, a2, a1, a0, freq: Frequency, mode: str) -> RegularizationResult:
-    """Full Steps 1-5 from the four linearization coefficients."""
-    s1 = step1_space_diffeo(a3, a2, a1, a0, freq, mode)
-    s2 = step2_time_reparam(s1["b3"], s1["b2"], s1["b1"], s1["b0"], freq)
-    m3 = s2["m3"]
-    if mode == "hamiltonian":
-        # the d_yy coefficient already vanishes: no descent step needed
-        s3 = {"v": None, "v_inv": None, "d1": s2["c1"], "d0": s2["c0"]}
-    else:
-        s3 = step3_descent_zero(s2["c2"], s2["c1"], s2["c0"], m3, freq)
-    s4 = step4_translation(s3["d1"], s3["d0"], freq)
-    m1 = s4["m1"]
-    s5 = step5_pseudo_diff(s4["e1"], s4["e0"], m3, m1, freq, mode)
+def _steps1_to_4_at_zero(trunc: Truncation, freq: Frequency) -> dict:
+    """What steps 1-4 return at a3 = a2 = a1 = a0 = 0, with no transform:
+    zero displacements, m3 = 1, m1 = 0, b = b3 = 1, and None for the
+    multipliers sigma, rho and v and their reciprocals, all the constant 1.
+    Steps 2 and 4 invert omega.d_phi on a zero field, and so does this: its
+    divisor floor is kept, so a resonant frequency is refused as there."""
+    zero = omega_dphi_inv(FourierField.zeros(trunc), freq)
+    one = FourierField.constant(trunc, 1.0)
+    return {
+        "b": one, "beta": zero, "beta_tilde": zero, "sigma": None, "sigma_tilde": None,
+        "b3": one, "b2": zero, "b1": zero, "b0": zero,
+        "m3": 1.0, "alpha": zero, "alpha_tilde": zero, "rho": None, "rho_inv": None,
+        "c2": zero, "c1": zero, "c0": zero,
+        "v": None, "v_inv": None, "d1": zero, "d0": zero,
+        "m1": 0.0, "p": zero, "e1": zero, "e0": zero,
+    }
 
-    chain = {**s1, **s2, **s3, **s4, **s5}
+
+def run_regularization(a3, a2, a1, a0, freq: Frequency, mode: str) -> RegularizationResult:
+    """Full Steps 1-5 from the four linearization coefficients.
+
+    When every coefficient table is zero (`not a.c.any()`, no tolerance), L
+    is omega.d_phi + d_xxx already: steps 1-4 are not run, and the chain holds
+    what they return there (`_steps1_to_4_at_zero`), so no field is
+    synthesized or analyzed.  Step 5 runs either way."""
+    if any(a.c.any() for a in (a3, a2, a1, a0)):
+        s1 = step1_space_diffeo(a3, a2, a1, a0, freq, mode)
+        s2 = step2_time_reparam(s1["b3"], s1["b2"], s1["b1"], s1["b0"], freq)
+        if mode == "hamiltonian":
+            # the d_yy coefficient already vanishes: no descent step needed
+            s3 = {"v": None, "v_inv": None, "d1": s2["c1"], "d0": s2["c0"]}
+        else:
+            s3 = step3_descent_zero(s2["c2"], s2["c1"], s2["c0"], s2["m3"], freq)
+        s4 = step4_translation(s3["d1"], s3["d0"], freq)
+        chain = {**s1, **s2, **s3, **s4}
+    else:
+        chain = _steps1_to_4_at_zero(a3.trunc, freq)
+    m3, m1 = chain["m3"], chain["m1"]
+    s5 = step5_pseudo_diff(chain["e1"], chain["e0"], m3, m1, freq, mode)
+    chain.update(s5)
+
     diagnostics = {
         "m3_minus_1": abs(m3 - 1.0),
         "m1_abs": abs(m1),
         "r1_sup": float(np.max(np.abs(s5["r1"].c))),
-        "b2_sup": float(np.max(np.abs(s1["b2"].c))) if mode == "hamiltonian" else None,
+        "b2_sup": float(np.max(np.abs(chain["b2"].c))) if mode == "hamiltonian" else None,
     }
     return RegularizationResult(
         m3=m3,

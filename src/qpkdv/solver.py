@@ -93,9 +93,16 @@ class SolverConfig:
         )
 
 
+# the regularization diagnostics each iterate that linearizes records
+REGULARIZATION_HEALTH = ("m3_minus_1", "m1_abs", "r1_sup")
+
+
 @dataclass
 class SolveReport:
-    """One solve's ending: converged, excluded with its reason, or failed."""
+    """One solve's ending: converged, excluded with its reason, or failed.
+    Each row of `iterates` holds n, |u|_s0, the residual, the projection
+    radius N and gamma_n; a row whose iterate linearized also holds its
+    REGULARIZATION_HEALTH."""
 
     iterates: list
     solution: FourierField  # the last iterate
@@ -264,6 +271,7 @@ def _iterate(spec: nonlin.NonlinearitySpec, freq: Frequency, config: SolverConfi
                 f"residual {res:.3e} above tol {tol:.3e} after {n} iterations")
 
         rg = regularize.regularize_at(spec, freq, u)
+        report.iterates[-1].update({k: rg.diagnostics[k] for k in REGULARIZATION_HEALTH})
         red = km.reduce(rg, freq, sched)
         report.eigs = red.eigs
         if red.exclusion is not None:

@@ -179,7 +179,13 @@ def test_solve_writes_artifacts(tmp_path):
     assert report["subcommand"] == "solve"
     assert report["runs"][0]["converged"] is True
     assert report["runs"][0]["failure"] is None
-    assert (out / "trace.csv").read_text().startswith("tag,n,u_norm,res,N,gamma")
+    assert (out / "trace.csv").read_text().startswith(
+        "tag,n,u_norm,res,N,gamma,m3_minus_1,m1_abs,r1_sup")
+    # the iterate that linearized at u = 0 regularized to the identity; the
+    # converged one did not regularize
+    first, *_, last = report["runs"][0]["iterates"]
+    assert [first[k] for k in sv.REGULARIZATION_HEALTH] == [0.0, 0.0, 0.0]
+    assert not set(sv.REGULARIZATION_HEALTH) & set(last)
     sol = field_from_json((out / "fields" / "solution_lam1.25_eps0.001.json").read_text())
     assert sobolev_norm(sol, 2.0) > 0.0
 
@@ -346,6 +352,18 @@ def test_stability_writes_trajectory(tmp_path):
     h0 = np.array(h0["re"]) + 1j * np.array(h0["im"])
     first = [float(x) for x in lines[1].split(",")]
     assert first[0] == 0.0 and first[1] == pytest.approx(dyn.profile_norm(h0, 1.0))
+
+
+@pytest.mark.parametrize("name", ["hamiltonian_cubic", "quasilinear_cubic"])
+def test_identity_chain_serves_stability_and_verify(tmp_path, name):
+    # at epsilon = 0 the stability report regularizes zero coefficients, so
+    # every reader of the chain (psi_map, FrozenChain) reads the identity
+    # chain that steps 1-4 are skipped for
+    cfg = write_config(tmp_path, nonlinearity={"builtin": name}, epsilon=0.0)
+    out = tmp_path / "stab"
+    assert cli.main(["stability", "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["v_drift"] < 1e-12
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "verify")]) == 0
 
 
 def test_stability_stops_on_a_failed_solve(tmp_path, capsys):

@@ -3,6 +3,7 @@ import pytest
 
 from qpkdv import kamreduce as km, nonlin, opalg, regularize as reg
 from qpkdv.spectral import (
+    DivisorUnderflowError,
     FourierField,
     Frequency,
     Truncation,
@@ -283,6 +284,55 @@ def test_chain_eps_zero_limit():
     assert opalg.decay_norm(result.R, T.s0) < 1e-11
     u = random_real_field(T, np.random.default_rng(5), scale=0.3)
     assert np.max(np.abs(result.phi2(u).c - u.c)) < 1e-12
+
+
+@pytest.mark.parametrize("mode", ["generic", "hamiltonian"])
+def test_zero_coefficients_write_what_steps_1_to_4_return(mode):
+    # at a3 = a2 = a1 = a0 = 0 the chain skips steps 1-4; every entry it
+    # writes is what the steps return there, a None multiplier the constant 1
+    z = FourierField.zeros(T)
+    chain = reg.run_regularization(z, z, z, z, FREQ, mode).chain
+    assert chain["m3"] == 1.0 and chain["m1"] == 0.0
+    s1 = reg.step1_space_diffeo(z, z, z, z, FREQ, mode)
+    s2 = reg.step2_time_reparam(s1["b3"], s1["b2"], s1["b1"], s1["b0"], FREQ)
+    s3 = (reg.step3_descent_zero(s2["c2"], s2["c1"], s2["c0"], s2["m3"], FREQ)
+          if mode == "generic" else {"v": None, "v_inv": None, "d1": s2["c1"], "d0": s2["c0"]})
+    steps = {**s1, **s2, **s3, **reg.step4_translation(s3["d1"], s3["d0"], FREQ)}
+    assert set(chain) == set(steps) | {"w", "r1", "S", "S_inv", "R"}
+    one = FourierField.constant(T, 1.0)
+    for key, want in steps.items():
+        got = chain[key]
+        if isinstance(want, float):
+            assert abs(got - want) <= 1e-15, key
+        elif want is None:
+            assert got is None, key
+        else:
+            assert np.max(np.abs((one if got is None else got).c - want.c)) <= 1e-15, key
+
+
+def test_zero_coefficients_keep_the_divisor_floor():
+    # omega_bar = (1, 21/34) resonates at l = (-21, 34): step 2 refuses it
+    # even on a zero field, and so does the chain that skips it
+    trunc = Truncation(2, 34, 1)
+    z = FourierField.zeros(trunc)
+    with pytest.raises(DivisorUnderflowError, match=r"at l = \(-21, 34\)"):
+        reg.run_regularization(z, z, z, z, Frequency((1.0, 21.0 / 34.0), lam=1.0), "generic")
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_a_single_tiny_mode_takes_the_general_path(monkeypatch, k):
+    # zero is decided on the tables, with no tolerance: a coefficient whose
+    # only nonzero mode is 1e-30 runs steps 1-4
+    calls = []
+    monkeypatch.setattr(reg, "step1_space_diffeo",
+                        lambda *a, _f=reg.step1_space_diffeo: calls.append(1) or _f(*a))
+    z = FourierField.zeros(T)
+    reg.run_regularization(z, z, z, z, FREQ, "generic")
+    assert calls == []
+    coeffs = [z] * 4
+    coeffs[k] = FourierField.constant(T, 1e-30)
+    reg.run_regularization(*coeffs, FREQ, "generic")
+    assert calls == [1]
 
 
 def test_chain_m_constants_small():

@@ -455,29 +455,42 @@ def test_cantor_measure_records_diffeo_non_convergence(monkeypatch):
 
 def test_iterate_0_composes_at_order_0(monkeypatch):
     # at u = 0 the linearization of the criterion-8 problem is the Airy
-    # operator: every displacement of the chain is 0 up to rounding below the
-    # series cutoff, so every composition of iterate 0 (regularization and
-    # right inverse) is planned at order 0 and samples nothing
-    real_plan, real_regularize = spectral._plan, reg.regularize_at
-    orders = []  # one list per Newton iterate
+    # operator, and its coefficient tables are exact zeros: past the
+    # linearization, which analyzes f's partials in `nonlin`, the
+    # regularization plans no composition and synthesizes or analyzes no
+    # field, and the right inverse transports through zero displacements,
+    # each planned at order 0 and sampling nothing
+    events = {"regularize_at": [], "right_inverse": []}
+    stage = []  # the stage being run, innermost last
 
-    def plan(*args):
-        p = real_plan(*args)
-        orders[-1].append(p.order)
-        return p
+    def spy(name, func):
+        def wrapped(*args, **kwargs):
+            out = func(*args, **kwargs)
+            if stage:
+                events[stage[-1]].append(out.order if name == "_plan" else name)
+            return out
+        return wrapped
 
-    def regularize_at(*args):
-        orders.append([])
-        return real_regularize(*args)
+    def within(name, func):
+        def wrapped(*args):
+            stage.append(name)
+            try:
+                return func(*args)
+            finally:
+                stage.pop()
+        return wrapped
 
-    monkeypatch.setattr(spectral, "_plan", plan)
-    monkeypatch.setattr(reg, "regularize_at", regularize_at)
+    for module, name in [(spectral, "_plan"), (spectral, "synthesize"),
+                         (spectral, "analyze"), (reg, "synthesize"), (reg, "analyze")]:
+        monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    monkeypatch.setattr(reg, "regularize_at", within("regularize_at", reg.regularize_at))
+    monkeypatch.setattr(sv, "right_inverse", within("right_inverse", sv.right_inverse))
     rep = sv.cantor_measure(FORCED, "raw_f", (1.0,), [1e-3], np.array([1.25]), a=0.5,
                             trunc=Truncation(1, 8, 8))
     assert rep.records[1e-3][0]["accepted"]
-    # steps 1, 2 and 4 (two inverses, three compositions), then A, B and T
-    # in each direction of the right inverse
-    assert orders[0] == [0] * 11
+    assert events["regularize_at"] == []
+    # A, B and T in each direction of the right inverse, and nothing else
+    assert events["right_inverse"] == [0] * 6
 
 
 def test_iterate_0_does_no_operator_work(monkeypatch):
