@@ -8,10 +8,16 @@ and probed for the structure that selects the solver's projection
 (reversible, total derivative, Hamiltonian).  The grammar is closed (numbers,
 variables, + - * /, integer powers, sin, cos, exp), so numpy alone evaluates
 it.  It is read by Python's own parser with '^' as the power; a text may
-span lines, and every refusal is a ParseError at an offset in the text.  The
-paper's hypotheses (F) and (Q) are not probed: step 3 of the regularization
-needs only their consequence, a d_xx coefficient of zero x-mean, and checks
-it on the actual coefficient (`regularize.ZeroMeanViolation`).
+span lines, and every refusal is a ParseError at an offset in the text.  Each
+(text, declared form) is parsed once per process.  The paper's hypotheses (F)
+and (Q) are not probed: step 3 of the regularization needs only their
+consequence, a d_xx coefficient of zero x-mean, and checks it on the actual
+coefficient (`regularize.ZeroMeanViolation`).
+
+At u = 0 nothing of u is transformed: its jet is zero without a synthesis,
+and partials that all vanish there give zero coefficients without an
+analysis.  Both tests are structural (an exact zero, no tolerance) and return
+what the transforms would.
 """
 
 from __future__ import annotations
@@ -392,10 +398,16 @@ def _z_partials(f: Expr) -> tuple[Expr, ...]:
     return tuple(f.diff(z) for z in _Z_NAMES)
 
 
+@lru_cache(maxsize=256)
+def _parsed(text: str, declared_form: str) -> Expr:
+    """The f of a text under its declared form, parsed and synthesized once per
+    process; a refusal is raised on every call, never cached."""
+    return _synthesize(_parse(text), declared_form)
+
+
 def parse_nonlinearity(text: str, declared_form: str = "raw_f",
                        epsilon: float = 1e-3) -> NonlinearitySpec:
-    f = _synthesize(_parse(text), declared_form)
-    return NonlinearitySpec(f=f, declared_form=declared_form,
+    return NonlinearitySpec(f=_parsed(text, declared_form), declared_form=declared_form,
                             epsilon=epsilon, source=text)
 
 
@@ -421,7 +433,10 @@ def _grid_coords(trunc: Truncation):
 
 
 def _jet_on_grid(u: FourierField):
-    """Samples of (u, u_x, u_xx, u_xxx) on the standard grid."""
+    """Samples of (u, u_x, u_xx, u_xxx) on the standard grid; those of a zero
+    field are zeros, with no synthesis."""
+    if not u.c.any():
+        return list(np.zeros((4,) + u.trunc.grid_shape))
     return list(synthesize([dx_pow(u, k) for k in range(4)]))
 
 
@@ -445,12 +460,16 @@ def residual(spec: NonlinearitySpec, freq: Frequency, u: FourierField) -> Fourie
 
 
 def linearized_coefficients(spec: NonlinearitySpec, u: FourierField):
-    """Fields a_i = epsilon * (d f / d z_i) along u, for i = 3, 2, 1, 0."""
+    """Fields a_i = epsilon * (d f / d z_i) along u, for i = 3, 2, 1, 0; where
+    every sample of the partials is zero (as at u = 0 for an f with no term
+    linear in u), four zero fields, with no analysis."""
     phis, xg = _grid_coords(u.trunc)
     z = _jet_on_grid(u)
     partials = _z_partials(spec.f)
     samples = np.stack([_finite(partials[k](xg, phis, z), f"d f/d z{k}")
                         for k in (3, 2, 1, 0)])
+    if not samples.any():
+        return tuple(FourierField.zeros(u.trunc) for _ in range(4))
     return tuple(a * spec.epsilon for a in analyze(u.trunc, samples))
 
 

@@ -371,18 +371,21 @@ def cantor_measure(
     trunc = trunc or Truncation(len(tuple(np.atleast_1d(omega_bar))), 8, 8)
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     config = SolverConfig(trunc=trunc, a=a, **(config_kw or {}))
+    # every (epsilon, lambda) point goes through one map, so one pool's warm
+    # caches (parse, structure flags) serve every epsilon
+    args = [(text, declared_form, eps, float(lam), tuple(omega_bar), config)
+            for eps in epsilons for lam in lambda_grid]
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
+            points = list(pool.map(_measure_point, args))
+    else:
+        points = [_measure_point(arg) for arg in args]
     fractions = {}
     baselines = {}
     records = {}
-    for eps in epsilons:
+    for i, eps in enumerate(epsilons):
         gamma, tau = config.resolved(eps)
-        args = [(text, declared_form, eps, float(lam), tuple(omega_bar), config)
-                for lam in lambda_grid]
-        if workers > 1:
-            with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-                rows = list(pool.map(_measure_point, args))
-        else:
-            rows = [_measure_point(arg) for arg in args]
+        rows = points[i * len(lambda_grid):(i + 1) * len(lambda_grid)]
         records[eps] = rows
         fractions[eps] = sum(r["accepted"] for r in rows) / len(rows)
 

@@ -16,8 +16,8 @@ sum_k s^k/k! D^k h(. + c) for the mean c of d and s = d - c.  Its k = 0 term is
 the exact phase e^{i m c} on the coefficients; the K terms k >= 1 are uniform
 syntheses summed in the samples of s, on a grid that grows with K from the
 product grid.  At K = 0 (a displacement of size x <= 1e-17) nothing is sampled,
-synthesized or analyzed.  One planner makes every decision of a composition of
-either kind.
+synthesized or analyzed, and an exactly zero displacement, the identity, is not
+even planned.  One planner makes every decision of a composition of either kind.
 """
 
 from __future__ import annotations
@@ -507,6 +507,13 @@ class _Plan(NamedTuple):
     project: Callable
 
 
+def _check_kind(kind: str, freq: Frequency | None) -> None:
+    """Refuse a kind other than 'space' and 'time', and the time kind without a Frequency."""
+    if kind not in ("space", "time") or (kind == "time" and freq is None):
+        raise ValueError("the time kind needs a Frequency" if kind == "time"
+                         else f"unknown diffeomorphism kind {kind!r}")
+
+
 def _plan(kind: str, d: FourierField, freq: Frequency | None) -> _Plan:
     """Every decision of a torus composition with displacement d, made once.  The kind is 'space',
     D = d_x of multiplier i m, m = j, or 'time', D = omega.d_phi, m = omega.l, which needs a
@@ -523,6 +530,7 @@ def _plan(kind: str, d: FourierField, freq: Frequency | None) -> _Plan:
     GRID_BUDGET points x (K + 1) tables is refused.  Then d is sampled, its slope beta_x or
     omega.d_phi alpha must stay within 1/2, and the order is that of the sampled x, at least 1
     (the samples are paid for), refused past _X_MAX."""
+    _check_kind(kind, freq)
     trunc, n = d.trunc, d.trunc.n_x
     if kind == "space":  # m = j commutes with the phi synthesis: one for all k
         m_all, modes, name, own = trunc.mode_range(trunc.nu), d.c, "beta_x", np.s_[..., n:]
@@ -540,7 +548,7 @@ def _plan(kind: str, d: FourierField, freq: Frequency | None) -> _Plan:
                 return np.fft.irfft(part, n=gs[-1], axis=-1, norm="forward")
             return table
         project = partial(analyze, trunc)
-    elif kind == "time" and freq is not None:
+    else:  # the time kind, with a Frequency
         if np.max(np.abs(np.delete(d.c, n, axis=-1))) > 1e-12 * np.max(np.abs(d.c)):
             raise ValueError("time displacement must depend on phi only")
         m_all = m = freq.omega_dot_l(trunc)[..., None]
@@ -552,9 +560,6 @@ def _plan(kind: str, d: FourierField, freq: Frequency | None) -> _Plan:
         def tables(half):  # one phi synthesis per k
             return lambda k: _phi_synth(trunc, half * ((1j * m) ** k / math.factorial(k)), gs[:-1])
         project = partial(_from_x_half, trunc)
-    else:
-        raise ValueError("the time kind needs a Frequency" if kind == "time"
-                         else f"unknown diffeomorphism kind {kind!r}")
     phase = np.exp(1j * m_all * d.mean)
     own_half = (d.c * phase.conj())[own][None]
     max_m, modes = float(np.max(np.abs(m))), modes.ravel()  # the mean sits at the centre
@@ -604,10 +609,15 @@ def compose(kind: str, f, displacement: FourierField, freq: Frequency | None = N
     The mean c of the displacement d gives the k = 0 term, the exact phase e^{i m c} on the
     coefficients; the rest is the transport series sum_{k >= 1} (d - c)^k/k! D^k h(. + c) of
     D = d_x or omega.d_phi, synthesized, summed in the samples and analyzed, or nothing at
-    order 0.
+    order 0.  An exactly zero displacement is the identity: once the arguments pass their
+    checks, the fields' coefficients are returned as they are, with no plan, phase or product.
     """
     trunc, c, batched = _stacked(f)
     _check_same(trunc, displacement.trunc)
+    if not displacement.c.any():
+        _check_kind(kind, freq)
+        out = [FourierField(trunc, h) for h in c]
+        return out if batched else out[0]
     plan = _plan(kind, displacement, freq)
     moved = c * plan.phase
     out = [FourierField(trunc, h) for h in moved]

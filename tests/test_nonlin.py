@@ -363,6 +363,59 @@ def test_residual_zero_field():
     assert np.max(np.abs(r.c)) == 0.0
 
 
+# at u = 0: nothing of u is transformed, and what comes out is what the
+# transforms give, bit for bit
+
+def _general_jet(u):
+    return list(nonlin.synthesize([dx_pow(u, k) for k in range(4)]))
+
+
+def _general_linearization(spec, u):
+    phis, xg = nonlin._grid_coords(u.trunc)
+    partials = nonlin._z_partials(spec.f)
+    samples = np.stack([partials[k](xg, phis, _general_jet(u)) for k in (3, 2, 1, 0)])
+    return tuple(a * spec.epsilon for a in nonlin.analyze(u.trunc, samples))
+
+
+def _no(name):
+    def refuse(*args, **kwargs):
+        pytest.fail(f"{name} was called")
+    return refuse
+
+
+def test_zero_jet_and_residual_are_the_synthesized_ones(monkeypatch):
+    spec = builtin("fully_nonlinear_F")
+    zero = FourierField.zeros(T)
+    jet = _general_jet(zero)
+    phis, xg = nonlin._grid_coords(T)
+    expected = (nonlin.omega_dphi(zero, FREQ) + dx_pow(zero, 3)
+                + nonlin.analyze(T, spec.f(xg, phis, jet)) * spec.epsilon)
+    monkeypatch.setattr(nonlin, "synthesize", _no("synthesize"))
+    got = nonlin._jet_on_grid(zero)
+    assert len(got) == 4 and all(g.shape == T.grid_shape and np.array_equal(g, h)
+                                 for g, h in zip(got, jet))
+    assert np.array_equal(nonlin.residual(spec, FREQ, zero).c, expected.c)
+
+
+@pytest.mark.parametrize("text, form, analyzed", [
+    (*nonlin.BUILTINS["quasilinear_cubic"], False),  # every partial vanishes at u = 0
+    (*nonlin.BUILTINS["fully_nonlinear_F"], True),  # d f/d z3 = cos(phi + x)
+    ("30 * cos(phi_1) * sin(x) + sin(z3)", "raw_f", True),  # d f/d z3 = 1
+], ids=["quasilinear_cubic", "fully_nonlinear_F", "sin_z3"])
+def test_zero_field_linearization_is_the_analyzed_one(text, form, analyzed, monkeypatch):
+    spec = nonlin.parse_nonlinearity(text, form, epsilon=1e-3)
+    zero = FourierField.zeros(T)
+    expected = _general_linearization(spec, zero)
+    assert any(a.c.any() for a in expected) == analyzed
+    calls = []
+    monkeypatch.setattr(nonlin, "synthesize", _no("synthesize"))
+    monkeypatch.setattr(nonlin, "analyze", lambda *a, _f=nonlin.analyze: calls.append(1) or _f(*a))
+    got = nonlin.linearized_coefficients(spec, zero)
+    assert len(calls) == analyzed
+    assert len(got) == 4 and all(g.trunc == T and np.array_equal(g.c, h.c)
+                                 for g, h in zip(got, expected))
+
+
 def test_residual_airy_part():
     # with a phi-independent u, the residual at epsilon -> Airy limit is u_xxx
     spec = nonlin.parse_nonlinearity("z0^2 * z3", epsilon=1e-300)
@@ -478,6 +531,35 @@ def test_cached_flags_equal_uncached(name):
     spec = builtin(name)
     uncached = nonlin._structure_flags.__wrapped__(spec.f, spec.declared_form)
     assert nonlin.structure_flags(spec) == uncached
+
+
+def test_a_text_is_parsed_once_per_declared_form(monkeypatch):
+    text = "z0^2 + 0.25 * cos(phi_1) * z1"
+    nonlin._parsed.cache_clear()
+    parses = []
+    monkeypatch.setattr(nonlin, "_parse", lambda t, _f=nonlin._parse: parses.append(t) or _f(t))
+    a = nonlin.parse_nonlinearity(text, epsilon=1e-3)
+    b = nonlin.parse_nonlinearity(text, epsilon=1e-5)
+    assert a.f is b.f and (a.epsilon, b.epsilon) == (1e-3, 1e-5) and parses == [text]
+    # the same text under another declared form is another f, with its own flags
+    g = nonlin.parse_nonlinearity(text, "dx_of_g")
+    assert parses == [text, text] and g.f is not a.f and g.f != a.f
+    assert nonlin.structure_flags(g).total_derivative
+    assert not nonlin.structure_flags(a).total_derivative
+    assert nonlin.parse_nonlinearity(text, "dx_of_g").f is g.f and len(parses) == 2
+
+
+def test_a_refused_text_is_refused_on_every_call(monkeypatch):
+    parses = []
+    monkeypatch.setattr(nonlin, "_parse", lambda t, _f=nonlin._parse: parses.append(t) or _f(t))
+    for _ in range(3):
+        with pytest.raises(nonlin.ParseError, match="never closed"):
+            nonlin.parse_nonlinearity("cos(phi_1) * (1 + z3")
+    assert len(parses) == 3
+    for _ in range(2):  # a form the text does not fit is refused each time too
+        with pytest.raises(ValueError, match="g may depend on z0, z1, z2 only"):
+            nonlin.parse_nonlinearity("z3 + 0.5 * z0", "dx_of_g")
+    assert len(parses) == 5
 
 
 def test_specs_differing_in_epsilon_share_analysis():

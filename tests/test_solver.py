@@ -404,6 +404,34 @@ def test_cantor_measure_validates_exponent():
                           a=1.5)
 
 
+def test_cantor_measure_maps_every_epsilon_through_one_pool(monkeypatch):
+    class InProcessPool:  # a pool that runs its map in this process
+        made = []
+
+        def __init__(self, workers):
+            self.made.append(workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            args = list(args)
+            self.made.append(len(args))
+            return map(fn, args)
+
+    args = (FORCED, "raw_f", (1.0,), [1e-3, 1e-5], np.array([0.9, 1.1, 1.3]))
+    kw = {"a": 0.5, "trunc": Truncation(1, 4, 4)}
+    serial = sv.cantor_measure(*args, **kw)
+    monkeypatch.setattr(sv.concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    pooled = sv.cantor_measure(*args, workers=3, **kw)
+    assert InProcessPool.made == [3, 6]  # one pool, one map of the 2 x 3 points
+    assert pooled.records == serial.records and pooled.fractions == serial.fractions
+    assert [r["lambda"] for r in pooled.records[1e-5]] == [0.9, 1.1, 1.3]
+
+
 def test_cantor_measure_records_failed_point(monkeypatch):
     real = reg.regularize_at
 
@@ -455,11 +483,10 @@ def test_cantor_measure_records_diffeo_non_convergence(monkeypatch):
 
 def test_iterate_0_composes_at_order_0(monkeypatch):
     # at u = 0 the linearization of the criterion-8 problem is the Airy
-    # operator, and its coefficient tables are exact zeros: past the
-    # linearization, which analyzes f's partials in `nonlin`, the
-    # regularization plans no composition and synthesizes or analyzes no
-    # field, and the right inverse transports through zero displacements,
-    # each planned at order 0 and sampling nothing
+    # operator, and its coefficient tables are exact zeros: the
+    # regularization, its linearization included, plans no composition and
+    # synthesizes or analyzes no field, and the right inverse transports
+    # through zero displacements, which `spectral.compose` returns unplanned
     events = {"regularize_at": [], "right_inverse": []}
     stage = []  # the stage being run, innermost last
 
@@ -480,8 +507,9 @@ def test_iterate_0_composes_at_order_0(monkeypatch):
                 stage.pop()
         return wrapped
 
-    for module, name in [(spectral, "_plan"), (spectral, "synthesize"),
-                         (spectral, "analyze"), (reg, "synthesize"), (reg, "analyze")]:
+    for module, name in [(spectral, "_plan"), (spectral, "synthesize"), (spectral, "analyze"),
+                         (reg, "synthesize"), (reg, "analyze"), (reg, "compose"),
+                         (nonlin, "synthesize"), (nonlin, "analyze")]:
         monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
     monkeypatch.setattr(reg, "regularize_at", within("regularize_at", reg.regularize_at))
     monkeypatch.setattr(sv, "right_inverse", within("right_inverse", sv.right_inverse))
@@ -489,8 +517,8 @@ def test_iterate_0_composes_at_order_0(monkeypatch):
                             trunc=Truncation(1, 8, 8))
     assert rep.records[1e-3][0]["accepted"]
     assert events["regularize_at"] == []
-    # A, B and T in each direction of the right inverse, and nothing else
-    assert events["right_inverse"] == [0] * 6
+    # A, B and T in each direction of the right inverse, none of them planned
+    assert events["right_inverse"] == ["compose"] * 6
 
 
 def test_iterate_0_does_no_operator_work(monkeypatch):

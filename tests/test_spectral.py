@@ -369,6 +369,60 @@ def test_compose_zero_displacement_identity():
     assert np.max(np.abs(g.c - f.c)) < 1e-12
 
 
+def _planned_compose(kind, f, d, freq):
+    """compose's general path, planned even at a zero displacement: the
+    fields times the phase of the plan, with the series past order 0."""
+    fields = [f] if isinstance(f, FourierField) else list(f)
+    plan = spectral._plan(kind, d, freq)
+    moved = [FourierField(d.trunc, g.c * plan.phase) for g in fields]
+    if plan.order:
+        s = plan.samples - d.mean
+        table = plan.tables(np.stack([g.c for g in moved])[..., d.trunc.n_x:])
+        series = plan.project(spectral._transport_sum(table, plan.order, s))
+        moved = [g + h for g, h in zip(moved, series)]
+    return moved if isinstance(f, list) else moved[0]
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["single", "batched"])
+@pytest.mark.parametrize("kind", ["space", "time"])
+def test_compose_zero_displacement_is_the_planned_path_unplanned(kind, batched, monkeypatch):
+    tr = Truncation(2, 3, 3)
+    rng = np.random.default_rng(11)
+    freq = Frequency.default(2, lam=0.9)
+    f = [random_real_field(tr, rng) for _ in range(3)] if batched else random_real_field(tr, rng)
+    zero = FourierField.zeros(tr)
+    expected = _planned_compose(kind, f, zero, freq)
+
+    def same(a, b):
+        a, b = (x if isinstance(x, list) else [x] for x in (a, b))
+        return len(a) == len(b) and all(g.trunc == h.trunc and np.array_equal(g.c, h.c)
+                                        for g, h in zip(a, b))
+    # the reference is the general path: it agrees with compose off zero
+    d = random_real_field(tr, rng, decay=3.0, scale=0.02)
+    d = x_average(d) if kind == "time" else d
+    assert same(compose(kind, f, d, freq), _planned_compose(kind, f, d, freq))
+    monkeypatch.setattr(spectral, "_plan", lambda *a: pytest.fail("a zero displacement is planned"))
+    out = compose(kind, f, zero, freq)
+    assert isinstance(out, list) == batched and same(out, expected)
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["single", "batched"])
+def test_compose_zero_displacement_keeps_every_check(batched):
+    freq = Frequency.default(1, lam=1.0)
+    zero = FourierField.zeros(T)
+
+    def fields(*f):
+        return list(f) if batched else f[-1]
+    ok = fields(random_real_field(T, RNG), random_real_field(T, RNG))
+    with pytest.raises(ValueError, match="the time kind needs a Frequency"):
+        compose("time", ok, zero)
+    with pytest.raises(ValueError, match="unknown diffeomorphism kind 'shear'"):
+        compose("shear", ok, zero, freq)
+    with pytest.raises(ValueError, match="truncation mismatch"):
+        compose("space", ok, FourierField.zeros(Truncation(1, 6, 5)))
+    # the Hermitian check at a zero displacement: test_non_hermitian_field_is_rejected
+
+
 def test_compose_constant_shift_is_phase():
     c = 0.3
     f = FourierField.from_modes(T, {(0, 1): 1.0})
@@ -605,7 +659,7 @@ def test_non_hermitian_field_is_rejected():
     freq = Frequency.default(1, lam=1.0)
     with pytest.raises(ValueError, match="not real"):
         synthesize(f)
-    for kind in ("space", "time"):
+    for kind in ("space", "time"):  # a zero displacement, which compose does not plan
         with pytest.raises(ValueError, match="not real"):
             compose(kind, f, FourierField.zeros(T), freq)
         with pytest.raises(ValueError, match="not real"):
